@@ -15,7 +15,7 @@ import time
 from flagcohom import SpaceDescriptor, build_ring, equivariant_space
 from flagcohom import linalg
 from flagcohom._rowreduce_py import rref as rref_py
-from flagcohom.algebra import _elimination_key, relation_rows
+from flagcohom.algebra import degree_matrix
 
 try:
     from flagcohom._rowreduce import rref as rref_c
@@ -23,29 +23,18 @@ except ImportError:
     rref_c = None
 
 
-def degree_matrix(ring, d):
-    gens = ring.gens
-    cols = sorted(gens.monomials_of_degree(d), key=_elimination_key(gens))
-    index = {m: i for i, m in enumerate(cols)}
-    rows = []
-    for row in relation_rows(ring.presentation, d):
-        entries = sorted((index[e], c) for e, c in row.items())
-        rows.append(linalg.integer_row(entries))
-    return rows, len(cols)
-
-
 def cases(max_degree):
     eq = equivariant_space("complex", 3, "flag", cutoff=max_degree)
     for d in range(max_degree - 2, max_degree + 1):
-        rows, ncols = degree_matrix(eq, d)
+        cols, rows = degree_matrix(eq.presentation, d)
         if rows:
-            yield f"equivariant Fl(C^3), degree {d}", rows, ncols
+            yield f"equivariant Fl(C^3), degree {d}", rows, len(cols)
     gr = build_ring(SpaceDescriptor("complex-grassmannian", 3, 6))
     for d in (14, 16, 18):
         if d <= gr.cutoff:
-            rows, ncols = degree_matrix(gr, d)
+            cols, rows = degree_matrix(gr.presentation, d)
             if rows:
-                yield f"G_3(C^6), degree {d}", rows, ncols
+                yield f"G_3(C^6), degree {d}", rows, len(cols)
 
 
 def best_time(kernel, rows, repeat):

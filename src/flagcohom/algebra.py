@@ -6,12 +6,23 @@ to zero; even-degree generators are central. A finitely presented quotient
 is reduced degree by degree: all relation multiples of a given degree are
 row-reduced exactly, which yields an additive monomial basis and a rewrite
 table (the normal-form map) for that degree.
+
+Degrees above a vanishing window are zero without any reduction. Let g be
+the largest generator degree. If the quotient is zero in each of the
+degrees d-g, ..., d-1, it is zero in degree d: removing one generator from
+a degree-d monomial leaves a divisor whose degree lies in that window, so
+the divisor lies in the ideal, and the monomial, which is plus or minus
+the divisor times the removed generator, lies there too. This holds for
+odd generators as well. The quotient ring applies the rule only to degree
+tables it has already built, and never builds lower degrees to apply it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import linalg
@@ -465,23 +476,39 @@ def make_presentation(
     return RingPresentation(gens, tuple(split), label)
 
 
-def relation_rows(presentation: RingPresentation, d: int) -> list[dict[tuple[int, ...], Fraction]]:
-    """All degree-d multiples of the relations, as term dictionaries.
+def relation_rows(presentation: RingPresentation, d: int) -> list[dict[tuple[int, ...], int]]:
+    """All degree-d multiples of the relations, as integer term dictionaries.
 
     Their span is the degree-d slice of the ideal: graded commutativity
-    makes one-sided monomial multiples sufficient.
+    makes one-sided monomial multiples sufficient. Each relation is scaled
+    to integers once, so its multiples carry its coefficients up to sign.
     """
     gens = presentation.generators
+    odd = gens._odd
     rows = []
-    one = Fraction(1)
     for rel in presentation.relations:
         r = rel.degree()
         if r > d:
             continue
+        mult = lcm(*(c.denominator for c in rel.terms.values()))
+        terms = [
+            (exps, [i for i in odd if exps[i]], c.numerator * (mult // c.denominator))
+            for exps, c in rel.terms.items()
+        ]
         for m in gens.monomials_of_degree(d - r):
-            prod = gens._mul_terms({m: one}, rel.terms)
-            if prod:
-                rows.append(prod)
+            m_odd = [i for i in odd if m[i]]
+            row = {}
+            for exps, e_odd, c in terms:
+                if m_odd and e_odd:
+                    if any(m[i] for i in e_odd):
+                        continue
+                    # Koszul sign: each odd factor of the relation moves left
+                    # past the odd factors of m with a higher index
+                    if sum(1 for i in e_odd for j in m_odd if j > i) % 2:
+                        c = -c
+                row[tuple(map(add, m, exps))] = c
+            if row:
+                rows.append(row)
     return rows
 
 
@@ -498,20 +525,29 @@ def _elimination_key(gens: Generators):
     return key
 
 
+def degree_matrix(
+    presentation: RingPresentation, d: int, column_key=None
+) -> tuple[list[tuple[int, ...]], list[list[tuple[int, int]]]]:
+    """The degree-d relation matrix as (columns, sparse integer rows).
+
+    Columns are the degree-d monomials in elimination order, or sorted by
+    `column_key` when given; each row lists (column, value) pairs by column.
+    """
+    gens = presentation.generators
+    cols = sorted(gens.monomials_of_degree(d), key=column_key or _elimination_key(gens))
+    index = {m: i for i, m in enumerate(cols)}
+    rows = [sorted((index[e], c) for e, c in row.items()) for row in relation_rows(presentation, d)]
+    return cols, rows
+
+
 def rank_of_degree(presentation: RingPresentation, d: int, column_key=None) -> tuple[int, int]:
     """(rank of the degree-d relation span, number of degree-d monomials).
 
     `column_key` overrides the elimination column order; the rank is
     independent of it, which the test suite checks.
     """
-    gens = presentation.generators
-    cols = sorted(gens.monomials_of_degree(d), key=column_key or _elimination_key(gens))
-    index = {m: i for i, m in enumerate(cols)}
-    int_rows = []
-    for row in relation_rows(presentation, d):
-        entries = sorted(((index[e], c) for e, c in row.items()))
-        int_rows.append(linalg.integer_row(entries))
-    return linalg.rank(int_rows), len(cols)
+    cols, rows = degree_matrix(presentation, d, column_key)
+    return linalg.rank(rows), len(cols)
 
 
 class _DegreeTable:
@@ -522,12 +558,18 @@ class _DegreeTable:
         self.rewrite = rewrite  # pivot exps -> {basis exps: coefficient}
 
 
+# Every zero degree stores this table, whether it was reduced or known to
+# vanish, so a degree's table does not depend on the order degrees are built.
+_ZERO_TABLE = _DegreeTable((), {})
+
+
 class QuotientRing:
     """A presented graded-commutative ring with per-degree normal forms.
 
     Values are immutable once built; the per-degree cache is write-once and
     its entries are deterministic, so concurrent computation of the same
-    degree is harmless (last writer stores an identical table).
+    degree is harmless (the first writer's table is kept, and any other
+    writer computed an identical one).
     """
 
     def __init__(self, presentation: RingPresentation, cutoff: int):
@@ -536,6 +578,7 @@ class QuotientRing:
         self.presentation = presentation
         self.cutoff = cutoff
         self._tables: dict[int, _DegreeTable] = {}
+        self._max_gen_degree = max(presentation.generators.degrees, default=0)
 
     @property
     def gens(self) -> Generators:
@@ -558,15 +601,21 @@ class QuotientRing:
             table = self._tables.setdefault(d, table)
         return table
 
+    def _vanishes(self, d: int) -> bool:
+        """Whether the cached tables of degrees d-g .. d-1 are all zero."""
+        tables = self._tables
+        return d > 0 and all(
+            (t := tables.get(e)) is not None and not t.basis
+            for e in range(d - self._max_gen_degree, d)
+        )
+
     def _compute_table(self, d: int) -> _DegreeTable:
-        gens = self.gens
-        cols = sorted(gens.monomials_of_degree(d), key=_elimination_key(gens))
-        index = {m: i for i, m in enumerate(cols)}
-        int_rows = []
-        for row in relation_rows(self.presentation, d):
-            entries = sorted(((index[e], c) for e, c in row.items()))
-            int_rows.append(linalg.integer_row(entries))
-        reduced = linalg.rref(int_rows)
+        if self._vanishes(d):
+            return _ZERO_TABLE
+        cols, rows = degree_matrix(self.presentation, d)
+        reduced = linalg.rref(rows)
+        if len(reduced) == len(cols):
+            return _ZERO_TABLE
         rewrite: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
         pivot_cols = set()
         for row in reduced:
@@ -607,6 +656,8 @@ class QuotientRing:
 
         for d, comp in element.homogeneous_components().items():
             table = self._table(d)
+            if not table.basis:
+                continue
             for exps, coeff in comp.terms.items():
                 row = table.rewrite.get(exps)
                 if row is None:

@@ -422,7 +422,7 @@ def cmd_verify(args, parser) -> int:
     from . import verify as verify_mod
 
     known = ("catalog", "odd-identity", "extensions", "equivariant")
-    suites = args.suites
+    suites = args.suites or known
     for s in suites:
         if s not in known:
             raise ConfigError("suite", f"unknown suite {s!r}; known: {', '.join(known)}")
@@ -495,7 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
 
     vp = sub.add_parser("verify", help="run verification suites")
-    vp.add_argument("suites", nargs="*", help="catalog | odd-identity | extensions | equivariant")
+    vp.add_argument(
+        "suites", nargs="*", help="catalog | odd-identity | extensions | equivariant (default: all)"
+    )
     vp.add_argument("--max-n", type=int, default=4)
     vp.set_defaults(func=cmd_verify)
     return parser

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .algebra import (
     GeneratorSymbol,
@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .catalog import SpaceDescriptor, top_degree
 
-ElementLike = Union[GradedElement, str, int]
+ElementLike = GradedElement | str | int
 
 _STEP = {"complex": 2, "real": 4, "oriented": 4}
 _CANON = {"complex": "c", "real": "p", "oriented": "p"}

@@ -76,14 +76,12 @@ def koszul_product(degrees, ea, eb):
     return tuple(x + y for x, y in zip(ea, eb)), (-1) ** swaps
 
 
-def quotient_dimension(degrees, relations, d: int) -> int:
-    """dim of degree d of the quotient by the listed homogeneous relations.
+def relation_matrix(degrees, relations, d: int, cols) -> list[list[Fraction]]:
+    """Dense rows of all degree-d monomial multiples of the relations.
 
-    `relations` are term dictionaries {exponents: Fraction}. The degree-d
-    slice of the ideal is spanned by monomial multiples of the relations;
-    its codimension is computed by dense elimination.
+    `relations` are homogeneous term dictionaries {exponents: Fraction};
+    `cols` lists every degree-d monomial, in column order.
     """
-    cols = monomials(degrees, d)
     index = {m: i for i, m in enumerate(cols)}
     rows = []
     for rel in relations:
@@ -94,19 +92,43 @@ def quotient_dimension(degrees, relations, d: int) -> int:
             continue
         for m in monomials(degrees, d - rdeg):
             row = [Fraction(0)] * len(cols)
-            nonzero = False
             for exps, coeff in rel.items():
                 prod = koszul_product(degrees, m, exps)
                 if prod is None:
                     continue
                 out, sign = prod
                 row[index[out]] += sign * coeff
-                nonzero = True
-            if nonzero and any(row):
+            if any(row):
                 rows.append(row)
-    if not rows:
-        return len(cols)
-    return len(cols) - dense_rank(rows)
+    return rows
+
+
+def quotient_dimension(degrees, relations, d: int) -> int:
+    """dim of degree d of the quotient by the listed homogeneous relations.
+
+    `relations` are term dictionaries {exponents: Fraction}. The degree-d
+    slice of the ideal is spanned by monomial multiples of the relations;
+    its codimension is computed by dense elimination.
+    """
+    cols = monomials(degrees, d)
+    return len(cols) - dense_rank(relation_matrix(degrees, relations, d, cols))
+
+
+def reference_table(degrees, relations, d: int, column_key):
+    """(basis set, rewrite table) of degree d by dense elimination.
+
+    Columns are the degree-d monomials sorted by `column_key`. The basis is
+    the set of non-pivot columns; each pivot monomial rewrites to minus the
+    rest of its reduced row, a dictionary over basis monomials.
+    """
+    cols = sorted(monomials(degrees, d), key=column_key)
+    pivots, rows = dense_rref(relation_matrix(degrees, relations, d, cols))
+    basis = set(cols) - {cols[p] for p in pivots}
+    rewrite = {
+        cols[p]: {cols[c]: -v for c, v in enumerate(row) if v and c != p}
+        for p, row in zip(pivots, rows)
+    }
+    return basis, rewrite
 
 
 @lru_cache(maxsize=None)

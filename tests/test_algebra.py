@@ -1,5 +1,6 @@
 """Element arithmetic, presentations and quotient normal forms."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,15 @@ from flagcohom import (
     QuotientRing,
     SpaceDescriptor,
     build_ring,
+    build_space,
     make_presentation,
 )
-from flagcohom.algebra import rank_of_degree, relation_rows
+from flagcohom import algebra
+from flagcohom.algebra import _elimination_key, rank_of_degree, relation_rows
+from flagcohom.catalog import default_cutoff
+from flagcohom.verify import _catalog_descriptors
 
-from _oracles import koszul_product, monomials, quotient_dimension
+from _oracles import koszul_product, monomials, quotient_dimension, reference_table
 
 
 def mixed_gens():
@@ -293,12 +298,86 @@ def test_per_degree_tables_are_deterministic():
 def test_concurrent_degree_computation_is_safe():
     from concurrent.futures import ThreadPoolExecutor
 
-    ring = build_ring(SpaceDescriptor("complex-grassmannian", 2, 5))
-    reference = build_ring(SpaceDescriptor("complex-grassmannian", 2, 5))
+    # G_2(C^5) is zero above degree 12 and its largest generator degree is
+    # 6, so each degree from 19 on is either reduced or ruled zero, as the
+    # threads happen to have built the degrees below it
+    desc = SpaceDescriptor("complex-grassmannian", 2, 5)
+    ring = build_ring(desc, 24)
+    reference = build_ring(desc, 24)
     degrees = list(range(ring.cutoff + 1)) * 3
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        dims = list(pool.map(ring.dimension, degrees))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            dims = list(pool.map(ring.dimension, degrees))
+    finally:
+        sys.setswitchinterval(interval)
     assert dims == [reference.dimension(d) for d in degrees]
+    for d in range(ring.cutoff + 1):
+        assert ring._table(d).basis == reference._table(d).basis
+        assert ring._table(d).rewrite == reference._table(d).rewrite
+
+
+def test_degrees_past_the_vanishing_window_build_no_matrix(monkeypatch):
+    built = []
+    real = algebra.degree_matrix
+
+    def counting(presentation, d, column_key=None):
+        built.append(d)
+        return real(presentation, d, column_key)
+
+    monkeypatch.setattr(algebra, "degree_matrix", counting)
+    # G_2(C^4): zero above degree 8, generators of degree at most 4
+    ring = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 40)
+    assert ring.dimensions() == ring.dimensions(8) + [0] * 32
+    assert built == list(range(13))
+    # the rule reads only cached degrees: random access reduces what it asks for
+    built.clear()
+    fresh = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 40)
+    assert fresh.dimension(30) == 0
+    assert built == [30]
+    assert fresh.normal_form(fresh.gens.gen("c1") ** 15).is_zero
+
+
+def odd_mixing_presentation():
+    # three odd generators and relations whose terms carry different odd
+    # factors, so the Koszul sign of a relation multiple varies from term to
+    # term; fractional coefficients exercise the clearing of denominators
+    gens = Generators(
+        [
+            GeneratorSymbol("r", 3),
+            GeneratorSymbol("s", 5),
+            GeneratorSymbol("t", 7),
+            GeneratorSymbol("a", 2),
+        ]
+    )
+    r, s, t, a = (gens.gen(n) for n in gens.names)
+    rels = [a**6, r * t - Fraction(1, 2) * a**5, t * a + Fraction(3, 4) * s * a**2 - r * a**3]
+    return make_presentation(gens, rels, "odd-mixing")
+
+
+def test_tables_match_dense_reference_past_the_vanishing_window():
+    # every table the engine keeps, and the normal form of every monomial,
+    # against dense Fraction elimination of all relation multiples
+    cases = [
+        (build_space(desc)[0], default_cutoff(desc)) for desc in dict.fromkeys(_catalog_descriptors(3))
+    ]
+    cases.append((odd_mixing_presentation(), 15))  # its top degree
+    for pres, top in cases:
+        gens = pres.generators
+        window = max(gens.degrees, default=0)
+        ring = QuotientRing(pres, top + window + 2)
+        degrees = list(gens.degrees)
+        rels = [r.terms for r in pres.relations]
+        for d in range(ring.cutoff + 1):
+            basis, rewrite = reference_table(degrees, rels, d, _elimination_key(gens))
+            table = ring._table(d)
+            assert set(table.basis) == basis, (pres.label, d)
+            if basis:
+                assert table.rewrite == rewrite, (pres.label, d)
+            for m in monomials(degrees, d):
+                expected = rewrite.get(m, {m: 1}) if basis else {}
+                assert ring.normal_form(gens.element({m: 1})).terms == expected, (pres.label, m)
 
 
 def test_structure_constants_are_integral_in_complex_fixtures():

@@ -98,6 +98,8 @@ def test_bad_parameters_exit_2():
 def test_verify_exit_codes():
     result = run_cli("verify")
     assert result.returncode == 0
+    passed, total = result.stdout.splitlines()[-1].split()[0].split("/")
+    assert passed == total != "0"
     result = run_cli("verify", "odd-identity", "--max-n", "2")
     assert result.returncode == 0
     assert "PASS" in result.stdout

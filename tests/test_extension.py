@@ -1,7 +1,14 @@
 """Bundle-level constructions: Whitney recursion, associated bundles,
 flag bundles, equivariant rings, towers and pushouts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import flagcohom
 
 from flagcohom import (
     BundleData,
@@ -572,3 +579,31 @@ def test_real_grassmannian_bundle_over_quaternionic_base():
     # Whitney relation p1 + pb1 = p1(V) holds in the quotient
     g = ring.gens
     assert ring.is_zero(g.gen("p1") + g.gen("pb1") - q.reindex(g))
+
+
+REIMPORT = """
+import gc, importlib, sys, weakref
+
+first = None
+for _ in range(3):
+    for name in [m for m in sys.modules if m == "flagcohom" or m.startswith("flagcohom.")]:
+        del sys.modules[name]
+    for name in ("flagcohom", "flagcohom.cli", "flagcohom.verify"):
+        pkg = importlib.import_module(name)
+    first = first or weakref.ref(sys.modules["flagcohom"].GradedElement)
+del pkg
+gc.collect()
+print("freed" if first() is None else "alive")
+"""
+
+
+def test_reimported_package_frees_the_old_modules():
+    # a module-level alias such as Union[GradedElement, ...] lands in typing's
+    # cache and would keep every earlier import of the engine alive
+    src = Path(flagcohom.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", REIMPORT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "freed"
