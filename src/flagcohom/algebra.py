@@ -526,28 +526,18 @@ def _elimination_key(gens: Generators):
 
 
 def degree_matrix(
-    presentation: RingPresentation, d: int, column_key=None
+    presentation: RingPresentation, d: int
 ) -> tuple[list[tuple[int, ...]], list[list[tuple[int, int]]]]:
     """The degree-d relation matrix as (columns, sparse integer rows).
 
-    Columns are the degree-d monomials in elimination order, or sorted by
-    `column_key` when given; each row lists (column, value) pairs by column.
+    Columns are the degree-d monomials in elimination order; each row lists
+    (column, value) pairs by column.
     """
     gens = presentation.generators
-    cols = sorted(gens.monomials_of_degree(d), key=column_key or _elimination_key(gens))
+    cols = sorted(gens.monomials_of_degree(d), key=_elimination_key(gens))
     index = {m: i for i, m in enumerate(cols)}
     rows = [sorted((index[e], c) for e, c in row.items()) for row in relation_rows(presentation, d)]
     return cols, rows
-
-
-def rank_of_degree(presentation: RingPresentation, d: int, column_key=None) -> tuple[int, int]:
-    """(rank of the degree-d relation span, number of degree-d monomials).
-
-    `column_key` overrides the elimination column order; the rank is
-    independent of it, which the test suite checks.
-    """
-    cols, rows = degree_matrix(presentation, d, column_key)
-    return linalg.rank(rows), len(cols)
 
 
 class _DegreeTable:

@@ -433,6 +433,11 @@ class CheckResult:
     ok: bool
     detail: str = ""
 
+    def line(self) -> str:
+        """One report line; the detail is shown only when the check fails."""
+        suffix = f" ({self.detail})" if self.detail and not self.ok else ""
+        return f"{'PASS' if self.ok else 'FAIL'} {self.name}{suffix}"
+
 
 @dataclass
 class VerifyReport:
@@ -447,13 +452,12 @@ class VerifyReport:
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(name, ok, detail))
 
+    def labelled(self) -> list[CheckResult]:
+        """The checks, each name prefixed by the space's label."""
+        return [CheckResult(f"{self.label}: {c.name}", c.ok, c.detail) for c in self.checks]
+
     def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            status = "PASS" if c.ok else "FAIL"
-            suffix = f" -- {c.detail}" if c.detail else ""
-            out.append(f"{status} {self.label}: {c.name}{suffix}")
-        return out
+        return [c.line() for c in self.labelled()]
 
 
 def verify_space(space: SpaceDescriptor, cutoff: int | None = None) -> VerifyReport:

@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from . import catalog, extension
+from . import catalog, extension, verify
 from .algebra import (
     GeneratorSymbol,
     Generators,
@@ -41,13 +41,18 @@ class BuiltJob:
     family: BasisFamily | None = None
 
 
+def _is_int(value) -> bool:
+    """An integer but not a bool, since JSON `true` and `false` are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _field(doc: dict, path: str, key: str, kind, required: bool = True, default=None):
     if key not in doc:
         if required:
             raise ConfigError(f"{path}.{key}", "missing required field")
         return default
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -83,11 +88,13 @@ def build_job(doc: dict, path: str = "config", cutoff: int | None = None) -> Bui
     if len(kinds) != 1:
         raise ConfigError(path, "need exactly one of space/presentation/bundle/tower/pushout")
     cutoff = doc.get("cutoff", cutoff)
-    if cutoff is not None and (not isinstance(cutoff, int) or cutoff < 0):
+    if cutoff is not None and (not _is_int(cutoff) or cutoff < 0):
         raise ConfigError(f"{path}.cutoff", "must be a nonnegative integer")
     kind = kinds[0]
     sub = doc[kind]
     path = f"{path}.{kind}"
+    if not isinstance(sub, dict):
+        raise ConfigError(path, "expected an object")
 
     if kind == "space":
         return _build_space_job(sub, path, cutoff)
@@ -105,13 +112,11 @@ def build_job(doc: dict, path: str = "config", cutoff: int | None = None) -> Bui
 
 def _build_space_job(sub, path, cutoff) -> BuiltJob:
     family = _field(sub, path, "family", str)
+    k = _field(sub, path, "k", int, required=False, default=0)
+    n = _field(sub, path, "n", int, required=False, default=0)
+    variant = _field(sub, path, "variant", str, required=False, default="")
     try:
-        desc = SpaceDescriptor(
-            family,
-            _field(sub, path, "k", int, required=False, default=0),
-            _field(sub, path, "n", int, required=False, default=0),
-            _field(sub, path, "variant", str, required=False, default=""),
-        )
+        desc = SpaceDescriptor(family, k, n, variant)
         pres, series, basis_family = catalog.build_space(desc)
         ring = QuotientRing(pres, cutoff if cutoff is not None else catalog.default_cutoff(desc))
     except ValueError as exc:
@@ -123,7 +128,7 @@ def parse_presentation(sub, path) -> RingPresentation:
     gen_docs = _field(sub, path, "generators", list)
     symbols = []
     for i, g in enumerate(gen_docs):
-        if not (isinstance(g, list) and len(g) == 2 and isinstance(g[0], str) and isinstance(g[1], int)):
+        if not (isinstance(g, list) and len(g) == 2 and isinstance(g[0], str) and _is_int(g[1])):
             raise ConfigError(f"{path}.generators[{i}]", "expected [name, degree]")
         symbols.append(GeneratorSymbol(g[0], g[1]))
     try:
@@ -151,35 +156,24 @@ def _build_bundle_job(sub, path, cutoff) -> BuiltJob:
         bundle = extension.BundleData(base, kind, rank, total, euler)
         ext = _field(sub, path, "extension", str)
         suffix = _field(sub, path, "suffix", str, required=False, default="")
+        k = None
         if ext == "grassmannian":
             k = _field(sub, path, "k", int)
             ring = extension.grassmannian_bundle(bundle, k, suffix=suffix, cutoff=cutoff)
-            fibre = extension._fibre_descriptor(
-                kind,
-                extension._reduced_k(kind, rank, k),
-                rank if kind == "complex" else rank // 2,
-                _oriented_kind(kind, rank, k),
-            )
-            fseries = catalog.build_space(fibre)[1] if 0 < k < rank else ClosedFormSeries.one()
         elif ext == "projectivize":
             ring = extension.projectivization(bundle, cutoff=cutoff)
-            n = rank if kind == "complex" else rank // 2
-            step = 2 if kind == "complex" else 4
-            fseries = ClosedFormSeries.from_factors(num=(step * n,), den=(step,))
         elif ext == "sphere":
             ring = extension.sphere_bundle(bundle, cutoff=cutoff)
-            fseries = ClosedFormSeries.one_plus(rank - 1)
         elif ext == "flag":
             ring = extension.flag_bundle(
                 bundle, full=bool(sub.get("full", False)), suffix=suffix, cutoff=cutoff
             )
-            fseries = _flag_fibre_series(kind, rank)
         elif ext == "odd-grassmannian":
             k = _field(sub, path, "k", int)
             ring = extension.odd_grassmannian_bundle(base, bundle, k, suffix=suffix, cutoff=cutoff)
-            fseries = None
         else:
             raise ConfigError(f"{path}.extension", f"unknown extension {ext!r}")
+        fseries = _fibre_series(ext, kind, rank, k)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -188,22 +182,27 @@ def _build_bundle_job(sub, path, cutoff) -> BuiltJob:
     return BuiltJob(ring, series)
 
 
-def _oriented_kind(kind, rank, k):
-    if kind != "oriented":
-        return ""
-    if rank % 2 == 0:
-        return "even-even"
-    return "even-odd" if k % 2 == 0 else "odd-odd"
-
-
-def _flag_fibre_series(kind, rank):
-    n = rank if kind == "complex" else rank // 2
-    fam = {
-        "complex": ("complete-flag-complex", ""),
-        "real": ("complete-flag-real", "even" if rank % 2 == 0 else "odd"),
-        "oriented": ("complete-flag-oriented", "even" if rank % 2 == 0 else "odd"),
-    }[kind]
-    return catalog.build_space(SpaceDescriptor(fam[0], 0, n, fam[1]))[1]
+def _fibre_series(ext: str, kind: str, rank: int, k: int | None) -> ClosedFormSeries | None:
+    """Closed-form series of the fibre that a bundle extension or a tower
+    stage adds, or None when the catalog has no closed form for it."""
+    if ext == "projectivize":
+        # the reduced form is the bundle of lines (complex) or of 2-planes (real)
+        ext, k = "grassmannian", 1 if kind == "complex" else 2
+    if ext in ("grassmannian", "grassmannianize"):
+        if k in (0, rank):
+            return ClosedFormSeries.one()
+        return catalog.build_space(extension.grassmannian_fibre(kind, rank, k))[1]
+    if ext in ("flag", "complete-flag"):
+        n = rank if kind == "complex" else rank // 2
+        family = {
+            "complex": ("complete-flag-complex", ""),
+            "real": ("complete-flag-real", "even" if rank % 2 == 0 else "odd"),
+            "oriented": ("complete-flag-oriented", "even" if rank % 2 == 0 else "odd"),
+        }[kind]
+        return catalog.build_space(SpaceDescriptor(family[0], 0, n, family[1]))[1]
+    if ext == "sphere":
+        return ClosedFormSeries.one_plus(rank - 1)
+    return None
 
 
 def _build_tower_job(sub, path, cutoff) -> BuiltJob:
@@ -232,7 +231,7 @@ def _build_tower_job(sub, path, cutoff) -> BuiltJob:
             )
             ring = extension.bott_tower([stage], base=ring, start_index=i + 1)
             if series is not None:
-                fib = _stage_fibre_series(stage)
+                fib = _fibre_series(stage.extension, stage.kind, stage.rank, stage.k)
                 series = series * fib if fib is not None else None
     except ConfigError:
         raise
@@ -241,27 +240,6 @@ def _build_tower_job(sub, path, cutoff) -> BuiltJob:
     if cutoff is not None:
         ring = QuotientRing(ring.presentation, cutoff)
     return BuiltJob(ring, series)
-
-
-def _stage_fibre_series(stage: extension.TowerStage):
-    kind, rank = stage.kind, stage.rank
-    if stage.extension == "projectivize":
-        n = rank if kind == "complex" else rank // 2
-        step = 2 if kind == "complex" else 4
-        return ClosedFormSeries.from_factors(num=(step * n,), den=(step,))
-    if stage.extension == "complete-flag":
-        return _flag_fibre_series(kind, rank)
-    if stage.extension == "grassmannianize" and stage.k is not None:
-        if stage.k in (0, rank):
-            return ClosedFormSeries.one()
-        fibre = extension._fibre_descriptor(
-            kind,
-            extension._reduced_k(kind, rank, stage.k),
-            rank if kind == "complex" else rank // 2,
-            _oriented_kind(kind, rank, stage.k),
-        )
-        return catalog.build_space(fibre)[1]
-    return None
 
 
 def _build_pushout_job(sub, path, cutoff) -> BuiltJob:
@@ -419,18 +397,14 @@ def cmd_mul(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    from . import verify as verify_mod
-
-    known = ("catalog", "odd-identity", "extensions", "equivariant")
-    suites = args.suites or known
+    suites = args.suites or list(verify.SUITES)
     for s in suites:
-        if s not in known:
-            raise ConfigError("suite", f"unknown suite {s!r}; known: {', '.join(known)}")
-    checks = verify_mod.run_suites(suites, max_n=args.max_n)
-    failed = 0
-    for line, ok in checks:
-        print(("PASS " if ok else "FAIL ") + line)
-        failed += 0 if ok else 1
+        if s not in verify.SUITES:
+            raise ConfigError("suite", f"unknown suite {s!r}; known: {', '.join(verify.SUITES)}")
+    checks = verify.run_suites(suites, max_n=args.max_n)
+    for check in checks:
+        print(check.line())
+    failed = sum(not check.ok for check in checks)
     print(f"{len(checks) - failed}/{len(checks)} checks passed")
     return 1 if failed else 0
 
@@ -495,9 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
 
     vp = sub.add_parser("verify", help="run verification suites")
-    vp.add_argument(
-        "suites", nargs="*", help="catalog | odd-identity | extensions | equivariant (default: all)"
-    )
+    vp.add_argument("suites", nargs="*", help=" | ".join(verify.SUITES) + " (default: all)")
     vp.add_argument("--max-n", type=int, default=4)
     vp.set_defaults(func=cmd_verify)
     return parser

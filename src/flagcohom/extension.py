@@ -154,18 +154,6 @@ def whitney_complement(
     return WhitneyData(gens, tuple(names), complements, residuals)
 
 
-def _reduced_k(kind: str, rank: int, k: int) -> int:
-    """Map a subspace dimension to the reduced presentation parameter."""
-    if kind == "complex":
-        return k
-    if rank % 2 == 0 and k % 2 == 1:
-        raise BundleError(
-            f"a rank-{rank} {kind} bundle has no displayed presentation for "
-            f"odd subspace dimension {k}"
-        )
-    return k // 2
-
-
 def grassmannian_bundle(
     bundle: BundleData, k: int, suffix: str = "", cutoff: int | None = None
 ) -> QuotientRing:
@@ -179,9 +167,9 @@ def grassmannian_bundle(
         raise BundleError(f"need 0 <= k <= rank, got k={k}, rank={bundle.rank}")
     if k in (0, bundle.rank):
         return bundle.base
-    kind, rank = bundle.kind, bundle.rank
-    kr = _reduced_k(kind, rank, k)
-    nr = rank if kind == "complex" else rank // 2
+    kind = bundle.kind
+    fibre = grassmannian_fibre(kind, bundle.rank, k)
+    kr, nr, oriented_kind = fibre.k, fibre.n, fibre.variant
     canon = _CANON[kind]
     step = _STEP[kind]
 
@@ -190,18 +178,10 @@ def grassmannian_bundle(
         GeneratorSymbol(f"{canon}b{j}{suffix}", step * j, rewrite_priority=2)
         for j in range(1, nr - kr + 1)
     ]
-    oriented_kind = None
-    if kind == "oriented":
-        if rank % 2 == 0:
-            oriented_kind = "even-even"
-        else:
-            oriented_kind = "even-odd" if k % 2 == 0 else "odd-odd"
-        if oriented_kind in ("even-even", "even-odd"):
-            if kr < 1:
-                raise BundleError("oriented canonical Euler class needs k >= 2")
-            symbols.append(GeneratorSymbol(f"e{suffix}", 2 * kr, rewrite_priority=1))
-        if oriented_kind in ("even-even", "odd-odd"):
-            symbols.append(GeneratorSymbol(f"eb{suffix}", 2 * (nr - kr), rewrite_priority=1))
+    if oriented_kind in ("even-even", "even-odd"):
+        symbols.append(GeneratorSymbol(f"e{suffix}", 2 * kr, rewrite_priority=1))
+    if oriented_kind in ("even-even", "odd-odd"):
+        symbols.append(GeneratorSymbol(f"eb{suffix}", 2 * (nr - kr), rewrite_priority=1))
 
     gens = _extend(bundle.base.gens, symbols)
     total = gens.one()
@@ -222,17 +202,29 @@ def grassmannian_bundle(
             gens.gen(f"e{suffix}") * gens.gen(f"eb{suffix}") - bundle.euler_class.reindex(gens)
         )
 
-    fibre = _fibre_descriptor(kind, kr, nr, oriented_kind)
     label = f"{fibre.label} bundle over {bundle.base.label or 'base'}"
     return _ring(bundle.base, gens, relations, label, cutoff, top_degree(fibre))
 
 
-def _fibre_descriptor(kind, kr, nr, oriented_kind) -> SpaceDescriptor:
+def grassmannian_fibre(kind: str, rank: int, k: int) -> SpaceDescriptor:
+    """The fibre of the bundle of k-dimensional subspaces of a rank-`rank`
+    bundle, as a catalog space in reduced parameters. The oriented variant
+    follows the parities of k and the rank."""
     if kind == "complex":
-        return SpaceDescriptor("complex-grassmannian", kr, nr)
+        return SpaceDescriptor("complex-grassmannian", k, rank)
+    if rank % 2 == 0 and k % 2 == 1:
+        raise BundleError(
+            f"a rank-{rank} {kind} bundle has no displayed presentation for "
+            f"odd subspace dimension {k}"
+        )
+    kr, nr = k // 2, rank // 2
     if kind == "real":
         return SpaceDescriptor("real-grassmannian-even", kr, nr)
-    return SpaceDescriptor("oriented-grassmannian", kr, nr, oriented_kind)
+    if rank % 2 == 0:
+        variant = "even-even"
+    else:
+        variant = "even-odd" if k % 2 == 0 else "odd-odd"
+    return SpaceDescriptor("oriented-grassmannian", kr, nr, variant)
 
 
 def projectivization(

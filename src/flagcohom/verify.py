@@ -1,14 +1,14 @@
 """Verification suites behind `flagcohom verify`.
 
-Each suite returns (description, ok) pairs; the CLI prints them and maps
-any failure to a nonzero exit status. The pytest acceptance module runs
-the same identities at the full documented parameter ranges.
+Each suite returns a list of `catalog.CheckResult`; the CLI prints them
+and maps any failure to a nonzero exit status. The pytest acceptance
+module runs the same identities at the full documented parameter ranges.
 """
 
 from __future__ import annotations
 
 from . import catalog, extension
-from .catalog import SpaceDescriptor, verify_space
+from .catalog import CheckResult, SpaceDescriptor, verify_space
 from .series import (
     ClosedFormSeries,
     complex_grassmannian_series,
@@ -16,8 +16,6 @@ from .series import (
     real_even_grassmannian_series,
     series_from_ring,
 )
-
-Check = tuple[str, bool]
 
 
 def _catalog_descriptors(max_n: int):
@@ -48,17 +46,14 @@ def _catalog_descriptors(max_n: int):
     yield SpaceDescriptor("point")
 
 
-def suite_catalog(max_n: int) -> list[Check]:
-    checks: list[Check] = []
+def suite_catalog(max_n: int) -> list[CheckResult]:
+    checks: list[CheckResult] = []
     seen = set()
     for desc in _catalog_descriptors(max_n):
         if desc in seen:
             continue
         seen.add(desc)
-        report = verify_space(desc)
-        for c in report.checks:
-            detail = f" ({c.detail})" if c.detail and not c.ok else ""
-            checks.append((f"{desc.label}: {c.name}{detail}", c.ok))
+        checks.extend(verify_space(desc).labelled())
     # the three ambient variants share one presentation
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
@@ -71,18 +66,18 @@ def suite_catalog(max_n: int) -> list[Check]:
                 and p.relations == presentations[0].relations
                 for p in presentations
             )
-            checks.append((f"real even (k={k}, n={n}): ambient variants agree", same))
+            checks.append(CheckResult(f"real even (k={k}, n={n}): ambient variants agree", same))
     # complex duality k <-> n-k at the level of closed forms
     for n in range(max_n + 1):
         for k in range(n // 2 + 1):
             a = complex_grassmannian_series(k, n)
             b = complex_grassmannian_series(n - k, n)
             ok = a.symbolic_equal(b) and a.truncate(2 * n) == b.truncate(2 * n)
-            checks.append((f"complex duality G_{k} vs G_{n - k} in C^{n}", ok))
+            checks.append(CheckResult(f"complex duality G_{k} vs G_{n - k} in C^{n}", ok))
     return checks
 
 
-def suite_odd_identity(max_n: int) -> list[Check]:
+def suite_odd_identity(max_n: int) -> list[CheckResult]:
     checks = []
     for n in range(min(max_n, 3) + 1):
         for k in range(n + 1):
@@ -91,15 +86,16 @@ def suite_odd_identity(max_n: int) -> list[Check]:
             top = 4 * k * (n - k) + 2 * n + 1
             sym = stated.symbolic_equal(product)
             num = stated.truncate(top) == product.truncate(top)
-            checks.append((f"odd factorization G_{2 * k + 1}(R^{2 * n + 2}): symbolic", sym))
-            checks.append((f"odd factorization G_{2 * k + 1}(R^{2 * n + 2}): numeric", num))
+            label = f"G_{2 * k + 1}(R^{2 * n + 2})"
+            checks.append(CheckResult(f"odd factorization {label}: symbolic", sym))
+            checks.append(CheckResult(f"odd factorization {label}: numeric", num))
             ring = catalog.build_ring(SpaceDescriptor("odd-real-grassmannian", k, n))
             ok = series_from_ring(ring, top) == stated.truncate(top)
-            checks.append((f"odd engine dims G_{2 * k + 1}(R^{2 * n + 2})", ok))
+            checks.append(CheckResult(f"odd engine dims {label}", ok))
     return checks
 
 
-def suite_extensions(max_n: int) -> list[Check]:
+def suite_extensions(max_n: int) -> list[CheckResult]:
     checks = []
     # Leray-Hirsch product over a projective base with nontrivial classes
     base = catalog.build_ring(SpaceDescriptor("projective-space-complex", 0, 3))
@@ -113,7 +109,7 @@ def suite_extensions(max_n: int) -> list[Check]:
         complex_grassmannian_series(1, 3).truncate(n), cutoff=None
     )
     ok = all(got[d] == expected[d] for d in range(min(n, expected.cutoff) + 1))
-    checks.append(("Leray-Hirsch product over CP^2 base", ok))
+    checks.append(CheckResult("Leray-Hirsch product over CP^2 base", ok))
 
     # Whitney residuals regenerate the ideal
     data = extension.whitney_complement(total, 1, 3, "complex", names=["g1"])
@@ -125,7 +121,7 @@ def suite_extensions(max_n: int) -> list[Check]:
     proj = extension.projectivization(bundle, gen_name="g1")
     ok = all(c.is_zero for d, c in residue.homogeneous_components().items() if d <= 2 * (3 - 1))
     ok = ok and proj.is_zero(residue)
-    checks.append(("Whitney complement residual expansion", ok))
+    checks.append(CheckResult("Whitney complement residual expansion", ok))
 
     # pushout over a point multiplies dimensions
     b1 = catalog.build_ring(SpaceDescriptor("projective-space-complex", 0, 2))
@@ -136,7 +132,7 @@ def suite_extensions(max_n: int) -> list[Check]:
     se = series_from_ring(e0, 4)
     conv = sb.convolve(se, cutoff=2)
     ok = all(push.dimension(d) == conv[d] for d in range(3))
-    checks.append(("pushout over a point multiplies dimensions", ok))
+    checks.append(CheckResult("pushout over a point multiplies dimensions", ok))
 
     # staged tower equals the single call
     stages = [
@@ -151,11 +147,11 @@ def suite_extensions(max_n: int) -> list[Check]:
         start_index=2,
     )
     ok = whole.dimensions(4) == second.dimensions(4) == [1, 0, 2, 0, 1]
-    checks.append(("tower staged vs single call", ok))
+    checks.append(CheckResult("tower staged vs single call", ok))
     return checks
 
 
-def suite_equivariant(max_n: int) -> list[Check]:
+def suite_equivariant(max_n: int) -> list[CheckResult]:
     checks = []
     rank, cutoff = 2, 8
     ring = extension.equivariant_space("complex", rank, "flag", cutoff=cutoff)
@@ -163,14 +159,14 @@ def suite_equivariant(max_n: int) -> list[Check]:
     fibre = catalog.build_space(flag)[1].truncate(cutoff)
     borel = ClosedFormSeries.from_factors(den=(2,) * rank).truncate(cutoff)
     ok = series_from_ring(ring, cutoff) == borel.convolve(fibre)
-    checks.append((f"equivariant flag rank {rank}: dims = Borel convolution", ok))
+    checks.append(CheckResult(f"equivariant flag rank {rank}: dims = Borel convolution", ok))
     plain = extension.zero_generators(ring, [f"a{i}" for i in range(1, rank + 1)])
     fl_ring = catalog.build_ring(flag)
     ok = all(
         plain.dimension(d) == (fl_ring.dimension(d) if d <= fl_ring.cutoff else 0)
         for d in range(cutoff + 1)
     )
-    checks.append((f"equivariant flag rank {rank}: a_i -> 0 recovers the fibre", ok))
+    checks.append(CheckResult(f"equivariant flag rank {rank}: a_i -> 0 recovers the fibre", ok))
     return checks
 
 
@@ -182,8 +178,8 @@ SUITES = {
 }
 
 
-def run_suites(names, max_n: int = 4) -> list[Check]:
-    checks: list[Check] = []
+def run_suites(names, max_n: int = 4) -> list[CheckResult]:
+    checks: list[CheckResult] = []
     for name in names:
         checks.extend(SUITES[name](max_n))
     return checks

@@ -5,8 +5,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from flagcohom import SpaceDescriptor, build_space, cli
+from flagcohom.catalog import CheckResult
 from flagcohom.cli import presentation_doc, presentation_from_doc
-from flagcohom import SpaceDescriptor, build_space
 
 
 def run_cli(*args, config=None, tmp_path=None):
@@ -225,10 +228,163 @@ def test_structured_output_deterministic():
     assert [m["text"] for m in doc["basis"]] == ["c1*c2"]
 
 
-def test_verify_maps_failures_to_exit_1(monkeypatch):
-    from flagcohom import cli, verify
+def test_verify_maps_failures_to_exit_1(monkeypatch, capsys):
+    from flagcohom import verify
 
-    monkeypatch.setattr(verify, "run_suites", lambda names, max_n: [("doomed check", False)])
+    doomed = CheckResult("doomed check", False, "why")
+    monkeypatch.setattr(verify, "run_suites", lambda names, max_n: [doomed])
     assert cli.main(["verify", "catalog"]) == 1
-    monkeypatch.setattr(verify, "run_suites", lambda names, max_n: [("fine check", True)])
+    assert capsys.readouterr().out == "FAIL doomed check (why)\n0/1 checks passed\n"
+    fine = CheckResult("fine check", True, "not shown")
+    monkeypatch.setattr(verify, "run_suites", lambda names, max_n: [fine])
     assert cli.main(["verify", "catalog"]) == 0
+    assert capsys.readouterr().out == "PASS fine check\n1/1 checks passed\n"
+
+
+@pytest.mark.parametrize("kind", ["space", "presentation", "bundle", "tower", "pushout"])
+@pytest.mark.parametrize("value", [5, None, ["generators"]], ids=["number", "null", "list"])
+def test_config_sub_document_must_be_an_object(kind, value, tmp_path):
+    result = run_cli("present", config={kind: value, "cutoff": 3}, tmp_path=tmp_path)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert f"config.{kind}: expected an object" in result.stderr
+
+
+POINT = {"space": {"family": "point"}}
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"space": {"family": "complex-grassmannian", "k": True, "n": 3}}, "config.space.k"),
+        ({"space": {"family": "complex-grassmannian", "k": 1, "n": True}}, "config.space.n"),
+        ({"cutoff": True, "space": {"family": "point"}}, "config.cutoff"),
+        (
+            {"presentation": {"generators": [["x", True]]}, "cutoff": 3},
+            "config.presentation.generators[0]",
+        ),
+        (
+            {"tower": {"stages": [{"extension": "projectivize", "rank": True}]}},
+            "config.tower.stages[0].rank",
+        ),
+        (
+            {"bundle": {"base": POINT, "kind": "complex", "rank": True, "total_class": "1",
+                        "extension": "projectivize"}},
+            "config.bundle.rank",
+        ),
+        (
+            {"bundle": {"base": POINT, "kind": "complex", "rank": 2, "total_class": "1",
+                        "extension": "grassmannian", "k": True}},
+            "config.bundle.k",
+        ),
+    ],
+    ids=["space-k", "space-n", "cutoff", "generator-degree", "stage-rank", "bundle-rank", "bundle-k"],
+)
+def test_config_booleans_are_not_integers(config, field, tmp_path):
+    result = run_cli("present", config=config, tmp_path=tmp_path)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert f"config error: {field}" in result.stderr
+
+
+CP2 = {"space": {"family": "projective-space-complex", "n": 3}}
+S4 = {"space": {"family": "sphere", "n": 2}}
+
+
+def bundle_doc(base, kind, rank, total, extension, **extra):
+    return {"bundle": {"base": base, "kind": kind, "rank": rank, "total_class": total,
+                       "extension": extension, **extra}}
+
+
+def stage_doc(extension, kind, rank, **extra):
+    return {"tower": {"stages": [{"extension": extension, "kind": kind, "rank": rank, **extra}]}}
+
+
+# config -> (closed form as (coeff, shift, num, den) terms, coefficients) of
+# `series --format structured`; the closed form is the base's times the fibre's
+FIBRE_SERIES = {
+    "grassmannian-complex": (
+        bundle_doc(CP2, "complex", 3, "1 + c1", "grassmannian", k=1, suffix="f"),
+        [(1, 0, (6, 6), (2, 2))], [1, 0, 2, 0, 3, 0, 2, 0, 1, 0, 0],
+    ),
+    "grassmannian-real": (
+        bundle_doc(S4, "real", 4, "1 + eb", "grassmannian", k=2),
+        [(1, 0, (8, 8), (4, 4))], [1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0],
+    ),
+    "grassmannian-oriented-even-even": (
+        bundle_doc(S4, "oriented", 4, "1 + eb", "grassmannian", k=2, euler_class="0", suffix="f"),
+        [(1, 0, (8, 8), (4, 4)), (2, 2, (8,), (4,))], [1, 0, 2, 0, 2, 0, 2, 0, 1, 0, 0, 0, 0],
+    ),
+    "grassmannian-oriented-even-odd": (
+        bundle_doc(S4, "oriented", 5, "1 + eb", "grassmannian", k=2),
+        [(1, 0, (8, 8), (2, 4))], [1, 0, 1, 0, 2, 0, 2, 0, 1, 0, 1, 0, 0, 0, 0],
+    ),
+    "grassmannian-oriented-odd-odd": (
+        bundle_doc(S4, "oriented", 5, "1 + eb", "grassmannian", k=3, suffix="f"),
+        [(1, 0, (8, 8), (2, 4))], [1, 0, 1, 0, 2, 0, 2, 0, 1, 0, 1, 0, 0, 0, 0],
+    ),
+    "projectivize-complex": (
+        bundle_doc(S4, "complex", 2, "1 + eb", "projectivize"),
+        [(1, 0, (8,), (2,))], [1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0],
+    ),
+    "projectivize-real": (
+        bundle_doc(S4, "real", 4, "1 + eb", "projectivize"),
+        [(1, 0, (8, 8), (4, 4))], [1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0],
+    ),
+    "flag-complex": (
+        bundle_doc(CP2, "complex", 3, "1 + c1", "flag"),
+        [(1, 0, (4, 6, 6), (2, 2, 2))], [1, 0, 3, 0, 5, 0, 5, 0, 3, 0, 1, 0, 0],
+    ),
+    "flag-real": (
+        bundle_doc(S4, "real", 4, "1 + eb", "flag"),
+        [(1, 0, (8, 8), (4, 4))], [1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0],
+    ),
+    "flag-oriented": (
+        bundle_doc(S4, "oriented", 4, "1 + eb", "flag", euler_class="0"),
+        [(1, 0, (4, 8), (2, 2))], [1, 0, 2, 0, 2, 0, 2, 0, 1, 0, 0, 0, 0],
+    ),
+    "sphere": (
+        bundle_doc(CP2, "oriented", 3, "1 + c1^2", "sphere"),
+        [(1, 0, (4, 6), (2, 2))], [1, 0, 2, 0, 2, 0, 1, 0, 0],
+    ),
+    "tower-projectivize-complex": (
+        stage_doc("projectivize", "complex", 3),
+        [(1, 0, (6,), (2,))], [1, 0, 1, 0, 1, 0, 0],
+    ),
+    "tower-projectivize-real": (
+        stage_doc("projectivize", "real", 4),
+        [(1, 0, (8,), (4,))], [1, 0, 0, 0, 1, 0, 0, 0, 0],
+    ),
+    "tower-grassmannianize-complex": (
+        stage_doc("grassmannianize", "complex", 4, k=2),
+        [(1, 0, (6, 8), (2, 4))], [1, 0, 1, 0, 2, 0, 1, 0, 1],
+    ),
+    "tower-grassmannianize-real": (
+        stage_doc("grassmannianize", "real", 4, k=2),
+        [(1, 0, (8,), (4,))], [1, 0, 0, 0, 1, 0, 0, 0, 0],
+    ),
+    "tower-grassmannianize-oriented": (
+        stage_doc("grassmannianize", "oriented", 5, k=2),
+        [(1, 0, (8,), (2,))], [1, 0, 1, 0, 1, 0, 1, 0, 0],
+    ),
+    "tower-complete-flag-complex": (
+        stage_doc("complete-flag", "complex", 3),
+        [(1, 0, (4, 6), (2, 2))], [1, 0, 2, 0, 2, 0, 1],
+    ),
+    "tower-complete-flag-oriented": (
+        stage_doc("complete-flag", "oriented", 5),
+        [(1, 0, (4, 8), (2, 2))], [1, 0, 2, 0, 2, 0, 2, 0, 1],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FIBRE_SERIES))
+def test_bundle_and_tower_closed_forms(name, tmp_path, capsys):
+    config, closed_form, coefficients = FIBRE_SERIES[name]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["series", "--config", str(path), "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    terms = [(t["coeff"], t["shift"], tuple(t["num"]), tuple(t["den"])) for t in doc["closed_form"]]
+    assert terms == closed_form
+    assert doc["coefficients"] == coefficients
