@@ -5,7 +5,10 @@ family of graded generators. Odd-degree generators anticommute and square
 to zero; even-degree generators are central. A finitely presented quotient
 is reduced degree by degree: all relation multiples of a given degree are
 row-reduced exactly, which yields an additive monomial basis and a rewrite
-table (the normal-form map) for that degree.
+table (the normal-form map) for that degree. A table keeps each reduced row
+as it leaves the kernel, primitive integers with a positive lead. Normal
+forms and products add integer multiples over one common denominator and
+divide once per output coefficient.
 
 Degrees above a vanishing window are zero without any reduction. Let g be
 the largest generator degree. If the quotient is zero in each of the
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import linalg
@@ -187,35 +190,37 @@ class Generators:
         a: Mapping[tuple[int, ...], Fraction],
         b: Mapping[tuple[int, ...], Fraction],
     ) -> dict[tuple[int, ...], Fraction]:
-        """Koszul-signed product of two term dictionaries."""
+        """Koszul-signed product of two term dictionaries.
+
+        Each factor is scaled to integers by the lcm of its denominators, so
+        the loop adds integer products and each output term is divided once.
+        """
         odd = self._odd
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in a.items():
-            odd_a = [i for i in odd if ea[i]]
-            for eb, cb in b.items():
-                sign = 1
-                if odd_a:
-                    skip = False
-                    flips = 0
-                    for i in odd:
-                        if not eb[i]:
-                            continue
-                        if ea[i]:
-                            skip = True
-                            break
-                        # moving b's odd factor left past a's higher-index odd factors
-                        flips += sum(1 for j in odd_a if j > i)
-                    if skip:
+        da, ia = _integer_terms(a, odd)
+        db, ib = _integer_terms(b, odd)
+        out: dict[tuple[int, ...], int] = {}
+        for ea, na, odd_a in ia:
+            for eb, nb, odd_b in ib:
+                n = na * nb
+                if odd_a and odd_b:
+                    if any(ea[i] for i in odd_b):
                         continue
-                    if flips % 2:
-                        sign = -1
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                c = out.get(exps, Fraction(0)) + sign * ca * cb
-                if c:
-                    out[exps] = c
-                else:
-                    out.pop(exps, None)
-        return out
+                    # moving b's odd factors left past a's higher-index odd factors
+                    if sum(1 for i in odd_b for j in odd_a if j > i) % 2:
+                        n = -n
+                exps = tuple(map(add, ea, eb))
+                out[exps] = out.get(exps, 0) + n
+        den = da * db
+        return {e: Fraction(n, den) for e, n in out.items() if n}
+
+
+def _integer_terms(terms: Mapping[tuple[int, ...], Fraction], odd: tuple[int, ...]):
+    """(den, [(exps, numerator over den, odd indices present), ...])."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [
+        (e, c.numerator * (den // c.denominator), [i for i in odd if e[i]])
+        for e, c in terms.items()
+    ]
 
 
 def _display_key(exps: tuple[int, ...]):
@@ -490,15 +495,11 @@ def relation_rows(presentation: RingPresentation, d: int) -> list[dict[tuple[int
         r = rel.degree()
         if r > d:
             continue
-        mult = lcm(*(c.denominator for c in rel.terms.values()))
-        terms = [
-            (exps, [i for i in odd if exps[i]], c.numerator * (mult // c.denominator))
-            for exps, c in rel.terms.items()
-        ]
+        _, terms = _integer_terms(rel.terms, odd)
         for m in gens.monomials_of_degree(d - r):
             m_odd = [i for i in odd if m[i]]
             row = {}
-            for exps, e_odd, c in terms:
+            for exps, c, e_odd in terms:
                 if m_odd and e_odd:
                     if any(m[i] for i in e_odd):
                         continue
@@ -545,7 +546,10 @@ class _DegreeTable:
 
     def __init__(self, basis, rewrite):
         self.basis = basis  # exponent vectors in display order
-        self.rewrite = rewrite  # pivot exps -> {basis exps: coefficient}
+        # pivot exps -> (lead, ((basis exps, v), ...)): the pivot monomial
+        # equals the sum of v/lead times the basis monomials, where the
+        # reduced row is primitive with positive lead
+        self.rewrite = rewrite
 
 
 # Every zero degree stores this table, whether it was reduced or known to
@@ -606,14 +610,12 @@ class QuotientRing:
         reduced = linalg.rref(rows)
         if len(reduced) == len(cols):
             return _ZERO_TABLE
-        rewrite: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        rewrite: dict[tuple[int, ...], tuple[int, tuple[tuple[tuple[int, ...], int], ...]]] = {}
         pivot_cols = set()
         for row in reduced:
             lead_col, lead = row[0]
             pivot_cols.add(lead_col)
-            rewrite[cols[lead_col]] = {
-                cols[c]: Fraction(-v, lead) for c, v in row[1:]
-            }
+            rewrite[cols[lead_col]] = (lead, tuple((cols[c], -v) for c, v in row[1:]))
         basis = tuple(
             sorted((m for i, m in enumerate(cols) if i not in pivot_cols), key=_display_key)
         )
@@ -633,29 +635,46 @@ class QuotientRing:
         return tuple(Monomial(self.gens, e) for e in self._table(d).basis)
 
     def normal_form(self, element: GradedElement) -> NormalForm:
-        """The canonical representative supported on basis monomials."""
+        """The canonical representative supported on basis monomials.
+
+        The input is scaled to integers by the lcm of its denominators, and
+        each rewrite row adds integer multiples into the accumulator of its
+        lead. The accumulators are merged over the lcm of the leads, so each
+        output coefficient is divided once.
+        """
         element = element.reindex(self.gens)
-        out: dict[tuple[int, ...], Fraction] = {}
-
-        def absorb(exps, coeff):
-            s = out.get(exps, Fraction(0)) + coeff
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-
-        for d, comp in element.homogeneous_components().items():
-            table = self._table(d)
+        terms = element.terms
+        degrees = self.gens.degrees
+        term_degrees = [sum(map(mul, exps, degrees)) for exps in terms]
+        # tables in increasing degree, as the vanishing rule reads lower ones
+        tables = {d: self._table(d) for d in sorted(set(term_degrees))}
+        den = lcm(*(c.denominator for c in terms.values()))
+        ones: dict[tuple[int, ...], int] = {}
+        by_lead = {1: ones}
+        for (exps, c), d in zip(terms.items(), term_degrees):
+            table = tables[d]
             if not table.basis:
                 continue
-            for exps, coeff in comp.terms.items():
-                row = table.rewrite.get(exps)
-                if row is None:
-                    absorb(exps, coeff)
-                else:
-                    for bexps, c in row.items():
-                        absorb(bexps, coeff * c)
-        return GradedElement(self.gens, out)
+            n = c.numerator * (den // c.denominator)
+            row = table.rewrite.get(exps)
+            if row is None:
+                ones[exps] = ones.get(exps, 0) + n
+                continue
+            lead, entries = row
+            acc = ones if lead == 1 else by_lead.setdefault(lead, {})
+            for bexps, v in entries:
+                acc[bexps] = acc.get(bexps, 0) + n * v
+        common = lcm(*by_lead)
+        if common == 1:
+            total = ones
+        else:
+            total = {}
+            for lead, acc in by_lead.items():
+                scale = common // lead
+                for bexps, n in acc.items():
+                    total[bexps] = total.get(bexps, 0) + n * scale
+        den *= common
+        return GradedElement(self.gens, {e: Fraction(n, den) for e, n in total.items() if n})
 
     def is_zero(self, element: GradedElement) -> bool:
         return self.normal_form(element).is_zero

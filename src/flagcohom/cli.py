@@ -39,6 +39,7 @@ class BuiltJob:
     ring: QuotientRing
     series: ClosedFormSeries | None = None
     family: BasisFamily | None = None
+    kind: str = ""  # the config's top-level key, set by build_job
 
 
 def _is_int(value) -> bool:
@@ -97,17 +98,20 @@ def build_job(doc: dict, path: str = "config", cutoff: int | None = None) -> Bui
         raise ConfigError(path, "expected an object")
 
     if kind == "space":
-        return _build_space_job(sub, path, cutoff)
-    if kind == "presentation":
+        job = _build_space_job(sub, path, cutoff)
+    elif kind == "presentation":
         pres = parse_presentation(sub, path)
         if cutoff is None:
             raise ConfigError(path, "inline presentations need an explicit cutoff")
-        return BuiltJob(QuotientRing(pres, cutoff))
-    if kind == "bundle":
-        return _build_bundle_job(sub, path, cutoff)
-    if kind == "tower":
-        return _build_tower_job(sub, path, cutoff)
-    return _build_pushout_job(sub, path, cutoff)
+        job = BuiltJob(QuotientRing(pres, cutoff))
+    elif kind == "bundle":
+        job = _build_bundle_job(sub, path, cutoff)
+    elif kind == "tower":
+        job = _build_tower_job(sub, path, cutoff)
+    else:
+        job = _build_pushout_job(sub, path, cutoff)
+    job.kind = kind
+    return job
 
 
 def _build_space_job(sub, path, cutoff) -> BuiltJob:
@@ -401,6 +405,8 @@ def cmd_verify(args, parser) -> int:
     for s in suites:
         if s not in verify.SUITES:
             raise ConfigError("suite", f"unknown suite {s!r}; known: {', '.join(verify.SUITES)}")
+    if args.max_n < 0:
+        raise ConfigError("--max-n", "must be a nonnegative integer")
     checks = verify.run_suites(suites, max_n=args.max_n)
     for check in checks:
         print(check.line())
@@ -410,26 +416,19 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_tower(args, parser) -> int:
-    job = _job_from_args(args, parser)
-    if "tower" not in _peek_config(args, parser):
-        raise ConfigError("config", "the tower command needs a config with a 'tower' entry")
-    print(render_presentation(job.ring.presentation, args.format))
-    return 0
+    return _present_kind(args, parser, "tower")
 
 
 def cmd_pushout(args, parser) -> int:
+    return _present_kind(args, parser, "pushout")
+
+
+def _present_kind(args, parser, kind: str) -> int:
     job = _job_from_args(args, parser)
-    if "pushout" not in _peek_config(args, parser):
-        raise ConfigError("config", "the pushout command needs a config with a 'pushout' entry")
+    if job.kind != kind:
+        raise ConfigError("config", f"the {kind} command needs a config with a '{kind}' entry")
     print(render_presentation(job.ring.presentation, args.format))
     return 0
-
-
-def _peek_config(args, parser) -> dict:
-    if not args.config:
-        return {}
-    with open(args.config) as fh:
-        return json.load(fh)
 
 
 def _add_target_args(sp, with_degree=False, with_elements=False):
@@ -470,7 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="run verification suites")
     vp.add_argument("suites", nargs="*", help=" | ".join(verify.SUITES) + " (default: all)")
-    vp.add_argument("--max-n", type=int, default=4)
+    vp.add_argument(
+        "--max-n",
+        type=int,
+        default=4,
+        help="largest n in the catalog and odd-identity suites, which stops at 3 "
+        "(default: 4); the extensions and equivariant suites do not read it",
+    )
     vp.set_defaults(func=cmd_verify)
     return parser
 

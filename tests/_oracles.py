@@ -3,8 +3,9 @@
 Everything here is deliberately written against the same mathematics but
 with different algorithms and no shared code paths: dense Gaussian
 elimination over Fraction, itertools-style monomial enumeration, a
-word-based Koszul sign, partition counting for Gaussian binomials, and
-geometric-series expansion of factored rational functions.
+word-based Koszul sign, partition counting for Gaussian binomials,
+geometric-series expansion of factored rational functions, and row
+reduction modulo a prime.
 """
 
 from __future__ import annotations
@@ -129,6 +130,73 @@ def reference_table(degrees, relations, d: int, column_key):
         for p, row in zip(pivots, rows)
     }
     return basis, rewrite
+
+
+def koszul_terms_product(degrees, a, b) -> dict:
+    """Product of two term dictionaries {exponents: Fraction}, one Fraction
+    product per pair of terms, with the word-based sign of koszul_product."""
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            prod = koszul_product(degrees, ea, eb)
+            if prod is not None:
+                exps, sign = prod
+                out[exps] = out.get(exps, Fraction(0)) + sign * ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+class ReferenceQuotient:
+    """Normal forms and products of a presented ring by dense elimination.
+
+    Each degree's table is reference_table's, computed on first use; a
+    monomial's normal form is its rewrite row (itself when it is a basis
+    monomial), and an element's is the Fraction sum of its terms' rows.
+    """
+
+    def __init__(self, degrees, relations, column_key):
+        self.degrees = list(degrees)
+        self.relations = relations
+        self.column_key = column_key
+        self._tables: dict = {}
+
+    def table(self, d: int):
+        if d not in self._tables:
+            self._tables[d] = reference_table(self.degrees, self.relations, d, self.column_key)
+        return self._tables[d]
+
+    def normal_form(self, terms) -> dict:
+        out: dict = {}
+        for exps, c in terms.items():
+            _, rewrite = self.table(sum(e * dd for e, dd in zip(exps, self.degrees)))
+            for b, v in rewrite.get(exps, {exps: Fraction(1)}).items():
+                out[b] = out.get(b, Fraction(0)) + c * v
+        return {e: c for e, c in out.items() if c}
+
+    def multiply(self, a, b) -> dict:
+        return self.normal_form(koszul_terms_product(self.degrees, a, b))
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over Z/p of sparse integer rows [(column, value), ...], by
+    elimination on dictionaries with each pivot row scaled to lead 1."""
+    pivots: dict = {}
+    for row in rows:
+        r = {c: v % p for c, v in row if v % p}
+        while r:
+            col = min(r)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inverse = pow(r[col], -1, p)
+                pivots[col] = {c: v * inverse % p for c, v in r.items()}
+                break
+            factor = r[col]
+            for c, v in pivot.items():
+                nv = (r.get(c, 0) - factor * v) % p
+                if nv:
+                    r[c] = nv
+                else:
+                    r.pop(c, None)
+    return len(pivots)
 
 
 @lru_cache(maxsize=None)

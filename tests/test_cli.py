@@ -172,10 +172,16 @@ def test_config_pushout_job(tmp_path):
     assert "1, 0, 1, 0, 1, 0, 0" in result.stdout
 
 
-def test_tower_command_requires_tower_config(tmp_path):
-    config = {"space": {"family": "point"}}
-    result = run_cli("tower", config=config, tmp_path=tmp_path)
-    assert result.returncode == 2
+def test_tower_command_requires_tower_config(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"space": {"family": "point"}}))
+    for command in ("tower", "pushout"):
+        assert cli.main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: config: the {command} command needs a config with a '{command}' entry\n"
+        )
 
 
 def test_malformed_config_diagnostics(tmp_path):
@@ -226,6 +232,13 @@ def test_structured_output_deterministic():
     assert runs[0] == runs[1]
     doc = json.loads(runs[0])
     assert [m["text"] for m in doc["basis"]] == ["c1*c2"]
+
+
+def test_verify_rejects_negative_max_n(capsys):
+    assert cli.main(["verify", "--max-n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --max-n: must be a nonnegative integer\n"
 
 
 def test_verify_maps_failures_to_exit_1(monkeypatch, capsys):
