@@ -661,18 +661,15 @@ class QuotientRing:
                 ones[exps] = ones.get(exps, 0) + n
                 continue
             lead, entries = row
-            acc = ones if lead == 1 else by_lead.setdefault(lead, {})
+            acc = by_lead.setdefault(lead, {})
             for bexps, v in entries:
                 acc[bexps] = acc.get(bexps, 0) + n * v
         common = lcm(*by_lead)
-        if common == 1:
-            total = ones
-        else:
-            total = {}
-            for lead, acc in by_lead.items():
-                scale = common // lead
-                for bexps, n in acc.items():
-                    total[bexps] = total.get(bexps, 0) + n * scale
+        total: dict[tuple[int, ...], int] = {}
+        for lead, acc in by_lead.items():
+            scale = common // lead
+            for bexps, n in acc.items():
+                total[bexps] = total.get(bexps, 0) + n * scale
         den *= common
         return GradedElement(self.gens, {e: Fraction(n, den) for e, n in total.items() if n})
 
