@@ -10,6 +10,7 @@ and a1..an for the polynomial generators of the torus-equivariant base.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .algebra import (
@@ -18,6 +19,7 @@ from .algebra import (
     GradedElement,
     Monomial,
     QuotientRing,
+    RingPresentation,
     make_presentation,
 )
 from .series import (
@@ -222,13 +224,6 @@ def _basis_vector(width: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(width))
 
 
-def _total_class(gens: Generators, names: list[str]) -> GradedElement:
-    total = gens.one()
-    for name in names:
-        total = total + gens.gen(name)
-    return total
-
-
 def top_degree(space: SpaceDescriptor) -> int:
     """Largest degree with a nonzero component (real dimension for the
     closed orientable fixtures, 0 for the rationally trivial ones)."""
@@ -258,79 +253,84 @@ def top_degree(space: SpaceDescriptor) -> int:
     return 2 * n  # sphere
 
 
+_FLAG_ROOTS = {
+    "complete-flag-complex": ("x", 2),
+    "complete-flag-real": ("u", 4),
+    "complete-flag-oriented": ("e", 2),
+}
+
+
+def fibre_symbols(fibre: SpaceDescriptor, suffix: str = "", full: bool = False) -> list[GeneratorSymbol]:
+    """Generators of a Grassmannian or complete-flag family, names ending in
+    `suffix`: c_i or p_i, then cb_j or pb_j (rewrite priority 2), then the
+    oriented Euler classes e, eb (priority 1); or the flag roots x_i, u_i or
+    e_i, then for `full` the oriented flag's redundant u_i = e_i^2."""
+    f, k, n, v = fibre.family, fibre.k, fibre.n, fibre.variant
+    if f in _FLAG_ROOTS:
+        root, degree = _FLAG_ROOTS[f]
+        symbols = [GeneratorSymbol(f"{root}{i}{suffix}", degree) for i in range(1, n + 1)]
+        if full and f == "complete-flag-oriented":
+            symbols += [GeneratorSymbol(f"u{i}{suffix}", 4, rewrite_priority=2) for i in range(1, n + 1)]
+        return symbols
+    canon, step = ("c", 2) if f == "complex-grassmannian" else ("p", 4)
+    symbols = [GeneratorSymbol(f"{canon}{i}{suffix}", step * i) for i in range(1, k + 1)]
+    symbols += [
+        GeneratorSymbol(f"{canon}b{j}{suffix}", step * j, rewrite_priority=2) for j in range(1, n - k + 1)
+    ]
+    if f == "oriented-grassmannian":
+        if v != "odd-odd":
+            symbols.append(GeneratorSymbol(f"e{suffix}", 2 * k, rewrite_priority=1))
+        if v != "even-odd":
+            symbols.append(GeneratorSymbol(f"eb{suffix}", 2 * (n - k), rewrite_priority=1))
+    return symbols
+
+
+def fibre_relations(
+    gens: Generators, fibre: SpaceDescriptor, total, euler, suffix: str = "", full: bool = False
+) -> list[GradedElement]:
+    """Relations of a Grassmannian or complete-flag family over a base whose
+    bundle has classes `total` and `euler` (read for oriented even rank):
+    c*cbar = total or prod(1 + x_i) = total, e^2 = p_k, eb^2 = pb_(n-k),
+    e*eb = euler, prod(e_i) = euler. A catalog space has total = 1 and
+    euler = 0. `gens` must contain fibre_symbols(fibre, suffix, full)."""
+    f, k, n, v = fibre.family, fibre.k, fibre.n, fibre.variant
+    one = gens.one()
+    g = [gens.gen(s.name) for s in fibre_symbols(fibre, suffix, full)]
+    if f in _FLAG_ROOTS:
+        roots, full_squares = g[:n], g[n:]
+        squares = full_squares or ([e * e for e in roots] if f == "complete-flag-oriented" else roots)
+        relations = [math.prod((one + s for s in squares), start=one) - total]
+        relations += [e * e - u for e, u in zip(roots, full_squares)]
+        if f == "complete-flag-oriented" and v == "even":
+            relations.append(math.prod(roots, start=one) - euler)
+        return relations
+    canon, bar = g[:k], g[k:n]
+    relations = [sum(canon, one) * sum(bar, one) - total]
+    if f == "oriented-grassmannian":
+        e, eb = g[n], g[-1]  # e comes first and eb last among the Euler classes
+        if v != "odd-odd":
+            relations.append(e * e - canon[-1])
+        if v != "even-odd":
+            relations.append(eb * eb - bar[-1])
+        if v == "even-even":
+            relations.append(e * eb - euler)
+    return relations
+
+
 def build_space(space: SpaceDescriptor):
-    """(presentation, closed-form series, characteristic family or None)."""
+    """(presentation, closed-form series, characteristic family or None).
+
+    Grassmannians and complete flags are their family's presentation over
+    a point (fibre_relations with total = 1, euler = 0). The odd
+    Grassmannians add r (or rt) to the real even presentation, and RP^2n
+    is its k = 0 case.
+    """
     f, k, n, v = space.family, space.k, space.n, space.variant
     label = space.label
 
     if f == "point":
         pres = make_presentation(Generators(()), (), label)
         return pres, ClosedFormSeries.one(), BasisFamily(pres.generators, (FamilyPart((), (), 0),))
-
-    if f == "complex-grassmannian":
-        return _whitney_space(label, "c", "cb", 2, k, n, complex_grassmannian_series(k, n))
-
-    if f == "real-grassmannian-even":
-        return _whitney_space(label, "p", "pb", 4, k, n, real_even_grassmannian_series(k, n))
-
-    if f == "oriented-grassmannian":
-        return _oriented_space(space)
-
-    if f in ("odd-real-grassmannian", "odd-oriented-grassmannian"):
-        odd_name = "r" if f == "odd-real-grassmannian" else "rt"
-        pres, _, family = _whitney_space("", "p", "pb", 4, k, n, None)
-        gens = pres.generators.extend([GeneratorSymbol(odd_name, 2 * n + 1)])
-        odd = gens.gen(odd_name)
-        relations = tuple(r.reindex(gens) for r in pres.relations) + (odd * odd,)
-        pres = make_presentation(gens, relations, label)
-        width = len(gens)
-        parts = tuple(
-            FamilyPart(prefix, tuple(range(k)), n - k)
-            for prefix in (_unit(width), _basis_vector(width, width - 1))
-        )
-        return pres, odd_grassmannian_series(k, n), BasisFamily(gens, parts)
-
-    if f == "complete-flag-complex":
-        gens = Generators([GeneratorSymbol(f"x{i}", 2) for i in range(1, n + 1)])
-        product = gens.one()
-        for name in gens.names:
-            product = product * (gens.one() + gens.gen(name))
-        pres = make_presentation(gens, (product - 1,), label)
-        num = tuple(2 * i for i in range(2, n + 1))
-        series = ClosedFormSeries.from_factors(num=num, den=(2,) * (n - 1))
-        return pres, series, None
-
-    if f == "complete-flag-real":
-        gens = Generators([GeneratorSymbol(f"u{i}", 4) for i in range(1, n + 1)])
-        product = gens.one()
-        for name in gens.names:
-            product = product * (gens.one() + gens.gen(name))
-        pres = make_presentation(gens, (product - 1,), label)
-        num = tuple(4 * i for i in range(2, n + 1))
-        series = ClosedFormSeries.from_factors(num=num, den=(4,) * (n - 1))
-        return pres, series, None
-
-    if f == "complete-flag-oriented":
-        gens = Generators([GeneratorSymbol(f"e{i}", 2) for i in range(1, n + 1)])
-        product = gens.one()
-        euler = gens.one()
-        for name in gens.names:
-            g = gens.gen(name)
-            product = product * (gens.one() + g * g)
-            euler = euler * g
-        relations = [product - 1]
-        if v == "even":
-            relations.append(euler)
-            series = ClosedFormSeries.one()
-            for i in range(2, n + 1):
-                series = series * ClosedFormSeries.one_plus(2 * i - 2)
-                series = series * ClosedFormSeries.from_factors(num=(2 * i,), den=(2,))
-        else:
-            series = ClosedFormSeries.from_factors(
-                num=tuple(4 * i for i in range(1, n + 1)), den=(2,) * n
-            )
-        pres = make_presentation(gens, relations, label)
-        return pres, series, None
 
     if f == "projective-space-complex":
         gens = Generators([GeneratorSymbol("c1", 2)])
@@ -340,83 +340,81 @@ def build_space(space: SpaceDescriptor):
         family = BasisFamily(gens, (FamilyPart((0,), (0,), n - 1),))
         return pres, series, family
 
-    if f == "projective-space-real":
-        gens = Generators(
-            [GeneratorSymbol(f"pb{j}", 4 * j, rewrite_priority=2) for j in range(1, n + 1)]
-        )
-        total = _total_class(gens, list(gens.names))
-        pres = make_presentation(gens, (total - 1,), label)
-        family = BasisFamily(gens, (FamilyPart(_unit(n), (), 0),))
-        return pres, ClosedFormSeries.one(), family
-
-    # sphere S^2n, presented in its reduced single-generator form
-    gens = Generators([GeneratorSymbol("eb", 2 * n)])
-    eb = gens.gen("eb")
-    pres = make_presentation(gens, (eb * eb,), label)
-    series = ClosedFormSeries.one_plus(2 * n)
-    family = BasisFamily(gens, (FamilyPart((0,), (0,), 1),))
-    return pres, series, family
-
-
-def _whitney_space(label, canon, comp, step, k, n, series):
-    """Presentation <canonical classes; complement classes | product = 1>."""
-    symbols = [GeneratorSymbol(f"{canon}{i}", step * i) for i in range(1, k + 1)]
-    symbols += [
-        GeneratorSymbol(f"{comp}{j}", step * j, rewrite_priority=2) for j in range(1, n - k + 1)
-    ]
-    gens = Generators(symbols)
-    total = _total_class(gens, [f"{canon}{i}" for i in range(1, k + 1)])
-    total_bar = _total_class(gens, [f"{comp}{j}" for j in range(1, n - k + 1)])
-    pres = make_presentation(gens, (total * total_bar - 1,), label)
-    family = BasisFamily(gens, (FamilyPart(_unit(len(gens)), tuple(range(k)), n - k),))
-    return pres, series, family
-
-
-def _oriented_space(space: SpaceDescriptor):
-    k, n, v = space.k, space.n, space.variant
-    symbols = [GeneratorSymbol(f"p{i}", 4 * i) for i in range(1, k + 1)]
-    symbols += [GeneratorSymbol(f"pb{j}", 4 * j, rewrite_priority=2) for j in range(1, n - k + 1)]
-    if v in ("even-even", "even-odd"):
-        symbols.append(GeneratorSymbol("e", 2 * k, rewrite_priority=1))
-    if v in ("even-even", "odd-odd"):
-        symbols.append(GeneratorSymbol("eb", 2 * (n - k), rewrite_priority=1))
-    gens = Generators(symbols)
-    total = _total_class(gens, [f"p{i}" for i in range(1, k + 1)])
-    total_bar = _total_class(gens, [f"pb{j}" for j in range(1, n - k + 1)])
-    relations = [total * total_bar - 1]
-    if v in ("even-even", "even-odd"):
-        e = gens.gen("e")
-        relations.append(e * e - gens.gen(f"p{k}"))
-    if v in ("even-even", "odd-odd"):
+    if f == "sphere":
+        # S^2n, presented in its reduced single-generator form
+        gens = Generators([GeneratorSymbol("eb", 2 * n)])
         eb = gens.gen("eb")
-        relations.append(eb * eb - gens.gen(f"pb{n - k}"))
-    if v == "even-even":
-        relations.append(gens.gen("e") * gens.gen("eb"))
-    pres = make_presentation(gens, relations, space.label)
+        pres = make_presentation(gens, (eb * eb,), label)
+        series = ClosedFormSeries.one_plus(2 * n)
+        family = BasisFamily(gens, (FamilyPart((0,), (0,), 1),))
+        return pres, series, family
 
+    odd = f in ("odd-real-grassmannian", "odd-oriented-grassmannian")
+    fibre = space
+    if odd:
+        fibre = SpaceDescriptor("real-grassmannian-even", k, n)
+    elif f == "projective-space-real":
+        fibre = SpaceDescriptor("real-grassmannian-even", 0, n, "odd-odd")  # G_1(R^(2n+1))
+    k = fibre.k  # RP^2n does not read space.k
+    gens = Generators(fibre_symbols(fibre))
+    relations = fibre_relations(gens, fibre, 1, 0)
+    if odd:
+        name = "r" if f == "odd-real-grassmannian" else "rt"
+        gens = gens.extend([GeneratorSymbol(name, 2 * n + 1)])
+        relations.append(gens.gen(name) * gens.gen(name))
+    pres = make_presentation(gens, relations, label)
+
+    if f in _FLAG_ROOTS:
+        return pres, _flag_series(space), None
     width = len(gens)
     p_core = tuple(range(k))
     parts = [FamilyPart(_unit(width), p_core, n - k)]
-    if v == "even-odd":
-        parts.append(FamilyPart(_basis_vector(width, gens.index("e")), p_core, n - k))
-    elif v == "odd-odd":
-        parts.append(FamilyPart(_basis_vector(width, gens.index("eb")), p_core, n - k))
+    if f == "complex-grassmannian":
+        series = complex_grassmannian_series(k, n)
+    elif odd:
+        series = odd_grassmannian_series(k, n)
+    elif fibre.family == "real-grassmannian-even":
+        series = real_even_grassmannian_series(k, n)
     else:
+        series = oriented_series(v, k, n)
+    if odd or (f == "oriented-grassmannian" and v != "even-even"):
+        # the last generator (r, rt, e or eb) times the canonical monomials
+        parts.append(FamilyPart(_basis_vector(width, width - 1), p_core, n - k))
+    elif f == "oriented-grassmannian":
         # e * (complement monomials up to pb_(n-k-1)), eb * (canonical up to p_(k-1))
         pb_core = tuple(gens.index(f"pb{j}") for j in range(1, n - k))
         parts.append(FamilyPart(_basis_vector(width, gens.index("e")), pb_core, k))
         parts.append(FamilyPart(_basis_vector(width, gens.index("eb")), p_core[:-1], n - k))
-    return pres, oriented_series(v, k, n), BasisFamily(gens, tuple(parts))
+    return pres, series, BasisFamily(gens, tuple(parts))
 
 
-def default_cutoff(space: SpaceDescriptor) -> int:
-    pres, _, _ = build_space(space)
+def _flag_series(space: SpaceDescriptor) -> ClosedFormSeries:
+    n = space.n
+    if space.family != "complete-flag-oriented":
+        step = _FLAG_ROOTS[space.family][1]
+        return ClosedFormSeries.from_factors(
+            num=tuple(step * i for i in range(2, n + 1)), den=(step,) * (n - 1)
+        )
+    if space.variant == "odd":
+        return ClosedFormSeries.from_factors(num=tuple(4 * i for i in range(1, n + 1)), den=(2,) * n)
+    series = ClosedFormSeries.one()
+    for i in range(2, n + 1):
+        series = series * ClosedFormSeries.one_plus(2 * i - 2)
+        series = series * ClosedFormSeries.from_factors(num=(2 * i,), den=(2,))
+    return series
+
+
+def default_cutoff(space: SpaceDescriptor, pres: RingPresentation | None = None) -> int:
+    """The larger of the top degree and the highest relation degree; pass
+    the space's presentation when it is already built."""
+    if pres is None:
+        pres = build_space(space)[0]
     return max(top_degree(space), pres.max_relation_degree())
 
 
 def build_ring(space: SpaceDescriptor, cutoff: int | None = None) -> QuotientRing:
     pres, _, _ = build_space(space)
-    return QuotientRing(pres, default_cutoff(space) if cutoff is None else cutoff)
+    return QuotientRing(pres, default_cutoff(space, pres) if cutoff is None else cutoff)
 
 
 def characteristic_basis_monomials(space: SpaceDescriptor, degree: int) -> tuple[Monomial, ...]:
@@ -468,7 +466,7 @@ def verify_space(space: SpaceDescriptor, cutoff: int | None = None) -> VerifyRep
     and that every relation reduces to zero.
     """
     pres, series, family = build_space(space)
-    n = default_cutoff(space) if cutoff is None else cutoff
+    n = default_cutoff(space, pres) if cutoff is None else cutoff
     ring = QuotientRing(pres, max(n, pres.max_relation_degree()))
     report = VerifyReport(space.label, n)
 

@@ -25,6 +25,9 @@ from .series import ClosedFormSeries, series_from_ring
 from .catalog import BasisFamily, SpaceDescriptor
 
 LARGE_OUTPUT_CAP = 64
+# Largest n and top degree of a catalog space or bundle fibre. Presentations
+# grow fast past it: Fl(C^n) expands a product of 2^n terms.
+MAX_SPACE_SIZE = 256
 
 
 class ConfigError(ValueError):
@@ -121,11 +124,22 @@ def _build_space_job(sub, path, cutoff) -> BuiltJob:
     variant = _field(sub, path, "variant", str, required=False, default="")
     try:
         desc = SpaceDescriptor(family, k, n, variant)
+        _check_size(desc)
         pres, series, basis_family = catalog.build_space(desc)
-        ring = QuotientRing(pres, cutoff if cutoff is not None else catalog.default_cutoff(desc))
+        ring = QuotientRing(pres, catalog.default_cutoff(desc, pres) if cutoff is None else cutoff)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
     return BuiltJob(ring, series, basis_family)
+
+
+def _check_size(space: SpaceDescriptor) -> None:
+    """Refuse a space whose presentation would take long to build."""
+    top = catalog.top_degree(space)
+    if max(space.n, top) > MAX_SPACE_SIZE:
+        raise ValueError(
+            f"{space.label} is too large: n = {space.n} and top degree {top} "
+            f"must be at most {MAX_SPACE_SIZE}"
+        )
 
 
 def parse_presentation(sub, path) -> RingPresentation:
@@ -160,53 +174,55 @@ def _build_bundle_job(sub, path, cutoff) -> BuiltJob:
         bundle = extension.BundleData(base, kind, rank, total, euler)
         ext = _field(sub, path, "extension", str)
         suffix = _field(sub, path, "suffix", str, required=False, default="")
-        k = None
+        k = _field(sub, path, "k", int) if ext in ("grassmannian", "odd-grassmannian") else None
+        fibre = _fibre(ext, kind, rank, k)
         if ext == "grassmannian":
-            k = _field(sub, path, "k", int)
             ring = extension.grassmannian_bundle(bundle, k, suffix=suffix, cutoff=cutoff)
         elif ext == "projectivize":
             ring = extension.projectivization(bundle, cutoff=cutoff)
         elif ext == "sphere":
             ring = extension.sphere_bundle(bundle, cutoff=cutoff)
         elif ext == "flag":
-            ring = extension.flag_bundle(
-                bundle, full=bool(sub.get("full", False)), suffix=suffix, cutoff=cutoff
-            )
+            full = _field(sub, path, "full", bool, required=False, default=False)
+            ring = extension.flag_bundle(bundle, full=full, suffix=suffix, cutoff=cutoff)
         elif ext == "odd-grassmannian":
-            k = _field(sub, path, "k", int)
             ring = extension.odd_grassmannian_bundle(base, bundle, k, suffix=suffix, cutoff=cutoff)
         else:
             raise ConfigError(f"{path}.extension", f"unknown extension {ext!r}")
-        fseries = _fibre_series(ext, kind, rank, k)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
-    series = base_job.series * fseries if (base_job.series and fseries) else None
-    return BuiltJob(ring, series)
+    # no closed form is recorded for the odd Grassmannian extension
+    if base_job.series and fibre is not None and ext != "odd-grassmannian":
+        return BuiltJob(ring, base_job.series * catalog.build_space(fibre)[1])
+    return BuiltJob(ring)
 
 
-def _fibre_series(ext: str, kind: str, rank: int, k: int | None) -> ClosedFormSeries | None:
-    """Closed-form series of the fibre that a bundle extension or a tower
-    stage adds, or None when the catalog has no closed form for it."""
+def _fibre(ext: str, kind: str, rank: int, k: int | None) -> SpaceDescriptor | None:
+    """The catalog space that a bundle extension or a tower stage adds as
+    its fibre, refused when too large; None when the parameters name none,
+    which the extension itself then reports."""
     if ext == "projectivize":
         # the reduced form is the bundle of lines (complex) or of 2-planes (real)
         ext, k = "grassmannian", 1 if kind == "complex" else 2
-    if ext in ("grassmannian", "grassmannianize"):
-        if k in (0, rank):
-            return ClosedFormSeries.one()
-        return catalog.build_space(extension.grassmannian_fibre(kind, rank, k))[1]
-    if ext in ("flag", "complete-flag"):
-        n = rank if kind == "complex" else rank // 2
-        family = {
-            "complex": ("complete-flag-complex", ""),
-            "real": ("complete-flag-real", "even" if rank % 2 == 0 else "odd"),
-            "oriented": ("complete-flag-oriented", "even" if rank % 2 == 0 else "odd"),
-        }[kind]
-        return catalog.build_space(SpaceDescriptor(family[0], 0, n, family[1]))[1]
-    if ext == "sphere":
-        return ClosedFormSeries.one_plus(rank - 1)
-    return None
+    try:
+        if ext in ("grassmannian", "grassmannianize") and k in (0, rank):
+            fibre = SpaceDescriptor("point")
+        elif ext in ("grassmannian", "grassmannianize") and k is not None:
+            fibre = extension.grassmannian_fibre(kind, rank, k)
+        elif ext in ("flag", "complete-flag"):
+            fibre = extension.flag_fibre(kind, rank)
+        elif ext == "sphere":
+            fibre = SpaceDescriptor("sphere", 0, rank // 2)
+        elif ext == "odd-grassmannian":
+            fibre = SpaceDescriptor("real-grassmannian-even", k, rank // 2 - 1)
+        else:
+            return None
+    except ValueError:
+        return None
+    _check_size(fibre)
+    return fibre
 
 
 def _build_tower_job(sub, path, cutoff) -> BuiltJob:
@@ -233,10 +249,10 @@ def _build_tower_job(sub, path, cutoff) -> BuiltJob:
                 else _sum_elements(ring.gens, s["euler_class"], f"{spath}.euler_class"),
                 k=_field(s, spath, "k", int, required=False),
             )
+            fibre = _fibre(stage.extension, stage.kind, stage.rank, stage.k)
             ring = extension.bott_tower([stage], base=ring, start_index=i + 1)
             if series is not None:
-                fib = _fibre_series(stage.extension, stage.kind, stage.rank, stage.k)
-                series = series * fib if fib is not None else None
+                series = series * catalog.build_space(fibre)[1] if fibre is not None else None
     except ConfigError:
         raise
     except ValueError as exc:

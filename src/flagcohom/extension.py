@@ -21,7 +21,7 @@ from .algebra import (
     QuotientRing,
     make_presentation,
 )
-from .catalog import SpaceDescriptor, top_degree
+from .catalog import SpaceDescriptor, fibre_relations, fibre_symbols, top_degree
 
 ElementLike = GradedElement | str | int
 
@@ -108,6 +108,18 @@ def _ring(base: QuotientRing, gens, relations, label, cutoff, fibre_top) -> Quot
     return QuotientRing(pres, cutoff)
 
 
+def _fibre_bundle(
+    bundle: BundleData, fibre: SpaceDescriptor, label: str, suffix: str, cutoff, full: bool = False
+) -> QuotientRing:
+    """The base extended by the fibre family's generators, subject to its
+    relations with the bundle's total and Euler classes on the right."""
+    gens = _extend(bundle.base.gens, fibre_symbols(fibre, suffix, full))
+    euler = None if bundle.euler_class is None else bundle.euler_class.reindex(gens)
+    relations = fibre_relations(gens, fibre, bundle.total_class.reindex(gens), euler, suffix, full)
+    label = f"{label} over {bundle.base.label or 'base'}"
+    return _ring(bundle.base, gens, relations, label, cutoff, top_degree(fibre))
+
+
 @dataclass(frozen=True)
 class WhitneyData:
     """Solved complement classes and the residual relations they force."""
@@ -167,49 +179,16 @@ def grassmannian_bundle(
         raise BundleError(f"need 0 <= k <= rank, got k={k}, rank={bundle.rank}")
     if k in (0, bundle.rank):
         return bundle.base
-    kind = bundle.kind
-    fibre = grassmannian_fibre(kind, bundle.rank, k)
-    kr, nr, oriented_kind = fibre.k, fibre.n, fibre.variant
-    canon = _CANON[kind]
-    step = _STEP[kind]
-
-    symbols = [GeneratorSymbol(f"{canon}{i}{suffix}", step * i) for i in range(1, kr + 1)]
-    symbols += [
-        GeneratorSymbol(f"{canon}b{j}{suffix}", step * j, rewrite_priority=2)
-        for j in range(1, nr - kr + 1)
-    ]
-    if oriented_kind in ("even-even", "even-odd"):
-        symbols.append(GeneratorSymbol(f"e{suffix}", 2 * kr, rewrite_priority=1))
-    if oriented_kind in ("even-even", "odd-odd"):
-        symbols.append(GeneratorSymbol(f"eb{suffix}", 2 * (nr - kr), rewrite_priority=1))
-
-    gens = _extend(bundle.base.gens, symbols)
-    total = gens.one()
-    for i in range(1, kr + 1):
-        total = total + gens.gen(f"{canon}{i}{suffix}")
-    total_bar = gens.one()
-    for j in range(1, nr - kr + 1):
-        total_bar = total_bar + gens.gen(f"{canon}b{j}{suffix}")
-    relations = [total * total_bar - bundle.total_class.reindex(gens)]
-    if oriented_kind in ("even-even", "even-odd"):
-        e = gens.gen(f"e{suffix}")
-        relations.append(e * e - gens.gen(f"{canon}{kr}{suffix}"))
-    if oriented_kind in ("even-even", "odd-odd"):
-        eb = gens.gen(f"eb{suffix}")
-        relations.append(eb * eb - gens.gen(f"{canon}b{nr - kr}{suffix}"))
-    if oriented_kind == "even-even":
-        relations.append(
-            gens.gen(f"e{suffix}") * gens.gen(f"eb{suffix}") - bundle.euler_class.reindex(gens)
-        )
-
-    label = f"{fibre.label} bundle over {bundle.base.label or 'base'}"
-    return _ring(bundle.base, gens, relations, label, cutoff, top_degree(fibre))
+    fibre = grassmannian_fibre(bundle.kind, bundle.rank, k)
+    return _fibre_bundle(bundle, fibre, f"{fibre.label} bundle", suffix, cutoff)
 
 
 def grassmannian_fibre(kind: str, rank: int, k: int) -> SpaceDescriptor:
     """The fibre of the bundle of k-dimensional subspaces of a rank-`rank`
     bundle, as a catalog space in reduced parameters. The oriented variant
     follows the parities of k and the rank."""
+    if kind not in _STEP:
+        raise BundleError(f"unknown bundle kind {kind!r}")
     if kind == "complex":
         return SpaceDescriptor("complex-grassmannian", k, rank)
     if rank % 2 == 0 and k % 2 == 1:
@@ -241,9 +220,9 @@ def projectivization(
         raise BundleError(f"rank {bundle.rank} is too small to projectivize")
     name = gen_name or f"{_CANON[kind]}1"
     data = whitney_complement(bundle.total_class, 1, n, kind, names=[name])
-    fibre_top = _STEP[kind] * (n - 1)
+    fibre = grassmannian_fibre(kind, bundle.rank, 1 if kind == "complex" else 2)
     label = f"P(V^{bundle.rank}) over {bundle.base.label or 'base'}"
-    return _ring(bundle.base, data.gens, data.residuals, label, cutoff, fibre_top)
+    return _ring(bundle.base, data.gens, data.residuals, label, cutoff, top_degree(fibre))
 
 
 def sphere_bundle(
@@ -258,7 +237,8 @@ def sphere_bundle(
     eb = gens.gen(gen_name)
     relation = eb * eb - bundle.component(n).reindex(gens)
     label = f"S(V^{bundle.rank}) over {bundle.base.label or 'base'}"
-    return _ring(bundle.base, gens, [relation], label, cutoff, 2 * n)
+    fibre = SpaceDescriptor("sphere", 0, n)
+    return _ring(bundle.base, gens, [relation], label, cutoff, top_degree(fibre))
 
 
 def flag_bundle(
@@ -271,54 +251,19 @@ def flag_bundle(
     Euler generators e_i with prod(1+e_i^2) = p(V) (and prod e_i = e(V)
     for even rank); full=True also carries the redundant u_i = e_i^2.
     """
-    kind, rank = bundle.kind, bundle.rank
+    fibre = flag_fibre(bundle.kind, bundle.rank)
+    return _fibre_bundle(bundle, fibre, f"Fl(V^{bundle.rank})", suffix, cutoff, full)
+
+
+def flag_fibre(kind: str, rank: int) -> SpaceDescriptor:
+    """The fibre of the complete (even-rank) flag bundle of a rank-`rank`
+    bundle, as a catalog space; the parity of the rank is its variant."""
     n = rank if kind == "complex" else rank // 2
     if n < 1:
         raise BundleError(f"rank {rank} has no even-rank flag")
-
     if kind == "complex":
-        symbols = [GeneratorSymbol(f"x{i}{suffix}", 2) for i in range(1, n + 1)]
-        gens = _extend(bundle.base.gens, symbols)
-        product = gens.one()
-        for s in symbols:
-            product = product * (gens.one() + gens.gen(s.name))
-        relations = [product - bundle.total_class.reindex(gens)]
-        fibre_top = n * (n - 1)
-    elif kind == "real":
-        symbols = [GeneratorSymbol(f"u{i}{suffix}", 4) for i in range(1, n + 1)]
-        gens = _extend(bundle.base.gens, symbols)
-        product = gens.one()
-        for s in symbols:
-            product = product * (gens.one() + gens.gen(s.name))
-        relations = [product - bundle.total_class.reindex(gens)]
-        fibre_top = 2 * n * (n - 1)
-    else:
-        symbols = [GeneratorSymbol(f"e{i}{suffix}", 2) for i in range(1, n + 1)]
-        if full:
-            symbols += [
-                GeneratorSymbol(f"u{i}{suffix}", 4, rewrite_priority=2) for i in range(1, n + 1)
-            ]
-        gens = _extend(bundle.base.gens, symbols)
-        product = gens.one()
-        euler = gens.one()
-        for i in range(1, n + 1):
-            e = gens.gen(f"e{i}{suffix}")
-            square = gens.gen(f"u{i}{suffix}") if full else e * e
-            product = product * (gens.one() + square)
-            euler = euler * e
-        relations = [product - bundle.total_class.reindex(gens)]
-        if full:
-            for i in range(1, n + 1):
-                e = gens.gen(f"e{i}{suffix}")
-                relations.append(e * e - gens.gen(f"u{i}{suffix}"))
-        if rank % 2 == 0:
-            relations.append(euler - bundle.euler_class.reindex(gens))
-            fibre_top = 2 * n * (n - 1)
-        else:
-            fibre_top = 2 * n * n
-
-    label = f"Fl(V^{rank}) over {bundle.base.label or 'base'}"
-    return _ring(bundle.base, gens, relations, label, cutoff, fibre_top)
+        return SpaceDescriptor("complete-flag-complex", 0, n)
+    return SpaceDescriptor(f"complete-flag-{kind}", 0, n, "even" if rank % 2 == 0 else "odd")
 
 
 # -- torus-equivariant rings -------------------------------------------------
@@ -584,18 +529,5 @@ def odd_grassmannian_bundle(
     if k in (0, n):
         return projective_or_sphere_ring
 
-    symbols = [GeneratorSymbol(f"p{i}{suffix}", 4 * i) for i in range(1, k + 1)]
-    symbols += [
-        GeneratorSymbol(f"pb{j}{suffix}", 4 * j, rewrite_priority=2)
-        for j in range(1, n - k + 1)
-    ]
-    gens = _extend(bundle.base.gens, symbols)
-    total = gens.one()
-    for i in range(1, k + 1):
-        total = total + gens.gen(f"p{i}{suffix}")
-    total_bar = gens.one()
-    for j in range(1, n - k + 1):
-        total_bar = total_bar + gens.gen(f"pb{j}{suffix}")
-    relations = [total * total_bar - bundle.total_class.reindex(gens)]
-    label = f"G_{2 * k + 1}(V^{bundle.rank}) over {bundle.base.label or 'base'}"
-    return _ring(bundle.base, gens, relations, label, cutoff, 4 * k * (n - k))
+    fibre = SpaceDescriptor("real-grassmannian-even", k, n)
+    return _fibre_bundle(bundle, fibre, f"G_{2 * k + 1}(V^{bundle.rank})", suffix, cutoff)

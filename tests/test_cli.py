@@ -4,6 +4,7 @@ round trip."""
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -96,6 +97,49 @@ def test_bad_parameters_exit_2():
     assert "config error" in result.stderr
     result = run_cli("present", "no-such-family")
     assert result.returncode == 2
+
+
+
+def present_in_process(argv, config, tmp_path, capsys):
+    """Exit code, seconds and output of `present` run through cli.main."""
+    if config is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    start = time.perf_counter()
+    code = cli.main(["present", *argv])
+    return code, time.perf_counter() - start, capsys.readouterr()
+
+
+FLAG_40 = {"bundle": {"base": {"space": {"family": "point"}}, "kind": "complex", "rank": 40,
+                      "total_class": "1", "extension": "flag"}}
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        ([], {"space": {"family": "complex-grassmannian", "k": 2, "n": 100000}}),
+        (["complete-flag-complex", "-n", "30"], None),
+        ([], FLAG_40),
+        ([], {"tower": {"stages": [{"extension": "complete-flag", "rank": 40}]}}),
+    ],
+    ids=["space-n", "space-top-degree", "bundle-fibre", "tower-stage"],
+)
+def test_oversized_spaces_fail_fast(argv, config, tmp_path, capsys):
+    code, seconds, captured = present_in_process(argv, config, tmp_path, capsys)
+    assert code == 2
+    assert seconds < 1
+    assert f"must be at most {cli.MAX_SPACE_SIZE}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["complete-flag-complex", "-n", "12"], ["complex-grassmannian", "-k", "2", "-n", "20"]]
+)
+def test_spaces_within_the_size_limit_build(argv, tmp_path, capsys):
+    code, _, captured = present_in_process(argv, None, tmp_path, capsys)
+    assert code == 0
+    assert captured.out.startswith("ring ")
 
 
 def test_verify_exit_codes():
@@ -401,3 +445,27 @@ def test_bundle_and_tower_closed_forms(name, tmp_path, capsys):
     terms = [(t["coeff"], t["shift"], tuple(t["num"]), tuple(t["den"])) for t in doc["closed_form"]]
     assert terms == closed_form
     assert doc["coefficients"] == coefficients
+
+
+ORIENTED_FLAG = {"base": POINT, "kind": "oriented", "rank": 4, "total_class": "1",
+                 "euler_class": "0", "extension": "flag"}
+
+
+@pytest.mark.parametrize(
+    "full, generators",
+    [(True, "e1(2), e2(2), u1(4), u2(4)"), (False, "e1(2), e2(2)"), (None, "e1(2), e2(2)")],
+)
+def test_flag_full_reads_a_json_boolean(full, generators, tmp_path, capsys):
+    extra = {} if full is None else {"full": full}
+    code, _, captured = present_in_process([], {"bundle": {**ORIENTED_FLAG, **extra}}, tmp_path, capsys)
+    assert code == 0
+    assert f"generators: {generators}\n" in captured.out
+
+
+@pytest.mark.parametrize("full", ["false", 1])
+def test_flag_full_must_be_a_json_boolean(full, tmp_path, capsys):
+    config = {"bundle": {**ORIENTED_FLAG, "full": full}}
+    code, _, captured = present_in_process([], config, tmp_path, capsys)
+    assert code == 2
+    assert captured.err.startswith("config error: config.bundle.full: expected bool")
+    assert captured.out == ""

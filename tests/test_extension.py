@@ -1,6 +1,8 @@
 """Bundle-level constructions: Whitney recursion, associated bundles,
 flag bundles, equivariant rings, towers and pushouts."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -37,7 +39,9 @@ from flagcohom import (
     zero_generators,
 )
 from flagcohom.algebra import PresentationError
+from flagcohom.cli import presentation_doc
 from flagcohom.series import ClosedFormSeries
+from flagcohom.verify import _catalog_descriptors
 
 
 def free_ring(name: str, degree: int, cutoff: int, relation_power: int | None = None):
@@ -566,6 +570,63 @@ def test_fibre_specialization_sweep():
             SpaceDescriptor("projective-space-complex", 0, n + 1),
         )
 
+
+
+# sha256 of pinned_presentations() as JSON with sorted keys
+PINNED_DIGEST = "9626d6e546c9d0ea9c56bcfc31b9f2ed1afb778267c43aa6d6fae7b220c8fcad"
+
+
+def pinned_presentations() -> list:
+    """Presentation, default cutoff and characteristic family of every
+    catalog space to n = 4, and the presentation and cutoff (or the error)
+    of every bundle extension over CP^4 with nontrivial classes."""
+    out = []
+    for desc in dict.fromkeys(_catalog_descriptors(4)):
+        pres, _, family = build_space(desc)
+        cutoff = build_ring(desc).cutoff
+        monomials = None
+        if family is not None:
+            monomials = [list(m.exps) for d in range(cutoff + 1) for m in family.monomials_of_degree(d)]
+        out.append([desc.label, presentation_doc(pres), cutoff, monomials])
+
+    def record(name, build):
+        try:
+            ring = build()
+        except ValueError as exc:
+            out.append([name, type(exc).__name__, str(exc)])
+        else:
+            out.append([name, presentation_doc(ring.presentation), ring.cutoff])
+
+    base = projective_base(4)
+    h = base.gens.gen("h")
+    for kind in ("complex", "real", "oriented"):
+        for rank in range(1, 7):
+            if kind == "complex":
+                total = (1 + h) ** rank
+            else:
+                total = 1 + (2 * h ** 2 if rank >= 2 else 0) + (h ** 4 if rank >= 4 else 0)
+            euler = h ** (rank // 2) if kind == "oriented" and rank % 2 == 0 else None
+            bundle = BundleData(base, kind, rank, total, euler)
+            name = f"{kind} rank {rank}"
+            for k in range(rank + 1):
+                for suffix in ("", "f"):
+                    record(f"{name} G_{k} {suffix}", lambda: grassmannian_bundle(bundle, k, suffix=suffix))
+            for full in (False, True):
+                record(f"{name} flag {full}", lambda: flag_bundle(bundle, full=full, suffix="f"))
+            for k in range(rank // 2 + 1):
+                record(f"{name} odd G_{k}", lambda: odd_grassmannian_bundle(base, bundle, k, suffix="f"))
+            record(f"{name} P", lambda: projectivization(bundle))
+            record(f"{name} S", lambda: sphere_bundle(bundle))
+    cp2 = build_ring(SpaceDescriptor("projective-space-complex", 0, 3))
+    record("name clash", lambda: grassmannian_bundle(BundleData(cp2, "complex", 2, 1), 1))
+    return out
+
+
+def test_presentations_match_pinned_digest():
+    # catalog spaces and bundle extensions share one builder per fibre
+    # family; this digest pins what the separate builders produced
+    text = json.dumps(pinned_presentations(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGEST
 
 def test_real_grassmannian_bundle_over_quaternionic_base():
     base = free_ring("q", 4, 12, relation_power=2)  # HP^1-style base
