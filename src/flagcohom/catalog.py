@@ -52,6 +52,12 @@ FAMILIES = (
 # odd-odd (2k+1, 2n+1)
 VARIANTS = ("even-even", "even-odd", "odd-odd")
 
+# the families that read k, and those that read a variant
+_READS_K = ("complex-grassmannian", "real-grassmannian-even", "oriented-grassmannian",
+            "odd-real-grassmannian", "odd-oriented-grassmannian")
+_READS_VARIANT = ("real-grassmannian-even", "oriented-grassmannian", "complete-flag-real",
+                  "complete-flag-oriented")
+
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
@@ -75,9 +81,11 @@ class SpaceDescriptor:
         if f not in FAMILIES:
             raise ValueError(f"unknown space family {f!r}")
         k, n, v = self.k, self.n, self.variant
-        if f == "point":
-            return
-        if f == "complex-grassmannian":
+        if k and f not in _READS_K:
+            raise ValueError(f"{f}: takes no k, got k={k}")
+        if v and f not in _READS_VARIANT:
+            raise ValueError(f"{f}: takes no variant, got {v!r}")
+        if f in ("complex-grassmannian", "odd-real-grassmannian", "odd-oriented-grassmannian"):
             if not 0 <= k <= n:
                 raise ValueError(f"{f}: need 0 <= k <= n, got k={k}, n={n}")
         elif f == "real-grassmannian-even":
@@ -92,9 +100,6 @@ class SpaceDescriptor:
             lo, hi = {"even-even": (1, n - 1), "even-odd": (1, n), "odd-odd": (0, n - 1)}[v]
             if not lo <= k <= hi:
                 raise ValueError(f"{f} ({v}): need {lo} <= k <= {hi}, got k={k}, n={n}")
-        elif f in ("odd-real-grassmannian", "odd-oriented-grassmannian"):
-            if not 0 <= k <= n:
-                raise ValueError(f"{f}: need 0 <= k <= n, got k={k}, n={n}")
         elif f in ("complete-flag-complex", "complete-flag-real", "complete-flag-oriented"):
             if n < 1:
                 raise ValueError(f"{f}: need n >= 1")
@@ -102,10 +107,7 @@ class SpaceDescriptor:
                 raise ValueError(f"{f}: variant must be even or odd, got {v!r}")
             if f == "complete-flag-oriented" and v not in ("even", "odd"):
                 raise ValueError(f"{f}: variant must be even or odd, got {v!r}")
-        elif f == "projective-space-complex":
-            if n < 1:
-                raise ValueError(f"{f}: need n >= 1")
-        elif f in ("projective-space-real", "sphere"):
+        elif f in ("projective-space-complex", "projective-space-real", "sphere"):
             if n < 1:
                 raise ValueError(f"{f}: need n >= 1")
 
@@ -165,17 +167,9 @@ class BasisFamily:
     parts: tuple[FamilyPart, ...]
 
     def monomials_of_degree(self, d: int) -> tuple[Monomial, ...]:
-        out = []
-        for part in self.parts:
-            base = self.gens.monomial_degree(part.prefix)
-            rest = d - base
-            if rest < 0:
-                continue
-            for exps in _capped_exponents(self.gens, part.core, part.max_exponent_sum, rest):
-                combined = tuple(p + e for p, e in zip(part.prefix, exps))
-                out.append(combined)
-        out.sort(key=lambda e: tuple(-x for x in e))
-        return tuple(Monomial(self.gens, e) for e in out)
+        """The family's monomials of degree d, in the ring's display order."""
+        monomials = (Monomial(self.gens, e) for e in self.gens.monomials_of_degree(d))
+        return tuple(m for m in monomials if self.contains(m))
 
     def contains(self, monomial: Monomial) -> bool:
         exps = monomial.exps
@@ -192,28 +186,6 @@ class BasisFamily:
         for d in range(upto + 1):
             out.extend(self.monomials_of_degree(d))
         return out
-
-
-def _capped_exponents(gens, core, cap, degree):
-    """Exponent vectors supported on `core` with sum <= cap and given degree."""
-    out = []
-    exps = [0] * len(gens)
-
-    def rec(pos: int, remaining: int, budget: int) -> None:
-        if remaining == 0:
-            out.append(tuple(exps))
-            return
-        if pos == len(core):
-            return
-        i = core[pos]
-        top = min(remaining // gens.degrees[i], budget)
-        for e in range(top, -1, -1):
-            exps[i] = e
-            rec(pos + 1, remaining - e * gens.degrees[i], budget - e)
-        exps[i] = 0
-
-    rec(0, degree, cap)
-    return out
 
 
 def _unit(width: int) -> tuple[int, ...]:
@@ -355,7 +327,6 @@ def build_space(space: SpaceDescriptor):
         fibre = SpaceDescriptor("real-grassmannian-even", k, n)
     elif f == "projective-space-real":
         fibre = SpaceDescriptor("real-grassmannian-even", 0, n, "odd-odd")  # G_1(R^(2n+1))
-    k = fibre.k  # RP^2n does not read space.k
     gens = Generators(fibre_symbols(fibre))
     relations = fibre_relations(gens, fibre, 1, 0)
     if odd:

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import catalog, extension, verify
 from .algebra import (
@@ -85,7 +86,8 @@ def _sum_elements(gens, value, path) -> GradedElement:
 
 def build_job(doc: dict, path: str = "config", cutoff: int | None = None) -> BuiltJob:
     """Build a ring (plus closed form and basis family when known) from a
-    config document: one of space | presentation | bundle | tower | pushout."""
+    config document: one of space | presentation | bundle | tower | pushout.
+    A library ValueError becomes a ConfigError at the sub-document's path."""
     if not isinstance(doc, dict):
         raise ConfigError(path, "expected an object")
     kinds = [k for k in ("space", "presentation", "bundle", "tower", "pushout") if k in doc]
@@ -100,19 +102,24 @@ def build_job(doc: dict, path: str = "config", cutoff: int | None = None) -> Bui
     if not isinstance(sub, dict):
         raise ConfigError(path, "expected an object")
 
-    if kind == "space":
-        job = _build_space_job(sub, path, cutoff)
-    elif kind == "presentation":
-        pres = parse_presentation(sub, path)
-        if cutoff is None:
-            raise ConfigError(path, "inline presentations need an explicit cutoff")
-        job = BuiltJob(QuotientRing(pres, cutoff))
-    elif kind == "bundle":
-        job = _build_bundle_job(sub, path, cutoff)
-    elif kind == "tower":
-        job = _build_tower_job(sub, path, cutoff)
-    else:
-        job = _build_pushout_job(sub, path, cutoff)
+    try:
+        if kind == "space":
+            job = _build_space_job(sub, path, cutoff)
+        elif kind == "presentation":
+            pres = parse_presentation(sub, path)
+            if cutoff is None:
+                raise ConfigError(path, "inline presentations need an explicit cutoff")
+            job = BuiltJob(QuotientRing(pres, cutoff))
+        elif kind == "bundle":
+            job = _build_bundle_job(sub, path, cutoff)
+        elif kind == "tower":
+            job = _build_tower_job(sub, path, cutoff)
+        else:
+            job = _build_pushout_job(sub, path, cutoff)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
     job.kind = kind
     return job
 
@@ -122,13 +129,10 @@ def _build_space_job(sub, path, cutoff) -> BuiltJob:
     k = _field(sub, path, "k", int, required=False, default=0)
     n = _field(sub, path, "n", int, required=False, default=0)
     variant = _field(sub, path, "variant", str, required=False, default="")
-    try:
-        desc = SpaceDescriptor(family, k, n, variant)
-        _check_size(desc)
-        pres, series, basis_family = catalog.build_space(desc)
-        ring = QuotientRing(pres, catalog.default_cutoff(desc, pres) if cutoff is None else cutoff)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    desc = SpaceDescriptor(family, k, n, variant)
+    _check_size(desc)
+    pres, series, basis_family = catalog.build_space(desc)
+    ring = QuotientRing(pres, catalog.default_cutoff(desc, pres) if cutoff is None else cutoff)
     return BuiltJob(ring, series, basis_family)
 
 
@@ -149,16 +153,11 @@ def parse_presentation(sub, path) -> RingPresentation:
         if not (isinstance(g, list) and len(g) == 2 and isinstance(g[0], str) and _is_int(g[1])):
             raise ConfigError(f"{path}.generators[{i}]", "expected [name, degree]")
         symbols.append(GeneratorSymbol(g[0], g[1]))
-    try:
-        gens = Generators(symbols)
-        relations = []
-        for i, rel in enumerate(_field(sub, path, "relations", list, required=False, default=[])):
-            relations.extend(_parse_elements(gens, rel, f"{path}.relations[{i}]"))
-        return make_presentation(gens, relations, _field(sub, path, "label", str, required=False, default=""))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    gens = Generators(symbols)
+    relations = []
+    for i, rel in enumerate(_field(sub, path, "relations", list, required=False, default=[])):
+        relations.extend(_parse_elements(gens, rel, f"{path}.relations[{i}]"))
+    return make_presentation(gens, relations, _field(sub, path, "label", str, required=False, default=""))
 
 
 def _build_bundle_job(sub, path, cutoff) -> BuiltJob:
@@ -166,63 +165,24 @@ def _build_bundle_job(sub, path, cutoff) -> BuiltJob:
     base = base_job.ring
     kind = _field(sub, path, "kind", str)
     rank = _field(sub, path, "rank", int)
-    try:
-        total = _sum_elements(base.gens, _field(sub, path, "total_class", None), f"{path}.total_class")
-        euler = None
-        if sub.get("euler_class") is not None:
-            euler = _sum_elements(base.gens, sub["euler_class"], f"{path}.euler_class")
-        bundle = extension.BundleData(base, kind, rank, total, euler)
-        ext = _field(sub, path, "extension", str)
-        suffix = _field(sub, path, "suffix", str, required=False, default="")
-        k = _field(sub, path, "k", int) if ext in ("grassmannian", "odd-grassmannian") else None
-        fibre = _fibre(ext, kind, rank, k)
-        if ext == "grassmannian":
-            ring = extension.grassmannian_bundle(bundle, k, suffix=suffix, cutoff=cutoff)
-        elif ext == "projectivize":
-            ring = extension.projectivization(bundle, cutoff=cutoff)
-        elif ext == "sphere":
-            ring = extension.sphere_bundle(bundle, cutoff=cutoff)
-        elif ext == "flag":
-            full = _field(sub, path, "full", bool, required=False, default=False)
-            ring = extension.flag_bundle(bundle, full=full, suffix=suffix, cutoff=cutoff)
-        elif ext == "odd-grassmannian":
-            ring = extension.odd_grassmannian_bundle(base, bundle, k, suffix=suffix, cutoff=cutoff)
-        else:
-            raise ConfigError(f"{path}.extension", f"unknown extension {ext!r}")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    # no closed form is recorded for the odd Grassmannian extension
-    if base_job.series and fibre is not None and ext != "odd-grassmannian":
-        return BuiltJob(ring, base_job.series * catalog.build_space(fibre)[1])
-    return BuiltJob(ring)
-
-
-def _fibre(ext: str, kind: str, rank: int, k: int | None) -> SpaceDescriptor | None:
-    """The catalog space that a bundle extension or a tower stage adds as
-    its fibre, refused when too large; None when the parameters name none,
-    which the extension itself then reports."""
-    if ext == "projectivize":
-        # the reduced form is the bundle of lines (complex) or of 2-planes (real)
-        ext, k = "grassmannian", 1 if kind == "complex" else 2
-    try:
-        if ext in ("grassmannian", "grassmannianize") and k in (0, rank):
-            fibre = SpaceDescriptor("point")
-        elif ext in ("grassmannian", "grassmannianize") and k is not None:
-            fibre = extension.grassmannian_fibre(kind, rank, k)
-        elif ext in ("flag", "complete-flag"):
-            fibre = extension.flag_fibre(kind, rank)
-        elif ext == "sphere":
-            fibre = SpaceDescriptor("sphere", 0, rank // 2)
-        elif ext == "odd-grassmannian":
-            fibre = SpaceDescriptor("real-grassmannian-even", k, rank // 2 - 1)
-        else:
-            return None
-    except ValueError:
-        return None
+    total = _sum_elements(base.gens, _field(sub, path, "total_class", None), f"{path}.total_class")
+    euler = None
+    if sub.get("euler_class") is not None:
+        euler = _sum_elements(base.gens, sub["euler_class"], f"{path}.euler_class")
+    bundle = extension.BundleData(base, kind, rank, total, euler)
+    ext = _field(sub, path, "extension", str)
+    suffix = _field(sub, path, "suffix", str, required=False, default="")
+    if ext not in extension.BUNDLE_EXTENSIONS:
+        raise ConfigError(f"{path}.extension", f"unknown extension {ext!r}")
+    k = _field(sub, path, "k", int) if ext in ("grassmannian", "odd-grassmannian") else None
+    fibre = extension.fibre(ext, kind, rank, k)
     _check_size(fibre)
-    return fibre
+    full = _field(sub, path, "full", bool, required=False, default=False) if ext == "flag" else False
+    ring = extension.extend(bundle, ext, k, suffix, full, cutoff)
+    # no closed form is recorded for the odd Grassmannian extension
+    if base_job.series is None or ext == "odd-grassmannian":
+        return BuiltJob(ring)
+    return BuiltJob(ring, base_job.series * catalog.build_space(fibre)[1])
 
 
 def _build_tower_job(sub, path, cutoff) -> BuiltJob:
@@ -232,31 +192,25 @@ def _build_tower_job(sub, path, cutoff) -> BuiltJob:
         base_job = build_job(sub["base"], f"{path}.base")
     ring = base_job.ring if base_job else extension.point_ring()
     series = base_job.series if base_job else ClosedFormSeries.one()
-    try:
-        for i, s in enumerate(stage_docs):
-            spath = f"{path}.stages[{i}]"
-            if not isinstance(s, dict):
-                raise ConfigError(spath, "expected an object")
-            stage = extension.TowerStage(
-                extension=_field(s, spath, "extension", str),
-                kind=_field(s, spath, "kind", str, required=False, default="complex"),
-                rank=_field(s, spath, "rank", int),
-                total_class=_sum_elements(
-                    ring.gens, s.get("total_class", "1"), f"{spath}.total_class"
-                ),
-                euler_class=None
-                if s.get("euler_class") is None
-                else _sum_elements(ring.gens, s["euler_class"], f"{spath}.euler_class"),
-                k=_field(s, spath, "k", int, required=False),
-            )
-            fibre = _fibre(stage.extension, stage.kind, stage.rank, stage.k)
-            ring = extension.bott_tower([stage], base=ring, start_index=i + 1)
-            if series is not None:
-                series = series * catalog.build_space(fibre)[1] if fibre is not None else None
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    for i, s in enumerate(stage_docs):
+        spath = f"{path}.stages[{i}]"
+        if not isinstance(s, dict):
+            raise ConfigError(spath, "expected an object")
+        stage = extension.TowerStage(
+            extension=_field(s, spath, "extension", str),
+            kind=_field(s, spath, "kind", str, required=False, default="complex"),
+            rank=_field(s, spath, "rank", int),
+            total_class=_sum_elements(ring.gens, s.get("total_class", "1"), f"{spath}.total_class"),
+            euler_class=None
+            if s.get("euler_class") is None
+            else _sum_elements(ring.gens, s["euler_class"], f"{spath}.euler_class"),
+            k=_field(s, spath, "k", int, required=False),
+        )
+        fibre = extension.stage_fibre(stage, i + 1)
+        _check_size(fibre)
+        ring = extension.bott_tower([stage], base=ring, start_index=i + 1)
+        if series is not None:
+            series = series * catalog.build_space(fibre)[1]
     if cutoff is not None:
         ring = QuotientRing(ring.presentation, cutoff)
     return BuiltJob(ring, series)
@@ -268,11 +222,7 @@ def _build_pushout_job(sub, path, cutoff) -> BuiltJob:
     e0 = build_job(_field(sub, path, "e0", dict), f"{path}.e0").ring
     map_b1 = _field(sub, path, "map_b1", dict, required=False, default={})
     map_e0 = _field(sub, path, "map_e0", dict, required=False, default={})
-    try:
-        ring = extension.ring_pushout(b0, b1, e0, map_b1, map_e0, cutoff=cutoff)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    return BuiltJob(ring)
+    return BuiltJob(extension.ring_pushout(b0, b1, e0, map_b1, map_e0, cutoff=cutoff))
 
 
 # -- rendering ----------------------------------------------------------------
@@ -297,8 +247,6 @@ def presentation_from_doc(doc: dict) -> RingPresentation:
     gens = Generators([GeneratorSymbol(n, d) for n, d in doc["generators"]])
     relations = []
     for rel in doc["relations"]:
-        from fractions import Fraction
-
         relations.append(gens.element({tuple(e): Fraction(num, den) for e, num, den in rel}))
     return make_presentation(gens, relations, doc.get("label", ""))
 

@@ -28,9 +28,19 @@ ElementLike = GradedElement | str | int
 _STEP = {"complex": 2, "real": 4, "oriented": 4}
 _CANON = {"complex": "c", "real": "p", "oriented": "p"}
 
+BUNDLE_EXTENSIONS = ("grassmannian", "projectivize", "sphere", "flag", "odd-grassmannian")
+TOWER_EXTENSIONS = ("projectivize", "grassmannianize", "complete-flag")
+
 
 class BundleError(ValueError):
     """Invalid bundle data or extension parameters."""
+
+
+def _check_kind_rank(kind: str, rank: int) -> None:
+    if kind not in _STEP:
+        raise BundleError(f"unknown bundle kind {kind!r}")
+    if rank < 1:
+        raise BundleError("rank must be a positive integer")
 
 
 @dataclass
@@ -49,10 +59,7 @@ class BundleData:
     euler_class: GradedElement | None = None
 
     def __post_init__(self):
-        if self.kind not in _STEP:
-            raise BundleError(f"unknown bundle kind {self.kind!r}")
-        if self.rank < 1:
-            raise BundleError("rank must be a positive integer")
+        _check_kind_rank(self.kind, self.rank)
         gens = self.base.gens
         self.total_class = _as_element(gens, self.total_class)
         if self.total_class.homogeneous_part(0) != gens.one():
@@ -109,15 +116,93 @@ def _ring(base: QuotientRing, gens, relations, label, cutoff, fibre_top) -> Quot
 
 
 def _fibre_bundle(
-    bundle: BundleData, fibre: SpaceDescriptor, label: str, suffix: str, cutoff, full: bool = False
+    bundle: BundleData, space: SpaceDescriptor, label: str, suffix: str, cutoff, full: bool = False
 ) -> QuotientRing:
     """The base extended by the fibre family's generators, subject to its
     relations with the bundle's total and Euler classes on the right."""
-    gens = _extend(bundle.base.gens, fibre_symbols(fibre, suffix, full))
+    gens = _extend(bundle.base.gens, fibre_symbols(space, suffix, full))
     euler = None if bundle.euler_class is None else bundle.euler_class.reindex(gens)
-    relations = fibre_relations(gens, fibre, bundle.total_class.reindex(gens), euler, suffix, full)
+    relations = fibre_relations(gens, space, bundle.total_class.reindex(gens), euler, suffix, full)
     label = f"{label} over {bundle.base.label or 'base'}"
-    return _ring(bundle.base, gens, relations, label, cutoff, top_degree(fibre))
+    return _ring(bundle.base, gens, relations, label, cutoff, top_degree(space))
+
+
+def fibre(extension: str, kind: str, rank: int, k: int | None = None) -> SpaceDescriptor:
+    """The catalog space, in reduced parameters, that a bundle extension or
+    tower stage name adds as fibre over a rank-`rank` bundle; BundleError if
+    it does not apply. A Grassmannian of 0- or rank-dimensional subspaces is
+    the point; an oriented one's variant follows the parities of k and rank."""
+    _check_kind_rank(kind, rank)
+    if extension in ("grassmannian", "grassmannianize"):
+        if not 0 <= k <= rank:
+            raise BundleError(f"need 0 <= k <= rank, got k={k}, rank={rank}")
+        if k in (0, rank):
+            return SpaceDescriptor("point")
+        if kind == "complex":
+            return SpaceDescriptor("complex-grassmannian", k, rank)
+        if rank % 2 == 0 and k % 2 == 1:
+            raise BundleError(
+                f"a rank-{rank} {kind} bundle has no displayed presentation for "
+                f"odd subspace dimension {k}"
+            )
+        kr, nr = k // 2, rank // 2
+        if kind == "real":
+            return SpaceDescriptor("real-grassmannian-even", kr, nr)
+        if rank % 2 == 0:
+            variant = "even-even"
+        else:
+            variant = "even-odd" if k % 2 == 0 else "odd-odd"
+        return SpaceDescriptor("oriented-grassmannian", kr, nr, variant)
+    if extension == "projectivize":
+        # the reduced form is the bundle of lines (complex) or of 2-planes (real)
+        if kind not in ("complex", "real"):
+            raise BundleError("projectivization applies to complex or real bundles")
+        if kind == "real" and rank < 2:
+            raise BundleError(f"rank {rank} is too small to projectivize")
+        return fibre("grassmannian", kind, rank, 1 if kind == "complex" else 2)
+    if extension == "sphere":
+        if kind != "oriented" or rank % 2 == 0:
+            raise BundleError("sphere_bundle needs an oriented bundle of odd rank")
+        if rank < 3:
+            raise BundleError(f"sphere_bundle needs rank at least 3, got rank {rank}")
+        return SpaceDescriptor("sphere", 0, rank // 2)
+    if extension in ("flag", "complete-flag"):
+        n = rank if kind == "complex" else rank // 2
+        if n < 1:
+            raise BundleError(f"rank {rank} has no even-rank flag")
+        if kind == "complex":
+            return SpaceDescriptor("complete-flag-complex", 0, n)
+        return SpaceDescriptor(f"complete-flag-{kind}", 0, n, "even" if rank % 2 == 0 else "odd")
+    if extension == "odd-grassmannian":
+        if kind not in ("real", "oriented"):
+            raise BundleError("odd Grassmannian extension needs a real or oriented bundle")
+        if rank % 2 or rank < 2:
+            raise BundleError("odd Grassmannian extension needs even rank 2n+2")
+        n = (rank - 2) // 2
+        if not 0 <= k <= n:
+            raise BundleError(f"need 0 <= k <= n = {n}, got k={k}")
+        return SpaceDescriptor("real-grassmannian-even", k, n)
+    raise BundleError(f"unknown extension {extension!r}")
+
+
+def extend(
+    bundle: BundleData, extension: str, k: int | None = None, suffix: str = "", full: bool = False,
+    cutoff: int | None = None, gen_name: str | None = None,
+) -> QuotientRing:
+    """The bundle's base extended as `extension` names (see `fibre`). Every
+    new generator name ends in `suffix`, unless `gen_name` names the one new
+    generator of projectivize or sphere. Only flags read `full`."""
+    if extension in ("grassmannian", "grassmannianize"):
+        return grassmannian_bundle(bundle, k, suffix, cutoff)
+    if extension == "projectivize":
+        return projectivization(bundle, gen_name or f"{_CANON[bundle.kind]}1{suffix}", cutoff)
+    if extension == "sphere":
+        return sphere_bundle(bundle, gen_name or f"eb{suffix}", cutoff)
+    if extension in ("flag", "complete-flag"):
+        return flag_bundle(bundle, full, suffix, cutoff)
+    if extension == "odd-grassmannian":
+        return odd_grassmannian_bundle(bundle.base, bundle, k, suffix, cutoff)
+    raise BundleError(f"unknown extension {extension!r}")
 
 
 @dataclass(frozen=True)
@@ -175,35 +260,10 @@ def grassmannian_bundle(
     c*cbar = c(V) (Chern or Pontryagin), plus the Euler relations in the
     oriented case. k = 0 or k = rank returns the base ring unchanged.
     """
-    if not 0 <= k <= bundle.rank:
-        raise BundleError(f"need 0 <= k <= rank, got k={k}, rank={bundle.rank}")
-    if k in (0, bundle.rank):
+    space = fibre("grassmannian", bundle.kind, bundle.rank, k)
+    if space.family == "point":
         return bundle.base
-    fibre = grassmannian_fibre(bundle.kind, bundle.rank, k)
-    return _fibre_bundle(bundle, fibre, f"{fibre.label} bundle", suffix, cutoff)
-
-
-def grassmannian_fibre(kind: str, rank: int, k: int) -> SpaceDescriptor:
-    """The fibre of the bundle of k-dimensional subspaces of a rank-`rank`
-    bundle, as a catalog space in reduced parameters. The oriented variant
-    follows the parities of k and the rank."""
-    if kind not in _STEP:
-        raise BundleError(f"unknown bundle kind {kind!r}")
-    if kind == "complex":
-        return SpaceDescriptor("complex-grassmannian", k, rank)
-    if rank % 2 == 0 and k % 2 == 1:
-        raise BundleError(
-            f"a rank-{rank} {kind} bundle has no displayed presentation for "
-            f"odd subspace dimension {k}"
-        )
-    kr, nr = k // 2, rank // 2
-    if kind == "real":
-        return SpaceDescriptor("real-grassmannian-even", kr, nr)
-    if rank % 2 == 0:
-        variant = "even-even"
-    else:
-        variant = "even-odd" if k % 2 == 0 else "odd-odd"
-    return SpaceDescriptor("oriented-grassmannian", kr, nr, variant)
+    return _fibre_bundle(bundle, space, f"{space.label} bundle", suffix, cutoff)
 
 
 def projectivization(
@@ -213,32 +273,25 @@ def projectivization(
     the reduced single-generator form: one new generator g satisfying
     g^n - v_1 g^(n-1) + v_2 g^(n-2) -+ ... + (-1)^n v_n = 0."""
     kind = bundle.kind
-    if kind not in ("complex", "real"):
-        raise BundleError("projectivization applies to complex or real bundles")
+    space = fibre("projectivize", kind, bundle.rank)
     n = bundle.rank if kind == "complex" else bundle.rank // 2
-    if n < 1:
-        raise BundleError(f"rank {bundle.rank} is too small to projectivize")
     name = gen_name or f"{_CANON[kind]}1"
     data = whitney_complement(bundle.total_class, 1, n, kind, names=[name])
-    fibre = grassmannian_fibre(kind, bundle.rank, 1 if kind == "complex" else 2)
     label = f"P(V^{bundle.rank}) over {bundle.base.label or 'base'}"
-    return _ring(bundle.base, data.gens, data.residuals, label, cutoff, top_degree(fibre))
+    return _ring(bundle.base, data.gens, data.residuals, label, cutoff, top_degree(space))
 
 
 def sphere_bundle(
     bundle: BundleData, gen_name: str = "eb", cutoff: int | None = None
 ) -> QuotientRing:
-    """Sphere bundle of an oriented odd-rank bundle: one generator eb of
-    degree rank-1 with eb^2 = p_n(V)."""
-    if bundle.kind != "oriented" or bundle.rank % 2 == 0:
-        raise BundleError("sphere_bundle needs an oriented bundle of odd rank")
-    n = bundle.rank // 2
-    gens = _extend(bundle.base.gens, [GeneratorSymbol(gen_name, 2 * n)])
+    """Sphere bundle of an oriented bundle of odd rank at least 3: one
+    generator eb of degree rank-1 with eb^2 = p_n(V)."""
+    space = fibre("sphere", bundle.kind, bundle.rank)
+    gens = _extend(bundle.base.gens, [GeneratorSymbol(gen_name, 2 * space.n)])
     eb = gens.gen(gen_name)
-    relation = eb * eb - bundle.component(n).reindex(gens)
+    relation = eb * eb - bundle.component(space.n).reindex(gens)
     label = f"S(V^{bundle.rank}) over {bundle.base.label or 'base'}"
-    fibre = SpaceDescriptor("sphere", 0, n)
-    return _ring(bundle.base, gens, [relation], label, cutoff, top_degree(fibre))
+    return _ring(bundle.base, gens, [relation], label, cutoff, top_degree(space))
 
 
 def flag_bundle(
@@ -251,19 +304,8 @@ def flag_bundle(
     Euler generators e_i with prod(1+e_i^2) = p(V) (and prod e_i = e(V)
     for even rank); full=True also carries the redundant u_i = e_i^2.
     """
-    fibre = flag_fibre(bundle.kind, bundle.rank)
-    return _fibre_bundle(bundle, fibre, f"Fl(V^{bundle.rank})", suffix, cutoff, full)
-
-
-def flag_fibre(kind: str, rank: int) -> SpaceDescriptor:
-    """The fibre of the complete (even-rank) flag bundle of a rank-`rank`
-    bundle, as a catalog space; the parity of the rank is its variant."""
-    n = rank if kind == "complex" else rank // 2
-    if n < 1:
-        raise BundleError(f"rank {rank} has no even-rank flag")
-    if kind == "complex":
-        return SpaceDescriptor("complete-flag-complex", 0, n)
-    return SpaceDescriptor(f"complete-flag-{kind}", 0, n, "even" if rank % 2 == 0 else "odd")
+    space = fibre("flag", bundle.kind, bundle.rank)
+    return _fibre_bundle(bundle, space, f"Fl(V^{bundle.rank})", suffix, cutoff, full)
 
 
 # -- torus-equivariant rings -------------------------------------------------
@@ -317,15 +359,11 @@ def equivariant_space(
     else:
         raise BundleError(f"unknown bundle kind {kind!r}")
     bundle = BundleData(base, kind, rank, total, euler)
-    if construction == "flag":
-        ring = flag_bundle(bundle, cutoff=cutoff)
-    elif construction == "grassmannian":
-        if k is None:
-            raise BundleError("equivariant Grassmannian needs the subspace dimension k")
-        ring = grassmannian_bundle(bundle, k, cutoff=cutoff)
-    else:
+    if construction not in ("flag", "grassmannian"):
         raise BundleError(f"unknown construction {construction!r}")
-    return ring
+    if construction == "grassmannian" and k is None:
+        raise BundleError("equivariant Grassmannian needs the subspace dimension k")
+    return extend(bundle, construction, k, cutoff=cutoff)
 
 
 def zero_generators(ring: QuotientRing, names: Sequence[str], cutoff: int | None = None) -> QuotientRing:
@@ -368,6 +406,16 @@ def point_ring(cutoff: int = 0) -> QuotientRing:
     return QuotientRing(make_presentation(Generators(()), (), "pt"), cutoff)
 
 
+def stage_fibre(stage: TowerStage, idx: int) -> SpaceDescriptor:
+    """The fibre that tower stage number `idx` adds. The stage's name must
+    be one of TOWER_EXTENSIONS, and grassmannianize needs k."""
+    if stage.extension not in TOWER_EXTENSIONS:
+        raise BundleError(f"stage {idx}: unknown extension {stage.extension!r}")
+    if stage.extension == "grassmannianize" and stage.k is None:
+        raise BundleError(f"stage {idx}: grassmannianize needs k")
+    return fibre(stage.extension, stage.kind, stage.rank, stage.k)
+
+
 def bott_tower(
     stages: Sequence[TowerStage],
     base: QuotientRing | None = None,
@@ -383,17 +431,9 @@ def bott_tower(
         gens = ring.gens
         euler = None if stage.euler_class is None else _as_element(gens, stage.euler_class)
         bundle = BundleData(ring, stage.kind, stage.rank, _as_element(gens, stage.total_class), euler)
-        if stage.extension == "projectivize":
-            name = ("x" if stage.kind == "complex" else "u") + str(idx)
-            ring = projectivization(bundle, gen_name=name)
-        elif stage.extension == "grassmannianize":
-            if stage.k is None:
-                raise BundleError(f"stage {idx}: grassmannianize needs k")
-            ring = grassmannian_bundle(bundle, stage.k, suffix=f"_{idx}")
-        elif stage.extension == "complete-flag":
-            ring = flag_bundle(bundle, suffix=f"_{idx}")
-        else:
-            raise BundleError(f"stage {idx}: unknown extension {stage.extension!r}")
+        stage_fibre(stage, idx)  # the stage's name and k are checked first
+        name = ("x" if stage.kind == "complex" else "u") + str(idx)
+        ring = extend(bundle, stage.extension, stage.k, suffix=f"_{idx}", gen_name=name)
     if cutoff is not None:
         ring = QuotientRing(ring.presentation, cutoff)
     return ring
@@ -519,15 +559,7 @@ def odd_grassmannian_bundle(
     """
     if bundle.base is not projective_or_sphere_ring:
         raise BundleError("bundle.base must be the supplied projectivization/sphere ring")
-    if bundle.kind not in ("real", "oriented"):
-        raise BundleError("odd Grassmannian extension needs a real or oriented bundle")
-    if bundle.rank % 2 or bundle.rank < 2:
-        raise BundleError("odd Grassmannian extension needs even rank 2n+2")
-    n = (bundle.rank - 2) // 2
-    if not 0 <= k <= n:
-        raise BundleError(f"need 0 <= k <= n = {n}, got k={k}")
-    if k in (0, n):
+    space = fibre("odd-grassmannian", bundle.kind, bundle.rank, k)
+    if k in (0, space.n):
         return projective_or_sphere_ring
-
-    fibre = SpaceDescriptor("real-grassmannian-even", k, n)
-    return _fibre_bundle(bundle, fibre, f"G_{2 * k + 1}(V^{bundle.rank})", suffix, cutoff)
+    return _fibre_bundle(bundle, space, f"G_{2 * k + 1}(V^{bundle.rank})", suffix, cutoff)

@@ -27,6 +27,26 @@ def test_descriptor_validation():
         SpaceDescriptor("unknown-family", 1, 2)
 
 
+@pytest.mark.parametrize(
+    "family, variant",
+    [("point", ""), ("projective-space-complex", ""), ("projective-space-real", ""), ("sphere", ""),
+     ("complete-flag-complex", ""), ("complete-flag-real", "even"), ("complete-flag-oriented", "odd")],
+)
+def test_descriptor_rejects_k_its_family_does_not_read(family, variant):
+    with pytest.raises(ValueError, match=f"{family}: takes no k, got k=1"):
+        SpaceDescriptor(family, 1, 2, variant)
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["point", "complex-grassmannian", "odd-real-grassmannian", "odd-oriented-grassmannian",
+     "complete-flag-complex", "projective-space-complex", "projective-space-real", "sphere"],
+)
+def test_descriptor_rejects_a_variant_its_family_does_not_read(family):
+    with pytest.raises(ValueError, match=f"{family}: takes no variant, got 'even'"):
+        SpaceDescriptor(family, 0, 2, "even")
+
+
 def test_labels():
     assert SpaceDescriptor("complex-grassmannian", 2, 4).label == "G_2(C^4)"
     assert SpaceDescriptor("real-grassmannian-even", 1, 2, "even-odd").label == "G_2(R^5)"

@@ -1,6 +1,7 @@
 """CLI subcommands via subprocess: output, exit codes and the structured
 round trip."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -447,6 +448,40 @@ def test_bundle_and_tower_closed_forms(name, tmp_path, capsys):
     assert doc["coefficients"] == coefficients
 
 
+@pytest.mark.parametrize(
+    "extension, kind, rank, total, generators",
+    [("projectivize", "complex", 2, "1 + c1", "c1(2), c1f(2)"),
+     ("sphere", "oriented", 3, "1 + c1^2", "c1(2), ebf(2)")],
+    ids=["projectivize", "sphere"],
+)
+def test_suffix_names_the_projectivize_and_sphere_generator(
+    extension, kind, rank, total, generators, tmp_path, capsys
+):
+    config = bundle_doc(CP2, kind, rank, total, extension, suffix="f")
+    code, _, captured = present_in_process([], config, tmp_path, capsys)
+    assert code == 0
+    assert f"generators: {generators}\n" in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv, config, error",
+    [
+        ([], {"presentation": {"generators": [["x y", 2]]}, "cutoff": 3},
+         "config.presentation: bad generator name 'x y'"),
+        ([], bundle_doc(POINT, "oriented", 1, "1", "sphere"),
+         "config.bundle: sphere_bundle needs rank at least 3, got rank 1"),
+        (["projective-space-real", "-k", "3", "-n", "2"], None,
+         "config.space: projective-space-real: takes no k, got k=3"),
+    ],
+    ids=["generator-name", "sphere-rank-1", "unread-k"],
+)
+def test_config_errors_name_the_sub_document(argv, config, error, tmp_path, capsys):
+    code, _, captured = present_in_process(argv, config, tmp_path, capsys)
+    assert code == 2
+    assert captured.err == f"config error: {error}\n"
+    assert captured.out == ""
+
+
 ORIENTED_FLAG = {"base": POINT, "kind": "oriented", "rank": 4, "total_class": "1",
                  "euler_class": "0", "extension": "flag"}
 
@@ -469,3 +504,94 @@ def test_flag_full_must_be_a_json_boolean(full, tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith("config error: config.bundle.full: expected bool")
     assert captured.out == ""
+
+
+def _bundle_classes(base, kind, rank):
+    """A total class (and Euler class) valid for the bundle, nontrivial over CP^2."""
+    if base is POINT:
+        total = "1"
+    elif kind == "complex":
+        total = "1 + c1" if rank == 1 else "1 + 2*c1 + c1^2"
+    else:
+        total = "1" if rank == 1 else "1 + c1^2"
+    euler = None
+    if kind == "oriented" and rank % 2 == 0:
+        euler = "0" if base is POINT else f"c1^{rank // 2}"
+    return {"total_class": total} if euler is None else {"total_class": total, "euler_class": euler}
+
+
+def cli_grid() -> list:
+    """Bundle and tower configs over the point and CP^2: complex, real and
+    oriented bundles of ranks 1-5, every extension and stage name (rejected
+    ones too), every k with one out of range on each side, and `full` unset,
+    off and on; then a zero rank and an unknown kind for every name, and
+    two-stage towers. Left out: suffixes on projectivize and sphere, and
+    the sphere bundle of an oriented line bundle. Complex flags of rank 4
+    and 5 get a cutoff of 10, since their series to the default cutoff take
+    seconds or, over CP^2 at rank 5, minutes."""
+    configs = []
+    for base in (POINT, CP2):
+        for kind in ("complex", "real", "oriented"):
+            for rank in range(1, 6):
+                classes = _bundle_classes(base, kind, rank)
+
+                def add(doc, extension):
+                    if extension in ("flag", "complete-flag") and kind == "complex" and rank >= 4:
+                        doc["cutoff"] = 10
+                    configs.append(doc)
+
+                def bundle(extension, **extra):
+                    add({"bundle": {"base": base, "kind": kind, "rank": rank, **classes,
+                                    "extension": extension, **extra}}, extension)
+
+                for suffix in ({}, {"suffix": "f"}):
+                    for k in range(-1, rank + 2):
+                        bundle("grassmannian", k=k, **suffix)
+                    for k in range(-1, rank // 2 + 1):
+                        bundle("odd-grassmannian", k=k, **suffix)
+                    for full in ({}, {"full": False}, {"full": True}):
+                        bundle("flag", **full, **suffix)
+                bundle("projectivize")
+                if not (kind == "oriented" and rank == 1):
+                    bundle("sphere")
+                bundle("grassmannianize", k=1)
+                bundle("complete-flag")
+
+                def tower(extension, **extra):
+                    stage = {"extension": extension, "kind": kind, "rank": rank, **classes, **extra}
+                    doc = {"stages": [stage]}
+                    add({"tower": doc if base is POINT else {"base": base, **doc}}, extension)
+
+                for k in range(-1, rank + 2):
+                    tower("grassmannianize", k=k)
+                for extension in ("grassmannianize", "projectivize", "complete-flag", "flag", "sphere"):
+                    tower(extension)
+    for kind, rank in (("complex", 0), ("bogus", 2)):
+        for extension in ("grassmannian", "projectivize", "sphere", "flag", "odd-grassmannian"):
+            configs.append({"bundle": {"base": POINT, "kind": kind, "rank": rank, "total_class": "1",
+                                       "extension": extension, "k": 1}})
+        for extension in ("grassmannianize", "projectivize", "complete-flag"):
+            configs.append({"tower": {"stages": [{"extension": extension, "kind": kind, "rank": rank, "k": 1}]}})
+    two = {"extension": "projectivize", "kind": "complex", "rank": 2}
+    for second in ("grassmannianize", "complete-flag", "flag"):
+        stage = {"extension": second, "kind": "complex", "rank": 3, "total_class": "1 + x1", "k": 1}
+        configs.append({"tower": {"stages": [two, stage]}})
+    return configs
+
+
+# sha256 of the `present` and `series` runs of cli_grid() as JSON, recorded
+# while the CLI still chose each fibre and constructor itself
+PINNED_CLI_DIGEST = "254ae897421e0c336c67749f486939bd103bc6865fe7a98e1cc508bf01dc4dce"
+
+
+def test_bundle_and_tower_jobs_match_pinned_digest(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    runs = []
+    for config in cli_grid():
+        path.write_text(json.dumps(config))
+        for command in ("present", "series"):
+            code = cli.main([command, "--config", str(path)])
+            captured = capsys.readouterr()
+            runs.append([command, config, code, captured.out, captured.err])
+    text = json.dumps(runs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CLI_DIGEST

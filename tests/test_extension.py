@@ -190,6 +190,11 @@ def test_sphere_bundle_needs_oriented_odd():
         sphere_bundle(BundleData(point_ring(), "real", 5, 1))
 
 
+def test_sphere_bundle_needs_rank_at_least_3():
+    with pytest.raises(BundleError, match="sphere_bundle needs rank at least 3, got rank 1"):
+        sphere_bundle(BundleData(point_ring(), "oriented", 1, 1))
+
+
 def test_oriented_fibre_euler_relation():
     pt = point_ring()
     bundle = BundleData(pt, "oriented", 4, 1, euler_class=pt.gens.zero())
@@ -573,7 +578,7 @@ def test_fibre_specialization_sweep():
 
 
 # sha256 of pinned_presentations() as JSON with sorted keys
-PINNED_DIGEST = "9626d6e546c9d0ea9c56bcfc31b9f2ed1afb778267c43aa6d6fae7b220c8fcad"
+PINNED_DIGEST = "714b00493698b7aff1541ca7d2cca0b9c258727d2ac312ed72d7c02bbca7f43f"
 
 
 def pinned_presentations() -> list:
