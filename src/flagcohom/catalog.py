@@ -197,32 +197,12 @@ def _basis_vector(width: int, i: int) -> tuple[int, ...]:
 
 
 def top_degree(space: SpaceDescriptor) -> int:
-    """Largest degree with a nonzero component (real dimension for the
-    closed orientable fixtures, 0 for the rationally trivial ones)."""
-    f, k, n = space.family, space.k, space.n
-    if f == "point" or f == "projective-space-real":
-        return 0
-    if f == "complex-grassmannian":
-        return 2 * k * (n - k)
-    if f == "real-grassmannian-even":
-        return 4 * k * (n - k)
-    if f == "oriented-grassmannian":
-        return {
-            "even-even": 4 * k * (n - k),
-            "even-odd": 4 * k * (n - k) + 2 * k,
-            "odd-odd": 4 * k * (n - k) + 2 * (n - k),
-        }[space.variant]
-    if f in ("odd-real-grassmannian", "odd-oriented-grassmannian"):
-        return 4 * k * (n - k) + 2 * n + 1
-    if f == "complete-flag-complex":
-        return n * (n - 1)
-    if f == "complete-flag-real":
-        return 2 * n * (n - 1)
-    if f == "complete-flag-oriented":
-        return 2 * n * (n - 1) if space.variant == "even" else 2 * n * n
-    if f == "projective-space-complex":
-        return 2 * (n - 1)
-    return 2 * n  # sphere
+    """Largest degree with a nonzero component: the degree of the space's
+    Poincare polynomial (its real dimension for the closed orientable
+    fixtures, 0 for the rationally trivial ones). Every catalog closed form
+    is a sum of polynomials with positive coefficients, so no leading term
+    cancels and the degree is the largest degree of a term."""
+    return max(t.shift + sum(t.num) - sum(t.den) for t in closed_form(space).terms)
 
 
 _FLAG_ROOTS = {
@@ -289,8 +269,39 @@ def fibre_relations(
     return relations
 
 
+def closed_form(space: SpaceDescriptor) -> ClosedFormSeries:
+    """The space's Poincare polynomial: the one statement of each family's
+    series, read by build_space, top_degree and the CLI's bundle series."""
+    f, k, n, v = space.family, space.k, space.n, space.variant
+    if f in ("point", "projective-space-real"):
+        return ClosedFormSeries.one()
+    if f == "projective-space-complex":
+        return ClosedFormSeries.from_factors(num=(2 * n,), den=(2,))
+    if f == "sphere":
+        return ClosedFormSeries.one_plus(2 * n)
+    if f == "complex-grassmannian":
+        return complex_grassmannian_series(k, n)
+    if f == "real-grassmannian-even":
+        return real_even_grassmannian_series(k, n)
+    if f == "oriented-grassmannian":
+        return oriented_series(v, k, n)
+    if f in ("odd-real-grassmannian", "odd-oriented-grassmannian"):
+        return odd_grassmannian_series(k, n)
+    if f != "complete-flag-oriented":
+        step = _FLAG_ROOTS[f][1]
+        num = tuple(step * i for i in range(2, n + 1))
+        return ClosedFormSeries.from_factors(num=num, den=(step,) * (n - 1))
+    if v == "odd":
+        return ClosedFormSeries.from_factors(num=tuple(4 * i for i in range(1, n + 1)), den=(2,) * n)
+    series = ClosedFormSeries.one()
+    for i in range(2, n + 1):
+        series = series * ClosedFormSeries.one_plus(2 * i - 2)
+        series = series * ClosedFormSeries.from_factors(num=(2 * i,), den=(2,))
+    return series
+
+
 def build_space(space: SpaceDescriptor):
-    """(presentation, closed-form series, characteristic family or None).
+    """(presentation, closed_form(space), characteristic family or None).
 
     Grassmannians and complete flags are their family's presentation over
     a point (fibre_relations with total = 1, euler = 0). The odd
@@ -302,24 +313,14 @@ def build_space(space: SpaceDescriptor):
 
     if f == "point":
         pres = make_presentation(Generators(()), (), label)
-        return pres, ClosedFormSeries.one(), BasisFamily(pres.generators, (FamilyPart((), (), 0),))
+        return pres, closed_form(space), BasisFamily(pres.generators, (FamilyPart((), (), 0),))
 
-    if f == "projective-space-complex":
-        gens = Generators([GeneratorSymbol("c1", 2)])
-        c1 = gens.gen("c1")
-        pres = make_presentation(gens, (c1 ** n,), label)
-        series = ClosedFormSeries.from_factors(num=(2 * n,), den=(2,))
-        family = BasisFamily(gens, (FamilyPart((0,), (0,), n - 1),))
-        return pres, series, family
-
-    if f == "sphere":
-        # S^2n, presented in its reduced single-generator form
-        gens = Generators([GeneratorSymbol("eb", 2 * n)])
-        eb = gens.gen("eb")
-        pres = make_presentation(gens, (eb * eb,), label)
-        series = ClosedFormSeries.one_plus(2 * n)
-        family = BasisFamily(gens, (FamilyPart((0,), (0,), 1),))
-        return pres, series, family
+    if f in ("projective-space-complex", "sphere"):
+        # CP^(n-1) = Q[c1]/(c1^n), and S^2n in its reduced form Q[eb]/(eb^2)
+        name, degree, power = ("c1", 2, n) if f == "projective-space-complex" else ("eb", 2 * n, 2)
+        gens = Generators([GeneratorSymbol(name, degree)])
+        pres = make_presentation(gens, (gens.gen(name) ** power,), label)
+        return pres, closed_form(space), BasisFamily(gens, (FamilyPart((0,), (0,), power - 1),))
 
     odd = f in ("odd-real-grassmannian", "odd-oriented-grassmannian")
     fibre = space
@@ -336,18 +337,10 @@ def build_space(space: SpaceDescriptor):
     pres = make_presentation(gens, relations, label)
 
     if f in _FLAG_ROOTS:
-        return pres, _flag_series(space), None
+        return pres, closed_form(space), None
     width = len(gens)
     p_core = tuple(range(k))
     parts = [FamilyPart(_unit(width), p_core, n - k)]
-    if f == "complex-grassmannian":
-        series = complex_grassmannian_series(k, n)
-    elif odd:
-        series = odd_grassmannian_series(k, n)
-    elif fibre.family == "real-grassmannian-even":
-        series = real_even_grassmannian_series(k, n)
-    else:
-        series = oriented_series(v, k, n)
     if odd or (f == "oriented-grassmannian" and v != "even-even"):
         # the last generator (r, rt, e or eb) times the canonical monomials
         parts.append(FamilyPart(_basis_vector(width, width - 1), p_core, n - k))
@@ -356,23 +349,7 @@ def build_space(space: SpaceDescriptor):
         pb_core = tuple(gens.index(f"pb{j}") for j in range(1, n - k))
         parts.append(FamilyPart(_basis_vector(width, gens.index("e")), pb_core, k))
         parts.append(FamilyPart(_basis_vector(width, gens.index("eb")), p_core[:-1], n - k))
-    return pres, series, BasisFamily(gens, tuple(parts))
-
-
-def _flag_series(space: SpaceDescriptor) -> ClosedFormSeries:
-    n = space.n
-    if space.family != "complete-flag-oriented":
-        step = _FLAG_ROOTS[space.family][1]
-        return ClosedFormSeries.from_factors(
-            num=tuple(step * i for i in range(2, n + 1)), den=(step,) * (n - 1)
-        )
-    if space.variant == "odd":
-        return ClosedFormSeries.from_factors(num=tuple(4 * i for i in range(1, n + 1)), den=(2,) * n)
-    series = ClosedFormSeries.one()
-    for i in range(2, n + 1):
-        series = series * ClosedFormSeries.one_plus(2 * i - 2)
-        series = series * ClosedFormSeries.from_factors(num=(2 * i,), den=(2,))
-    return series
+    return pres, closed_form(space), BasisFamily(gens, tuple(parts))
 
 
 def default_cutoff(space: SpaceDescriptor, pres: RingPresentation | None = None) -> int:

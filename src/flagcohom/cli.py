@@ -137,9 +137,12 @@ def _build_space_job(sub, path, cutoff) -> BuiltJob:
 
 
 def _check_size(space: SpaceDescriptor) -> None:
-    """Refuse a space whose presentation would take long to build."""
+    """Refuse a space whose presentation would take long to build. n is
+    tested first, since the top degree costs O(n^2) to derive."""
+    if space.n > MAX_SPACE_SIZE:
+        raise ValueError(f"{space.label} is too large: n = {space.n} must be at most {MAX_SPACE_SIZE}")
     top = catalog.top_degree(space)
-    if max(space.n, top) > MAX_SPACE_SIZE:
+    if top > MAX_SPACE_SIZE:
         raise ValueError(
             f"{space.label} is too large: n = {space.n} and top degree {top} "
             f"must be at most {MAX_SPACE_SIZE}"
@@ -174,15 +177,25 @@ def _build_bundle_job(sub, path, cutoff) -> BuiltJob:
     suffix = _field(sub, path, "suffix", str, required=False, default="")
     if ext not in extension.BUNDLE_EXTENSIONS:
         raise ConfigError(f"{path}.extension", f"unknown extension {ext!r}")
-    k = _field(sub, path, "k", int) if ext in ("grassmannian", "odd-grassmannian") else None
+    k = _read_if(ext in ("grassmannian", "odd-grassmannian"), sub, path, ext, "k", int)
     fibre = extension.fibre(ext, kind, rank, k)
     _check_size(fibre)
-    full = _field(sub, path, "full", bool, required=False, default=False) if ext == "flag" else False
+    full = _read_if(ext == "flag", sub, path, ext, "full", bool, required=False, default=False)
     ring = extension.extend(bundle, ext, k, suffix, full, cutoff)
     # no closed form is recorded for the odd Grassmannian extension
     if base_job.series is None or ext == "odd-grassmannian":
         return BuiltJob(ring)
-    return BuiltJob(ring, base_job.series * catalog.build_space(fibre)[1])
+    return BuiltJob(ring, base_job.series * catalog.closed_form(fibre))
+
+
+def _read_if(reads: bool, sub, path, ext, key, kind, **options):
+    """The field if the extension reads it. If it does not, the field must
+    be absent, and the result is the default."""
+    if reads:
+        return _field(sub, path, key, kind, **options)
+    if key in sub:
+        raise ConfigError(f"{path}.{key}", f"the {ext} extension takes no {key}")
+    return options.get("default")
 
 
 def _build_tower_job(sub, path, cutoff) -> BuiltJob:
@@ -210,7 +223,7 @@ def _build_tower_job(sub, path, cutoff) -> BuiltJob:
         _check_size(fibre)
         ring = extension.bott_tower([stage], base=ring, start_index=i + 1)
         if series is not None:
-            series = series * catalog.build_space(fibre)[1]
+            series = series * catalog.closed_form(fibre)
     if cutoff is not None:
         ring = QuotientRing(ring.presentation, cutoff)
     return BuiltJob(ring, series)
@@ -222,6 +235,10 @@ def _build_pushout_job(sub, path, cutoff) -> BuiltJob:
     e0 = build_job(_field(sub, path, "e0", dict), f"{path}.e0").ring
     map_b1 = _field(sub, path, "map_b1", dict, required=False, default={})
     map_e0 = _field(sub, path, "map_e0", dict, required=False, default={})
+    for key, images in (("map_b1", map_b1), ("map_e0", map_e0)):
+        for name, value in images.items():
+            if not (isinstance(value, str) or _is_int(value)):
+                raise ConfigError(f"{path}.{key}.{name}", "expected an expression string or an integer")
     return BuiltJob(extension.ring_pushout(b0, b1, e0, map_b1, map_e0, cutoff=cutoff))
 
 

@@ -2,8 +2,9 @@
 
 Grammar: sums of products of generator names, integer literals and
 parenthesized subexpressions, with `^` (or `**`) powers and `/` restricted
-to division by integer literals. Every name must be declared in the
-generator universe the expression is parsed against.
+to division by nonzero integer literals. Every name must be declared in
+the generator universe the expression is parsed against. Parentheses and
+unary signs nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ import re
 from fractions import Fraction
 
 from .algebra import GradedElement, Generators
+
+# deepest nesting of parentheses and unary signs; the parser recurses once
+# per level, so deeper input would exhaust the interpreter's stack
+MAX_NESTING = 100
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -54,6 +59,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -62,6 +68,15 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def nested(self, pos: int, parse):
+        """parse() one nesting level deeper, refusing input past MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ElementSyntaxError(self.text, pos, f"nesting deeper than {MAX_NESTING}")
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def expect_op(self, op: str):
         kind, value, pos = self.take()
@@ -98,6 +113,8 @@ class _Parser:
                 k, v, p = self.take()
                 if k != "int":
                     raise ElementSyntaxError(self.text, p, "can only divide by an integer literal")
+                if int(v) == 0:
+                    raise ElementSyntaxError(self.text, p, "division by zero")
                 value = value / Fraction(int(v))
             else:
                 return value
@@ -106,7 +123,7 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "op" and value in "+-":
             self.take()
-            inner = self.atom()
+            inner = self.nested(pos, self.atom)
             return inner if value == "+" else -inner
         base = self.base()
         while True:
@@ -127,7 +144,7 @@ class _Parser:
         if kind == "name":
             return self.gens.gen(value)
         if kind == "op" and value == "(":
-            inner = self.expr()
+            inner = self.nested(pos, self.expr)
             self.expect_op(")")
             return inner
         raise ElementSyntaxError(self.text, pos, "expected a name, number or '('")

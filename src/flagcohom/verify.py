@@ -81,15 +81,16 @@ def suite_odd_identity(max_n: int) -> list[CheckResult]:
     checks = []
     for n in range(min(max_n, 3) + 1):
         for k in range(n + 1):
+            space = SpaceDescriptor("odd-real-grassmannian", k, n)
             stated = odd_grassmannian_series(k, n)
             product = ClosedFormSeries.one_plus(2 * n + 1) * real_even_grassmannian_series(k, n)
-            top = 4 * k * (n - k) + 2 * n + 1
+            top = catalog.top_degree(space)
             sym = stated.symbolic_equal(product)
             num = stated.truncate(top) == product.truncate(top)
             label = f"G_{2 * k + 1}(R^{2 * n + 2})"
             checks.append(CheckResult(f"odd factorization {label}: symbolic", sym))
             checks.append(CheckResult(f"odd factorization {label}: numeric", num))
-            ring = catalog.build_ring(SpaceDescriptor("odd-real-grassmannian", k, n))
+            ring = catalog.build_ring(space)
             ok = series_from_ring(ring, top) == stated.truncate(top)
             checks.append(CheckResult(f"odd engine dims {label}", ok))
     return checks
@@ -156,7 +157,7 @@ def suite_equivariant(max_n: int) -> list[CheckResult]:
     rank, cutoff = 2, 8
     ring = extension.equivariant_space("complex", rank, "flag", cutoff=cutoff)
     flag = SpaceDescriptor("complete-flag-complex", 0, rank)
-    fibre = catalog.build_space(flag)[1].truncate(cutoff)
+    fibre = catalog.closed_form(flag).truncate(cutoff)
     borel = ClosedFormSeries.from_factors(den=(2,) * rank).truncate(cutoff)
     ok = series_from_ring(ring, cutoff) == borel.convolve(fibre)
     checks.append(CheckResult(f"equivariant flag rank {rank}: dims = Borel convolution", ok))

@@ -23,6 +23,7 @@ from flagcohom import (
 from flagcohom import algebra, linalg
 from flagcohom.algebra import _elimination_key, degree_matrix, relation_rows
 from flagcohom.catalog import default_cutoff
+from flagcohom.expressions import MAX_NESTING, ElementSyntaxError
 from flagcohom.verify import _catalog_descriptors
 
 from _oracles import (
@@ -118,6 +119,27 @@ def test_homogeneous_components_reassemble():
         assert comp.is_homogeneous()
         total = total + comp
     assert total == el
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("x/0", "division by zero at position 2"),
+     ("(" * 101 + "x" + ")" * 101, "nesting deeper than 100 at position 100"),
+     ("-" * 101 + "x", "nesting deeper than 100 at position 100"),
+     ("(" * 1000 + "x" + ")" * 1000, "nesting deeper than 100 at position 100")],
+    ids=["divide-by-zero", "parentheses-101", "signs-101", "parentheses-1000"],
+)
+def test_parse_refuses_division_by_zero_and_deep_nesting(text, message):
+    gens = Generators([GeneratorSymbol("x", 2)])
+    with pytest.raises(ElementSyntaxError, match=message):
+        gens.parse(text)
+
+
+def test_parse_accepts_nesting_at_the_limit():
+    gens = Generators([GeneratorSymbol("x", 2)])
+    x = gens.gen("x")
+    assert gens.parse("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == x
+    assert gens.parse("-" * MAX_NESTING + "x") == x  # an even number of signs
 
 
 def element_strategy(gens, max_degree=10):

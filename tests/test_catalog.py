@@ -1,5 +1,7 @@
 """Catalog presentations, characteristic families and verify_space."""
 
+import math
+
 import pytest
 
 from flagcohom import (
@@ -12,8 +14,11 @@ from flagcohom import (
     verify_space,
 )
 from flagcohom.catalog import VARIANTS, default_cutoff
+from flagcohom.verify import _catalog_descriptors
 
-from _oracles import quotient_dimension
+from _oracles import monomials, quotient_dimension
+
+CATALOG_RINGS = list(dict.fromkeys(_catalog_descriptors(4)))
 
 
 def test_descriptor_validation():
@@ -140,6 +145,46 @@ def test_top_degree_values():
     assert top_degree(SpaceDescriptor("oriented-grassmannian", 1, 2, "even-odd")) == 6
     assert top_degree(SpaceDescriptor("complete-flag-oriented", 0, 2, "odd")) == 8
     assert top_degree(SpaceDescriptor("projective-space-real", 0, 3)) == 0
+
+
+def test_top_degree_is_the_last_nonzero_degree():
+    # with g the largest generator degree, a ring that is zero in degrees
+    # top+1..top+g is zero in every degree above top
+    assert len(CATALOG_RINGS) == 130
+    for desc in CATALOG_RINGS:
+        top = top_degree(desc)
+        g = max(build_space(desc)[0].generators.degrees, default=0)
+        ring = build_ring(desc, top + g)
+        assert ring.dimension(top) > 0, desc.label
+        assert [ring.dimension(d) for d in range(top + 1, top + g + 1)] == [0] * g, desc.label
+
+
+def test_standard_monomials_of_a_sympy_groebner_basis_count_the_dimensions():
+    # an oracle outside the engine: for any monomial order, the monomials
+    # outside the leading-term ideal of a Groebner basis are a basis of the
+    # quotient, degree by degree
+    sympy = pytest.importorskip("sympy", reason="the Groebner-basis oracle needs sympy (the test extra)")
+    even = [d for d in CATALOG_RINGS if all(g % 2 == 0 for g in build_space(d)[0].generators.degrees)]
+    assert len(even) == 110
+    for desc in even:
+        ring = build_ring(desc)
+        degrees = list(ring.gens.degrees)
+        xs = sympy.symbols(f"x0:{len(degrees)}")
+        relations = [
+            sum(sympy.Rational(c.numerator, c.denominator) * math.prod(x ** e for x, e in zip(xs, exps))
+                for exps, c in r.terms.items())
+            for r in ring.presentation.relations
+        ]
+        leads = []
+        if relations:
+            basis = sympy.groebner(relations, *xs, order="grevlex")
+            leads = [p.monoms(order="grevlex")[0] for p in basis.polys]
+        standard = [
+            sum(not any(all(e >= l for e, l in zip(exps, lead)) for lead in leads)
+                for exps in monomials(degrees, d))
+            for d in range(ring.cutoff + 1)
+        ]
+        assert standard == ring.dimensions(ring.cutoff), desc.label
 
 
 def test_oracle_dimensions_for_oriented_space():

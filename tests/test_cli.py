@@ -3,9 +3,11 @@ round trip."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,12 +17,14 @@ from flagcohom.cli import presentation_doc, presentation_from_doc
 
 
 def run_cli(*args, config=None, tmp_path=None):
+    """Run the CLI of the imported package in a subprocess."""
     argv = [sys.executable, "-m", "flagcohom.cli", *args]
     if config is not None:
         path = tmp_path / "job.json"
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
-    return subprocess.run(argv, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
 
 
 def test_present_complex_grassmannian():
@@ -117,25 +121,31 @@ FLAG_40 = {"bundle": {"base": {"space": {"family": "point"}}, "kind": "complex",
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, config, error",
     [
-        ([], {"space": {"family": "complex-grassmannian", "k": 2, "n": 100000}}),
-        (["complete-flag-complex", "-n", "30"], None),
-        ([], FLAG_40),
-        ([], {"tower": {"stages": [{"extension": "complete-flag", "rank": 40}]}}),
+        ([], {"space": {"family": "complex-grassmannian", "k": 2, "n": 100000}},
+         "config.space: G_2(C^100000) is too large: n = 100000 must be at most 256"),
+        (["complete-flag-complex", "-n", "30"], None, "top degree 870 must be at most 256"),
+        ([], FLAG_40, "top degree 1560 must be at most 256"),
+        ([], {"tower": {"stages": [{"extension": "complete-flag", "rank": 40}]}},
+         "top degree 1560 must be at most 256"),
+        (["complex-grassmannian", "-k", "2", "-n", "67"], None, "top degree 260 must be at most 256"),
+        (["complete-flag-complex", "-n", "17"], None, "top degree 272 must be at most 256"),
     ],
-    ids=["space-n", "space-top-degree", "bundle-fibre", "tower-stage"],
+    ids=["space-n", "space-top-degree", "bundle-fibre", "tower-stage", "G_2(C^67)", "Fl(C^17)"],
 )
-def test_oversized_spaces_fail_fast(argv, config, tmp_path, capsys):
+def test_oversized_spaces_fail_fast(argv, config, error, tmp_path, capsys):
     code, seconds, captured = present_in_process(argv, config, tmp_path, capsys)
     assert code == 2
     assert seconds < 1
-    assert f"must be at most {cli.MAX_SPACE_SIZE}" in captured.err
+    assert error in captured.err
     assert captured.out == ""
 
 
 @pytest.mark.parametrize(
-    "argv", [["complete-flag-complex", "-n", "12"], ["complex-grassmannian", "-k", "2", "-n", "20"]]
+    "argv",
+    [["complete-flag-complex", "-n", "12"], ["complex-grassmannian", "-k", "2", "-n", "20"],
+     ["complex-grassmannian", "-k", "2", "-n", "66"]],
 )
 def test_spaces_within_the_size_limit_build(argv, tmp_path, capsys):
     code, _, captured = present_in_process(argv, None, tmp_path, capsys)
@@ -479,6 +489,45 @@ def test_config_errors_name_the_sub_document(argv, config, error, tmp_path, caps
     code, _, captured = present_in_process(argv, config, tmp_path, capsys)
     assert code == 2
     assert captured.err == f"config error: {error}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "extension, extra, error",
+    [("flag", {"k": 7}, "config.bundle.k: the flag extension takes no k"),
+     ("projectivize", {"k": 2}, "config.bundle.k: the projectivize extension takes no k"),
+     ("grassmannian", {"k": 1, "full": "yes"}, "config.bundle.full: the grassmannian extension takes no full")],
+    ids=["flag-k", "projectivize-k", "grassmannian-full"],
+)
+def test_bundle_rejects_fields_its_extension_does_not_read(extension, extra, error, tmp_path, capsys):
+    config = bundle_doc(POINT, "complex", 3, "1", extension, **extra)
+    code, _, captured = present_in_process([], config, tmp_path, capsys)
+    assert code == 2
+    assert captured.err == f"config error: {error}\n"
+    assert captured.out == ""
+
+
+H_RING = {"presentation": {"generators": [["h", 2]]}, "cutoff": 4}
+
+
+def pushout_doc(image):
+    return {"pushout": {"b0": H_RING, "b1": POINT, "e0": H_RING, "map_b1": {"h": image}, "map_e0": {"h": "h"}}}
+
+
+@pytest.mark.parametrize(
+    "config, error",
+    [({"presentation": {"generators": [["x", 2]], "relations": ["x/0"]}, "cutoff": 2},
+      "config.presentation.relations[0][0]: division by zero at position 2"),
+     ({"presentation": {"generators": [["x", 2]], "relations": ["(" * 1000 + "x" + ")" * 1000]}, "cutoff": 2},
+      "config.presentation.relations[0][0]: nesting deeper than 100 at position 100"),
+     (pushout_doc([1]), "config.pushout.map_b1.h: expected an expression string or an integer"),
+     (pushout_doc(None), "config.pushout.map_b1.h: expected an expression string or an integer")],
+    ids=["divide-by-zero", "deep-nesting", "map-list", "map-null"],
+)
+def test_malformed_input_exits_2_without_a_traceback(config, error, tmp_path, capsys):
+    code, _, captured = present_in_process([], config, tmp_path, capsys)
+    assert code == 2
+    assert captured.err.startswith(f"config error: {error}")
     assert captured.out == ""
 
 
