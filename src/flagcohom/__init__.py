@@ -20,6 +20,7 @@ from .catalog import (
     build_ring,
     build_space,
     characteristic_basis_monomials,
+    closed_form,
     top_degree,
     verify_space,
 )
@@ -41,19 +42,7 @@ from .extension import (
     zero_generators,
 )
 from .linalg import BACKEND
-from .series import (
-    ClosedFormSeries,
-    TruncatedSeries,
-    complex_grassmannian_series,
-    leray_hirsch_product,
-    odd_grassmannian_series,
-    oriented_series,
-    palindrome_check,
-    real_even_grassmannian_series,
-    series_from_ring,
-    substitute_t_squared,
-    truncate,
-)
+from .series import ClosedFormSeries, TruncatedSeries, palindrome_check, series_from_ring
 
 __version__ = "0.1.0"
 
@@ -79,26 +68,20 @@ __all__ = [
     "build_ring",
     "build_space",
     "characteristic_basis_monomials",
-    "complex_grassmannian_series",
+    "closed_form",
     "equivariant_base",
     "equivariant_space",
     "flag_bundle",
     "grassmannian_bundle",
-    "leray_hirsch_product",
     "make_presentation",
     "odd_grassmannian_bundle",
-    "odd_grassmannian_series",
-    "oriented_series",
     "palindrome_check",
     "point_ring",
     "projectivization",
-    "real_even_grassmannian_series",
     "ring_pushout",
     "series_from_ring",
     "sphere_bundle",
-    "substitute_t_squared",
     "top_degree",
-    "truncate",
     "verify_space",
     "whitney_complement",
     "zero_generators",

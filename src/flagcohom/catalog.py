@@ -22,14 +22,7 @@ from .algebra import (
     RingPresentation,
     make_presentation,
 )
-from .series import (
-    ClosedFormSeries,
-    complex_grassmannian_series,
-    odd_grassmannian_series,
-    oriented_series,
-    real_even_grassmannian_series,
-    series_from_ring,
-)
+from .series import ClosedFormSeries, series_from_ring
 from . import linalg
 
 FAMILIES = (
@@ -51,6 +44,9 @@ FAMILIES = (
 # (subspace, ambient) = even-even (2k, 2n), even-odd (2k, 2n+1),
 # odd-odd (2k+1, 2n+1)
 VARIANTS = ("even-even", "even-odd", "odd-odd")
+
+# the oriented Grassmannian's k range by variant, as (lowest k, n - highest k)
+ORIENTED_K_RANGE = {"even-even": (1, 1), "even-odd": (1, 0), "odd-odd": (0, 1)}
 
 # the families that read k, and those that read a variant
 _READS_K = ("complex-grassmannian", "real-grassmannian-even", "oriented-grassmannian",
@@ -97,7 +93,8 @@ class SpaceDescriptor:
         elif f == "oriented-grassmannian":
             if v not in VARIANTS:
                 raise ValueError(f"{f}: variant must be one of {VARIANTS}, got {v!r}")
-            lo, hi = {"even-even": (1, n - 1), "even-odd": (1, n), "odd-odd": (0, n - 1)}[v]
+            lo, gap = ORIENTED_K_RANGE[v]
+            hi = n - gap
             if not lo <= k <= hi:
                 raise ValueError(f"{f} ({v}): need {lo} <= k <= {hi}, got k={k}, n={n}")
         elif f in ("complete-flag-complex", "complete-flag-real", "complete-flag-oriented"):
@@ -269,35 +266,56 @@ def fibre_relations(
     return relations
 
 
+def _borel(step: int, n: int, blocks) -> ClosedFormSeries:
+    """Borel's quotient for block ranks r_j summing to n:
+    prod_{i<=n}(1-t^(step*i)) / prod_j prod_{i<=r_j}(1-t^(step*i)), with
+    step 2 for Chern classes and 4 for Pontryagin classes."""
+    return ClosedFormSeries.from_factors(
+        num=tuple(step * i for i in range(1, n + 1)),
+        den=tuple(step * i for r in blocks for i in range(1, r + 1)),
+    )
+
+
 def closed_form(space: SpaceDescriptor) -> ClosedFormSeries:
     """The space's Poincare polynomial: the one statement of each family's
-    series, read by build_space, top_degree and the CLI's bundle series."""
+    series, read by build_space, top_degree and the CLI's bundle series.
+
+    Flag-type families are Borel quotients of their block ranks: CP^(n-1)
+    is (1, n-1), a Grassmannian (k, n-k) (RP^2n the real k = 0 case), a
+    complete flag (1, ..., 1). The odd Grassmannians, and the oriented ones
+    with an odd-rank side, multiply theirs by the 1 + t^s of the odd or
+    Euler class; the even-even oriented Grassmannian is a three-term sum.
+    """
     f, k, n, v = space.family, space.k, space.n, space.variant
-    if f in ("point", "projective-space-real"):
+    if f == "point":
         return ClosedFormSeries.one()
-    if f == "projective-space-complex":
-        return ClosedFormSeries.from_factors(num=(2 * n,), den=(2,))
     if f == "sphere":
         return ClosedFormSeries.one_plus(2 * n)
-    if f == "complex-grassmannian":
-        return complex_grassmannian_series(k, n)
-    if f == "real-grassmannian-even":
-        return real_even_grassmannian_series(k, n)
-    if f == "oriented-grassmannian":
-        return oriented_series(v, k, n)
+    if f == "complete-flag-oriented":
+        # (1-t^4)...(1-t^(4n-4)) (1-t^2n) / (1-t^2)^n; odd ambient rank ends in (1-t^4n)
+        last = 4 * n if v == "odd" else 2 * n
+        return ClosedFormSeries.from_factors(num=tuple(4 * i for i in range(1, n)) + (last,), den=(2,) * n)
+    if f == "projective-space-complex":
+        return _borel(2, n, (1, n - 1))
+    if f == "projective-space-real":
+        return _borel(4, n, (0, n))  # build_space's G_1(R^(2n+1))
+    step = 2 if f in ("complex-grassmannian", "complete-flag-complex") else 4
+    if f in _FLAG_ROOTS:
+        return _borel(step, n, (1,) * n)
+    series = _borel(step, n, (k, n - k))
     if f in ("odd-real-grassmannian", "odd-oriented-grassmannian"):
-        return odd_grassmannian_series(k, n)
-    if f != "complete-flag-oriented":
-        step = _FLAG_ROOTS[f][1]
-        num = tuple(step * i for i in range(2, n + 1))
-        return ClosedFormSeries.from_factors(num=num, den=(step,) * (n - 1))
-    if v == "odd":
-        return ClosedFormSeries.from_factors(num=tuple(4 * i for i in range(1, n + 1)), den=(2,) * n)
-    series = ClosedFormSeries.one()
-    for i in range(2, n + 1):
-        series = series * ClosedFormSeries.one_plus(2 * i - 2)
-        series = series * ClosedFormSeries.from_factors(num=(2 * i,), den=(2,))
-    return series
+        return ClosedFormSeries.one_plus(2 * n + 1) * series
+    if f != "oriented-grassmannian":
+        return series
+    if v == "even-odd":
+        return ClosedFormSeries.one_plus(2 * k) * series
+    if v == "odd-odd":
+        return ClosedFormSeries.one_plus(2 * (n - k)) * series
+    return (
+        series
+        + ClosedFormSeries.monomial(2 * k) * _borel(4, n - 1, (k, n - 1 - k))
+        + ClosedFormSeries.monomial(2 * n - 2 * k) * _borel(4, n - 1, (k - 1, n - k))
+    )
 
 
 def build_space(space: SpaceDescriptor):
@@ -453,14 +471,19 @@ def verify_space(space: SpaceDescriptor, cutoff: int | None = None) -> VerifyRep
 
 
 def _independent(ring: QuotientRing, monomials) -> bool:
-    """Whether the residues of the monomials are linearly independent."""
+    """Whether the residues of the monomials are linearly independent. In
+    its degree's table a basis monomial is a unit row, a pivot its rewrite
+    row (scaling by the lead keeps the rank), a zero degree's an empty row."""
     if not monomials:
         return True
-    d = monomials[0].degree
-    basis_index = {m: i for i, m in enumerate(e for e in ring._table(d).basis)}
+    table = ring._table(monomials[0].degree)
+    column = {e: i for i, e in enumerate(table.basis)}
     rows = []
     for mono in monomials:
-        nf = ring.normal_form(mono.as_element())
-        entries = sorted((basis_index[e], c) for e, c in nf.terms.items())
-        rows.append(linalg.integer_row(entries))
+        if not table.basis:
+            rows.append([])
+        elif mono.exps in table.rewrite:
+            rows.append(sorted((column[e], v) for e, v in table.rewrite[mono.exps][1]))
+        else:
+            rows.append([(column[mono.exps], 1)])
     return linalg.rank(rows) == len(monomials)

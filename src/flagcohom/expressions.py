@@ -4,7 +4,8 @@ Grammar: sums of products of generator names, integer literals and
 parenthesized subexpressions, with `^` (or `**`) powers and `/` restricted
 to division by nonzero integer literals. Every name must be declared in
 the generator universe the expression is parsed against. Parentheses and
-unary signs nest at most MAX_NESTING deep.
+unary signs nest at most MAX_NESTING deep, and a literal exponent is at
+most MAX_EXPONENT.
 """
 
 from __future__ import annotations
@@ -18,6 +19,14 @@ from .algebra import GradedElement, Generators
 # per level, so deeper input would exhaust the interpreter's stack
 MAX_NESTING = 100
 
+# largest literal exponent: the largest top degree the CLI builds; a power
+# costs one multiplication per unit of its exponent
+MAX_EXPONENT = 256
+
+# an error message quotes inputs up to this length whole, and a window of
+# this width around the position of longer ones
+QUOTE_WIDTH = 80
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>\*\*|[()+\-*/^]))"
@@ -28,7 +37,12 @@ class ElementSyntaxError(ValueError):
     """Raised for malformed element expressions, with a position."""
 
     def __init__(self, text: str, pos: int, message: str):
-        super().__init__(f"{message} at position {pos}: {text!r}")
+        quoted = repr(text)
+        if len(text) > QUOTE_WIDTH:
+            start = max(0, min(pos - QUOTE_WIDTH // 2, len(text) - QUOTE_WIDTH))
+            end = start + QUOTE_WIDTH
+            quoted = f"{'...' if start else ''}{text[start:end]!r}{'...' if end < len(text) else ''}"
+        super().__init__(f"{message} at position {pos}: {quoted}")
         self.pos = pos
 
 
@@ -133,7 +147,10 @@ class _Parser:
                 k, v, p = self.take()
                 if k != "int":
                     raise ElementSyntaxError(self.text, p, "exponent must be an integer literal")
-                base = base ** int(v)
+                exponent = int(v)
+                if exponent > MAX_EXPONENT:
+                    raise ElementSyntaxError(self.text, p, f"exponent above {MAX_EXPONENT}")
+                base = base ** exponent
             else:
                 return base
 

@@ -9,8 +9,7 @@ its leading value.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 # The row kernel is pure Python; the constant stays in the public API, and
 # benchmark records carry it.
@@ -94,20 +93,6 @@ def rref(rows: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
         pivots[col] = row
 
     return [pivots[c] for c in sorted(pivots)]
-
-
-def integer_row(entries: list[tuple[int, Fraction]]) -> list[tuple[int, int]]:
-    """Clear denominators and strip the content of a sorted sparse row."""
-    if not entries:
-        return []
-    mult = lcm(*(c.denominator for _, c in entries)) if len(entries) > 1 else entries[0][1].denominator
-    row = [(col, int(c * mult)) for col, c in entries]
-    g = 0
-    for _, v in row:
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    return [(col, v // g) for col, v in row]
 
 
 def rank(rows: list[list[tuple[int, int]]]) -> int:

@@ -1,11 +1,12 @@
-"""Poincare series: closed forms as factored rational terms, plus exact
-truncated expansions.
+"""Poincare series algebra: closed forms as factored rational terms, plus
+exact truncated expansions.
 
 A closed form is a sum of terms coeff * t^shift * prod(1-t^a)/prod(1-t^b).
 Binomial factors fold into this shape via 1+t^s = (1-t^2s)/(1-t^s), so the
 catalog formulas are mostly single terms and identities can be checked both
 symbolically (normalized factor multisets) and numerically (coefficients up
-to a cutoff).
+to a cutoff). The families' formulas themselves are stated once, in
+catalog.closed_form.
 """
 
 from __future__ import annotations
@@ -137,14 +138,6 @@ class ClosedFormSeries:
         """Equality of normalized factor forms (no expansion involved)."""
         return self.terms == other.terms
 
-    def substitute_t_squared(self) -> ClosedFormSeries:
-        return ClosedFormSeries(
-            [
-                _Term(t.coeff, 2 * t.shift, tuple(2 * a for a in t.num), tuple(2 * b for b in t.den))
-                for t in self.terms
-            ]
-        )
-
     # -- expansion -----------------------------------------------------------
 
     def truncate(self, n: int) -> TruncatedSeries:
@@ -188,68 +181,6 @@ class ClosedFormSeries:
 
     def __repr__(self) -> str:
         return f"ClosedFormSeries({self})"
-
-
-def truncate(series: ClosedFormSeries, n: int) -> TruncatedSeries:
-    return series.truncate(n)
-
-
-def substitute_t_squared(series: ClosedFormSeries) -> ClosedFormSeries:
-    return series.substitute_t_squared()
-
-
-def leray_hirsch_product(base: ClosedFormSeries, fibre: ClosedFormSeries) -> ClosedFormSeries:
-    """Series of a free ring extension: the product of base and fibre series."""
-    return base * fibre
-
-
-def complex_grassmannian_series(k: int, n: int) -> ClosedFormSeries:
-    """prod_{i=1..n}(1-t^2i) over prod_{i<=k}(1-t^2i) * prod_{i<=n-k}(1-t^2i)."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    num = tuple(2 * i for i in range(1, n + 1))
-    den = tuple(2 * i for i in range(1, k + 1)) + tuple(2 * i for i in range(1, n - k + 1))
-    return ClosedFormSeries.from_factors(num=num, den=den)
-
-
-def real_even_grassmannian_series(k: int, n: int) -> ClosedFormSeries:
-    """All three even real Grassmannian variants share P(t) = P_complex(t^2)."""
-    return complex_grassmannian_series(k, n).substitute_t_squared()
-
-
-def oriented_series(kind: str, k: int, n: int) -> ClosedFormSeries:
-    """The three oriented even Grassmannian series, by ambient parity.
-
-    even-even: P_k,n(t^2) + t^2k * P_k,n-1(t^2) + t^(2n-2k) * P_k-1,n-1(t^2)
-    even-odd:  (1 + t^2k) * P_k,n(t^2)
-    odd-odd:   (1 + t^(2n-2k)) * P_k,n(t^2)
-    """
-    if kind == "even-even":
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"even-even case needs 1 <= k <= n-1, got k={k}, n={n}")
-        sq = real_even_grassmannian_series
-        return (
-            sq(k, n)
-            + ClosedFormSeries.monomial(2 * k) * sq(k, n - 1)
-            + ClosedFormSeries.monomial(2 * n - 2 * k) * sq(k - 1, n - 1)
-        )
-    if kind == "even-odd":
-        if not 1 <= k <= n:
-            raise ValueError(f"even-odd case needs 1 <= k <= n, got k={k}, n={n}")
-        return ClosedFormSeries.one_plus(2 * k) * real_even_grassmannian_series(k, n)
-    if kind == "odd-odd":
-        if not 0 <= k <= n - 1:
-            raise ValueError(f"odd-odd case needs 0 <= k <= n-1, got k={k}, n={n}")
-        return ClosedFormSeries.one_plus(2 * (n - k)) * real_even_grassmannian_series(k, n)
-    raise ValueError(f"unknown oriented kind {kind!r}")
-
-
-def odd_grassmannian_series(k: int, n: int) -> ClosedFormSeries:
-    """(1 + t^(2n+1)) times the even Grassmannian series, for both the plain
-    and the oriented odd-dimensional Grassmannian."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return ClosedFormSeries.one_plus(2 * n + 1) * real_even_grassmannian_series(k, n)
 
 
 def series_from_ring(ring, n: int) -> TruncatedSeries:

@@ -8,14 +8,8 @@ module runs the same identities at the full documented parameter ranges.
 from __future__ import annotations
 
 from . import catalog, extension
-from .catalog import CheckResult, SpaceDescriptor, verify_space
-from .series import (
-    ClosedFormSeries,
-    complex_grassmannian_series,
-    odd_grassmannian_series,
-    real_even_grassmannian_series,
-    series_from_ring,
-)
+from .catalog import CheckResult, SpaceDescriptor, closed_form, verify_space
+from .series import ClosedFormSeries, series_from_ring
 
 
 def _catalog_descriptors(max_n: int):
@@ -28,8 +22,8 @@ def _catalog_descriptors(max_n: int):
                 yield SpaceDescriptor("real-grassmannian-even", k, n, variant)
     for n in range(1, max_n + 1):
         for variant in catalog.VARIANTS:
-            lo, hi = {"even-even": (1, n - 1), "even-odd": (1, n), "odd-odd": (0, n - 1)}[variant]
-            for k in range(lo, hi + 1):
+            lo, gap = catalog.ORIENTED_K_RANGE[variant]
+            for k in range(lo, n - gap + 1):
                 yield SpaceDescriptor("oriented-grassmannian", k, n, variant)
     for n in range(min(max_n, 3) + 1):
         for k in range(n + 1):
@@ -70,8 +64,8 @@ def suite_catalog(max_n: int) -> list[CheckResult]:
     # complex duality k <-> n-k at the level of closed forms
     for n in range(max_n + 1):
         for k in range(n // 2 + 1):
-            a = complex_grassmannian_series(k, n)
-            b = complex_grassmannian_series(n - k, n)
+            a = closed_form(SpaceDescriptor("complex-grassmannian", k, n))
+            b = closed_form(SpaceDescriptor("complex-grassmannian", n - k, n))
             ok = a.symbolic_equal(b) and a.truncate(2 * n) == b.truncate(2 * n)
             checks.append(CheckResult(f"complex duality G_{k} vs G_{n - k} in C^{n}", ok))
     return checks
@@ -82,8 +76,9 @@ def suite_odd_identity(max_n: int) -> list[CheckResult]:
     for n in range(min(max_n, 3) + 1):
         for k in range(n + 1):
             space = SpaceDescriptor("odd-real-grassmannian", k, n)
-            stated = odd_grassmannian_series(k, n)
-            product = ClosedFormSeries.one_plus(2 * n + 1) * real_even_grassmannian_series(k, n)
+            stated = closed_form(space)
+            even = closed_form(SpaceDescriptor("real-grassmannian-even", k, n))
+            product = ClosedFormSeries.one_plus(2 * n + 1) * even
             top = catalog.top_degree(space)
             sym = stated.symbolic_equal(product)
             num = stated.truncate(top) == product.truncate(top)
@@ -107,7 +102,7 @@ def suite_extensions(max_n: int) -> list[CheckResult]:
     n = min(ring.cutoff, 10)
     got = series_from_ring(ring, n)
     expected = series_from_ring(base, base.cutoff).convolve(
-        complex_grassmannian_series(1, 3).truncate(n), cutoff=None
+        closed_form(SpaceDescriptor("complex-grassmannian", 1, 3)).truncate(n), cutoff=None
     )
     ok = all(got[d] == expected[d] for d in range(min(n, expected.cutoff) + 1))
     checks.append(CheckResult("Leray-Hirsch product over CP^2 base", ok))
@@ -157,7 +152,7 @@ def suite_equivariant(max_n: int) -> list[CheckResult]:
     rank, cutoff = 2, 8
     ring = extension.equivariant_space("complex", rank, "flag", cutoff=cutoff)
     flag = SpaceDescriptor("complete-flag-complex", 0, rank)
-    fibre = catalog.closed_form(flag).truncate(cutoff)
+    fibre = closed_form(flag).truncate(cutoff)
     borel = ClosedFormSeries.from_factors(den=(2,) * rank).truncate(cutoff)
     ok = series_from_ring(ring, cutoff) == borel.convolve(fibre)
     checks.append(CheckResult(f"equivariant flag rank {rank}: dims = Borel convolution", ok))

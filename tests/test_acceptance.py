@@ -20,23 +20,20 @@ from flagcohom import (
     bott_tower,
     build_ring,
     build_space,
-    complex_grassmannian_series,
+    closed_form,
     equivariant_space,
     grassmannian_bundle,
     make_presentation,
-    odd_grassmannian_series,
-    oriented_series,
     point_ring,
     projectivization,
-    real_even_grassmannian_series,
     ring_pushout,
     series_from_ring,
     top_degree,
     whitney_complement,
     zero_generators,
 )
-from flagcohom import TowerStage, leray_hirsch_product
-from flagcohom.catalog import VARIANTS, verify_space
+from flagcohom import TowerStage
+from flagcohom.catalog import ORIENTED_K_RANGE, VARIANTS, verify_space
 from flagcohom.series import ClosedFormSeries
 
 
@@ -71,7 +68,7 @@ def test_criterion_1_complex_catalog_agreement():
         for k in range(n + 1):
             top = 2 * k * (n - k)
             r = ring("complex-grassmannian", k, n)
-            expected = complex_grassmannian_series(k, n).truncate(top)
+            expected = closed_form(SpaceDescriptor("complex-grassmannian", k, n)).truncate(top)
             assert dims(r, top) == list(expected.coefficients), (k, n)
 
 
@@ -96,7 +93,7 @@ def test_criterion_3_real_even():
         for k in range(1, n + 1):
             top = 4 * k * (n - k)
             r = ring("real-grassmannian-even", k, n, "even-even")
-            expected = real_even_grassmannian_series(k, n).truncate(top)
+            expected = closed_form(SpaceDescriptor("real-grassmannian-even", k, n)).truncate(top)
             assert dims(r, top) == list(expected.coefficients), (k, n)
             built = [
                 build_space(SpaceDescriptor("real-grassmannian-even", k, n, v))[0]
@@ -112,15 +109,13 @@ def test_criterion_4_oriented_even():
     for n in range(1, 5):
         for k in (1, 2):
             for variant in VARIANTS:
-                lo, hi = {"even-even": (1, n - 1), "even-odd": (1, n), "odd-odd": (0, n - 1)}[
-                    variant
-                ]
-                if not lo <= k <= hi:
+                lo, gap = ORIENTED_K_RANGE[variant]
+                if not lo <= k <= n - gap:
                     continue
                 desc = SpaceDescriptor("oriented-grassmannian", k, n, variant)
                 r = ring("oriented-grassmannian", k, n, variant)
                 top = top_degree(desc)
-                expected = oriented_series(variant, k, n).truncate(top)
+                expected = closed_form(desc).truncate(top)
                 assert dims(r, top) == list(expected.coefficients), (k, n, variant)
                 for rel in r.presentation.relations:
                     assert r.is_zero(rel), (k, n, variant, str(rel))
@@ -168,10 +163,9 @@ def test_criterion_5_worked_examples():
 def test_criterion_6_odd_grassmannians():
     for n in range(4):
         for k in range(n + 1):
-            stated = odd_grassmannian_series(k, n)
-            product = leray_hirsch_product(
-                ClosedFormSeries.one_plus(2 * n + 1), real_even_grassmannian_series(k, n)
-            )
+            stated = closed_form(SpaceDescriptor("odd-real-grassmannian", k, n))
+            even = closed_form(SpaceDescriptor("real-grassmannian-even", k, n))
+            product = ClosedFormSeries.one_plus(2 * n + 1) * even
             assert stated.symbolic_equal(product), (k, n)
             top = 4 * k * (n - k) + 2 * n + 1
             assert stated.truncate(top) == product.truncate(top), (k, n)
@@ -204,7 +198,7 @@ def test_criterion_7_bundle_extensions():
                 upto = base.cutoff
                 got = series_from_ring(r, upto)
                 expected = series_from_ring(base, upto).convolve(
-                    complex_grassmannian_series(k, rank).truncate(upto)
+                    closed_form(SpaceDescriptor("complex-grassmannian", k, rank)).truncate(upto)
                 )
                 assert got == expected, (m, rank, k)
 
@@ -337,8 +331,8 @@ def test_criterion_catalog_sweep():
             for v in VARIANTS:
                 descriptors.append(SpaceDescriptor("real-grassmannian-even", k, n, v))
         for v in VARIANTS:
-            lo, hi = {"even-even": (1, n - 1), "even-odd": (1, n), "odd-odd": (0, n - 1)}[v]
-            for k in range(lo, hi + 1):
+            lo, gap = ORIENTED_K_RANGE[v]
+            for k in range(lo, n - gap + 1):
                 descriptors.append(SpaceDescriptor("oriented-grassmannian", k, n, v))
         descriptors.append(SpaceDescriptor("complete-flag-complex", 0, n))
         descriptors.append(SpaceDescriptor("complete-flag-real", 0, n, "even"))

@@ -1,5 +1,6 @@
 """Element arithmetic, presentations and quotient normal forms."""
 
+import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -25,6 +26,11 @@ from flagcohom.algebra import _elimination_key, degree_matrix, relation_rows
 from flagcohom.catalog import default_cutoff
 from flagcohom.expressions import MAX_NESTING, ElementSyntaxError
 from flagcohom.verify import _catalog_descriptors
+
+try:
+    import sympy
+except ImportError:  # the Groebner-basis oracle is skipped without it
+    sympy = None
 
 from _oracles import (
     ReferenceQuotient,
@@ -133,6 +139,13 @@ def test_parse_refuses_division_by_zero_and_deep_nesting(text, message):
     gens = Generators([GeneratorSymbol("x", 2)])
     with pytest.raises(ElementSyntaxError, match=message):
         gens.parse(text)
+
+
+def test_parse_bounds_literal_exponents():
+    gens = Generators([GeneratorSymbol("x", 2)])
+    assert gens.parse("x^256") == gens.gen("x") ** 256
+    with pytest.raises(ElementSyntaxError, match="exponent above 256 at position 2"):
+        gens.parse("x^257")
 
 
 def test_parse_accepts_nesting_at_the_limit():
@@ -512,3 +525,40 @@ def test_relation_rows_span_matches_quotient():
     for d in range(ring.cutoff + 1):
         for row in relation_rows(ring.presentation, d):
             assert ring.is_zero(GradedElement(ring.gens, row))
+
+
+@st.composite
+def even_presentations(draw):
+    """1-4 generators of degree 2 or 4, and 0-3 homogeneous relations of
+    degree at most 8 with coefficients in [-3, 3]."""
+    degrees = draw(st.lists(st.sampled_from((2, 4)), min_size=1, max_size=4))
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        d = draw(st.sampled_from([d for d in range(2, 9, 2) if monomials(degrees, d)]))
+        exps = monomials(degrees, d)
+        coefficients = draw(st.lists(st.integers(-3, 3), min_size=len(exps), max_size=len(exps)))
+        relations.append({e: c for e, c in zip(exps, coefficients) if c})
+    return degrees, relations
+
+
+@pytest.mark.skipif(sympy is None, reason="the Groebner-basis oracle needs sympy (the test extra)")
+@settings(max_examples=100, deadline=None)
+@given(even_presentations())
+def test_random_presentations_match_sympy_groebner_standard_monomials(presentation):
+    # the basis of a weighted-homogeneous ideal is weighted-homogeneous in any
+    # monomial order, so its standard monomials per degree count the quotient
+    degrees, relations = presentation
+    cutoff = 12
+    gens = Generators([GeneratorSymbol(f"x{i}", d) for i, d in enumerate(degrees)])
+    elements = [GradedElement(gens, {e: Fraction(c) for e, c in r.items()}) for r in relations]
+    ring = QuotientRing(make_presentation(gens, elements), cutoff)
+    xs = sympy.symbols(f"x0:{len(degrees)}")
+    polys = [sum(c * math.prod(x ** k for x, k in zip(xs, e)) for e, c in r.items()) for r in relations if r]
+    leads = []
+    if polys:
+        leads = [p.monoms(order="grevlex")[0] for p in sympy.groebner(polys, *xs, order="grevlex").polys]
+    standard = [
+        sum(not any(all(k >= l for k, l in zip(e, lead)) for lead in leads) for e in monomials(degrees, d))
+        for d in range(cutoff + 1)
+    ]
+    assert standard == ring.dimensions(cutoff)

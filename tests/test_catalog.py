@@ -5,6 +5,7 @@ import math
 import pytest
 
 from flagcohom import (
+    Monomial,
     SpaceDescriptor,
     build_ring,
     build_space,
@@ -13,7 +14,7 @@ from flagcohom import (
     top_degree,
     verify_space,
 )
-from flagcohom.catalog import VARIANTS, default_cutoff
+from flagcohom.catalog import VARIANTS, _independent, default_cutoff
 from flagcohom.verify import _catalog_descriptors
 
 from _oracles import monomials, quotient_dimension
@@ -25,9 +26,13 @@ def test_descriptor_validation():
     with pytest.raises(ValueError):
         SpaceDescriptor("complex-grassmannian", 3, 2)
     with pytest.raises(ValueError):
+        SpaceDescriptor("complex-grassmannian", 4, 3)
+    with pytest.raises(ValueError):
         SpaceDescriptor("oriented-grassmannian", 2, 2, "even-even")
     with pytest.raises(ValueError):
         SpaceDescriptor("oriented-grassmannian", 1, 2)  # variant required
+    with pytest.raises(ValueError):
+        SpaceDescriptor("oriented-grassmannian", 1, 2, "diagonal")
     with pytest.raises(ValueError):
         SpaceDescriptor("unknown-family", 1, 2)
 
@@ -130,6 +135,18 @@ def test_odd_grassmannian_family_prefixed_by_r():
     desc = SpaceDescriptor("odd-real-grassmannian", 1, 2)
     fam = [str(m) for d in range(top_degree(desc) + 1) for m in characteristic_basis_monomials(desc, d)]
     assert fam == ["1", "p1", "r", "p1*r"]
+
+
+def test_independent_detects_dependent_monomials():
+    ring = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 10)
+    degree_4 = [Monomial(ring.gens, e) for e in ring.gens.monomials_of_degree(4)]
+    assert len(degree_4) == 5
+    basis = ring.degree_basis(4)
+    assert _independent(ring, basis)
+    assert not _independent(ring, degree_4)
+    assert not _independent(ring, (basis[0], basis[0]))
+    # a monomial of a zero degree is dependent on its own
+    assert not _independent(ring, (Monomial(ring.gens, ring.gens.monomials_of_degree(10)[0]),))
 
 
 def test_flags_state_no_family():

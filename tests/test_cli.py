@@ -531,6 +531,16 @@ def test_malformed_input_exits_2_without_a_traceback(config, error, tmp_path, ca
     assert captured.out == ""
 
 
+def test_malformed_input_message_quotes_a_window_of_long_input(tmp_path, capsys):
+    relation = "(" * 1000 + "x" + ")" * 1000
+    config = {"presentation": {"generators": [["x", 2]], "relations": [relation]}, "cutoff": 2}
+    code, _, captured = present_in_process([], config, tmp_path, capsys)
+    assert code == 2
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200
+    assert "at position 100: ..." in lines[0]
+
+
 ORIENTED_FLAG = {"base": POINT, "kind": "oriented", "rank": 4, "total_class": "1",
                  "euler_class": "0", "extension": "flag"}
 

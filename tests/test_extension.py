@@ -23,7 +23,7 @@ from flagcohom import (
     bott_tower,
     build_ring,
     build_space,
-    complex_grassmannian_series,
+    closed_form,
     equivariant_base,
     equivariant_space,
     flag_bundle,
@@ -218,7 +218,7 @@ def test_leray_hirsch_dimensions_product():
         ring = grassmannian_bundle(BundleData(base, "complex", rank, total), k, suffix="f")
         n = base.cutoff
         base_series = series_from_ring(base, n)
-        fibre_series = complex_grassmannian_series(k, rank).truncate(n)
+        fibre_series = closed_form(SpaceDescriptor("complex-grassmannian", k, rank)).truncate(n)
         assert series_from_ring(ring, n) == base_series.convolve(fibre_series)
 
 
@@ -450,13 +450,12 @@ def test_odd_extension_over_point_matches_catalog():
 
 
 def test_odd_extension_series_identity():
-    from flagcohom import odd_grassmannian_series
-
     rp = free_ring("r", 7, 23)  # RP(V^8) over a point
     bundle = BundleData(rp, "real", 8, 1)
     ring = odd_grassmannian_bundle(rp, bundle, 1)
     top = 4 * 1 * 2 + 7
-    assert series_from_ring(ring, top) == odd_grassmannian_series(1, 3).truncate(top)
+    series = closed_form(SpaceDescriptor("odd-real-grassmannian", 1, 3))
+    assert series_from_ring(ring, top) == series.truncate(top)
 
 
 def test_odd_extension_degenerate_k_returns_input():
@@ -490,7 +489,7 @@ def test_equivariant_grassmannian_borel_convolution():
     cutoff = 10
     ring = equivariant_space("complex", 3, "grassmannian", k=1, cutoff=cutoff)
     borel = ClosedFormSeries.from_factors(den=(2, 2, 2)).truncate(cutoff)
-    fibre = complex_grassmannian_series(1, 3).truncate(cutoff)
+    fibre = closed_form(SpaceDescriptor("complex-grassmannian", 1, 3)).truncate(cutoff)
     assert series_from_ring(ring, cutoff) == borel.convolve(fibre)
     # relation components of (1+c1)(1+cb1+cb2) = prod(1+a_i) hold
     g = ring.gens

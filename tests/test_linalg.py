@@ -71,9 +71,3 @@ def test_selected_backend_is_exposed():
 
     assert linalg.BACKEND == flagcohom.BACKEND == "python"
 
-
-def test_integer_row_clears_denominators():
-    row = [(0, Fraction(1, 2)), (3, Fraction(-2, 3))]
-    assert linalg.integer_row(row) == [(0, 3), (3, -4)]
-    assert linalg.integer_row([]) == []
-    assert linalg.integer_row([(1, Fraction(6, 4))]) == [(1, 1)]
