@@ -67,6 +67,11 @@ def test_g24_truncation_frozen_values():
     ]
 
 
+def test_invalid_range_rejected():
+    with pytest.raises(ValueError):
+        grassmannian(4, 3)
+
+
 def test_formula_matches_partition_counting():
     for n in range(6):
         for k in range(n + 1):
@@ -151,6 +156,18 @@ def test_real_even_series_is_the_complex_series_in_t_squared():
             assert not any(real.coefficients[1::2]), (k, n)
 
 
+def test_substitute_t_squared_on_projective_space():
+    # the real even form of G_1(C^4) is the complex one with t replaced by t^2
+    s = real_even(1, 4)
+    assert s.symbolic_equal(ClosedFormSeries.from_factors(num=(16,), den=(4,)))
+    assert list(s.truncate(16).coefficients)[::4] == [1, 1, 1, 1, 0]
+
+
+def test_substitute_supports_only_multiples_of_four():
+    coeffs = real_even(2, 4).truncate(16).coefficients
+    assert all(c == 0 for d, c in enumerate(coeffs) if d % 4)
+
+
 def test_oriented_even_odd_k1_collapses():
     # (1+t^2)(1-t^4n)/(1-t^4) = (1-t^4n)/(1-t^2)
     for n in (2, 3, 4):
@@ -172,6 +189,13 @@ def test_oriented_odd_odd_k1_display():
 
 def test_oriented_even_even_small_case():
     assert list(oriented("even-even", 1, 2).truncate(4).coefficients) == [1, 0, 2, 0, 1]
+
+
+def test_oriented_kind_validation():
+    with pytest.raises(ValueError):
+        oriented("diagonal", 1, 2)
+    with pytest.raises(ValueError):
+        oriented("even-even", 2, 2)
 
 
 # -- products and truncation ----------------------------------------------------
