@@ -3,12 +3,18 @@
 Elements are sparse rational combinations of monomials in a fixed ordered
 family of graded generators. Odd-degree generators anticommute and square
 to zero; even-degree generators are central. A finitely presented quotient
-is reduced degree by degree: all relation multiples of a given degree are
-row-reduced exactly, which yields an additive monomial basis and a rewrite
-table (the normal-form map) for that degree. A table keeps each reduced row
-as it leaves the kernel, primitive integers with a positive lead. Normal
-forms and products add integer multiples over one common denominator and
-divide once per output coefficient.
+keeps a homogeneous Gröbner basis of its ideal in the elimination order
+(the weight of priority-2 generators, then of priority-1 generators, then
+lex), built degree by degree only as far as a table asks, in the manner of
+Buchberger's algorithm with the row reduction of Faugère's F4. Each degree
+then row-reduces one basis multiple per leading monomial, which yields an
+additive monomial basis and a rewrite table (the normal-form map) for that
+degree. The order is a monomial order, so those leading monomials are the
+pivots of every spanning set of the ideal's degree-d slice, and the reduced
+rows are the same. A table keeps each reduced row as it leaves the kernel,
+primitive integers with a positive lead. Normal forms and products add
+integer multiples over one common denominator and divide once per output
+coefficient.
 
 Degrees above a vanishing window are zero without any reduction. Let g be
 the largest generator degree. If the quotient is zero in each of the
@@ -22,10 +28,11 @@ tables it has already built, and never builds lower degrees to apply it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import add, ge, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import linalg
@@ -71,7 +78,9 @@ class GeneratorSymbol:
 class Generators:
     """Ordered generator universe shared by monomials and elements."""
 
-    __slots__ = ("symbols", "degrees", "names", "_index", "_odd", "_weights", "_mono_cache")
+    __slots__ = (
+        "symbols", "degrees", "names", "_index", "_odd", "_weights", "_mono_cache", "_column_cache"
+    )
 
     def __init__(self, symbols: Iterable[GeneratorSymbol]):
         self.symbols: tuple[GeneratorSymbol, ...] = tuple(symbols)
@@ -88,6 +97,7 @@ class Generators:
             for p in (2, 1)
         )
         self._mono_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._column_cache: dict[int, tuple[tuple[tuple[int, ...], ...], dict]] = {}
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -180,6 +190,14 @@ class Generators:
             rec(0, d)
             out.sort(key=_display_key)
             cached = self._mono_cache.setdefault(d, tuple(out))
+        return cached
+
+    def elimination_columns(self, d: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
+        """The degree-d monomials in elimination order, and each one's position."""
+        cached = self._column_cache.get(d)
+        if cached is None:
+            cols = tuple(sorted(self.monomials_of_degree(d), key=_elimination_key(self)))
+            cached = self._column_cache.setdefault(d, (cols, {m: i for i, m in enumerate(cols)}))
         return cached
 
     def extend(self, extra: Iterable[GeneratorSymbol]) -> Generators:
@@ -481,38 +499,6 @@ def make_presentation(
     return RingPresentation(gens, tuple(split), label)
 
 
-def relation_rows(presentation: RingPresentation, d: int) -> list[dict[tuple[int, ...], int]]:
-    """All degree-d multiples of the relations, as integer term dictionaries.
-
-    Their span is the degree-d slice of the ideal: graded commutativity
-    makes one-sided monomial multiples sufficient. Each relation is scaled
-    to integers once, so its multiples carry its coefficients up to sign.
-    """
-    gens = presentation.generators
-    odd = gens._odd
-    rows = []
-    for rel in presentation.relations:
-        r = rel.degree()
-        if r > d:
-            continue
-        _, terms = _integer_terms(rel.terms, odd)
-        for m in gens.monomials_of_degree(d - r):
-            m_odd = [i for i in odd if m[i]]
-            row = {}
-            for exps, c, e_odd in terms:
-                if m_odd and e_odd:
-                    if any(m[i] for i in e_odd):
-                        continue
-                    # Koszul sign: each odd factor of the relation moves left
-                    # past the odd factors of m with a higher index
-                    if sum(1 for i in e_odd for j in m_odd if j > i) % 2:
-                        c = -c
-                row[tuple(map(add, m, exps))] = c
-            if row:
-                rows.append(row)
-    return rows
-
-
 def _elimination_key(gens: Generators):
     w2, w1 = gens._weights
 
@@ -526,19 +512,115 @@ def _elimination_key(gens: Generators):
     return key
 
 
-def degree_matrix(
-    presentation: RingPresentation, d: int
-) -> tuple[list[tuple[int, ...]], list[list[tuple[int, int]]]]:
-    """The degree-d relation matrix as (columns, sparse integer rows).
+class _GroebnerBasis:
+    """A homogeneous Gröbner basis of a presentation's ideal, truncated at a
+    cutoff, in the elimination order. It is built degree by degree, only as
+    far as a table asks.
 
-    Columns are the degree-d monomials in elimination order; each row lists
-    (column, value) pairs by column.
+    Degree d reduces, in one call to `linalg.rref`, the relations of degree
+    d, both halves u*g of every pair of elements whose leads have their lcm
+    in degree d, and x*g for every odd generator x in the lead of an element
+    g of degree d - deg x: x kills the lead but not always the tail. Every
+    monomial those rows reach that a lead divides gets one reducer u*g. A
+    reduced row whose lead no element's lead divides is a new element.
     """
-    gens = presentation.generators
-    cols = sorted(gens.monomials_of_degree(d), key=_elimination_key(gens))
-    index = {m: i for i, m in enumerate(cols)}
-    rows = [sorted((index[e], c) for e, c in row.items()) for row in relation_rows(presentation, d)]
-    return cols, rows
+
+    def __init__(self, presentation: RingPresentation, cutoff: int):
+        self.gens = gens = presentation.generators
+        self.cutoff = cutoff
+        self.leads: list[tuple[int, ...]] = []
+        # integer terms of each element, lead first, with their odd indices
+        self.elements: list[list] = []
+        self.done = 0  # degrees below this are complete
+        # rows still to reduce, by degree: relations as integer terms, and
+        # multiples u*g as (element, u)
+        self.relations: dict[int, list[dict]] = {}
+        for rel in presentation.relations:
+            _, terms = _integer_terms(rel.terms, gens._odd)
+            self.relations.setdefault(rel.degree(), []).append({e: c for e, c, _ in terms})
+        self.pending: dict[int, set[tuple[int, tuple[int, ...]]]] = {}
+        self.lock = threading.Lock()
+
+    def reducers(self, d: int) -> tuple[tuple[tuple[int, ...], ...], list[list[tuple[int, int]]]]:
+        """The degree-d columns in elimination order, and one sparse row u*g
+        for each column that a lead divides: a basis of the ideal in degree d."""
+        with self.lock:
+            while self.done <= d:
+                self._extend(self.done)
+                self.done += 1
+            cols, index = self.gens.elimination_columns(d)
+            rows = []
+            for m in cols:
+                hit = self._divisor(m)
+                if hit is not None:
+                    rows.append(sorted((index[e], c) for e, c in self._multiple(*hit).items()))
+            return cols, rows
+
+    def _divisor(self, m: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+        for k, lead in enumerate(self.leads):
+            if all(map(ge, m, lead)):
+                return k, tuple(map(sub, m, lead))
+        return None
+
+    def _multiple(self, k: int, u: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """The Koszul-signed product u*g of a monomial and element k."""
+        odd = self.gens._odd
+        u_odd = [i for i in odd if u[i]]
+        row = {}
+        for exps, c, e_odd in self.elements[k]:
+            if u_odd and e_odd:
+                if any(u[i] for i in e_odd):
+                    continue
+                # each odd factor of the term moves left past the odd
+                # factors of u with a higher index
+                if sum(1 for i in e_odd for j in u_odd if j > i) % 2:
+                    c = -c
+            row[tuple(map(add, u, exps))] = c
+        return row
+
+    def _extend(self, d: int) -> None:
+        rows = self.relations.pop(d, [])
+        reducible = set()
+        for k, u in self.pending.pop(d, ()):
+            rows.append(row := self._multiple(k, u))
+            lead = tuple(map(add, u, self.leads[k]))
+            if lead in row:  # a pair half, not an odd product x*g
+                reducible.add(lead)
+        seen = set(reducible)
+        frontier = [e for row in rows for e in row]
+        while frontier:
+            m = frontier.pop()
+            if m not in seen:
+                seen.add(m)
+                hit = self._divisor(m)
+                if hit is not None:
+                    reducible.add(m)
+                    rows.append(row := self._multiple(*hit))
+                    frontier.extend(row)
+        if not rows:
+            return
+        cols, index = self.gens.elimination_columns(d)
+        for row in linalg.rref([sorted((index[e], c) for e, c in row.items()) for row in rows]):
+            if cols[row[0][0]] not in reducible:
+                self._add(d, [(cols[c], v) for c, v in row])
+
+    def _add(self, d: int, terms: list[tuple[tuple[int, ...], int]]) -> None:
+        gens, cutoff = self.gens, self.cutoff
+        k = len(self.leads)
+        lead = terms[0][0]
+        self.elements.append([(e, v, [i for i in gens._odd if e[i]]) for e, v in terms])
+        for j, other in enumerate(self.leads):
+            top = tuple(map(max, lead, other))
+            e = gens.monomial_degree(top)
+            if e <= cutoff:
+                self.pending.setdefault(e, set()).update(
+                    ((k, tuple(map(sub, top, lead))), (j, tuple(map(sub, top, other))))
+                )
+        self.leads.append(lead)
+        for i in gens._odd:
+            if lead[i] and d + gens.degrees[i] <= cutoff:
+                x = tuple(int(j == i) for j in range(len(lead)))
+                self.pending.setdefault(d + gens.degrees[i], set()).add((k, x))
 
 
 class _DegreeTable:
@@ -563,7 +645,8 @@ class QuotientRing:
     Values are immutable once built; the per-degree cache is write-once and
     its entries are deterministic, so concurrent computation of the same
     degree is harmless (the first writer's table is kept, and any other
-    writer computed an identical one).
+    writer computed an identical one). The Gröbner basis the tables read
+    grows under its own lock.
     """
 
     def __init__(self, presentation: RingPresentation, cutoff: int):
@@ -572,6 +655,7 @@ class QuotientRing:
         self.presentation = presentation
         self.cutoff = cutoff
         self._tables: dict[int, _DegreeTable] = {}
+        self._basis = _GroebnerBasis(presentation, cutoff)
         self._max_gen_degree = max(presentation.generators.degrees, default=0)
 
     @property
@@ -606,10 +690,10 @@ class QuotientRing:
     def _compute_table(self, d: int) -> _DegreeTable:
         if self._vanishes(d):
             return _ZERO_TABLE
-        cols, rows = degree_matrix(self.presentation, d)
-        reduced = linalg.rref(rows)
-        if len(reduced) == len(cols):
+        cols, rows = self._basis.reducers(d)
+        if len(rows) == len(cols):  # one row per leading monomial: all of them lead
             return _ZERO_TABLE
+        reduced = linalg.rref(rows)
         rewrite: dict[tuple[int, ...], tuple[int, tuple[tuple[tuple[int, ...], int], ...]]] = {}
         pivot_cols = set()
         for row in reduced:

@@ -4,8 +4,8 @@ Grammar: sums of products of generator names, integer literals and
 parenthesized subexpressions, with `^` (or `**`) powers and `/` restricted
 to division by nonzero integer literals. Every name must be declared in
 the generator universe the expression is parsed against. Parentheses and
-unary signs nest at most MAX_NESTING deep, and a literal exponent is at
-most MAX_EXPONENT.
+unary signs nest at most MAX_NESTING deep, an integer literal has at most
+MAX_LITERAL_DIGITS digits, and a literal exponent is at most MAX_EXPONENT.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ MAX_NESTING = 100
 # largest literal exponent: the largest top degree the CLI builds; a power
 # costs one multiplication per unit of its exponent
 MAX_EXPONENT = 256
+
+# longest integer literal: Python's default limit on converting a digit
+# string to an int, past which int() itself refuses
+MAX_LITERAL_DIGITS = 4300
 
 # an error message quotes inputs up to this length whole, and a window of
 # this width around the position of longer ones
@@ -46,7 +50,7 @@ class ElementSyntaxError(ValueError):
         self.pos = pos
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
     tokens = []
     pos = 0
     while pos < len(text):
@@ -56,7 +60,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 break
             raise ElementSyntaxError(text, pos, f"unexpected character {text[pos]!r}")
         if m.lastgroup == "int":
-            tokens.append(("int", m.group("int"), m.start("int")))
+            digits = m.group("int")
+            if len(digits) > MAX_LITERAL_DIGITS:
+                raise ElementSyntaxError(
+                    text, m.start("int"), f"integer literal longer than {MAX_LITERAL_DIGITS} digits"
+                )
+            tokens.append(("int", int(digits), m.start("int")))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name"), m.start("name")))
         else:
@@ -127,9 +136,9 @@ class _Parser:
                 k, v, p = self.take()
                 if k != "int":
                     raise ElementSyntaxError(self.text, p, "can only divide by an integer literal")
-                if int(v) == 0:
+                if v == 0:
                     raise ElementSyntaxError(self.text, p, "division by zero")
-                value = value / Fraction(int(v))
+                value = value / Fraction(v)
             else:
                 return value
 
@@ -147,17 +156,16 @@ class _Parser:
                 k, v, p = self.take()
                 if k != "int":
                     raise ElementSyntaxError(self.text, p, "exponent must be an integer literal")
-                exponent = int(v)
-                if exponent > MAX_EXPONENT:
+                if v > MAX_EXPONENT:
                     raise ElementSyntaxError(self.text, p, f"exponent above {MAX_EXPONENT}")
-                base = base ** exponent
+                base = base ** v
             else:
                 return base
 
     def base(self) -> GradedElement:
         kind, value, pos = self.take()
         if kind == "int":
-            return self.gens.scalar(int(value))
+            return self.gens.scalar(value)
         if kind == "name":
             return self.gens.gen(value)
         if kind == "op" and value == "(":

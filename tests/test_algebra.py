@@ -1,5 +1,6 @@
 """Element arithmetic, presentations and quotient normal forms."""
 
+import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -22,7 +23,7 @@ from flagcohom import (
     make_presentation,
 )
 from flagcohom import algebra, linalg
-from flagcohom.algebra import _elimination_key, degree_matrix, relation_rows
+from flagcohom.algebra import _elimination_key
 from flagcohom.catalog import default_cutoff
 from flagcohom.expressions import MAX_NESTING, ElementSyntaxError
 from flagcohom.verify import _catalog_descriptors
@@ -40,6 +41,7 @@ from _oracles import (
     quotient_dimension,
     rank_mod_p,
     reference_table,
+    relation_matrix,
 )
 
 
@@ -132,8 +134,11 @@ def test_homogeneous_components_reassemble():
     [("x/0", "division by zero at position 2"),
      ("(" * 101 + "x" + ")" * 101, "nesting deeper than 100 at position 100"),
      ("-" * 101 + "x", "nesting deeper than 100 at position 100"),
-     ("(" * 1000 + "x" + ")" * 1000, "nesting deeper than 100 at position 100")],
-    ids=["divide-by-zero", "parentheses-101", "signs-101", "parentheses-1000"],
+     ("(" * 1000 + "x" + ")" * 1000, "nesting deeper than 100 at position 100"),
+     ("x^" + "9" * 4301, "integer literal longer than 4300 digits at position 2"),
+     ("x/" + "7" * 4301, "integer literal longer than 4300 digits at position 2")],
+    ids=["divide-by-zero", "parentheses-101", "signs-101", "parentheses-1000",
+         "exponent-4301-digits", "divisor-4301-digits"],
 )
 def test_parse_refuses_division_by_zero_and_deep_nesting(text, message):
     gens = Generators([GeneratorSymbol("x", 2)])
@@ -144,6 +149,7 @@ def test_parse_refuses_division_by_zero_and_deep_nesting(text, message):
 def test_parse_bounds_literal_exponents():
     gens = Generators([GeneratorSymbol("x", 2)])
     assert gens.parse("x^256") == gens.gen("x") ** 256
+    assert gens.parse("x^" + "0" * 4297 + "256") == gens.gen("x") ** 256  # 4300 digits
     with pytest.raises(ElementSyntaxError, match="exponent above 256 at position 2"):
         gens.parse("x^257")
 
@@ -310,17 +316,30 @@ def test_frozen_derived_example_g2c4_degree4_basis():
     assert [str(m) for m in ring.degree_basis(4)] == ["c1^2", "c2"]
 
 
+def oracle_rows(pres, d):
+    """The elimination-ordered degree-d columns, and the oracle's relation
+    multiples as sparse integer rows over them."""
+    gens = pres.generators
+    degrees = list(gens.degrees)
+    cols = sorted(monomials(degrees, d), key=_elimination_key(gens))
+    rows = []
+    for dense in relation_matrix(degrees, [r.terms for r in pres.relations], d, cols):
+        den = math.lcm(*(v.denominator for v in dense))
+        rows.append([(c, int(v * den)) for c, v in enumerate(dense) if v])
+    return cols, rows
+
+
 def test_rank_independent_of_column_order():
     ring = build_ring(SpaceDescriptor("oriented-grassmannian", 1, 3, "even-even"))
     pres = ring.presentation
     for d in range(0, ring.cutoff + 1, 2):
-        cols, rows = degree_matrix(pres, d)
+        cols, rows = oracle_rows(pres, d)
         ranks = []
         for order in (cols, sorted(cols), sorted(cols, key=lambda e: tuple(reversed(e)))):
             where = {m: i for i, m in enumerate(order)}
             moved = [sorted((where[cols[c]], v) for c, v in row) for row in rows]
             ranks.append(linalg.rank(moved))
-        assert ranks[0] == ranks[1] == ranks[2]
+        assert ranks[0] == ranks[1] == ranks[2] == len(cols) - ring.dimension(d)
 
 
 @settings(max_examples=40, deadline=None)
@@ -376,13 +395,13 @@ def test_concurrent_degree_computation_is_safe():
 
 def test_degrees_past_the_vanishing_window_build_no_matrix(monkeypatch):
     built = []
-    real = algebra.degree_matrix
+    real = algebra._GroebnerBasis.reducers
 
-    def counting(presentation, d):
+    def counting(basis, d):
         built.append(d)
-        return real(presentation, d)
+        return real(basis, d)
 
-    monkeypatch.setattr(algebra, "degree_matrix", counting)
+    monkeypatch.setattr(algebra._GroebnerBasis, "reducers", counting)
     # G_2(C^4): zero above degree 8, generators of degree at most 4
     ring = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 40)
     assert ring.dimensions() == ring.dimensions(8) + [0] * 32
@@ -393,6 +412,22 @@ def test_degrees_past_the_vanishing_window_build_no_matrix(monkeypatch):
     assert fresh.dimension(30) == 0
     assert built == [30]
     assert fresh.normal_form(fresh.gens.gen("c1") ** 15).is_zero
+
+
+def test_a_table_hands_the_kernel_one_row_per_leading_monomial(monkeypatch):
+    # equivariant Fl(C^3) in degree 18: 2002 monomials, of which 1757 lead an
+    # ideal element; the relation multiples of that degree are 2541 rows
+    sizes = []
+    real = linalg.rref
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    ring = equivariant_space("complex", 3, "flag", cutoff=18)
+    assert ring.dimension(18) == 2002 - 1757
+    assert max(sizes) <= 1757
 
 
 def odd_mixing_presentation():
@@ -434,6 +469,68 @@ def test_tables_match_dense_reference_past_the_vanishing_window():
             for m in monomials(degrees, d):
                 expected = rewrite.get(m, {m: 1}) if basis else {}
                 assert ring.normal_form(gens.element({m: 1})).terms == expected, (pres.label, m)
+
+
+# sha256 of every table's degree, basis and rewrite items, in order, of every
+# ring of _catalog_descriptors(4) at its default cutoff + 6, of odd-mixing at
+# 24 and of equivariant Fl(C^2) and Fl(C^3) at 12 and 14; recorded when each
+# table was reduced from every relation multiple of its degree
+PINNED_TABLES = "b0927592d58e878eb19dbd5a23c2caa3de973be0c1aa59376791cd0aaa93f8bb"
+
+
+def test_tables_match_pinned_digest():
+    rings = [
+        QuotientRing(build_space(desc)[0], default_cutoff(desc) + 6)
+        for desc in dict.fromkeys(_catalog_descriptors(4))
+    ]
+    rings.append(QuotientRing(odd_mixing_presentation(), 24))
+    rings.append(equivariant_space("complex", 2, "flag", cutoff=12))
+    rings.append(equivariant_space("complex", 3, "flag", cutoff=14))
+    assert len(rings) == 133
+    digest = hashlib.sha256()
+    for ring in rings:
+        for d in range(ring.cutoff + 1):
+            table = ring._table(d)
+            digest.update(repr((ring.label, d, table.basis, list(table.rewrite.items()))).encode())
+    assert digest.hexdigest() == PINNED_TABLES
+
+
+@st.composite
+def graded_presentations(draw):
+    """1-4 generators of degree 1-4 with random rewrite priorities, and 0-3
+    homogeneous relations of degree at most 8 with coefficients in [-3, 3]
+    over denominators 1 or 2. The draws favour three or four generators,
+    half of them odd, mostly of degree 1 and 2: odd and even generators
+    mixing in small degrees make the odd products x*g matter most often."""
+    count = draw(st.sampled_from((3, 4, 3, 4, 3, 4, 1, 2)))
+    symbols = [draw(st.tuples(st.sampled_from((1, 2, 1, 2, 3, 4)), st.integers(0, 2))) for _ in range(count)]
+    degrees = [d for d, _ in symbols]
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        exps = monomials(degrees, draw(st.sampled_from([d for d in range(1, 9) if monomials(degrees, d)])))
+        coefficients = draw(st.lists(coeff, min_size=len(exps), max_size=len(exps)))
+        relation = {e: c for e, c in zip(exps, coefficients) if c}
+        if relation:
+            relations.append(relation)
+    return symbols, relations
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_presentations())
+def test_random_graded_presentations_match_dense_reference(presentation):
+    # odd generators kill a lead but not always the rest of an element, so
+    # the tables need more than the pairs of leads
+    symbols, relations = presentation
+    gens = Generators([GeneratorSymbol(f"x{i}", d, p) for i, (d, p) in enumerate(symbols)])
+    ring = QuotientRing(make_presentation(gens, [GradedElement(gens, r) for r in relations]), 10)
+    degrees = list(gens.degrees)
+    for d in range(ring.cutoff + 1):
+        basis, rewrite = reference_table(degrees, relations, d, _elimination_key(gens))
+        table = ring._table(d)
+        assert set(table.basis) == basis, d
+        if basis:
+            assert fraction_rewrite(table) == rewrite, d
 
 
 # Rings for the equivalence of the integer normal form and product with
@@ -497,7 +594,7 @@ def test_degree_ranks_agree_modulo_large_primes():
     cases.append((odd_mixing_presentation(), 15))
     for pres, top in cases:
         for d in range(top + 1):
-            _, rows = degree_matrix(pres, d)
+            _, rows = oracle_rows(pres, d)
             rank = linalg.rank(rows)
             for p in (2**31 - 1, 2**61 - 1):
                 assert rank_mod_p(rows, p) == rank, (pres.label, d, p)
@@ -522,9 +619,12 @@ def test_empty_generator_list_is_the_point():
 def test_relation_rows_span_matches_quotient():
     # every relation multiple must itself reduce to zero
     ring = build_ring(SpaceDescriptor("oriented-grassmannian", 1, 2, "even-even"))
-    for d in range(ring.cutoff + 1):
-        for row in relation_rows(ring.presentation, d):
-            assert ring.is_zero(GradedElement(ring.gens, row))
+    degrees = list(ring.gens.degrees)
+    for rel in ring.presentation.relations:
+        for d in range(ring.cutoff + 1 - rel.degree()):
+            for m in monomials(degrees, d):
+                row = koszul_terms_product(degrees, {m: Fraction(1)}, rel.terms)
+                assert ring.is_zero(GradedElement(ring.gens, row))
 
 
 @st.composite

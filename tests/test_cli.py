@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from flagcohom import SpaceDescriptor, build_space, cli
-from flagcohom.catalog import CheckResult
+from flagcohom.catalog import CheckResult, closed_form
 from flagcohom.cli import presentation_doc, presentation_from_doc
 
 
@@ -458,6 +458,20 @@ def test_bundle_and_tower_closed_forms(name, tmp_path, capsys):
     assert doc["coefficients"] == coefficients
 
 
+def test_rank_5_complex_flag_bundle_over_cp2(tmp_path, capsys):
+    # Fl(C^5) over CP^2, 3 x 120 cells: reducing every relation multiple of
+    # each degree, this job ran for minutes
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(bundle_doc(CP2, "complex", 5, "1 + 2*c1 + c1^2", "flag")))
+    assert cli.main(["series", "--config", str(path), "--format", "structured"]) == 0
+    coefficients = json.loads(capsys.readouterr().out)["coefficients"]
+    top = len(coefficients) - 1
+    base = closed_form(SpaceDescriptor("projective-space-complex", 0, 3)).truncate(top)
+    fibre = closed_form(SpaceDescriptor("complete-flag-complex", 0, 5)).truncate(top)
+    assert coefficients == list(base.convolve(fibre).coefficients)
+    assert sum(coefficients) == 360
+
+
 @pytest.mark.parametrize(
     "extension, kind, rank, total, generators",
     [("projectivize", "complex", 2, "1 + c1", "c1(2), c1f(2)"),
@@ -520,9 +534,11 @@ def pushout_doc(image):
       "config.presentation.relations[0][0]: division by zero at position 2"),
      ({"presentation": {"generators": [["x", 2]], "relations": ["(" * 1000 + "x" + ")" * 1000]}, "cutoff": 2},
       "config.presentation.relations[0][0]: nesting deeper than 100 at position 100"),
+     ({"presentation": {"generators": [["x", 2]], "relations": ["x + " + "9" * 5000 + "*x"]}, "cutoff": 2},
+      "config.presentation.relations[0][0]: integer literal longer than 4300 digits at position 4"),
      (pushout_doc([1]), "config.pushout.map_b1.h: expected an expression string or an integer"),
      (pushout_doc(None), "config.pushout.map_b1.h: expected an expression string or an integer")],
-    ids=["divide-by-zero", "deep-nesting", "map-list", "map-null"],
+    ids=["divide-by-zero", "deep-nesting", "literal-5000-digits", "map-list", "map-null"],
 )
 def test_malformed_input_exits_2_without_a_traceback(config, error, tmp_path, capsys):
     code, _, captured = present_in_process([], config, tmp_path, capsys)
