@@ -5,13 +5,13 @@ family of graded generators. Odd-degree generators anticommute and square
 to zero; even-degree generators are central. A finitely presented quotient
 keeps a homogeneous Gröbner basis of its ideal in the elimination order
 (the weight of priority-2 generators, then of priority-1 generators, then
-lex), built degree by degree only as far as a table asks, in the manner of
-Buchberger's algorithm with the row reduction of Faugère's F4. Each degree
-then row-reduces one basis multiple per leading monomial, which yields an
-additive monomial basis and a rewrite table (the normal-form map) for that
-degree. The order is a monomial order, so those leading monomials are the
-pivots of every spanning set of the ideal's degree-d slice, and the reduced
-rows are the same. A table keeps each reduced row as it leaves the kernel,
+lex), built one degree at a time in increasing degree, in the manner of
+Buchberger's algorithm with the row reduction of Faugère's F4. One row
+reduction per degree both extends the basis and yields that degree's
+additive monomial basis and rewrite table (the normal-form map): its rows
+contain one element of the ideal per leading monomial of the ideal's
+degree-d slice, so they span the slice, and their reduced echelon form is
+the slice's own. A table keeps each reduced row as it leaves the kernel,
 primitive integers with a positive lead. Normal forms and products add
 integer multiples over one common denominator and divide once per output
 coefficient.
@@ -22,8 +22,8 @@ degrees d-g, ..., d-1, it is zero in degree d: removing one generator from
 a degree-d monomial leaves a divisor whose degree lies in that window, so
 the divisor lies in the ideal, and the monomial, which is plus or minus
 the divisor times the removed generator, lies there too. This holds for
-odd generators as well. The quotient ring applies the rule only to degree
-tables it has already built, and never builds lower degrees to apply it.
+odd generators as well. Every lower table is built before a degree's, so
+once a window is zero the basis takes no further step.
 """
 
 from __future__ import annotations
@@ -46,6 +46,15 @@ class PresentationError(ValueError):
 
 class CutoffExceededError(ValueError):
     """A degree beyond the ring's computed range was requested."""
+
+
+# The most monomials one degree may have. A degree with more is refused
+# before it is enumerated.
+MAX_DEGREE_MONOMIALS = 100_000
+
+
+class TooManyMonomialsError(ValueError):
+    """A degree has more than `MAX_DEGREE_MONOMIALS` monomials."""
 
 
 @dataclass(frozen=True)
@@ -168,6 +177,11 @@ class Generators:
         """All exponent vectors of total degree d, in display order."""
         cached = self._mono_cache.get(d)
         if cached is None:
+            count = self.monomial_count(d)
+            if count > MAX_DEGREE_MONOMIALS:
+                raise TooManyMonomialsError(
+                    f"degree {d} has {count} monomials, more than the limit {MAX_DEGREE_MONOMIALS}"
+                )
             out: list[tuple[int, ...]] = []
             n = len(self.symbols)
             degs = self.degrees
@@ -187,10 +201,25 @@ class Generators:
                     rec(i + 1, remaining - e * degs[i])
                 exps[i] = 0
 
-            rec(0, d)
-            out.sort(key=_display_key)
+            # exponents run from high to low, generator by generator: the
+            # output is in display order
+            if count:
+                rec(0, d)
             cached = self._mono_cache.setdefault(d, tuple(out))
         return cached
+
+    def monomial_count(self, d: int) -> int:
+        """The number of degree-d monomials: the coefficient of t^d in the
+        product of 1/(1-t^deg) over even generators and 1+t^deg over odd ones."""
+        if d < 0:
+            return 0
+        counts = [1] + [0] * d
+        for deg in self.degrees:
+            # descending, an odd generator is used at most once
+            steps = range(d, deg - 1, -1) if deg % 2 else range(deg, d + 1)
+            for i in steps:
+                counts[i] += counts[i - deg]
+        return counts[d]
 
     def elimination_columns(self, d: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
         """The degree-d monomials in elimination order, and each one's position."""
@@ -514,15 +543,15 @@ def _elimination_key(gens: Generators):
 
 class _GroebnerBasis:
     """A homogeneous Gröbner basis of a presentation's ideal, truncated at a
-    cutoff, in the elimination order. It is built degree by degree, only as
-    far as a table asks.
+    cutoff, in the elimination order. `step` extends it by one degree, and
+    is called for each degree in increasing order.
 
-    Degree d reduces, in one call to `linalg.rref`, the relations of degree
-    d, both halves u*g of every pair of elements whose leads have their lcm
-    in degree d, and x*g for every odd generator x in the lead of an element
-    g of degree d - deg x: x kills the lead but not always the tail. Every
-    monomial those rows reach that a lead divides gets one reducer u*g. A
-    reduced row whose lead no element's lead divides is a new element.
+    Degree d reduces, in one call to `linalg.rref`, one reducer u*g for each
+    degree-d monomial that an older lead divides, then the relations of
+    degree d, both halves u*g of every pair of elements whose leads have
+    their lcm in degree d, and x*g for every odd generator x in the lead of
+    an element g of degree d - deg x: x kills the lead but not always the
+    tail. A reduced row whose lead has no reducer is a new element.
     """
 
     def __init__(self, presentation: RingPresentation, cutoff: int):
@@ -531,7 +560,6 @@ class _GroebnerBasis:
         self.leads: list[tuple[int, ...]] = []
         # integer terms of each element, lead first, with their odd indices
         self.elements: list[list] = []
-        self.done = 0  # degrees below this are complete
         # rows still to reduce, by degree: relations as integer terms, and
         # multiples u*g as (element, u)
         self.relations: dict[int, list[dict]] = {}
@@ -539,22 +567,23 @@ class _GroebnerBasis:
             _, terms = _integer_terms(rel.terms, gens._odd)
             self.relations.setdefault(rel.degree(), []).append({e: c for e, c, _ in terms})
         self.pending: dict[int, set[tuple[int, tuple[int, ...]]]] = {}
-        self.lock = threading.Lock()
 
-    def reducers(self, d: int) -> tuple[tuple[tuple[int, ...], ...], list[list[tuple[int, int]]]]:
-        """The degree-d columns in elimination order, and one sparse row u*g
-        for each column that a lead divides: a basis of the ideal in degree d."""
-        with self.lock:
-            while self.done <= d:
-                self._extend(self.done)
-                self.done += 1
-            cols, index = self.gens.elimination_columns(d)
-            rows = []
-            for m in cols:
-                hit = self._divisor(m)
-                if hit is not None:
-                    rows.append(sorted((index[e], c) for e, c in self._multiple(*hit).items()))
-            return cols, rows
+    def step(self, d: int) -> list[list[tuple[int, int]]] | None:
+        """Extend the basis to degree d. Returns the reduced rows of the
+        ideal's degree-d slice over `elimination_columns(d)`, or None when
+        an older lead divides every degree-d monomial."""
+        cols, index = self.gens.elimination_columns(d)
+        hits = [self._divisor(m) for m in cols]
+        relations, pending = self.relations.pop(d, []), self.pending.pop(d, ())
+        if None not in hits:
+            return None
+        rows = [self._multiple(*hit) for hit in hits if hit is not None] + relations
+        rows += [self._multiple(k, u) for k, u in pending]
+        reduced = linalg.rref([sorted((index[e], c) for e, c in row.items()) for row in rows])
+        for row in reduced:
+            if hits[row[0][0]] is None:
+                self._add(d, [(cols[c], v) for c, v in row])
+        return reduced
 
     def _divisor(self, m: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
         for k, lead in enumerate(self.leads):
@@ -577,32 +606,6 @@ class _GroebnerBasis:
                     c = -c
             row[tuple(map(add, u, exps))] = c
         return row
-
-    def _extend(self, d: int) -> None:
-        rows = self.relations.pop(d, [])
-        reducible = set()
-        for k, u in self.pending.pop(d, ()):
-            rows.append(row := self._multiple(k, u))
-            lead = tuple(map(add, u, self.leads[k]))
-            if lead in row:  # a pair half, not an odd product x*g
-                reducible.add(lead)
-        seen = set(reducible)
-        frontier = [e for row in rows for e in row]
-        while frontier:
-            m = frontier.pop()
-            if m not in seen:
-                seen.add(m)
-                hit = self._divisor(m)
-                if hit is not None:
-                    reducible.add(m)
-                    rows.append(row := self._multiple(*hit))
-                    frontier.extend(row)
-        if not rows:
-            return
-        cols, index = self.gens.elimination_columns(d)
-        for row in linalg.rref([sorted((index[e], c) for e, c in row.items()) for row in rows]):
-            if cols[row[0][0]] not in reducible:
-                self._add(d, [(cols[c], v) for c, v in row])
 
     def _add(self, d: int, terms: list[tuple[tuple[int, ...], int]]) -> None:
         gens, cutoff = self.gens, self.cutoff
@@ -634,19 +637,17 @@ class _DegreeTable:
         self.rewrite = rewrite
 
 
-# Every zero degree stores this table, whether it was reduced or known to
-# vanish, so a degree's table does not depend on the order degrees are built.
+# The table of every zero degree, whether reduced or known to vanish, and of
+# every negative degree.
 _ZERO_TABLE = _DegreeTable((), {})
 
 
 class QuotientRing:
     """A presented graded-commutative ring with per-degree normal forms.
 
-    Values are immutable once built; the per-degree cache is write-once and
-    its entries are deterministic, so concurrent computation of the same
-    degree is harmless (the first writer's table is kept, and any other
-    writer computed an identical one). The Gröbner basis the tables read
-    grows under its own lock.
+    Tables are built in increasing degree, each by one step of the Gröbner
+    basis, under one lock; asking for degree d builds every missing degree
+    up to d. A built table is immutable, and reads take no lock.
     """
 
     def __init__(self, presentation: RingPresentation, cutoff: int):
@@ -654,7 +655,8 @@ class QuotientRing:
             raise PresentationError("a nonnegative cutoff degree is required")
         self.presentation = presentation
         self.cutoff = cutoff
-        self._tables: dict[int, _DegreeTable] = {}
+        self._tables: list[_DegreeTable] = []  # indexed by degree
+        self._lock = threading.Lock()
         self._basis = _GroebnerBasis(presentation, cutoff)
         self._max_gen_degree = max(presentation.generators.degrees, default=0)
 
@@ -671,38 +673,34 @@ class QuotientRing:
         return f"QuotientRing({name}, cutoff={self.cutoff})"
 
     def _table(self, d: int) -> _DegreeTable:
-        if d > self.cutoff:
-            raise CutoffExceededError(f"degree {d} exceeds cutoff {self.cutoff}")
-        table = self._tables.get(d)
-        if table is None:
-            table = self._compute_table(d)
-            table = self._tables.setdefault(d, table)
-        return table
+        if d < 0:
+            return _ZERO_TABLE
+        tables = self._tables
+        if d >= len(tables):
+            if d > self.cutoff:
+                raise CutoffExceededError(f"degree {d} exceeds cutoff {self.cutoff}")
+            with self._lock:
+                while len(tables) <= d:
+                    tables.append(self._compute_table(len(tables)))
+        return tables[d]
 
     def _vanishes(self, d: int) -> bool:
-        """Whether the cached tables of degrees d-g .. d-1 are all zero."""
-        tables = self._tables
-        return d > 0 and all(
-            (t := tables.get(e)) is not None and not t.basis
-            for e in range(d - self._max_gen_degree, d)
-        )
+        """Whether the tables of degrees d-g .. d-1 are all zero."""
+        g = self._max_gen_degree
+        return 0 < d and g <= d and not any(t.basis for t in self._tables[d - g : d])
 
     def _compute_table(self, d: int) -> _DegreeTable:
         if self._vanishes(d):
             return _ZERO_TABLE
-        cols, rows = self._basis.reducers(d)
-        if len(rows) == len(cols):  # one row per leading monomial: all of them lead
+        reduced = self._basis.step(d)
+        cols, _ = self.gens.elimination_columns(d)
+        if reduced is None or len(reduced) == len(cols):
             return _ZERO_TABLE
-        reduced = linalg.rref(rows)
         rewrite: dict[tuple[int, ...], tuple[int, tuple[tuple[tuple[int, ...], int], ...]]] = {}
-        pivot_cols = set()
         for row in reduced:
             lead_col, lead = row[0]
-            pivot_cols.add(lead_col)
             rewrite[cols[lead_col]] = (lead, tuple((cols[c], -v) for c, v in row[1:]))
-        basis = tuple(
-            sorted((m for i, m in enumerate(cols) if i not in pivot_cols), key=_display_key)
-        )
+        basis = tuple(m for m in self.gens.monomials_of_degree(d) if m not in rewrite)
         return _DegreeTable(basis, rewrite)
 
     # -- public queries ----------------------------------------------------
@@ -730,7 +728,6 @@ class QuotientRing:
         terms = element.terms
         degrees = self.gens.degrees
         term_degrees = [sum(map(mul, exps, degrees)) for exps in terms]
-        # tables in increasing degree, as the vanishing rule reads lower ones
         tables = {d: self._table(d) for d in sorted(set(term_degrees))}
         den = lcm(*(c.denominator for c in terms.values()))
         ones: dict[tuple[int, ...], int] = {}

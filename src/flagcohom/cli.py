@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -335,8 +336,10 @@ def cmd_series(args, parser) -> int:
 
 
 def cmd_basis(args, parser) -> int:
-    job = _job_from_args(args, parser)
     d = args.degree
+    if d < 0:
+        raise ConfigError("--degree", "must be a nonnegative integer")
+    job = _job_from_args(args, parser)
     if d > LARGE_OUTPUT_CAP and not args.force_large:
         raise ConfigError("degree", f"{d} exceeds the cap {LARGE_OUTPUT_CAP}; pass --force-large")
     basis = job.ring.degree_basis(d)
@@ -461,8 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)

@@ -374,8 +374,8 @@ def test_concurrent_degree_computation_is_safe():
     from concurrent.futures import ThreadPoolExecutor
 
     # G_2(C^5) is zero above degree 12 and its largest generator degree is
-    # 6, so each degree from 19 on is either reduced or ruled zero, as the
-    # threads happen to have built the degrees below it
+    # 6; whichever degree a thread asks for first, the tables are built in
+    # increasing degree under one lock, so degrees from 19 on are ruled zero
     desc = SpaceDescriptor("complex-grassmannian", 2, 5)
     ring = build_ring(desc, 24)
     reference = build_ring(desc, 24)
@@ -394,23 +394,24 @@ def test_concurrent_degree_computation_is_safe():
 
 
 def test_degrees_past_the_vanishing_window_build_no_matrix(monkeypatch):
-    built = []
-    real = algebra._GroebnerBasis.reducers
+    steps = []
+    real = algebra._GroebnerBasis.step
 
     def counting(basis, d):
-        built.append(d)
+        steps.append(d)
         return real(basis, d)
 
-    monkeypatch.setattr(algebra._GroebnerBasis, "reducers", counting)
+    monkeypatch.setattr(algebra._GroebnerBasis, "step", counting)
     # G_2(C^4): zero above degree 8, generators of degree at most 4
     ring = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 40)
     assert ring.dimensions() == ring.dimensions(8) + [0] * 32
-    assert built == list(range(13))
-    # the rule reads only cached degrees: random access reduces what it asks for
-    built.clear()
+    assert steps == list(range(13))
+    # a degree asked for first builds the degrees below it, so the rule
+    # applies however the degrees are asked
+    steps.clear()
     fresh = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 40)
     assert fresh.dimension(30) == 0
-    assert built == [30]
+    assert steps == list(range(13))
     assert fresh.normal_form(fresh.gens.gen("c1") ** 15).is_zero
 
 
@@ -428,6 +429,73 @@ def test_a_table_hands_the_kernel_one_row_per_leading_monomial(monkeypatch):
     ring = equivariant_space("complex", 3, "flag", cutoff=18)
     assert ring.dimension(18) == 2002 - 1757
     assert max(sizes) <= 1757
+
+
+def test_a_high_degree_enumerates_no_monomial_past_the_window(monkeypatch):
+    enumerated = set()
+    real = Generators.monomials_of_degree
+
+    def recording(gens, d):
+        enumerated.add(d)
+        return real(gens, d)
+
+    monkeypatch.setattr(Generators, "monomials_of_degree", recording)
+    ring = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 60)
+    assert ring.dimension(60) == 0
+    assert max(enumerated) == 12
+
+
+def test_monomial_counts_match_enumeration():
+    gens = mixed_gens()
+    assert [gens.monomial_count(d) for d in range(-1, 30)] == [
+        len(gens.monomials_of_degree(d)) for d in range(-1, 30)
+    ]
+
+
+def test_a_degree_with_too_many_monomials_is_refused_before_any_step():
+    gens = Generators([GeneratorSymbol(f"x{i}", 2) for i in range(30)])
+    ring = QuotientRing(make_presentation(gens, [gens.gen("x0") ** 5]), 20)
+    assert gens.monomial_count(10) == 278256 > algebra.MAX_DEGREE_MONOMIALS
+    for _ in range(2):
+        with pytest.raises(algebra.TooManyMonomialsError, match="degree 10 has 278256 monomials"):
+            ring.dimension(10)
+        # degrees 0-9 are built; the relation of degree 10 is still to reduce
+        assert len(ring._tables) == 10
+        assert list(ring._basis.relations) == [10]
+
+
+def test_negative_degrees_are_zero():
+    ring = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4))
+    assert ring.dimensions() == [1, 0, 1, 0, 2, 0, 1, 0, 1]
+    assert ring.dimension(-1) == 0
+    assert ring.degree_basis(-1) == ()
+    assert build_ring(SpaceDescriptor("complex-grassmannian", 2, 4)).dimension(-3) == 0
+
+
+def test_each_degree_makes_at_most_one_row_reduction(monkeypatch):
+    # a nonzero degree makes exactly one: the basis step and the table share it
+    degree, calls = [None], []
+    real_rref, real_table = linalg.rref, QuotientRing._compute_table
+
+    def table(ring, d):
+        degree[0] = d
+        return real_table(ring, d)
+
+    def rref(rows):
+        calls.append(degree[0])
+        return real_rref(rows)
+
+    monkeypatch.setattr(QuotientRing, "_compute_table", table)
+    monkeypatch.setattr(linalg, "rref", rref)
+    for ring in (
+        build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 30),
+        QuotientRing(odd_mixing_presentation(), 24),
+        equivariant_space("complex", 3, "flag", cutoff=10),
+    ):
+        calls.clear()
+        dims = ring.dimensions()
+        assert len(calls) == len(set(calls)), ring.label
+        assert {d for d, n in enumerate(dims) if n} <= set(calls), ring.label
 
 
 def odd_mixing_presentation():
@@ -489,8 +557,10 @@ def test_tables_match_pinned_digest():
     assert len(rings) == 133
     digest = hashlib.sha256()
     for ring in rings:
+        # asked in descending order, the tables are still built ascending
+        tables = {d: ring._table(d) for d in reversed(range(ring.cutoff + 1))}
         for d in range(ring.cutoff + 1):
-            table = ring._table(d)
+            table = tables[d]
             digest.update(repr((ring.label, d, table.basis, list(table.rewrite.items()))).encode())
     assert digest.hexdigest() == PINNED_TABLES
 

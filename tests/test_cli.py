@@ -96,6 +96,42 @@ def test_large_output_guard():
     assert result.returncode == 0
 
 
+def test_basis_refuses_a_negative_degree(capsys):
+    code = cli.main(["basis", "complex-grassmannian", "-k", "2", "-n", "4", "--degree", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "config error: --degree: must be a nonnegative integer\n"
+    assert captured.out == ""
+
+
+def test_series_refuses_a_degree_with_too_many_monomials(tmp_path, capsys):
+    # 30 generators of degree 2 and no relations: 278256 monomials in degree 10
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"presentation": {"generators": [[f"x{i}", 2] for i in range(30)]}}))
+    start = time.perf_counter()
+    code = cli.main(["series", "--config", str(path), "--cutoff", "20", "--force-large"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: degree 10 has 278256 monomials, more than the limit 100000\n"
+    assert elapsed < 1
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    assert cli.main(["present", "point"]) == 0
+    assert cli.main(["present", "sphere", "-n", "2"]) == 0
+    assert len(built) == 1
+
+
 def test_bad_parameters_exit_2():
     result = run_cli("present", "complex-grassmannian", "-k", "5", "-n", "3")
     assert result.returncode == 2
