@@ -87,9 +87,7 @@ class GeneratorSymbol:
 class Generators:
     """Ordered generator universe shared by monomials and elements."""
 
-    __slots__ = (
-        "symbols", "degrees", "names", "_index", "_odd", "_weights", "_mono_cache", "_column_cache"
-    )
+    __slots__ = ("symbols", "degrees", "names", "_index", "_odd", "_mono_cache")
 
     def __init__(self, symbols: Iterable[GeneratorSymbol]):
         self.symbols: tuple[GeneratorSymbol, ...] = tuple(symbols)
@@ -100,13 +98,7 @@ class Generators:
         self.degrees: tuple[int, ...] = tuple(s.degree for s in self.symbols)
         self._index = {s.name: i for i, s in enumerate(self.symbols)}
         self._odd = tuple(i for i, s in enumerate(self.symbols) if s.is_odd)
-        # weights per rewrite priority, used by the elimination column order
-        self._weights = tuple(
-            tuple(s.degree if s.rewrite_priority == p else 0 for s in self.symbols)
-            for p in (2, 1)
-        )
         self._mono_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._column_cache: dict[int, tuple[tuple[tuple[int, ...], ...], dict]] = {}
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -221,14 +213,6 @@ class Generators:
                 counts[i] += counts[i - deg]
         return counts[d]
 
-    def elimination_columns(self, d: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
-        """The degree-d monomials in elimination order, and each one's position."""
-        cached = self._column_cache.get(d)
-        if cached is None:
-            cols = tuple(sorted(self.monomials_of_degree(d), key=_elimination_key(self)))
-            cached = self._column_cache.setdefault(d, (cols, {m: i for i, m in enumerate(cols)}))
-        return cached
-
     def extend(self, extra: Iterable[GeneratorSymbol]) -> Generators:
         return Generators(self.symbols + tuple(extra))
 
@@ -242,23 +226,10 @@ class Generators:
         Each factor is scaled to integers by the lcm of its denominators, so
         the loop adds integer products and each output term is divided once.
         """
-        odd = self._odd
-        da, ia = _integer_terms(a, odd)
-        db, ib = _integer_terms(b, odd)
-        out: dict[tuple[int, ...], int] = {}
-        for ea, na, odd_a in ia:
-            for eb, nb, odd_b in ib:
-                n = na * nb
-                if odd_a and odd_b:
-                    if any(ea[i] for i in odd_b):
-                        continue
-                    # moving b's odd factors left past a's higher-index odd factors
-                    if sum(1 for i in odd_b for j in odd_a if j > i) % 2:
-                        n = -n
-                exps = tuple(map(add, ea, eb))
-                out[exps] = out.get(exps, 0) + n
+        da, ia = _integer_terms(a, self._odd)
+        db, ib = _integer_terms(b, self._odd)
         den = da * db
-        return {e: Fraction(n, den) for e, n in out.items() if n}
+        return {e: Fraction(n, den) for e, n in _koszul_product(ia, ib).items() if n}
 
 
 def _integer_terms(terms: Mapping[tuple[int, ...], Fraction], odd: tuple[int, ...]):
@@ -270,9 +241,23 @@ def _integer_terms(terms: Mapping[tuple[int, ...], Fraction], odd: tuple[int, ..
     ]
 
 
-def _display_key(exps: tuple[int, ...]):
-    # within a degree: descending lexicographic, earlier generators dominant
-    return tuple(-e for e in exps)
+def _koszul_product(ia, ib) -> dict[tuple[int, ...], int]:
+    """Koszul-signed product of two integer term lists
+    [(exps, n, odd indices present), ...]; terms that square an odd
+    generator vanish, and the sums may be zero."""
+    out: dict[tuple[int, ...], int] = {}
+    for ea, na, odd_a in ia:
+        for eb, nb, odd_b in ib:
+            n = na * nb
+            if odd_a and odd_b:
+                if any(ea[i] for i in odd_b):
+                    continue
+                # moving b's odd factors left past a's higher-index odd factors
+                if sum(1 for i in odd_b for j in odd_a if j > i) % 2:
+                    n = -n
+            exps = tuple(map(add, ea, eb))
+            out[exps] = out.get(exps, 0) + n
+    return out
 
 
 @dataclass(frozen=True)
@@ -357,7 +342,8 @@ class GradedElement:
         return tuple(Monomial(self.gens, e) for e in self._sorted_exps())
 
     def _sorted_exps(self) -> list[tuple[int, ...]]:
-        return sorted(self.terms, key=lambda e: (self.gens.monomial_degree(e), _display_key(e)))
+        # by degree, then in display order: descending lex, earlier generators dominant
+        return sorted(self.terms, key=lambda e: (-self.gens.monomial_degree(e), e), reverse=True)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -528,19 +514,6 @@ def make_presentation(
     return RingPresentation(gens, tuple(split), label)
 
 
-def _elimination_key(gens: Generators):
-    w2, w1 = gens._weights
-
-    def key(exps: tuple[int, ...]):
-        return (
-            -sum(e * w for e, w in zip(exps, w2)),
-            -sum(e * w for e, w in zip(exps, w1)),
-            _display_key(exps),
-        )
-
-    return key
-
-
 class _GroebnerBasis:
     """A homogeneous Gröbner basis of a presentation's ideal, truncated at a
     cutoff, in the elimination order. `step` extends it by one degree, and
@@ -551,7 +524,8 @@ class _GroebnerBasis:
     degree d, both halves u*g of every pair of elements whose leads have
     their lcm in degree d, and x*g for every odd generator x in the lead of
     an element g of degree d - deg x: x kills the lead but not always the
-    tail. A reduced row whose lead has no reducer is a new element.
+    tail. Each u*g is the Koszul product `_koszul_product` that elements
+    use too. A reduced row whose lead has no reducer is a new element.
     """
 
     def __init__(self, presentation: RingPresentation, cutoff: int):
@@ -567,23 +541,36 @@ class _GroebnerBasis:
             _, terms = _integer_terms(rel.terms, gens._odd)
             self.relations.setdefault(rel.degree(), []).append({e: c for e, c, _ in terms})
         self.pending: dict[int, set[tuple[int, tuple[int, ...]]]] = {}
+        w2, w1 = ([s.degree if s.rewrite_priority == p else 0 for s in gens] for p in (2, 1))
+        # the columns' sort key, or None when no generator has a rewrite priority
+        self.order = None
+        if any(w2 + w1):
+            self.order = lambda m: (-sum(map(mul, m, w2)), -sum(map(mul, m, w1)))
 
-    def step(self, d: int) -> list[list[tuple[int, int]]] | None:
+    def step(self, d: int) -> list[list[tuple[tuple[int, ...], int]]] | None:
         """Extend the basis to degree d. Returns the reduced rows of the
-        ideal's degree-d slice over `elimination_columns(d)`, or None when
-        an older lead divides every degree-d monomial."""
-        cols, index = self.gens.elimination_columns(d)
+        ideal's degree-d slice, as [(exps, v), ...] lead first, or None when
+        an older lead divides every degree-d monomial.
+
+        The columns are the degree-d monomials in display order, stably
+        sorted by descending priority-2 weight, then descending priority-1
+        weight, so display order breaks ties; without priorities there is
+        nothing to sort."""
+        cols = self.gens.monomials_of_degree(d)
+        if self.order:
+            cols = sorted(cols, key=self.order)
         hits = [self._divisor(m) for m in cols]
         relations, pending = self.relations.pop(d, []), self.pending.pop(d, ())
         if None not in hits:
             return None
         rows = [self._multiple(*hit) for hit in hits if hit is not None] + relations
         rows += [self._multiple(k, u) for k, u in pending]
+        index = {m: i for i, m in enumerate(cols)}
         reduced = linalg.rref([sorted((index[e], c) for e, c in row.items()) for row in rows])
         for row in reduced:
             if hits[row[0][0]] is None:
                 self._add(d, [(cols[c], v) for c, v in row])
-        return reduced
+        return [[(cols[c], v) for c, v in row] for row in reduced]
 
     def _divisor(self, m: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
         for k, lead in enumerate(self.leads):
@@ -593,19 +580,7 @@ class _GroebnerBasis:
 
     def _multiple(self, k: int, u: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """The Koszul-signed product u*g of a monomial and element k."""
-        odd = self.gens._odd
-        u_odd = [i for i in odd if u[i]]
-        row = {}
-        for exps, c, e_odd in self.elements[k]:
-            if u_odd and e_odd:
-                if any(u[i] for i in e_odd):
-                    continue
-                # each odd factor of the term moves left past the odd
-                # factors of u with a higher index
-                if sum(1 for i in e_odd for j in u_odd if j > i) % 2:
-                    c = -c
-            row[tuple(map(add, u, exps))] = c
-        return row
+        return _koszul_product([(u, 1, [i for i in self.gens._odd if u[i]])], self.elements[k])
 
     def _add(self, d: int, terms: list[tuple[tuple[int, ...], int]]) -> None:
         gens, cutoff = self.gens, self.cutoff
@@ -693,15 +668,11 @@ class QuotientRing:
         if self._vanishes(d):
             return _ZERO_TABLE
         reduced = self._basis.step(d)
-        cols, _ = self.gens.elimination_columns(d)
-        if reduced is None or len(reduced) == len(cols):
+        if reduced is None:
             return _ZERO_TABLE
-        rewrite: dict[tuple[int, ...], tuple[int, tuple[tuple[tuple[int, ...], int], ...]]] = {}
-        for row in reduced:
-            lead_col, lead = row[0]
-            rewrite[cols[lead_col]] = (lead, tuple((cols[c], -v) for c, v in row[1:]))
+        rewrite = {row[0][0]: (row[0][1], tuple((e, -v) for e, v in row[1:])) for row in reduced}
         basis = tuple(m for m in self.gens.monomials_of_degree(d) if m not in rewrite)
-        return _DegreeTable(basis, rewrite)
+        return _DegreeTable(basis, rewrite) if basis else _ZERO_TABLE
 
     # -- public queries ----------------------------------------------------
 

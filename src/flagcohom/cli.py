@@ -52,6 +52,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# The fields each config object reads; any other key is refused.
+FIELDS = {
+    "space": ("family", "k", "n", "variant"),
+    "presentation": ("generators", "relations", "label"),
+    "bundle": ("base", "kind", "rank", "total_class", "euler_class", "extension", "suffix", "k", "full"),
+    "tower": ("base", "stages"),
+    "pushout": ("b0", "b1", "e0", "map_b1", "map_e0"),
+}
+STAGE_FIELDS = ("extension", "kind", "rank", "total_class", "euler_class", "k")
+
+
+def _check_fields(doc: dict, path: str, known) -> None:
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}", "unknown field")
+
+
 def _field(doc: dict, path: str, key: str, kind, required: bool = True, default=None):
     if key not in doc:
         if required:
@@ -91,7 +108,8 @@ def build_job(doc: dict, path: str = "config", cutoff: int | None = None) -> Bui
     A library ValueError becomes a ConfigError at the sub-document's path."""
     if not isinstance(doc, dict):
         raise ConfigError(path, "expected an object")
-    kinds = [k for k in ("space", "presentation", "bundle", "tower", "pushout") if k in doc]
+    _check_fields(doc, path, ("cutoff", *FIELDS))
+    kinds = [k for k in FIELDS if k in doc]
     if len(kinds) != 1:
         raise ConfigError(path, "need exactly one of space/presentation/bundle/tower/pushout")
     cutoff = doc.get("cutoff", cutoff)
@@ -102,6 +120,7 @@ def build_job(doc: dict, path: str = "config", cutoff: int | None = None) -> Bui
     path = f"{path}.{kind}"
     if not isinstance(sub, dict):
         raise ConfigError(path, "expected an object")
+    _check_fields(sub, path, FIELDS[kind])
 
     try:
         if kind == "space":
@@ -210,15 +229,19 @@ def _build_tower_job(sub, path, cutoff) -> BuiltJob:
         spath = f"{path}.stages[{i}]"
         if not isinstance(s, dict):
             raise ConfigError(spath, "expected an object")
+        _check_fields(s, spath, STAGE_FIELDS)
+        ext = _field(s, spath, "extension", str)
+        # an unknown extension is left to stage_fibre, which refuses it by name
+        reads_k = ext == "grassmannianize" or ext not in extension.TOWER_EXTENSIONS
         stage = extension.TowerStage(
-            extension=_field(s, spath, "extension", str),
+            extension=ext,
             kind=_field(s, spath, "kind", str, required=False, default="complex"),
             rank=_field(s, spath, "rank", int),
             total_class=_sum_elements(ring.gens, s.get("total_class", "1"), f"{spath}.total_class"),
             euler_class=None
             if s.get("euler_class") is None
             else _sum_elements(ring.gens, s["euler_class"], f"{spath}.euler_class"),
-            k=_field(s, spath, "k", int, required=False),
+            k=_read_if(reads_k, s, spath, ext, "k", int, required=False),
         )
         fibre = extension.stage_fibre(stage, i + 1)
         _check_size(fibre)
@@ -291,11 +314,14 @@ def _job_from_args(args, parser) -> BuiltJob:
         try:
             with open(args.config) as fh:
                 doc = json.load(fh)
+            # each nested base, b0, b1 or e0 is built by a recursive call
+            return build_job(doc, cutoff=args.cutoff)
         except OSError as exc:
             raise ConfigError(args.config, str(exc))
         except json.JSONDecodeError as exc:
             raise ConfigError(args.config, f"invalid JSON: line {exc.lineno} col {exc.colno}")
-        return build_job(doc, cutoff=args.cutoff)
+        except RecursionError:
+            raise ConfigError(args.config, "nested too deeply") from None
     if args.family:
         doc = {"space": {"family": args.family, "k": args.k, "n": args.n, "variant": args.variant}}
         return build_job(doc, cutoff=args.cutoff)

@@ -115,6 +115,19 @@ def quotient_dimension(degrees, relations, d: int) -> int:
     return len(cols) - dense_rank(relation_matrix(degrees, relations, d, cols))
 
 
+def elimination_key(gens):
+    """The column order of the elimination: a monomial's weight in the
+    generators of rewrite priority 2, descending, then its weight in those
+    of priority 1, descending, then descending lex, earlier generators
+    dominant. Read from the generators' degrees and priorities alone."""
+    symbols = list(gens)
+
+    def weight(exps, priority):
+        return sum(e * s.degree for e, s in zip(exps, symbols) if s.rewrite_priority == priority)
+
+    return lambda exps: (-weight(exps, 2), -weight(exps, 1), [-e for e in exps])
+
+
 def reference_table(degrees, relations, d: int, column_key):
     """(basis set, rewrite table) of degree d by dense elimination.
 

@@ -23,7 +23,6 @@ from flagcohom import (
     make_presentation,
 )
 from flagcohom import algebra, linalg
-from flagcohom.algebra import _elimination_key
 from flagcohom.catalog import default_cutoff
 from flagcohom.expressions import MAX_NESTING, ElementSyntaxError
 from flagcohom.verify import _catalog_descriptors
@@ -35,6 +34,7 @@ except ImportError:  # the Groebner-basis oracle is skipped without it
 
 from _oracles import (
     ReferenceQuotient,
+    elimination_key,
     koszul_product,
     koszul_terms_product,
     monomials,
@@ -78,6 +78,28 @@ def test_monomial_enumeration_matches_bruteforce():
     gens = mixed_gens()
     for d in range(13):
         assert sorted(gens.monomials_of_degree(d)) == sorted(monomials([2, 3, 4, 5], d))
+
+
+def display_key(exps):
+    # descending lex, earlier generators dominant
+    return tuple(-e for e in exps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=5), st.integers(0, 14))
+def test_monomials_of_degree_come_in_display_order(degrees, d):
+    # the Gröbner step's stable sort by priority weights leaves its ties in
+    # this order
+    gens = Generators([GeneratorSymbol(f"x{i}", deg) for i, deg in enumerate(degrees)])
+    assert list(gens.monomials_of_degree(d)) == sorted(monomials(degrees, d), key=display_key)
+
+
+def test_catalog_monomials_come_in_display_order():
+    for desc in dict.fromkeys(_catalog_descriptors(4)):
+        gens = build_space(desc)[0].generators
+        for d in range(default_cutoff(desc) + 1):
+            expected = sorted(monomials(list(gens.degrees), d), key=display_key)
+            assert list(gens.monomials_of_degree(d)) == expected, (desc.label, d)
 
 
 def test_monomial_degree_and_str():
@@ -321,7 +343,7 @@ def oracle_rows(pres, d):
     multiples as sparse integer rows over them."""
     gens = pres.generators
     degrees = list(gens.degrees)
-    cols = sorted(monomials(degrees, d), key=_elimination_key(gens))
+    cols = sorted(monomials(degrees, d), key=elimination_key(gens))
     rows = []
     for dense in relation_matrix(degrees, [r.terms for r in pres.relations], d, cols):
         den = math.lcm(*(v.denominator for v in dense))
@@ -529,7 +551,7 @@ def test_tables_match_dense_reference_past_the_vanishing_window():
         degrees = list(gens.degrees)
         rels = [r.terms for r in pres.relations]
         for d in range(ring.cutoff + 1):
-            basis, rewrite = reference_table(degrees, rels, d, _elimination_key(gens))
+            basis, rewrite = reference_table(degrees, rels, d, elimination_key(gens))
             table = ring._table(d)
             assert set(table.basis) == basis, (pres.label, d)
             if basis:
@@ -596,7 +618,7 @@ def test_random_graded_presentations_match_dense_reference(presentation):
     ring = QuotientRing(make_presentation(gens, [GradedElement(gens, r) for r in relations]), 10)
     degrees = list(gens.degrees)
     for d in range(ring.cutoff + 1):
-        basis, rewrite = reference_table(degrees, relations, d, _elimination_key(gens))
+        basis, rewrite = reference_table(degrees, relations, d, elimination_key(gens))
         table = ring._table(d)
         assert set(table.basis) == basis, d
         if basis:
@@ -619,7 +641,7 @@ def ring_and_reference(name):
     ring = EQUIVALENCE_RINGS[name]()
     gens = ring.gens
     rels = [r.terms for r in ring.presentation.relations]
-    return ring, ReferenceQuotient(gens.degrees, rels, _elimination_key(gens))
+    return ring, ReferenceQuotient(gens.degrees, rels, elimination_key(gens))
 
 
 def draw_terms(data, ring, top):

@@ -532,8 +532,25 @@ def test_suffix_names_the_projectivize_and_sphere_generator(
          "config.bundle: sphere_bundle needs rank at least 3, got rank 1"),
         (["projective-space-real", "-k", "3", "-n", "2"], None,
          "config.space: projective-space-real: takes no k, got k=3"),
+        ([], {"tower": {"stages": [{"extension": "complete-flag", "rank": 2, "k": 5}]}},
+         "config.tower.stages[0].k: the complete-flag extension takes no k"),
+        ([], stage_doc("projectivize", "complex", 2, k=1),
+         "config.tower.stages[0].k: the projectivize extension takes no k"),
+        ([], {"space": {"family": "point"}, "cutof": 3}, "config.cutof: unknown field"),
+        ([], {"space": {"family": "complex-grassmannian", "K": 2, "n": 4}}, "config.space.K: unknown field"),
+        ([], {"presentation": {"generators": [["x", 2]], "relation": ["x^2"]}, "cutoff": 4},
+         "config.presentation.relation: unknown field"),
+        ([], bundle_doc(POINT, "complex", 2, "1", "projectivize", rnak=3), "config.bundle.rnak: unknown field"),
+        ([], {"tower": {"stages": [], "bsae": POINT}}, "config.tower.bsae: unknown field"),
+        ([], stage_doc("projectivize", "complex", 2, total="1"), "config.tower.stages[0].total: unknown field"),
+        ([], {"pushout": {"b0": POINT, "b1": POINT, "e0": POINT, "map_b2": {}}},
+         "config.pushout.map_b2: unknown field"),
+        ([], {"tower": {"stages": [], "base": {"space": {"family": "point", "m": 1}}}},
+         "config.tower.base.space.m: unknown field"),
     ],
-    ids=["generator-name", "sphere-rank-1", "unread-k"],
+    ids=["generator-name", "sphere-rank-1", "unread-k", "complete-flag-stage-k", "projectivize-stage-k",
+         "unknown-top", "unknown-space", "unknown-presentation", "unknown-bundle", "unknown-tower",
+         "unknown-stage", "unknown-pushout", "unknown-nested-space"],
 )
 def test_config_errors_name_the_sub_document(argv, config, error, tmp_path, capsys):
     code, _, captured = present_in_process(argv, config, tmp_path, capsys)
@@ -555,6 +572,18 @@ def test_bundle_rejects_fields_its_extension_does_not_read(extension, extra, err
     assert code == 2
     assert captured.err == f"config error: {error}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("depth", [500, 50_000])
+def test_deeply_nested_config_exits_2(depth, tmp_path):
+    # written as text: json.dumps itself recurses once per level
+    bundle = '{"bundle": {"kind": "complex", "rank": 1, "total_class": "1", "extension": "projectivize", "base": '
+    path = tmp_path / "deep.json"
+    path.write_text(bundle * depth + json.dumps(POINT) + "}}" * depth)
+    result = run_cli("present", "--config", str(path))
+    assert result.returncode == 2
+    assert result.stderr == f"config error: {path}: nested too deeply\n"
+    assert result.stdout == ""
 
 
 H_RING = {"presentation": {"generators": [["h", 2]]}, "cutoff": 4}
@@ -691,8 +720,10 @@ def cli_grid() -> list:
 
 
 # sha256 of the `present` and `series` runs of cli_grid() as JSON, recorded
-# while the CLI still chose each fibre and constructor itself
-PINNED_CLI_DIGEST = "254ae897421e0c336c67749f486939bd103bc6865fe7a98e1cc508bf01dc4dce"
+# while the CLI still chose each fibre and constructor itself; re-recorded
+# when tower stages began to refuse a k that their extension does not read,
+# which changed the runs of the five configs with such a stage
+PINNED_CLI_DIGEST = "9341e360568e2f69cd1aab88c57fa136a3beee291c741157419bd7cae7eb399e"
 
 
 def test_bundle_and_tower_jobs_match_pinned_digest(tmp_path, capsys):
