@@ -12,9 +12,10 @@ additive monomial basis and rewrite table (the normal-form map): its rows
 contain one element of the ideal per leading monomial of the ideal's
 degree-d slice, so they span the slice, and their reduced echelon form is
 the slice's own. A table keeps each reduced row as it leaves the kernel,
-primitive integers with a positive lead. Normal forms and products add
-integer multiples over one common denominator and divide once per output
-coefficient.
+primitive integers with a positive lead, over the positions of the
+degree's basis monomials. Normal forms and products add integer multiples
+into one list per lead, indexed by basis position, over one common
+denominator, and divide once per output coefficient.
 
 Degrees above a vanishing window are zero without any reduction. Let g be
 the largest generator degree. If the quotient is zero in each of the
@@ -175,28 +176,40 @@ class Generators:
                     f"degree {d} has {count} monomials, more than the limit {MAX_DEGREE_MONOMIALS}"
                 )
             out: list[tuple[int, ...]] = []
-            n = len(self.symbols)
-            degs = self.degrees
+            degs, n = self.degrees, len(self.degrees)
+            caps = [1 if i in self._odd else d for i in range(n)]
             exps = [0] * n
-
-            def rec(i: int, remaining: int) -> None:
-                if remaining == 0:
+            # the generators with a nonzero exponent, in order: the search
+            # keeps one entry per factor, however many generators there are
+            factors: list[int] = []
+            first, left = 0, d
+            while count:
+                # each generator from `first` on takes the largest exponent
+                # that fits
+                for i in range(first, n):
+                    e = left // degs[i]
+                    if e:
+                        if e > caps[i]:
+                            e = caps[i]
+                        exps[i] = e
+                        factors.append(i)
+                        left -= e * degs[i]
+                        if not left:
+                            break
+                if not left:
                     out.append(tuple(exps))
-                    return
-                if i == n:
-                    return
-                top = remaining // degs[i]
-                if i in self._odd:
-                    top = min(top, 1)
-                for e in range(top, -1, -1):
-                    exps[i] = e
-                    rec(i + 1, remaining - e * degs[i])
-                exps[i] = 0
-
-            # exponents run from high to low, generator by generator: the
-            # output is in display order
-            if count:
-                rec(0, d)
+                if not factors:
+                    break
+                # the last nonzero exponent drops by one, and the generators
+                # after it share the degree freed. Exponents run from high
+                # to low, generator by generator: the output is in display
+                # order
+                i = factors[-1]
+                exps[i] -= 1
+                left += degs[i]
+                if not exps[i]:
+                    factors.pop()
+                first = i + 1
             cached = self._mono_cache.setdefault(d, tuple(out))
         return cached
 
@@ -547,10 +560,11 @@ class _GroebnerBasis:
         if any(w2 + w1):
             self.order = lambda m: (-sum(map(mul, m, w2)), -sum(map(mul, m, w1)))
 
-    def step(self, d: int) -> list[list[tuple[tuple[int, ...], int]]] | None:
-        """Extend the basis to degree d. Returns the reduced rows of the
-        ideal's degree-d slice, as [(exps, v), ...] lead first, or None when
-        an older lead divides every degree-d monomial.
+    def step(self, d: int) -> tuple[Sequence[tuple[int, ...]], list[list[tuple[int, int]]]] | None:
+        """Extend the basis to degree d. Returns the columns, the degree-d
+        monomials in column order, and `linalg.rref`'s reduced rows of the
+        ideal's degree-d slice over them, or None when an older lead divides
+        every degree-d monomial.
 
         The columns are the degree-d monomials in display order, stably
         sorted by descending priority-2 weight, then descending priority-1
@@ -570,7 +584,7 @@ class _GroebnerBasis:
         for row in reduced:
             if hits[row[0][0]] is None:
                 self._add(d, [(cols[c], v) for c, v in row])
-        return [[(cols[c], v) for c, v in row] for row in reduced]
+        return cols, reduced
 
     def _divisor(self, m: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
         for k, lead in enumerate(self.leads):
@@ -602,19 +616,30 @@ class _GroebnerBasis:
 
 
 class _DegreeTable:
-    __slots__ = ("basis", "rewrite")
+    __slots__ = ("basis", "index", "rows")
 
-    def __init__(self, basis, rewrite):
+    def __init__(self, basis, index, rows):
         self.basis = basis  # exponent vectors in display order
-        # pivot exps -> (lead, ((basis exps, v), ...)): the pivot monomial
-        # equals the sum of v/lead times the basis monomials, where the
-        # reduced row is primitive with positive lead
-        self.rewrite = rewrite
+        self.index = index  # basis exps -> position in `basis`
+        # pivot exps -> (lead, positions, values): the pivot monomial equals
+        # the sum of v/lead times basis[pos], where the reduced row is
+        # primitive with positive lead and the values are its other
+        # entries negated, in column order
+        self.rows = rows
+
+    @property
+    def rewrite(self):
+        """pivot exps -> (lead, ((basis exps, v), ...)), derived from `rows`."""
+        basis = self.basis
+        return {
+            pivot: (lead, tuple((basis[i], v) for i, v in zip(positions, values)))
+            for pivot, (lead, positions, values) in self.rows.items()
+        }
 
 
 # The table of every zero degree, whether reduced or known to vanish, and of
 # every negative degree.
-_ZERO_TABLE = _DegreeTable((), {})
+_ZERO_TABLE = _DegreeTable((), {}, {})
 
 
 class QuotientRing:
@@ -667,12 +692,21 @@ class QuotientRing:
     def _compute_table(self, d: int) -> _DegreeTable:
         if self._vanishes(d):
             return _ZERO_TABLE
-        reduced = self._basis.step(d)
-        if reduced is None:
+        stepped = self._basis.step(d)
+        if stepped is None:
             return _ZERO_TABLE
-        rewrite = {row[0][0]: (row[0][1], tuple((e, -v) for e, v in row[1:])) for row in reduced}
-        basis = tuple(m for m in self.gens.monomials_of_degree(d) if m not in rewrite)
-        return _DegreeTable(basis, rewrite) if basis else _ZERO_TABLE
+        cols, reduced = stepped
+        pivots = {cols[row[0][0]]: row for row in reduced}
+        basis = tuple(m for m in self.gens.monomials_of_degree(d) if m not in pivots)
+        if not basis:
+            return _ZERO_TABLE
+        index = {m: i for i, m in enumerate(basis)}
+        position = [index.get(m) for m in cols]  # column -> basis position
+        rows = {
+            pivot: (row[0][1], tuple(position[c] for c, _ in row[1:]), tuple(-v for _, v in row[1:]))
+            for pivot, row in pivots.items()
+        }
+        return _DegreeTable(basis, index, rows)
 
     # -- public queries ----------------------------------------------------
 
@@ -690,40 +724,52 @@ class QuotientRing:
     def normal_form(self, element: GradedElement) -> NormalForm:
         """The canonical representative supported on basis monomials.
 
-        The input is scaled to integers by the lcm of its denominators, and
-        each rewrite row adds integer multiples into the accumulator of its
-        lead. The accumulators are merged over the lcm of the leads, so each
-        output coefficient is divided once.
+        The input is scaled to integers by the lcm of its denominators and
+        reduced one degree at a time, in increasing degree. In a degree, a
+        basis monomial adds its coefficient at its basis position into the
+        list of lead 1, and a pivot adds integer multiples of its rewrite
+        row's values at the row's positions into the list of the row's lead.
+        Lists of different leads are merged over the lcm of the leads, so
+        each output coefficient is divided once.
         """
         element = element.reindex(self.gens)
         terms = element.terms
         degrees = self.gens.degrees
-        term_degrees = [sum(map(mul, exps, degrees)) for exps in terms]
-        tables = {d: self._table(d) for d in sorted(set(term_degrees))}
         den = lcm(*(c.denominator for c in terms.values()))
-        ones: dict[tuple[int, ...], int] = {}
-        by_lead = {1: ones}
-        for (exps, c), d in zip(terms.items(), term_degrees):
-            table = tables[d]
-            if not table.basis:
+        by_degree: dict[int, list] = {}
+        for exps, c in terms.items():
+            by_degree.setdefault(sum(map(mul, exps, degrees)), []).append(
+                (exps, c.numerator * (den // c.denominator))
+            )
+        out: dict[tuple[int, ...], Fraction] = {}
+        for d in sorted(by_degree):
+            table = self._table(d)
+            basis = table.basis
+            if not basis:
                 continue
-            n = c.numerator * (den // c.denominator)
-            row = table.rewrite.get(exps)
-            if row is None:
-                ones[exps] = ones.get(exps, 0) + n
-                continue
-            lead, entries = row
-            acc = by_lead.setdefault(lead, {})
-            for bexps, v in entries:
-                acc[bexps] = acc.get(bexps, 0) + n * v
-        common = lcm(*by_lead)
-        total: dict[tuple[int, ...], int] = {}
-        for lead, acc in by_lead.items():
-            scale = common // lead
-            for bexps, n in acc.items():
-                total[bexps] = total.get(bexps, 0) + n * scale
-        den *= common
-        return GradedElement(self.gens, {e: Fraction(n, den) for e, n in total.items() if n})
+            index, rows = table.index, table.rows
+            by_lead: dict[int, list[int]] = {}
+            for exps, n in by_degree[d]:
+                row = rows.get(exps)
+                lead, positions, values = (1, (index[exps],), (1,)) if row is None else row
+                acc = by_lead.get(lead) or by_lead.setdefault(lead, [0] * len(basis))
+                for i, v in zip(positions, values):
+                    acc[i] += n * v
+            if len(by_lead) == 1:
+                [(common, total)] = by_lead.items()
+            else:
+                common = lcm(*by_lead)
+                total = [0] * len(basis)
+                for lead, acc in by_lead.items():
+                    scale = common // lead
+                    for i, n in enumerate(acc):
+                        if n:
+                            total[i] += n * scale
+            common *= den
+            for exps, n in zip(basis, total):
+                if n:
+                    out[exps] = Fraction(n, common)
+        return GradedElement(self.gens, out)
 
     def is_zero(self, element: GradedElement) -> bool:
         return self.normal_form(element).is_zero

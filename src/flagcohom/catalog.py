@@ -472,18 +472,19 @@ def verify_space(space: SpaceDescriptor, cutoff: int | None = None) -> VerifyRep
 
 def _independent(ring: QuotientRing, monomials) -> bool:
     """Whether the residues of the monomials are linearly independent. In
-    its degree's table a basis monomial is a unit row, a pivot its rewrite
-    row (scaling by the lead keeps the rank), a zero degree's an empty row."""
+    its degree's table a basis monomial is a unit row at its position, a
+    pivot its rewrite row (scaling by the lead keeps the rank), a zero
+    degree's an empty row."""
     if not monomials:
         return True
     table = ring._table(monomials[0].degree)
-    column = {e: i for i, e in enumerate(table.basis)}
     rows = []
     for mono in monomials:
+        row = table.rows.get(mono.exps)
         if not table.basis:
             rows.append([])
-        elif mono.exps in table.rewrite:
-            rows.append(sorted((column[e], v) for e, v in table.rewrite[mono.exps][1]))
+        elif row is not None:
+            rows.append(sorted(zip(row[1], row[2])))
         else:
-            rows.append([(column[mono.exps], 1)])
+            rows.append([(table.index[mono.exps], 1)])
     return linalg.rank(rows) == len(monomials)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -675,6 +676,72 @@ def test_normal_form_and_multiply_match_dense_fractions(name, data):
     product = ring.multiply(gens.element(a), gens.element(b))
     assert product.terms == reference.multiply(a, b)
     assert (gens.element(a) * gens.element(b)).terms == koszul_terms_product(gens.degrees, a, b)
+
+
+def seeded_element(rng, ring, d, size):
+    """Up to `size` degree-d monomials with small fractional coefficients."""
+    exps = ring.gens.monomials_of_degree(d)
+    terms = {}
+    for e in rng.sample(exps, min(size, len(exps))):
+        terms[e] = Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 4)), rng.choice((1, 1, 2, 3)))
+    return ring.gens.element(terms)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: equivariant_space("complex", 3, "flag", cutoff=12),
+        lambda: build_ring(SpaceDescriptor("odd-oriented-grassmannian", 1, 3)),  # G~_3(R^8)
+    ],
+    ids=["equivariant-Fl(C^3)", "G~_3(R^8)"],
+)
+def test_products_in_warm_tables_make_one_normal_form_and_no_reduction(make, monkeypatch):
+    # the read side of the product benchmark: once every table is built, a
+    # product is one normal form of the Koszul product, with no table or
+    # row reduction
+    ring = make()
+    ring.dimensions()
+    calls = {"normal_form": 0, "table": 0, "rref": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(QuotientRing, "normal_form", counted("normal_form", QuotientRing.normal_form))
+    monkeypatch.setattr(QuotientRing, "_compute_table", counted("table", QuotientRing._compute_table))
+    monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+    rng = random.Random(12)
+    degrees = [d for d in range(1, ring.cutoff + 1) if len(ring.gens.monomials_of_degree(d)) >= 2]
+    pairs = [(a, b) for a in degrees for b in degrees if a <= b and a + b <= ring.cutoff]
+    for da, db in pairs:
+        a, b = seeded_element(rng, ring, da, 6), seeded_element(rng, ring, db, 6)
+        for x, y in ((a, b), (b, a)):
+            before = dict(calls)
+            ring.multiply(x, y)
+            assert calls == {**before, "normal_form": before["normal_form"] + 1}, (da, db)
+    assert calls["normal_form"] == 2 * len(pairs) > 0
+
+
+def test_products_in_hundreds_of_basis_positions_obey_the_ring_laws():
+    # equivariant Fl(C^4) has 174 basis monomials in degree 8 and 344 in
+    # degree 10, past the dense reference's reach; every generator is even,
+    # so graded commutativity is commutativity
+    ring = equivariant_space("complex", 4, "flag", cutoff=10)
+    nf = ring.normal_form
+    rng = random.Random(7)
+    for da, db, dc in ((2, 4, 4), (4, 2, 4), (2, 2, 6), (2, 6, 2), (4, 4, 2)):
+        a, b, c = (seeded_element(rng, ring, d, 12) for d in (da, db, dc))
+        assert ring.multiply(a, b) == ring.multiply(b, a)
+        assert ring.multiply(ring.multiply(a, b), c) == ring.multiply(a, ring.multiply(b, c))
+    for d in (8, 10):
+        x, y = seeded_element(rng, ring, d, 60), seeded_element(rng, ring, d, 60)
+        q = Fraction(rng.choice((-7, 5, 3)), rng.choice((2, 9)))
+        assert nf(x + y * q) == nf(x) + nf(y) * q
+        assert nf(nf(x)) == nf(x)
+        assert nf(x) - nf(y) == nf(x - y)
 
 
 def test_degree_ranks_agree_modulo_large_primes():

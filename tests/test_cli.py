@@ -586,6 +586,16 @@ def test_deeply_nested_config_exits_2(depth, tmp_path):
     assert result.stdout == ""
 
 
+def test_a_presentation_with_more_generators_than_the_recursion_limit(tmp_path):
+    # enumerating monomials once recursed per generator and ended here in a
+    # RecursionError traceback and exit 1
+    generators = [[f"x{i}", 2] for i in range(1200)]
+    result = run_cli("series", "--format", "structured", tmp_path=tmp_path,
+                     config={"presentation": {"generators": generators}, "cutoff": 2})
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["coefficients"] == [1, 0, 1200]
+
+
 H_RING = {"presentation": {"generators": [["h", 2]]}, "cutoff": 4}
 
 
@@ -737,3 +747,49 @@ def test_bundle_and_tower_jobs_match_pinned_digest(tmp_path, capsys):
             runs.append([command, config, code, captured.out, captured.err])
     text = json.dumps(runs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CLI_DIGEST
+
+
+def mul_grid() -> list:
+    """`mul` argument lists over every ring of _catalog_descriptors(3): the
+    first generator times the last at the default cutoff, then, to cutoff
+    40 so that degrees past the top are asked, a sum with fractional
+    coefficients times another and a difference of products times a sum
+    with a fractional constant; the first in text only, the others in text
+    and structured form. Rings with no generator multiply fractions."""
+    from flagcohom.verify import _catalog_descriptors
+
+    grid = []
+    for desc in dict.fromkeys(_catalog_descriptors(3)):
+        names = build_space(desc)[0].generators.names
+        options = [] if desc.family == "point" else ["-k", str(desc.k), "-n", str(desc.n)]
+        if desc.variant:
+            options += ["--variant", desc.variant]
+        if names:
+            g, h = names[0], names[-1]
+            grid.append(["mul", desc.family, g, h, *options])
+            products = [
+                (f"1/2*{g} - 2/3*{h} + 3", f"{g} + 5/4*{h}^2", "--cutoff", "40"),
+                (f"{g}*{h} - 1/3*{g}^2", f"7/2 - {h}", "--cutoff", "40"),
+            ]
+        else:
+            products = [("1/2 + 3", "2/3")]
+        for a, b, *extra in products:
+            grid.append(["mul", desc.family, a, b, *options, *extra])
+            grid.append(["mul", desc.family, a, b, *options, *extra, "--format", "structured"])
+    return grid
+
+
+# sha256 of the `mul` runs of mul_grid() as JSON, recorded while normal
+# forms still accumulated in dicts keyed by exponent vectors
+PINNED_MUL_DIGEST = "e3a3f7fc3f2c9560998e1d737fb675039d3d1800ca551409bc5d2418a1a327d6"
+
+
+def test_mul_outputs_match_pinned_digest(capsys):
+    runs = []
+    for argv in mul_grid():
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        runs.append([argv, code, captured.out, captured.err])
+    assert len(runs) == 5 * 91 + 2 * 2
+    text = json.dumps(runs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_MUL_DIGEST
