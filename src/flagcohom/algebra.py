@@ -17,14 +17,21 @@ degree's basis monomials. Normal forms and products add integer multiples
 into one list per lead, indexed by basis position, over one common
 denominator, and divide once per output coefficient.
 
-Degrees above a vanishing window are zero without any reduction. Let g be
-the largest generator degree. If the quotient is zero in each of the
-degrees d-g, ..., d-1, it is zero in degree d: removing one generator from
-a degree-d monomial leaves a divisor whose degree lies in that window, so
-the divisor lies in the ideal, and the monomial, which is plus or minus
-the divisor times the removed generator, lies there too. This holds for
-odd generators as well. Every lower table is built before a degree's, so
-once a window is zero the basis takes no further step.
+Zero monomials cost no reduction. A degree-d monomial m is zero in the
+quotient when m/x is, for some generator x of m: m is plus or minus x
+times m/x, and m/x lies in the ideal. The degree-d step finds such
+monomials from the zero monomials of the lower degrees (the pivots whose
+rewrite row has no positions, or every monomial of a zero degree), and
+gives each its unit row without building or reducing a row for it. The
+reduced echelon form of the slice holds that unit row anyway, with a zero
+in the monomial's column in every other row, so the tables do not change.
+
+Whole degrees follow from the same rule. Let g be the largest generator
+degree. If the quotient is zero in each of the degrees d-g, ..., d-1, it is
+zero in degree d: removing one generator from a degree-d monomial leaves a
+divisor whose degree lies in that window. This holds for odd generators as
+well. Every lower table is built before a degree's, so once a window is
+zero the basis takes no further step and the degree is not enumerated.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, ge, mul, sub
+from operator import add, ge, mul, or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import linalg
@@ -88,7 +95,7 @@ class GeneratorSymbol:
 class Generators:
     """Ordered generator universe shared by monomials and elements."""
 
-    __slots__ = ("symbols", "degrees", "names", "_index", "_odd", "_mono_cache")
+    __slots__ = ("symbols", "degrees", "names", "_index", "_odd", "_mono_cache", "_reach_table")
 
     def __init__(self, symbols: Iterable[GeneratorSymbol]):
         self.symbols: tuple[GeneratorSymbol, ...] = tuple(symbols)
@@ -100,6 +107,7 @@ class Generators:
         self._index = {s.name: i for i, s in enumerate(self.symbols)}
         self._odd = tuple(i for i, s in enumerate(self.symbols) if s.is_odd)
         self._mono_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._reach_table: list[list[bool]] = [[]]
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -178,6 +186,8 @@ class Generators:
             out: list[tuple[int, ...]] = []
             degs, n = self.degrees, len(self.degrees)
             caps = [1 if i in self._odd else d for i in range(n)]
+            # the search descends only where the rest can be completed
+            reach = self._reach(d)
             exps = [0] * n
             # the generators with a nonzero exponent, in order: the search
             # keeps one entry per factor, however many generators there are
@@ -185,33 +195,61 @@ class Generators:
             first, left = 0, d
             while count:
                 # each generator from `first` on takes the largest exponent
-                # that fits
+                # that leaves a degree the generators after it reach
                 for i in range(first, n):
-                    e = left // degs[i]
+                    if not left:
+                        break
+                    g, after = degs[i], reach[i + 1]
+                    e = left // g
+                    if e > caps[i]:
+                        e = caps[i]
+                    while not after[left - e * g]:
+                        e -= 1
                     if e:
-                        if e > caps[i]:
-                            e = caps[i]
                         exps[i] = e
                         factors.append(i)
-                        left -= e * degs[i]
-                        if not left:
-                            break
-                if not left:
-                    out.append(tuple(exps))
-                if not factors:
-                    break
-                # the last nonzero exponent drops by one, and the generators
-                # after it share the degree freed. Exponents run from high
+                        left -= e * g
+                out.append(tuple(exps))
+                # the last nonzero exponent drops by one, and again while the
+                # generators after it cannot complete the degree freed; a
+                # factor that drops to zero leaves. Exponents run from high
                 # to low, generator by generator: the output is in display
                 # order
-                i = factors[-1]
-                exps[i] -= 1
-                left += degs[i]
-                if not exps[i]:
-                    factors.pop()
+                while factors:
+                    i = factors[-1]
+                    exps[i] -= 1
+                    left += degs[i]
+                    if not exps[i]:
+                        factors.pop()
+                    if reach[i + 1][left]:
+                        break
+                else:
+                    break
                 first = i + 1
             cached = self._mono_cache.setdefault(d, tuple(out))
         return cached
+
+    def _reach(self, d: int) -> list[list[bool]]:
+        """reach[i][j]: the generators i.. have a monomial of degree j, for
+        every j up to at least d. It is built for twice the degree asked, so
+        a ring's degrees, asked in increasing order, rebuild it a few times."""
+        reach = self._reach_table
+        if len(reach[-1]) <= d:
+            top = 2 * d
+            reach = [[True] + [False] * top]
+            for g in reversed(self.degrees):
+                r, shift = reach[-1], g
+                # one shift adds one factor of the generator; doubling the
+                # shift, as often as it fits, adds any number of them
+                while shift <= top:
+                    r = r[:shift] + list(map(or_, r[shift:], r))
+                    if g % 2:
+                        break
+                    shift *= 2
+                reach.append(r)
+            reach.reverse()
+            self._reach_table = reach
+        return reach
 
     def monomial_count(self, d: int) -> int:
         """The number of degree-d monomials: the coefficient of t^d in the
@@ -533,12 +571,25 @@ class _GroebnerBasis:
     is called for each degree in increasing order.
 
     Degree d reduces, in one call to `linalg.rref`, one reducer u*g for each
-    degree-d monomial that an older lead divides, then the relations of
+    live degree-d monomial that an older lead divides, then the relations of
     degree d, both halves u*g of every pair of elements whose leads have
     their lcm in degree d, and x*g for every odd generator x in the lead of
     an element g of degree d - deg x: x kills the lead but not always the
     tail. Each u*g is the Koszul product `_koszul_product` that elements
     use too. A reduced row whose lead has no reducer is a new element.
+
+    A degree-d monomial m is dead when m/x is zero for a generator x of m:
+    `_dead` multiplies the zero monomials of each degree d - deg x by x.
+    A dead m lies in the ideal, so the slice's reduced echelon form holds
+    its unit row and has a zero in its column in every other row. A dead
+    column therefore gets no divisor scan and no reducer, its entries are
+    dropped from every row before the reduction, and its unit row joins the
+    reduced rows after it. The unit row is x times the monomial element
+    m/x, so it is a valid reducer for m (F4 takes any ideal element with
+    the right lead). An older lead divides m/x and so m: a dead column
+    leads no new element, and the pairs its unit row would make are
+    redundant by Buchberger's chain criterion. The new elements, and so the
+    basis, are those a reducer row for every dead column would give.
     """
 
     def __init__(self, presentation: RingPresentation, cutoff: int):
@@ -554,6 +605,9 @@ class _GroebnerBasis:
             _, terms = _integer_terms(rel.terms, gens._odd)
             self.relations.setdefault(rel.degree(), []).append({e: c for e, c, _ in terms})
         self.pending: dict[int, set[tuple[int, tuple[int, ...]]]] = {}
+        # the zero monomials of each degree stepped: the leads of its unit
+        # rows, or every monomial of a zero degree
+        self.zeros: dict[int, Sequence[tuple[int, ...]]] = {}
         w2, w1 = ([s.degree if s.rewrite_priority == p else 0 for s in gens] for p in (2, 1))
         # the columns' sort key, or None when no generator has a rewrite priority
         self.order = None
@@ -562,9 +616,9 @@ class _GroebnerBasis:
 
     def step(self, d: int) -> tuple[Sequence[tuple[int, ...]], list[list[tuple[int, int]]]] | None:
         """Extend the basis to degree d. Returns the columns, the degree-d
-        monomials in column order, and `linalg.rref`'s reduced rows of the
-        ideal's degree-d slice over them, or None when an older lead divides
-        every degree-d monomial.
+        monomials in column order, and the reduced rows of the ideal's
+        degree-d slice over them, sorted by lead, or None when an older lead
+        divides every degree-d monomial.
 
         The columns are the degree-d monomials in display order, stably
         sorted by descending priority-2 weight, then descending priority-1
@@ -573,18 +627,37 @@ class _GroebnerBasis:
         cols = self.gens.monomials_of_degree(d)
         if self.order:
             cols = sorted(cols, key=self.order)
-        hits = [self._divisor(m) for m in cols]
+        dead = self._dead(d)
+        # each live column's reducer (k, u), or None when no older lead divides it
+        hits = {c: self._divisor(m) for c, m in enumerate(cols) if m not in dead}
         relations, pending = self.relations.pop(d, []), self.pending.pop(d, ())
-        if None not in hits:
+        if None not in hits.values():
+            self.zeros[d] = cols
             return None
-        rows = [self._multiple(*hit) for hit in hits if hit is not None] + relations
+        rows = [self._multiple(*hit) for hit in hits.values() if hit is not None] + relations
         rows += [self._multiple(k, u) for k, u in pending]
+        if dead:
+            rows = [{e: c for e, c in row.items() if e not in dead} for row in rows]
         index = {m: i for i, m in enumerate(cols)}
-        reduced = linalg.rref([sorted((index[e], c) for e, c in row.items()) for row in rows])
+        reduced = linalg.rref([sorted((index[e], c) for e, c in row.items()) for row in rows if row])
         for row in reduced:
             if hits[row[0][0]] is None:
                 self._add(d, [(cols[c], v) for c, v in row])
+        if dead:
+            reduced = sorted(reduced + [[(index[m], 1)] for m in dead], key=lambda row: row[0][0])
+        self.zeros[d] = [cols[row[0][0]] for row in reduced if len(row) == 1]
         return cols, reduced
+
+    def _dead(self, d: int) -> set[tuple[int, ...]]:
+        """The degree-d monomials x*m of a generator x and a zero monomial m
+        of degree d - deg x, an odd x only where m lacks it."""
+        dead: set[tuple[int, ...]] = set()
+        for i, g in enumerate(self.gens.degrees):
+            odd = g % 2
+            for m in self.zeros.get(d - g, ()):
+                if not (odd and m[i]):
+                    dead.add(m[:i] + (m[i] + 1,) + m[i + 1 :])
+        return dead
 
     def _divisor(self, m: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
         for k, lead in enumerate(self.leads):
@@ -626,15 +699,6 @@ class _DegreeTable:
         # primitive with positive lead and the values are its other
         # entries negated, in column order
         self.rows = rows
-
-    @property
-    def rewrite(self):
-        """pivot exps -> (lead, ((basis exps, v), ...)), derived from `rows`."""
-        basis = self.basis
-        return {
-            pivot: (lead, tuple((basis[i], v) for i, v in zip(positions, values)))
-            for pivot, (lead, positions, values) in self.rows.items()
-        }
 
 
 # The table of every zero degree, whether reduced or known to vanish, and of

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -377,11 +378,21 @@ def test_normal_form_is_multiplicative(data):
     assert nf(nf(a)) == nf(a)
 
 
+def rewrite_items(table):
+    """A table's rows as (pivot, (lead, ((basis monomial, v), ...))), in
+    the table's row order."""
+    basis = table.basis
+    return [
+        (pivot, (lead, tuple((basis[i], v) for i, v in zip(positions, values))))
+        for pivot, (lead, positions, values) in table.rows.items()
+    ]
+
+
 def fraction_rewrite(table):
     """A table's integer rewrite rows as pivot -> {basis monomial: Fraction}."""
     return {
         pivot: {b: Fraction(v, lead) for b, v in entries}
-        for pivot, (lead, entries) in table.rewrite.items()
+        for pivot, (lead, entries) in rewrite_items(table)
     }
 
 
@@ -454,6 +465,29 @@ def test_a_table_hands_the_kernel_one_row_per_leading_monomial(monkeypatch):
     assert max(sizes) <= 1757
 
 
+def test_zero_monomials_hand_the_kernel_no_rows(monkeypatch):
+    # Fl~(R^9) has four generators of degree 2 and is zero above degree 32,
+    # with many zero monomials below it. Giving each dead monomial its unit
+    # row after the reduction leaves the kernel 1637 rows, at most 256 at
+    # once (4473 and 968 when every dead monomial had a reducer row).
+    # Equivariant Fl(C^3) has no zero monomial, and hands it the same rows
+    sizes = []
+    real = linalg.rref
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    ring = build_ring(SpaceDescriptor("complete-flag-oriented", 0, 4, "odd"))
+    assert ring.cutoff == 32 and ring.dimension(32) == 1
+    ring.dimensions()
+    assert sum(sizes) <= 1637 and max(sizes) <= 256
+    sizes.clear()
+    equivariant_space("complex", 3, "flag", cutoff=18).dimensions()
+    assert sum(sizes) == 4137
+
+
 def test_a_high_degree_enumerates_no_monomial_past_the_window(monkeypatch):
     enumerated = set()
     real = Generators.monomials_of_degree
@@ -473,6 +507,16 @@ def test_monomial_counts_match_enumeration():
     assert [gens.monomial_count(d) for d in range(-1, 30)] == [
         len(gens.monomials_of_degree(d)) for d in range(-1, 30)
     ]
+
+
+def test_enumeration_follows_the_output():
+    # 18 odd generators of degree 1 have one monomial of degree 18; the
+    # search descends only where the generators after it reach the rest of
+    # the degree, so it does not walk the 2^18 partial products
+    gens = Generators([GeneratorSymbol(f"x{i}", 1) for i in range(18)])
+    start = time.perf_counter()
+    assert gens.monomials_of_degree(18) == ((1,) * 18,)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_a_degree_with_too_many_monomials_is_refused_before_any_step():
@@ -584,7 +628,7 @@ def test_tables_match_pinned_digest():
         tables = {d: ring._table(d) for d in reversed(range(ring.cutoff + 1))}
         for d in range(ring.cutoff + 1):
             table = tables[d]
-            digest.update(repr((ring.label, d, table.basis, list(table.rewrite.items()))).encode())
+            digest.update(repr((ring.label, d, table.basis, rewrite_items(table))).encode())
     assert digest.hexdigest() == PINNED_TABLES
 
 
@@ -609,21 +653,72 @@ def graded_presentations(draw):
     return symbols, relations
 
 
-@settings(max_examples=200, deadline=None)
-@given(graded_presentations())
-def test_random_graded_presentations_match_dense_reference(presentation):
-    # odd generators kill a lead but not always the rest of an element, so
-    # the tables need more than the pairs of leads
-    symbols, relations = presentation
+def tables_matching_dense_reference(symbols, relations, cutoff=10):
+    """Every table of the presentation to the cutoff, each checked against
+    `_oracles.reference_table`."""
     gens = Generators([GeneratorSymbol(f"x{i}", d, p) for i, (d, p) in enumerate(symbols)])
-    ring = QuotientRing(make_presentation(gens, [GradedElement(gens, r) for r in relations]), 10)
+    ring = QuotientRing(make_presentation(gens, [GradedElement(gens, r) for r in relations]), cutoff)
     degrees = list(gens.degrees)
-    for d in range(ring.cutoff + 1):
+    tables = []
+    for d in range(cutoff + 1):
         basis, rewrite = reference_table(degrees, relations, d, elimination_key(gens))
         table = ring._table(d)
         assert set(table.basis) == basis, d
         if basis:
             assert fraction_rewrite(table) == rewrite, d
+        tables.append(table)
+    return tables
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_presentations())
+def test_random_graded_presentations_match_dense_reference(presentation):
+    # odd generators kill a lead but not always the rest of an element, so
+    # the tables need more than the pairs of leads
+    tables_matching_dense_reference(*presentation)
+
+
+@st.composite
+def sparse_presentations(draw):
+    """2-4 generators of degree 1-3 with random rewrite priorities, and 1-4
+    relations of degree at most 6 with one term, or less often two: the
+    monomial relations make zero monomials in low degrees, and the steps
+    above them prune their multiples."""
+    count = draw(st.integers(2, 4))
+    symbols = [draw(st.tuples(st.sampled_from((1, 2, 1, 2, 3)), st.integers(0, 2))) for _ in range(count)]
+    degrees = [d for d, _ in symbols]
+    coeff = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.sampled_from((1, 2)))
+    relations = []
+    for _ in range(draw(st.integers(1, 4))):
+        exps = monomials(degrees, draw(st.sampled_from([d for d in range(1, 7) if monomials(degrees, d)])))
+        size = draw(st.sampled_from((1, 1, 2)))
+        terms = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=size, unique=True))
+        relations.append({e: draw(coeff) for e in terms})
+    return symbols, relations
+
+
+def test_pruned_tables_match_dense_reference(monkeypatch):
+    # the tables of steps that give dead monomials their unit rows are those
+    # of reducing every relation multiple; the test counts the dead columns
+    # and the zero pivots it sees, so it fails if the pruning never fires
+    seen = {"dead": 0, "zero pivots": 0}
+    real = algebra._GroebnerBasis._dead
+
+    def counting(basis, d):
+        dead = real(basis, d)
+        seen["dead"] += len(dead)
+        return dead
+
+    monkeypatch.setattr(algebra._GroebnerBasis, "_dead", counting)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_presentations())
+    def check(presentation):
+        for table in tables_matching_dense_reference(*presentation):
+            seen["zero pivots"] += sum(1 for _, positions, _ in table.rows.values() if not positions)
+
+    check()
+    assert seen["dead"] and seen["zero pivots"], seen
 
 
 # Rings for the equivalence of the integer normal form and product with
