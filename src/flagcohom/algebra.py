@@ -11,11 +11,11 @@ reduction per degree both extends the basis and yields that degree's
 additive monomial basis and rewrite table (the normal-form map): its rows
 contain one element of the ideal per leading monomial of the ideal's
 degree-d slice, so they span the slice, and their reduced echelon form is
-the slice's own. A table keeps each reduced row as it leaves the kernel,
-primitive integers with a positive lead, over the positions of the
-degree's basis monomials. Normal forms and products add integer multiples
-into one list per lead, indexed by basis position, over one common
-denominator, and divide once per output coefficient.
+the slice's own. A table holds a row for every monomial of its degree
+over the positions of its basis monomials: a basis monomial's unit row or
+a pivot's primitive reduced row with positive lead. Normal forms and
+products add integer multiples of rows into one list over a common lead,
+grown to the lcm of the leads met, and divide once per output coefficient.
 
 Zero monomials cost no reduction. A degree-d monomial m is zero in the
 quotient when m/x is, for some generator x of m: m is plus or minus x
@@ -40,7 +40,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, ge, mul, or_, sub
+from operator import add, ge, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import linalg
@@ -95,7 +95,7 @@ class GeneratorSymbol:
 class Generators:
     """Ordered generator universe shared by monomials and elements."""
 
-    __slots__ = ("symbols", "degrees", "names", "_index", "_odd", "_mono_cache", "_reach_table")
+    __slots__ = ("symbols", "degrees", "names", "_index", "_odd", "_mono_cache", "_count_table")
 
     def __init__(self, symbols: Iterable[GeneratorSymbol]):
         self.symbols: tuple[GeneratorSymbol, ...] = tuple(symbols)
@@ -107,7 +107,7 @@ class Generators:
         self._index = {s.name: i for i, s in enumerate(self.symbols)}
         self._odd = tuple(i for i, s in enumerate(self.symbols) if s.is_odd)
         self._mono_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._reach_table: list[list[bool]] = [[]]
+        self._count_table: list[list[int]] = [[]]
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -187,7 +187,7 @@ class Generators:
             degs, n = self.degrees, len(self.degrees)
             caps = [1 if i in self._odd else d for i in range(n)]
             # the search descends only where the rest can be completed
-            reach = self._reach(d)
+            counts = self._counts(d)
             exps = [0] * n
             # the generators with a nonzero exponent, in order: the search
             # keeps one entry per factor, however many generators there are
@@ -199,7 +199,7 @@ class Generators:
                 for i in range(first, n):
                     if not left:
                         break
-                    g, after = degs[i], reach[i + 1]
+                    g, after = degs[i], counts[i + 1]
                     e = left // g
                     if e > caps[i]:
                         e = caps[i]
@@ -221,7 +221,7 @@ class Generators:
                     left += degs[i]
                     if not exps[i]:
                         factors.pop()
-                    if reach[i + 1][left]:
+                    if counts[i + 1][left]:
                         break
                 else:
                     break
@@ -229,40 +229,36 @@ class Generators:
             cached = self._mono_cache.setdefault(d, tuple(out))
         return cached
 
-    def _reach(self, d: int) -> list[list[bool]]:
-        """reach[i][j]: the generators i.. have a monomial of degree j, for
-        every j up to at least d. It is built for twice the degree asked, so
-        a ring's degrees, asked in increasing order, rebuild it a few times."""
-        reach = self._reach_table
-        if len(reach[-1]) <= d:
+    def _counts(self, d: int) -> list[list[int]]:
+        """counts[i][j]: the number of degree-j monomials in the generators
+        i.., for every j up to at least d. Row i is the product of
+        1/(1-t^deg) over the even generators from i on and 1+t^deg over the
+        odd ones. It is built for twice the degree asked, so a ring's
+        degrees, asked in increasing order, rebuild it a few times."""
+        counts = self._count_table
+        if len(counts[-1]) <= d:
             top = 2 * d
-            reach = [[True] + [False] * top]
+            counts = [[1] + [0] * top]
             for g in reversed(self.degrees):
-                r, shift = reach[-1], g
-                # one shift adds one factor of the generator; doubling the
-                # shift, as often as it fits, adds any number of them
+                r, shift = counts[-1], g
+                # one shift multiplies by 1+t^shift; doubling the shift, as
+                # often as it fits, multiplies by 1/(1-t^g), as every
+                # exponent is one sum of distinct powers of two
                 while shift <= top:
-                    r = r[:shift] + list(map(or_, r[shift:], r))
+                    r = r[:shift] + list(map(add, r[shift:], r))
                     if g % 2:
                         break
                     shift *= 2
-                reach.append(r)
-            reach.reverse()
-            self._reach_table = reach
-        return reach
+                counts.append(r)
+            counts.reverse()
+            self._count_table = counts
+        return counts
 
     def monomial_count(self, d: int) -> int:
-        """The number of degree-d monomials: the coefficient of t^d in the
-        product of 1/(1-t^deg) over even generators and 1+t^deg over odd ones."""
+        """The number of degree-d monomials."""
         if d < 0:
             return 0
-        counts = [1] + [0] * d
-        for deg in self.degrees:
-            # descending, an odd generator is used at most once
-            steps = range(d, deg - 1, -1) if deg % 2 else range(deg, d + 1)
-            for i in steps:
-                counts[i] += counts[i - deg]
-        return counts[d]
+        return self._counts(d)[0][d]
 
     def extend(self, extra: Iterable[GeneratorSymbol]) -> Generators:
         return Generators(self.symbols + tuple(extra))
@@ -688,22 +684,20 @@ class _GroebnerBasis:
                 self.pending.setdefault(d + gens.degrees[i], set()).add((k, x))
 
 
+@dataclass(frozen=True)
 class _DegreeTable:
-    __slots__ = ("basis", "index", "rows")
-
-    def __init__(self, basis, index, rows):
-        self.basis = basis  # exponent vectors in display order
-        self.index = index  # basis exps -> position in `basis`
-        # pivot exps -> (lead, positions, values): the pivot monomial equals
-        # the sum of v/lead times basis[pos], where the reduced row is
-        # primitive with positive lead and the values are its other
-        # entries negated, in column order
-        self.rows = rows
+    basis: tuple[tuple[int, ...], ...]  # exponent vectors in display order
+    # exps -> (lead, positions, values) for every monomial of the degree:
+    # the monomial equals the sum of v/lead times basis[pos]. A basis
+    # monomial's row is (1, (its position,), (1,)); a pivot's is its
+    # reduced row, primitive with positive lead, with its other entries
+    # negated, in column order
+    rows: dict[tuple[int, ...], tuple[int, tuple[int, ...], tuple[int, ...]]]
 
 
 # The table of every zero degree, whether reduced or known to vanish, and of
 # every negative degree.
-_ZERO_TABLE = _DegreeTable((), {}, {})
+_ZERO_TABLE = _DegreeTable((), {})
 
 
 class QuotientRing:
@@ -766,11 +760,10 @@ class QuotientRing:
             return _ZERO_TABLE
         index = {m: i for i, m in enumerate(basis)}
         position = [index.get(m) for m in cols]  # column -> basis position
-        rows = {
-            pivot: (row[0][1], tuple(position[c] for c, _ in row[1:]), tuple(-v for _, v in row[1:]))
-            for pivot, row in pivots.items()
-        }
-        return _DegreeTable(basis, index, rows)
+        rows = {m: (1, (i,), (1,)) for m, i in index.items()}
+        for pivot, row in pivots.items():
+            rows[pivot] = (row[0][1], tuple(position[c] for c, _ in row[1:]), tuple(-v for _, v in row[1:]))
+        return _DegreeTable(basis, rows)
 
     # -- public queries ----------------------------------------------------
 
@@ -789,12 +782,11 @@ class QuotientRing:
         """The canonical representative supported on basis monomials.
 
         The input is scaled to integers by the lcm of its denominators and
-        reduced one degree at a time, in increasing degree. In a degree, a
-        basis monomial adds its coefficient at its basis position into the
-        list of lead 1, and a pivot adds integer multiples of its rewrite
-        row's values at the row's positions into the list of the row's lead.
-        Lists of different leads are merged over the lcm of the leads, so
-        each output coefficient is divided once.
+        reduced one degree at a time, in increasing degree. In a degree,
+        each monomial adds integer multiples of its row's values at the
+        row's positions into one list over a common lead. A row whose lead
+        does not divide the common lead first rescales the list to the lcm
+        of the two, so each output coefficient is divided once.
         """
         element = element.reindex(self.gens)
         terms = element.terms
@@ -811,26 +803,21 @@ class QuotientRing:
             basis = table.basis
             if not basis:
                 continue
-            index, rows = table.index, table.rows
-            by_lead: dict[int, list[int]] = {}
+            rows = table.rows
+            # the sum of the rows so far, times their common lead
+            acc = [0] * len(basis)
+            common = 1
             for exps, n in by_degree[d]:
-                row = rows.get(exps)
-                lead, positions, values = (1, (index[exps],), (1,)) if row is None else row
-                acc = by_lead.get(lead) or by_lead.setdefault(lead, [0] * len(basis))
+                lead, positions, values = rows[exps]
+                if common % lead:
+                    scale = lcm(common, lead) // common
+                    acc = [v * scale for v in acc]
+                    common *= scale
+                n *= common // lead
                 for i, v in zip(positions, values):
                     acc[i] += n * v
-            if len(by_lead) == 1:
-                [(common, total)] = by_lead.items()
-            else:
-                common = lcm(*by_lead)
-                total = [0] * len(basis)
-                for lead, acc in by_lead.items():
-                    scale = common // lead
-                    for i, n in enumerate(acc):
-                        if n:
-                            total[i] += n * scale
             common *= den
-            for exps, n in zip(basis, total):
+            for exps, n in zip(basis, acc):
                 if n:
                     out[exps] = Fraction(n, common)
         return GradedElement(self.gens, out)

@@ -471,20 +471,13 @@ def verify_space(space: SpaceDescriptor, cutoff: int | None = None) -> VerifyRep
 
 
 def _independent(ring: QuotientRing, monomials) -> bool:
-    """Whether the residues of the monomials are linearly independent. In
-    its degree's table a basis monomial is a unit row at its position, a
-    pivot its rewrite row (scaling by the lead keeps the rank), a zero
-    degree's an empty row."""
+    """Whether the residues of the monomials are linearly independent: the
+    rank of their rows in their degree's table (scaling a rewrite row by
+    its lead keeps the rank), or False in a zero degree."""
     if not monomials:
         return True
     table = ring._table(monomials[0].degree)
-    rows = []
-    for mono in monomials:
-        row = table.rows.get(mono.exps)
-        if not table.basis:
-            rows.append([])
-        elif row is not None:
-            rows.append(sorted(zip(row[1], row[2])))
-        else:
-            rows.append([(table.index[mono.exps], 1)])
+    if not table.basis:
+        return False
+    rows = [sorted(zip(*table.rows[mono.exps][1:])) for mono in monomials]
     return linalg.rank(rows) == len(monomials)

@@ -201,7 +201,7 @@ def extend(
     if extension in ("flag", "complete-flag"):
         return flag_bundle(bundle, full, suffix, cutoff)
     if extension == "odd-grassmannian":
-        return odd_grassmannian_bundle(bundle.base, bundle, k, suffix, cutoff)
+        return odd_grassmannian_bundle(bundle, k, suffix, cutoff)
     raise BundleError(f"unknown extension {extension!r}")
 
 
@@ -544,7 +544,6 @@ def ring_pushout(
 
 
 def odd_grassmannian_bundle(
-    projective_or_sphere_ring: QuotientRing,
     bundle: BundleData,
     k: int,
     suffix: str = "",
@@ -553,13 +552,11 @@ def odd_grassmannian_bundle(
     """Pontryagin extension presenting G_(2k+1)(V^(2n+2)) over the ring of
     the real projectivization RP(V) (or of S(V) in the oriented case).
 
-    The caller supplies that ring; producing it from the base is a Gysin
+    `bundle.base` is that ring; producing it from the base is a Gysin
     computation that does not determine the ring structure, hence out of
-    scope here. k = 0 and k = n return the input ring unchanged.
+    scope here. k = 0 and k = n return `bundle.base` unchanged.
     """
-    if bundle.base is not projective_or_sphere_ring:
-        raise BundleError("bundle.base must be the supplied projectivization/sphere ring")
     space = fibre("odd-grassmannian", bundle.kind, bundle.rank, k)
     if k in (0, space.n):
-        return projective_or_sphere_ring
+        return bundle.base
     return _fibre_bundle(bundle, space, f"G_{2 * k + 1}(V^{bundle.rank})", suffix, cutoff)

@@ -61,12 +61,15 @@ def suite_catalog(max_n: int) -> list[CheckResult]:
                 for p in presentations
             )
             checks.append(CheckResult(f"real even (k={k}, n={n}): ambient variants agree", same))
-    # complex duality k <-> n-k at the level of closed forms
+    # complex duality k <-> n-k: closed forms, and the engine's G_{n-k} against G_k
     for n in range(max_n + 1):
         for k in range(n // 2 + 1):
             a = closed_form(SpaceDescriptor("complex-grassmannian", k, n))
-            b = closed_form(SpaceDescriptor("complex-grassmannian", n - k, n))
+            dual = SpaceDescriptor("complex-grassmannian", n - k, n)
+            b = closed_form(dual)
             ok = a.symbolic_equal(b) and a.truncate(2 * n) == b.truncate(2 * n)
+            top = catalog.top_degree(dual)
+            ok = ok and series_from_ring(catalog.build_ring(dual), top) == a.truncate(top)
             checks.append(CheckResult(f"complex duality G_{k} vs G_{n - k} in C^{n}", ok))
     return checks
 

@@ -88,12 +88,20 @@ def display_key(exps):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(1, 5), min_size=1, max_size=5), st.integers(0, 14))
-def test_monomials_of_degree_come_in_display_order(degrees, d):
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=5),
+    st.integers(0, 14),
+    st.lists(st.integers(-1, 14), max_size=4),
+)
+def test_monomials_of_degree_come_in_display_order(degrees, d, more):
     # the Gröbner step's stable sort by priority weights leaves its ties in
-    # this order
+    # this order. The degrees after d are asked in random order on the same
+    # generators, so the count table is both reused and rebuilt
     gens = Generators([GeneratorSymbol(f"x{i}", deg) for i, deg in enumerate(degrees)])
-    assert list(gens.monomials_of_degree(d)) == sorted(monomials(degrees, d), key=display_key)
+    for e in [d, *more]:
+        expected = monomials(degrees, e)
+        assert list(gens.monomials_of_degree(e)) == sorted(expected, key=display_key), e
+        assert gens.monomial_count(e) == len(expected), e
 
 
 def test_catalog_monomials_come_in_display_order():
@@ -379,12 +387,13 @@ def test_normal_form_is_multiplicative(data):
 
 
 def rewrite_items(table):
-    """A table's rows as (pivot, (lead, ((basis monomial, v), ...))), in
-    the table's row order."""
-    basis = table.basis
+    """A table's pivot rows as (pivot, (lead, ((basis monomial, v), ...))),
+    in the table's row order; the basis monomials' unit rows are skipped."""
+    basis, units = table.basis, set(table.basis)
     return [
         (pivot, (lead, tuple((basis[i], v) for i, v in zip(positions, values))))
         for pivot, (lead, positions, values) in table.rows.items()
+        if pivot not in units
     ]
 
 
@@ -723,7 +732,7 @@ def test_pruned_tables_match_dense_reference(monkeypatch):
 
 # Rings for the equivalence of the integer normal form and product with
 # dense Fraction arithmetic. odd-mixing's rewrite rows have leads 1, 2, 3
-# and 4, so its normal forms merge accumulators of different leads; its
+# and 4, so its normal forms rescale the accumulator to a new lead; its
 # cutoff and G~_3(R^8)'s include degrees where the quotient is zero.
 EQUIVALENCE_RINGS = {
     "odd-mixing": lambda: QuotientRing(odd_mixing_presentation(), 24),

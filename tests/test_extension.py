@@ -444,7 +444,7 @@ def test_pushout_renames_colliding_generators():
 def test_odd_extension_over_point_matches_catalog():
     rp = free_ring("r", 5, 13)  # H*(RP^5;Q) = Q[r]/r^2 (r odd, square structural)
     bundle = BundleData(rp, "real", 6, 1)
-    ring = odd_grassmannian_bundle(rp, bundle, 1)
+    ring = odd_grassmannian_bundle(bundle, 1)
     catalog_ring = build_ring(SpaceDescriptor("odd-real-grassmannian", 1, 2))
     assert ring.dimensions(9) == catalog_ring.dimensions(9)
 
@@ -452,7 +452,7 @@ def test_odd_extension_over_point_matches_catalog():
 def test_odd_extension_series_identity():
     rp = free_ring("r", 7, 23)  # RP(V^8) over a point
     bundle = BundleData(rp, "real", 8, 1)
-    ring = odd_grassmannian_bundle(rp, bundle, 1)
+    ring = odd_grassmannian_bundle(bundle, 1)
     top = 4 * 1 * 2 + 7
     series = closed_form(SpaceDescriptor("odd-real-grassmannian", 1, 3))
     assert series_from_ring(ring, top) == series.truncate(top)
@@ -461,16 +461,8 @@ def test_odd_extension_series_identity():
 def test_odd_extension_degenerate_k_returns_input():
     rp = free_ring("r", 5, 13)
     bundle = BundleData(rp, "real", 6, 1)
-    assert odd_grassmannian_bundle(rp, bundle, 0) is rp
-    assert odd_grassmannian_bundle(rp, bundle, 2) is rp
-
-
-def test_odd_extension_requires_matching_base():
-    rp = free_ring("r", 5, 13)
-    other = free_ring("r", 5, 13)
-    bundle = BundleData(rp, "real", 6, 1)
-    with pytest.raises(BundleError):
-        odd_grassmannian_bundle(other, bundle, 1)
+    assert odd_grassmannian_bundle(bundle, 0) is rp
+    assert odd_grassmannian_bundle(bundle, 2) is rp
 
 
 # -- name clashes -----------------------------------------------------------------
@@ -618,7 +610,7 @@ def pinned_presentations() -> list:
             for full in (False, True):
                 record(f"{name} flag {full}", lambda: flag_bundle(bundle, full=full, suffix="f"))
             for k in range(rank // 2 + 1):
-                record(f"{name} odd G_{k}", lambda: odd_grassmannian_bundle(base, bundle, k, suffix="f"))
+                record(f"{name} odd G_{k}", lambda: odd_grassmannian_bundle(bundle, k, suffix="f"))
             record(f"{name} P", lambda: projectivization(bundle))
             record(f"{name} S", lambda: sphere_bundle(bundle))
     cp2 = build_ring(SpaceDescriptor("projective-space-complex", 0, 3))
