@@ -32,13 +32,9 @@ from .extension import (
     bott_tower,
     equivariant_base,
     equivariant_space,
-    flag_bundle,
-    grassmannian_bundle,
-    odd_grassmannian_bundle,
+    extend,
     point_ring,
-    projectivization,
     ring_pushout,
-    sphere_bundle,
     whitney_complement,
     zero_generators,
 )
@@ -73,16 +69,12 @@ __all__ = [
     "closed_form",
     "equivariant_base",
     "equivariant_space",
-    "flag_bundle",
-    "grassmannian_bundle",
+    "extend",
     "make_presentation",
-    "odd_grassmannian_bundle",
     "palindrome_check",
     "point_ring",
-    "projectivization",
     "ring_pushout",
     "series_from_ring",
-    "sphere_bundle",
     "top_degree",
     "verify_space",
     "whitney_complement",

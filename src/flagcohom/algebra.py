@@ -318,9 +318,6 @@ class Monomial:
     def degree(self) -> int:
         return self.gens.monomial_degree(self.exps)
 
-    def exponents(self) -> dict[str, int]:
-        return {n: e for n, e in zip(self.gens.names, self.exps) if e}
-
     def as_element(self) -> GradedElement:
         return GradedElement(self.gens, {self.exps: Fraction(1)})
 
@@ -381,12 +378,6 @@ class GradedElement:
     def homogeneous_part(self, d: int) -> GradedElement:
         terms = {e: c for e, c in self.terms.items() if self.gens.monomial_degree(e) == d}
         return GradedElement(self.gens, terms)
-
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
-    def monomials(self) -> tuple[Monomial, ...]:
-        return tuple(Monomial(self.gens, e) for e in self._sorted_exps())
 
     def _sorted_exps(self) -> list[tuple[int, ...]]:
         # by degree, then in display order: descending lex, earlier generators dominant

@@ -2,13 +2,15 @@
 sphere and flag bundles, Whitney complement recursion, torus-equivariant
 bases, towers of iterated extensions, and pushouts of presented rings.
 
-Every constructor returns a fresh QuotientRing whose presentation is the
-base presentation extended by new generators and the Whitney-type
-relations, with right-hand sides taken from the bundle's total classes.
+`extend` is the one constructor of a bundle extension. It returns a fresh
+QuotientRing whose presentation is the base presentation extended by the
+fibre's generators and the Whitney-type relations, with right-hand sides
+taken from the bundle's total classes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -115,24 +117,19 @@ def _ring(base: QuotientRing, gens, relations, label, cutoff, fibre_top) -> Quot
     return QuotientRing(pres, cutoff)
 
 
-def _fibre_bundle(
-    bundle: BundleData, space: SpaceDescriptor, label: str, suffix: str, cutoff, full: bool = False
-) -> QuotientRing:
-    """The base extended by the fibre family's generators, subject to its
-    relations with the bundle's total and Euler classes on the right."""
-    gens = _extend(bundle.base.gens, fibre_symbols(space, suffix, full))
-    euler = None if bundle.euler_class is None else bundle.euler_class.reindex(gens)
-    relations = fibre_relations(gens, space, bundle.total_class.reindex(gens), euler, suffix, full)
-    label = f"{label} over {bundle.base.label or 'base'}"
-    return _ring(bundle.base, gens, relations, label, cutoff, top_degree(space))
-
-
 def fibre(extension: str, kind: str, rank: int, k: int | None = None) -> SpaceDescriptor:
     """The catalog space, in reduced parameters, that a bundle extension or
     tower stage name adds as fibre over a rank-`rank` bundle; BundleError if
     it does not apply. A Grassmannian of 0- or rank-dimensional subspaces is
     the point; an oriented one's variant follows the parities of k and rank."""
     _check_kind_rank(kind, rank)
+    if extension == "projectivize":
+        # the reduced form is the bundle of lines (complex) or of 2-planes (real)
+        if kind not in ("complex", "real"):
+            raise BundleError("projectivization applies to complex or real bundles")
+        if kind == "real" and rank < 2:
+            raise BundleError(f"rank {rank} is too small to projectivize")
+        extension, k = "grassmannian", 1 if kind == "complex" else 2
     if extension in ("grassmannian", "grassmannianize"):
         if not 0 <= k <= rank:
             raise BundleError(f"need 0 <= k <= rank, got k={k}, rank={rank}")
@@ -153,13 +150,6 @@ def fibre(extension: str, kind: str, rank: int, k: int | None = None) -> SpaceDe
         else:
             variant = "even-odd" if k % 2 == 0 else "odd-odd"
         return SpaceDescriptor("oriented-grassmannian", kr, nr, variant)
-    if extension == "projectivize":
-        # the reduced form is the bundle of lines (complex) or of 2-planes (real)
-        if kind not in ("complex", "real"):
-            raise BundleError("projectivization applies to complex or real bundles")
-        if kind == "real" and rank < 2:
-            raise BundleError(f"rank {rank} is too small to projectivize")
-        return fibre("grassmannian", kind, rank, 1 if kind == "complex" else 2)
     if extension == "sphere":
         if kind != "oriented" or rank % 2 == 0:
             raise BundleError("sphere_bundle needs an oriented bundle of odd rank")
@@ -189,20 +179,63 @@ def extend(
     bundle: BundleData, extension: str, k: int | None = None, suffix: str = "", full: bool = False,
     cutoff: int | None = None, gen_name: str | None = None,
 ) -> QuotientRing:
-    """The bundle's base extended as `extension` names (see `fibre`). Every
-    new generator name ends in `suffix`, unless `gen_name` names the one new
-    generator of projectivize or sphere. Only flags read `full`."""
-    if extension in ("grassmannian", "grassmannianize"):
-        return grassmannian_bundle(bundle, k, suffix, cutoff)
+    """The bundle's base extended by the fibre that `extension` names (see
+    `fibre`), with the bundle's classes on the right of the Whitney-type
+    relations. Every new generator name ends in `suffix`, unless `gen_name`
+    names the one new generator of projectivize or sphere. Only flags read
+    `full`.
+
+    - grassmannian (or grassmannianize): the bundle of k-dimensional
+      subspaces, on canonical and complement classes subject to c*cbar = c(V)
+      (Chern or Pontryagin), plus the Euler relations in the oriented case.
+      k = 0 or k = rank gives the base ring unchanged.
+    - projectivize: projectivization (complex) or rank-2 Grassmannianization
+      (real) in the reduced single-generator form, one new generator g with
+      g^n - v_1 g^(n-1) + v_2 g^(n-2) -+ ... + (-1)^n v_n = 0.
+    - sphere: the sphere bundle of an oriented bundle of odd rank at least 3,
+      one generator eb of degree rank-1 with eb^2 = p_n(V).
+    - flag (or complete-flag): the complete (even-rank) flag bundle. Complex:
+      x_i of degree 2 with prod(1+x_i) = c(V). Real: u_i of degree 4 with
+      prod(1+u_i) = p(V). Oriented: the reduced form on Euler generators e_i
+      with prod(1+e_i^2) = p(V) (and prod e_i = e(V) for even rank);
+      full=True also carries the redundant u_i = e_i^2.
+    - odd-grassmannian: the Pontryagin extension presenting
+      G_(2k+1)(V^(2n+2)) over the ring of the real projectivization RP(V)
+      (or of S(V) in the oriented case). `bundle.base` is that ring;
+      producing it from the base is a Gysin computation that does not
+      determine the ring structure, hence out of scope here. k = 0 and k = n
+      give the base ring unchanged.
+    """
+    kind, rank, base = bundle.kind, bundle.rank, bundle.base
+    space = fibre(extension, kind, rank, k)
     if extension == "projectivize":
-        return projectivization(bundle, gen_name or f"{_CANON[bundle.kind]}1{suffix}", cutoff)
-    if extension == "sphere":
-        return sphere_bundle(bundle, gen_name or f"eb{suffix}", cutoff)
-    if extension in ("flag", "complete-flag"):
-        return flag_bundle(bundle, full, suffix, cutoff)
-    if extension == "odd-grassmannian":
-        return odd_grassmannian_bundle(bundle, k, suffix, cutoff)
-    raise BundleError(f"unknown extension {extension!r}")
+        # a rank-1 complex or rank-2 real bundle has the point as fibre, but
+        # P(V) still adds its generator
+        n = rank if kind == "complex" else rank // 2
+        name = gen_name or f"{_CANON[kind]}1{suffix}"
+        data = whitney_complement(bundle.total_class, 1, n, kind, names=[name])
+        gens = data.gens
+        relations = data.residuals
+        label = f"P(V^{rank})"
+    elif space.family == "point" or (extension == "odd-grassmannian" and k in (0, space.n)):
+        return base
+    elif extension == "sphere":
+        name = gen_name or f"eb{suffix}"
+        gens = _extend(base.gens, [GeneratorSymbol(name, 2 * space.n)])
+        eb = gens.gen(name)
+        relations = [eb * eb - bundle.component(space.n).reindex(gens)]
+        label = f"S(V^{rank})"
+    else:
+        gens = _extend(base.gens, fibre_symbols(space, suffix, full))
+        euler = None if bundle.euler_class is None else bundle.euler_class.reindex(gens)
+        relations = fibre_relations(gens, space, bundle.total_class.reindex(gens), euler, suffix, full)
+        if extension == "odd-grassmannian":
+            label = f"G_{2 * k + 1}(V^{rank})"
+        elif extension in ("flag", "complete-flag"):
+            label = f"Fl(V^{rank})"
+        else:
+            label = f"{space.label} bundle"
+    return _ring(base, gens, relations, f"{label} over {base.label or 'base'}", cutoff, top_degree(space))
 
 
 @dataclass(frozen=True)
@@ -251,63 +284,6 @@ def whitney_complement(
     return WhitneyData(gens, tuple(names), complements, residuals)
 
 
-def grassmannian_bundle(
-    bundle: BundleData, k: int, suffix: str = "", cutoff: int | None = None
-) -> QuotientRing:
-    """The associated Grassmannian bundle of k-dimensional subspaces.
-
-    Extends the base by canonical and complement classes subject to
-    c*cbar = c(V) (Chern or Pontryagin), plus the Euler relations in the
-    oriented case. k = 0 or k = rank returns the base ring unchanged.
-    """
-    space = fibre("grassmannian", bundle.kind, bundle.rank, k)
-    if space.family == "point":
-        return bundle.base
-    return _fibre_bundle(bundle, space, f"{space.label} bundle", suffix, cutoff)
-
-
-def projectivization(
-    bundle: BundleData, gen_name: str | None = None, cutoff: int | None = None
-) -> QuotientRing:
-    """Projectivization (complex) or rank-2 Grassmannianization (real) in
-    the reduced single-generator form: one new generator g satisfying
-    g^n - v_1 g^(n-1) + v_2 g^(n-2) -+ ... + (-1)^n v_n = 0."""
-    kind = bundle.kind
-    space = fibre("projectivize", kind, bundle.rank)
-    n = bundle.rank if kind == "complex" else bundle.rank // 2
-    name = gen_name or f"{_CANON[kind]}1"
-    data = whitney_complement(bundle.total_class, 1, n, kind, names=[name])
-    label = f"P(V^{bundle.rank}) over {bundle.base.label or 'base'}"
-    return _ring(bundle.base, data.gens, data.residuals, label, cutoff, top_degree(space))
-
-
-def sphere_bundle(
-    bundle: BundleData, gen_name: str = "eb", cutoff: int | None = None
-) -> QuotientRing:
-    """Sphere bundle of an oriented bundle of odd rank at least 3: one
-    generator eb of degree rank-1 with eb^2 = p_n(V)."""
-    space = fibre("sphere", bundle.kind, bundle.rank)
-    gens = _extend(bundle.base.gens, [GeneratorSymbol(gen_name, 2 * space.n)])
-    eb = gens.gen(gen_name)
-    relation = eb * eb - bundle.component(space.n).reindex(gens)
-    label = f"S(V^{bundle.rank}) over {bundle.base.label or 'base'}"
-    return _ring(bundle.base, gens, [relation], label, cutoff, top_degree(space))
-
-
-def flag_bundle(
-    bundle: BundleData, full: bool = False, suffix: str = "", cutoff: int | None = None
-) -> QuotientRing:
-    """The associated complete (even-rank) flag bundle.
-
-    Complex: generators x_i of degree 2 with prod(1+x_i) = c(V). Real:
-    u_i of degree 4 with prod(1+u_i) = p(V). Oriented: the reduced form on
-    Euler generators e_i with prod(1+e_i^2) = p(V) (and prod e_i = e(V)
-    for even rank); full=True also carries the redundant u_i = e_i^2.
-    """
-    space = fibre("flag", bundle.kind, bundle.rank)
-    return _fibre_bundle(bundle, space, f"Fl(V^{bundle.rank})", suffix, cutoff, full)
-
-
 # -- torus-equivariant rings -------------------------------------------------
 
 
@@ -340,22 +316,17 @@ def equivariant_space(
     if cutoff is None:
         raise PresentationError("equivariant rings need an explicit cutoff")
     base = equivariant_base(torus_rank, cutoff)
-    gens = base.gens
-    total = gens.one()
+    one = base.gens.one()
+    roots = [base.gens.gen(name) for name in base.gens.names]
     euler = None
     if kind == "complex":
         rank = torus_rank
-        for name in gens.names:
-            total = total * (gens.one() + gens.gen(name))
+        total = math.prod((one + a for a in roots), start=one)
     elif kind in ("real", "oriented"):
         rank = 2 * torus_rank + (1 if variant == "odd" else 0)
-        for name in gens.names:
-            g = gens.gen(name)
-            total = total * (gens.one() + g * g)
+        total = math.prod((one + a * a for a in roots), start=one)
         if kind == "oriented" and variant == "even":
-            euler = gens.one()
-            for name in gens.names:
-                euler = euler * gens.gen(name)
+            euler = math.prod(roots, start=one)
     else:
         raise BundleError(f"unknown bundle kind {kind!r}")
     bundle = BundleData(base, kind, rank, total, euler)
@@ -420,7 +391,6 @@ def bott_tower(
     stages: Sequence[TowerStage],
     base: QuotientRing | None = None,
     start_index: int = 1,
-    cutoff: int | None = None,
 ) -> QuotientRing:
     """Iterated tower of associated bundles, starting from `base` (default a
     point). Stage i's new generators carry the stage index: x{i} for a
@@ -434,12 +404,10 @@ def bott_tower(
         stage_fibre(stage, idx)  # the stage's name and k are checked first
         name = ("x" if stage.kind == "complex" else "u") + str(idx)
         ring = extend(bundle, stage.extension, stage.k, suffix=f"_{idx}", gen_name=name)
-    if cutoff is not None:
-        ring = QuotientRing(ring.presentation, cutoff)
     return ring
 
 
-# -- pushouts and the odd Grassmannian extension -----------------------------
+# -- pushouts -----------------------------------------------------------------
 
 
 def _apply_map(
@@ -451,10 +419,7 @@ def _apply_map(
         for i, e in enumerate(exps):
             if not e:
                 continue
-            name = element.gens.names[i]
-            if name not in images:
-                raise BundleError(f"map has no image for generator {name!r}")
-            value = value * images[name] ** e
+            value = value * images[element.gens.names[i]] ** e
         out = out + value
     return out
 
@@ -519,44 +484,19 @@ def ring_pushout(
     gens = Generators(symbols)
     offset = len(b1.gens)
 
-    def from_b1(el: GradedElement) -> GradedElement:
-        terms = {
-            exps + (0,) * len(e0.gens): c for exps, c in el.terms.items()
-        }
-        return GradedElement(gens, terms)
-
     def from_e0(el: GradedElement) -> GradedElement:
         terms = {
             (0,) * offset + exps: c for exps, c in el.terms.items()
         }
         return GradedElement(gens, terms)
 
-    relations = [from_b1(r) for r in b1.presentation.relations]
+    relations = [r.reindex(gens) for r in b1.presentation.relations]
     relations += [from_e0(r) for r in e0.presentation.relations]
     for name in b0.gens.names:
-        relations.append(from_b1(phi1[name]) - from_e0(phi0[name]))
+        relations.append(phi1[name].reindex(gens) - from_e0(phi0[name]))
 
     label = f"{b1.label or 'b1'} (x)_{{{b0.label or 'b0'}}} {e0.label or 'e0'}"
     pres = make_presentation(gens, relations, label)
     if cutoff is None:
         cutoff = max(b1.cutoff, e0.cutoff)
     return QuotientRing(pres, cutoff)
-
-
-def odd_grassmannian_bundle(
-    bundle: BundleData,
-    k: int,
-    suffix: str = "",
-    cutoff: int | None = None,
-) -> QuotientRing:
-    """Pontryagin extension presenting G_(2k+1)(V^(2n+2)) over the ring of
-    the real projectivization RP(V) (or of S(V) in the oriented case).
-
-    `bundle.base` is that ring; producing it from the base is a Gysin
-    computation that does not determine the ring structure, hence out of
-    scope here. k = 0 and k = n return `bundle.base` unchanged.
-    """
-    space = fibre("odd-grassmannian", bundle.kind, bundle.rank, k)
-    if k in (0, space.n):
-        return bundle.base
-    return _fibre_bundle(bundle, space, f"G_{2 * k + 1}(V^{bundle.rank})", suffix, cutoff)

@@ -31,11 +31,6 @@ class TruncatedSeries:
     def __getitem__(self, d: int) -> int:
         return self.coefficients[d]
 
-    def truncate(self, n: int) -> TruncatedSeries:
-        if n > self.cutoff:
-            raise ValueError(f"cannot extend a truncation from {self.cutoff} to {n}")
-        return TruncatedSeries(self.coefficients[: n + 1])
-
     def convolve(self, other: TruncatedSeries, cutoff: int | None = None) -> TruncatedSeries:
         n = min(self.cutoff, other.cutoff) if cutoff is None else cutoff
         if n > min(self.cutoff, other.cutoff):

@@ -101,7 +101,7 @@ def suite_extensions(max_n: int) -> list[CheckResult]:
     h = base.gens.gen("c1")
     total = (1 + h) * (1 + h)  # rank-2 classes c1=2h, c2=h^2, padded to rank 3
     bundle = extension.BundleData(base, "complex", 3, total)
-    ring = extension.grassmannian_bundle(bundle, 1, suffix="f")
+    ring = extension.extend(bundle, "grassmannian", 1, suffix="f")
     n = min(ring.cutoff, 10)
     got = series_from_ring(ring, n)
     expected = series_from_ring(base, base.cutoff).convolve(
@@ -113,11 +113,9 @@ def suite_extensions(max_n: int) -> list[CheckResult]:
     # Whitney residuals regenerate the ideal
     data = extension.whitney_complement(total, 1, 3, "complex", names=["g1"])
     gens = data.gens
-    total_bar = gens.one()
-    for c in data.complements:
-        total_bar = total_bar + c
+    total_bar = sum(data.complements, gens.one())
     residue = (gens.one() + gens.gen("g1")) * total_bar - total.reindex(gens)
-    proj = extension.projectivization(bundle, gen_name="g1")
+    proj = extension.extend(bundle, "projectivize", gen_name="g1")
     ok = all(c.is_zero for d, c in residue.homogeneous_components().items() if d <= 2 * (3 - 1))
     ok = ok and proj.is_zero(residue)
     checks.append(CheckResult("Whitney complement residual expansion", ok))

@@ -22,10 +22,9 @@ from flagcohom import (
     build_space,
     closed_form,
     equivariant_space,
-    grassmannian_bundle,
+    extend,
     make_presentation,
     point_ring,
-    projectivization,
     ring_pushout,
     series_from_ring,
     top_degree,
@@ -194,7 +193,7 @@ def test_criterion_7_bundle_extensions():
             total = synthetic[rank]
             bundle = BundleData(base, "complex", rank, total)
             for k in range(1, rank):
-                r = grassmannian_bundle(bundle, k, suffix="f")
+                r = extend(bundle, "grassmannian", k, suffix="f")
                 upto = base.cutoff
                 got = series_from_ring(r, upto)
                 expected = series_from_ring(base, upto).convolve(
@@ -282,7 +281,7 @@ def test_criterion_10_pushout():
     assert series_from_ring(push, 4) == conv
 
     bu1 = QuotientRing(make_presentation(Generators([GeneratorSymbol("h", 2)]), [], "BU(1)"), 10)
-    e0 = projectivization(BundleData(bu1, "complex", 4, 1 + bu1.gens.gen("h")))
+    e0 = extend(BundleData(bu1, "complex", 4, 1 + bu1.gens.gen("h")), "projectivize")
     pulled = ring_pushout(bu1, bu1, e0, {"h": "h"}, {"h": "h"})
     assert dims(pulled, 8) == dims(e0, 8)
 

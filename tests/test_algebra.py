@@ -184,6 +184,17 @@ def test_parse_bounds_literal_exponents():
     assert gens.parse("x^" + "0" * 4297 + "256") == gens.gen("x") ** 256  # 4300 digits
     with pytest.raises(ElementSyntaxError, match="exponent above 256 at position 2"):
         gens.parse("x^257")
+    # a power's degree bounds its size, not the work of expanding it
+    gens = Generators([GeneratorSymbol(name, 2) for name in "abcdefh"])
+    assert gens.parse("a^24") == gens.gen("a") ** 24
+    assert gens.parse("(1+h)^256") == sum(
+        math.comb(256, i) * gens.gen("h") ** i for i in range(257)
+    )
+    too_many = "expansion multiplies more than 200000 pairs of terms"
+    with pytest.raises(ElementSyntaxError, match=rf"{too_many} at position 13"):
+        gens.parse("(a+b+c+d+e+f)^24")
+    with pytest.raises(ElementSyntaxError, match=rf"{too_many} at position 16"):
+        gens.parse("(a+b+c+d+e+f)^10*(a+b+c+d+e+f)^10")
 
 
 def test_parse_accepts_nesting_at_the_limit():

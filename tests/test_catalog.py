@@ -1,6 +1,7 @@
 """Catalog presentations, characteristic families and verify_space."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,8 @@ from flagcohom import (
     top_degree,
     verify_space,
 )
-from flagcohom.catalog import VARIANTS, _independent, default_cutoff
+from flagcohom import catalog
+from flagcohom.catalog import VARIANTS, BasisFamily, FamilyPart, _independent, default_cutoff
 from flagcohom.verify import _catalog_descriptors
 
 from _oracles import monomials, quotient_dimension
@@ -225,14 +227,30 @@ def test_verify_space_passes_on_examples():
         assert report.ok, "\n".join(report.lines())
 
 
-def test_verify_space_reports_offending_degree():
-    # sabotage: a ring whose displayed series does not match a wrong cutoff
-    # is hard to fake through the public API, so check the report text shape
-    report = verify_space(SpaceDescriptor("complex-grassmannian", 1, 3))
-    assert all(c.ok for c in report.checks)
-    assert any("dimensions" in c.name for c in report.checks)
-    assert any("family" in c.name for c in report.checks)
-    assert any("relations" in c.name for c in report.checks)
+def test_verify_space_reports_offending_degree(monkeypatch):
+    space = SpaceDescriptor("complex-grassmannian", 2, 4)  # dimensions 1, 0, 1, 0, 2, 0, 1, 0, 1
+    report = verify_space(space)
+    assert [(c.name, c.ok) for c in report.checks] == [
+        ("dimensions match closed form", True),
+        ("characteristic family is a basis", True),
+        ("relations vanish", True),
+    ]
+    pres, series, family = build_space(space)
+    # the family c1^a * c2^b with a + b <= 2, capped one lower
+    low = BasisFamily(
+        family.gens, tuple(replace(p, max_exponent_sum=p.max_exponent_sum - 1) for p in family.parts)
+    )
+    # c1^a with a <= 2, and c1 * cb1^b with b <= 1: c1*cb1 = -c1^2 in degree 4
+    dependent = BasisFamily(
+        family.gens, (FamilyPart((0, 0, 0, 0), (0,), 2), FamilyPart((1, 0, 0, 0), (2,), 1))
+    )
+    for bad, detail in (
+        (low, "degree 4: family has 1 monomials, dimension 2"),
+        (dependent, "degree 4: family ['c1^2', 'c1*cb1'] is dependent"),
+    ):
+        monkeypatch.setattr(catalog, "build_space", lambda s, bad=bad: (pres, series, bad))
+        failed = [(c.name, c.ok, c.detail) for c in verify_space(space).checks if not c.ok]
+        assert failed == [("characteristic family is a basis", False, detail)]
 
 
 def test_cp3_verify_dims():

@@ -599,6 +599,10 @@ def test_a_presentation_with_more_generators_than_the_recursion_limit(tmp_path):
 H_RING = {"presentation": {"generators": [["h", 2]]}, "cutoff": 4}
 
 
+def six_generators_doc(relation):
+    return {"presentation": {"generators": [[g, 2] for g in "abcdef"], "relations": [relation]}, "cutoff": 4}
+
+
 def pushout_doc(image):
     return {"pushout": {"b0": H_RING, "b1": POINT, "e0": H_RING, "map_b1": {"h": image}, "map_e0": {"h": "h"}}}
 
@@ -612,8 +616,13 @@ def pushout_doc(image):
      ({"presentation": {"generators": [["x", 2]], "relations": ["x + " + "9" * 5000 + "*x"]}, "cutoff": 2},
       "config.presentation.relations[0][0]: integer literal longer than 4300 digits at position 4"),
      (pushout_doc([1]), "config.pushout.map_b1.h: expected an expression string or an integer"),
-     (pushout_doc(None), "config.pushout.map_b1.h: expected an expression string or an integer")],
-    ids=["divide-by-zero", "deep-nesting", "literal-5000-digits", "map-list", "map-null"],
+     (pushout_doc(None), "config.pushout.map_b1.h: expected an expression string or an integer"),
+     (six_generators_doc("(a+b+c+d+e+f)^256"),
+      "config.presentation.relations[0][0]: expansion multiplies more than 200000 pairs of terms at position 13"),
+     (six_generators_doc("(a+b+c+d+e+f)^10*(a+b+c+d+e+f)^10"),
+      "config.presentation.relations[0][0]: expansion multiplies more than 200000 pairs of terms at position 16")],
+    ids=["divide-by-zero", "deep-nesting", "literal-5000-digits", "map-list", "map-null", "power-of-a-sum",
+         "product-of-powers"],
 )
 def test_malformed_input_exits_2_without_a_traceback(config, error, tmp_path, capsys):
     code, _, captured = present_in_process([], config, tmp_path, capsys)

@@ -26,18 +26,15 @@ from flagcohom import (
     closed_form,
     equivariant_base,
     equivariant_space,
-    flag_bundle,
-    grassmannian_bundle,
+    extend,
     make_presentation,
-    odd_grassmannian_bundle,
     point_ring,
-    projectivization,
     ring_pushout,
     series_from_ring,
-    sphere_bundle,
     whitney_complement,
     zero_generators,
 )
+from flagcohom import extension
 from flagcohom.algebra import PresentationError
 from flagcohom.cli import presentation_doc
 from flagcohom.series import ClosedFormSeries
@@ -121,7 +118,7 @@ def test_whitney_remultiplication_reduces_to_zero():
     total = 1 + 3 * h + h ** 2 + 2 * h ** 3
     n, k = 4, 2
     bundle = BundleData(base, "complex", n, total)
-    ring = grassmannian_bundle(bundle, k, suffix="f")
+    ring = extend(bundle, "grassmannian", k, suffix="f")
     data = whitney_complement(total, k, n, "complex", names=["c1f", "c2f"])
     gens = data.gens
     total_canon = gens.one() + gens.gen("c1f") + gens.gen("c2f")
@@ -148,7 +145,7 @@ def test_whitney_range_check():
 def test_fibre_case_recovers_catalog():
     pt = point_ring()
     bundle = BundleData(pt, "complex", 4, 1)
-    ring = grassmannian_bundle(bundle, 2)
+    ring = extend(bundle, "grassmannian", 2)
     catalog_ring = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4))
     assert ring.dimensions(8) == catalog_ring.dimensions(8)
 
@@ -156,49 +153,66 @@ def test_fibre_case_recovers_catalog():
 def test_degenerate_k_returns_base():
     base = projective_base(2)
     bundle = BundleData(base, "complex", 3, 1)
-    assert grassmannian_bundle(bundle, 0) is base
-    assert grassmannian_bundle(bundle, 3) is base
+    assert extend(bundle, "grassmannian", 0) is base
+    assert extend(bundle, "grassmannian", 3) is base
+
+
+def test_extend_derives_the_fibre_once(monkeypatch):
+    calls = []
+    derive = extension.fibre
+    monkeypatch.setattr(extension, "fibre", lambda *args: calls.append(args) or derive(*args))
+    pt = point_ring()
+    for bundle, name, k in (
+        (BundleData(pt, "complex", 3, 1), "grassmannian", 1),
+        (BundleData(pt, "complex", 1, 1), "projectivize", None),
+        (BundleData(pt, "oriented", 5, 1), "sphere", None),
+        (BundleData(pt, "real", 4, 1), "flag", None),
+        (BundleData(free_ring("r", 5, 13), "real", 6, 1), "odd-grassmannian", 1),
+    ):
+        calls.clear()
+        extend(bundle, name, k)
+        assert calls == [(name, bundle.kind, bundle.rank, k)]
 
 
 def test_projectivization_spec_example():
     # V = gamma + trivial over CP^m: single relation c1^2 - h*c1
     base = projective_base(2)
     h = base.gens.gen("h")
-    ring = projectivization(BundleData(base, "complex", 2, 1 + h))
+    ring = extend(BundleData(base, "complex", 2, 1 + h), "projectivize")
     assert [str(r) for r in ring.presentation.relations] == ["h^3", "-h*c1 + c1^2"]
 
 
 def test_projectivization_over_point_is_projective_space():
-    ring = projectivization(BundleData(point_ring(), "complex", 4, 1))
+    ring = extend(BundleData(point_ring(), "complex", 4, 1), "projectivize")
     assert ring.dimensions(8) == [1, 0, 1, 0, 1, 0, 1, 0, 0]
 
 
 def test_real_rank_two_grassmannianization_over_point():
-    ring = projectivization(BundleData(point_ring(), "real", 6, 1))
+    ring = extend(BundleData(point_ring(), "real", 6, 1), "projectivize")
     assert [str(r) for r in ring.presentation.relations] == ["p1^3"]
     assert ring.dimensions(8) == [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
 
 def test_sphere_bundle_over_point():
-    ring = sphere_bundle(BundleData(point_ring(), "oriented", 5, 1))
+    ring = extend(BundleData(point_ring(), "oriented", 5, 1), "sphere")
     assert [(s.name, s.degree) for s in ring.gens.symbols] == [("eb", 4)]
     assert ring.dimensions(4) == [1, 0, 0, 0, 1]
 
 
 def test_sphere_bundle_needs_oriented_odd():
     with pytest.raises(BundleError):
-        sphere_bundle(BundleData(point_ring(), "real", 5, 1))
+        extend(BundleData(point_ring(), "real", 5, 1), "sphere")
 
 
 def test_sphere_bundle_needs_rank_at_least_3():
     with pytest.raises(BundleError, match="sphere_bundle needs rank at least 3, got rank 1"):
-        sphere_bundle(BundleData(point_ring(), "oriented", 1, 1))
+        extend(BundleData(point_ring(), "oriented", 1, 1), "sphere")
 
 
 def test_oriented_fibre_euler_relation():
     pt = point_ring()
     bundle = BundleData(pt, "oriented", 4, 1, euler_class=pt.gens.zero())
-    ring = grassmannian_bundle(bundle, 2)
+    ring = extend(bundle, "grassmannian", 2)
     e, eb = ring.gens.gen("e"), ring.gens.gen("eb")
     assert ring.is_zero(e * eb)
     assert ring.dimensions(4) == [1, 0, 2, 0, 1]
@@ -208,14 +222,14 @@ def test_oriented_odd_subspace_in_even_rank_rejected():
     pt = point_ring()
     bundle = BundleData(pt, "oriented", 4, 1, euler_class=pt.gens.zero())
     with pytest.raises(BundleError):
-        grassmannian_bundle(bundle, 1)
+        extend(bundle, "grassmannian", 1)
 
 
 def test_leray_hirsch_dimensions_product():
     base = projective_base(3)
     h = base.gens.gen("h")
     for rank, k, total in ((2, 1, 1 + h), (3, 1, (1 + h) ** 3), (4, 2, 1 + h + h ** 2)):
-        ring = grassmannian_bundle(BundleData(base, "complex", rank, total), k, suffix="f")
+        ring = extend(BundleData(base, "complex", rank, total), "grassmannian", k, suffix="f")
         n = base.cutoff
         base_series = series_from_ring(base, n)
         fibre_series = closed_form(SpaceDescriptor("complex-grassmannian", k, rank)).truncate(n)
@@ -226,7 +240,7 @@ def test_leray_hirsch_dimensions_product():
 
 
 def test_complex_flag_manifold():
-    ring = flag_bundle(BundleData(point_ring(), "complex", 3, 1))
+    ring = extend(BundleData(point_ring(), "complex", 3, 1), "flag")
     assert ring.dimensions(6) == [1, 0, 2, 0, 2, 0, 1]
     series = build_space(SpaceDescriptor("complete-flag-complex", 0, 3))[1]
     assert series_from_ring(ring, 6) == series.truncate(6)
@@ -234,7 +248,7 @@ def test_complex_flag_manifold():
 
 def test_oriented_flag_over_point_has_euler_product_relation():
     pt = point_ring()
-    ring = flag_bundle(BundleData(pt, "oriented", 4, 1, euler_class=pt.gens.zero()))
+    ring = extend(BundleData(pt, "oriented", 4, 1, euler_class=pt.gens.zero()), "flag")
     e1, e2 = ring.gens.gen("e1"), ring.gens.gen("e2")
     assert ring.is_zero(e1 * e2)
     assert ring.dimensions(4) == [1, 0, 2, 0, 1]
@@ -243,8 +257,8 @@ def test_oriented_flag_over_point_has_euler_product_relation():
 def test_oriented_flag_full_presentation_agrees_with_reduced():
     pt = point_ring()
     bundle = BundleData(pt, "oriented", 4, 1, euler_class=pt.gens.zero())
-    reduced = flag_bundle(bundle)
-    full = flag_bundle(bundle, full=True)
+    reduced = extend(bundle, "flag")
+    full = extend(bundle, "flag", full=True)
     assert reduced.dimensions(8) == full.dimensions(8)
     # the carried u_i really is e_i^2
     u1, e1 = full.gens.gen("u1"), full.gens.gen("e1")
@@ -254,7 +268,7 @@ def test_oriented_flag_full_presentation_agrees_with_reduced():
 def test_flag_bundle_series_product():
     base = projective_base(2)
     h = base.gens.gen("h")
-    ring = flag_bundle(BundleData(base, "complex", 3, 1 + h))
+    ring = extend(BundleData(base, "complex", 3, 1 + h), "flag")
     flag_series = build_space(SpaceDescriptor("complete-flag-complex", 0, 3))[1]
     n = base.cutoff
     assert series_from_ring(ring, n) == series_from_ring(base, n).convolve(
@@ -389,14 +403,14 @@ def test_pushout_over_point_multiplies_dimensions():
 
 def test_pushout_identity_pullback_keeps_e0():
     b0 = free_ring("h", 2, 10)
-    e0 = projectivization(BundleData(b0, "complex", 3, 1 + b0.gens.gen("h")))
+    e0 = extend(BundleData(b0, "complex", 3, 1 + b0.gens.gen("h")), "projectivize")
     push = ring_pushout(b0, b0, e0, {"h": "h"}, {"h": "h"})
     assert series_from_ring(push, 8) == series_from_ring(e0, 8)
 
 
 def test_pushout_bu1_elimination_recovers_fibre():
     b0 = free_ring("h", 2, 10)
-    e0 = projectivization(BundleData(b0, "complex", 4, 1 + b0.gens.gen("h")))
+    e0 = extend(BundleData(b0, "complex", 4, 1 + b0.gens.gen("h")), "projectivize")
     push = ring_pushout(b0, point_ring(), e0, {"h": "0"}, {"h": "h"})
     fibre = build_ring(SpaceDescriptor("projective-space-complex", 0, 4))
     assert push.dimensions(8) == fibre.dimensions(8)
@@ -422,6 +436,11 @@ def test_pushout_non_ring_map_rejected():
     e0 = free_ring("w", 2, 8, relation_power=4)  # w^2 != 0
     with pytest.raises(BundleError, match="ring map"):
         ring_pushout(b0, point_ring(), e0, {"s": "0"}, {"s": "w"})
+    # s^2 = 0 omits t, whose image the map skips
+    gens = Generators([GeneratorSymbol("s", 2), GeneratorSymbol("t", 2)])
+    b0 = QuotientRing(make_presentation(gens, [gens.gen("s") ** 2], "Q[s,t]/s^2"), 8)
+    with pytest.raises(BundleError, match=r"relation s\^2 has nonzero image w\^2"):
+        ring_pushout(b0, point_ring(), e0, {"s": "0", "t": "0"}, {"s": "w", "t": "w"})
 
 
 def test_pushout_missing_image_rejected():
@@ -444,7 +463,7 @@ def test_pushout_renames_colliding_generators():
 def test_odd_extension_over_point_matches_catalog():
     rp = free_ring("r", 5, 13)  # H*(RP^5;Q) = Q[r]/r^2 (r odd, square structural)
     bundle = BundleData(rp, "real", 6, 1)
-    ring = odd_grassmannian_bundle(bundle, 1)
+    ring = extend(bundle, "odd-grassmannian", 1)
     catalog_ring = build_ring(SpaceDescriptor("odd-real-grassmannian", 1, 2))
     assert ring.dimensions(9) == catalog_ring.dimensions(9)
 
@@ -452,7 +471,7 @@ def test_odd_extension_over_point_matches_catalog():
 def test_odd_extension_series_identity():
     rp = free_ring("r", 7, 23)  # RP(V^8) over a point
     bundle = BundleData(rp, "real", 8, 1)
-    ring = odd_grassmannian_bundle(bundle, 1)
+    ring = extend(bundle, "odd-grassmannian", 1)
     top = 4 * 1 * 2 + 7
     series = closed_form(SpaceDescriptor("odd-real-grassmannian", 1, 3))
     assert series_from_ring(ring, top) == series.truncate(top)
@@ -461,8 +480,8 @@ def test_odd_extension_series_identity():
 def test_odd_extension_degenerate_k_returns_input():
     rp = free_ring("r", 5, 13)
     bundle = BundleData(rp, "real", 6, 1)
-    assert odd_grassmannian_bundle(bundle, 0) is rp
-    assert odd_grassmannian_bundle(bundle, 2) is rp
+    assert extend(bundle, "odd-grassmannian", 0) is rp
+    assert extend(bundle, "odd-grassmannian", 2) is rp
 
 
 # -- name clashes -----------------------------------------------------------------
@@ -472,8 +491,8 @@ def test_extension_name_clash_needs_suffix():
     base = build_ring(SpaceDescriptor("projective-space-complex", 0, 3))  # generator c1
     bundle = BundleData(base, "complex", 2, 1)
     with pytest.raises(BundleError, match="suffix"):
-        grassmannian_bundle(bundle, 1)
-    ring = grassmannian_bundle(bundle, 1, suffix="f")
+        extend(bundle, "grassmannian", 1)
+    ring = extend(bundle, "grassmannian", 1, suffix="f")
     assert "c1f" in ring.gens.names
 
 
@@ -494,7 +513,7 @@ def test_sphere_bundle_series_product_over_base():
     base = free_ring("h", 2, 8, relation_power=4)  # CP^3 with generator h
     h = base.gens.gen("h")
     bundle = BundleData(base, "oriented", 5, 1 + h ** 2)
-    ring = sphere_bundle(bundle)
+    ring = extend(bundle, "sphere")
     upto = 8
     expected = series_from_ring(base, upto).convolve(
         ClosedFormSeries.one_plus(4).truncate(upto)
@@ -515,54 +534,54 @@ def test_fibre_specialization_sweep():
     for n in range(1, 5):
         for k in range(1, n):
             compare(
-                grassmannian_bundle(BundleData(pt, "complex", n, 1), k),
+                extend(BundleData(pt, "complex", n, 1), "grassmannian", k),
                 SpaceDescriptor("complex-grassmannian", k, n),
             )
     for n in range(1, 4):
         for k in range(1, n):
             compare(
-                grassmannian_bundle(BundleData(pt, "real", 2 * n, 1), 2 * k),
+                extend(BundleData(pt, "real", 2 * n, 1), "grassmannian", 2 * k),
                 SpaceDescriptor("real-grassmannian-even", k, n, "even-even"),
             )
             compare(
-                grassmannian_bundle(
-                    BundleData(pt, "oriented", 2 * n, 1, euler_class=pt.gens.zero()), 2 * k
+                extend(
+                    BundleData(pt, "oriented", 2 * n, 1, euler_class=pt.gens.zero()), "grassmannian", 2 * k
                 ),
                 SpaceDescriptor("oriented-grassmannian", k, n, "even-even"),
             )
         for k in range(1, n + 1):
             compare(
-                grassmannian_bundle(BundleData(pt, "oriented", 2 * n + 1, 1), 2 * k),
+                extend(BundleData(pt, "oriented", 2 * n + 1, 1), "grassmannian", 2 * k),
                 SpaceDescriptor("oriented-grassmannian", k, n, "even-odd"),
             )
         for k in range(n):
             compare(
-                grassmannian_bundle(BundleData(pt, "oriented", 2 * n + 1, 1), 2 * k + 1),
+                extend(BundleData(pt, "oriented", 2 * n + 1, 1), "grassmannian", 2 * k + 1),
                 SpaceDescriptor("oriented-grassmannian", k, n, "odd-odd"),
             )
     for n in range(1, 4):
         compare(
-            flag_bundle(BundleData(pt, "complex", n, 1)),
+            extend(BundleData(pt, "complex", n, 1), "flag"),
             SpaceDescriptor("complete-flag-complex", 0, n),
         )
         compare(
-            flag_bundle(BundleData(pt, "real", 2 * n, 1)),
+            extend(BundleData(pt, "real", 2 * n, 1), "flag"),
             SpaceDescriptor("complete-flag-real", 0, n, "even"),
         )
         compare(
-            flag_bundle(BundleData(pt, "oriented", 2 * n, 1, euler_class=pt.gens.zero())),
+            extend(BundleData(pt, "oriented", 2 * n, 1, euler_class=pt.gens.zero()), "flag"),
             SpaceDescriptor("complete-flag-oriented", 0, n, "even"),
         )
         compare(
-            flag_bundle(BundleData(pt, "oriented", 2 * n + 1, 1)),
+            extend(BundleData(pt, "oriented", 2 * n + 1, 1), "flag"),
             SpaceDescriptor("complete-flag-oriented", 0, n, "odd"),
         )
         compare(
-            sphere_bundle(BundleData(pt, "oriented", 2 * n + 1, 1)),
+            extend(BundleData(pt, "oriented", 2 * n + 1, 1), "sphere"),
             SpaceDescriptor("sphere", 0, n),
         )
         compare(
-            projectivization(BundleData(pt, "complex", n + 1, 1)),
+            extend(BundleData(pt, "complex", n + 1, 1), "projectivize"),
             SpaceDescriptor("projective-space-complex", 0, n + 1),
         )
 
@@ -606,15 +625,15 @@ def pinned_presentations() -> list:
             name = f"{kind} rank {rank}"
             for k in range(rank + 1):
                 for suffix in ("", "f"):
-                    record(f"{name} G_{k} {suffix}", lambda: grassmannian_bundle(bundle, k, suffix=suffix))
+                    record(f"{name} G_{k} {suffix}", lambda: extend(bundle, "grassmannian", k, suffix=suffix))
             for full in (False, True):
-                record(f"{name} flag {full}", lambda: flag_bundle(bundle, full=full, suffix="f"))
+                record(f"{name} flag {full}", lambda: extend(bundle, "flag", full=full, suffix="f"))
             for k in range(rank // 2 + 1):
-                record(f"{name} odd G_{k}", lambda: odd_grassmannian_bundle(bundle, k, suffix="f"))
-            record(f"{name} P", lambda: projectivization(bundle))
-            record(f"{name} S", lambda: sphere_bundle(bundle))
+                record(f"{name} odd G_{k}", lambda: extend(bundle, "odd-grassmannian", k, suffix="f"))
+            record(f"{name} P", lambda: extend(bundle, "projectivize"))
+            record(f"{name} S", lambda: extend(bundle, "sphere"))
     cp2 = build_ring(SpaceDescriptor("projective-space-complex", 0, 3))
-    record("name clash", lambda: grassmannian_bundle(BundleData(cp2, "complex", 2, 1), 1))
+    record("name clash", lambda: extend(BundleData(cp2, "complex", 2, 1), "grassmannian", 1))
     return out
 
 
@@ -628,7 +647,7 @@ def test_real_grassmannian_bundle_over_quaternionic_base():
     base = free_ring("q", 4, 12, relation_power=2)  # HP^1-style base
     q = base.gens.gen("q")
     bundle = BundleData(base, "real", 4, 1 + q)
-    ring = grassmannian_bundle(bundle, 2)
+    ring = extend(bundle, "grassmannian", 2)
     fibre = build_space(SpaceDescriptor("real-grassmannian-even", 1, 2, "even-even"))[1]
     upto = 8
     expected = series_from_ring(base, upto).convolve(fibre.truncate(upto))

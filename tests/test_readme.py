@@ -42,5 +42,6 @@ def test_readme_library_results():
     namespace = {"_results": []}
     exec("\n".join(source), namespace)
     assert expected == ["[1, 0, 1, 0, 2, 0, 1, 0, 1]", "['c1^2', 'c2']", "2*c1*c2",
-                        "(1-t^4)(1-t^6)/(1-t^2)(1-t^2)"]
+                        "(1-t^4)(1-t^6)/(1-t^2)(1-t^2)", "['c1^4', '-c1*g + g^2']",
+                        "1, 0, 2, 0, 2, 0, 2, 0, 1, 0, 0"]
     assert namespace["_results"] == expected
