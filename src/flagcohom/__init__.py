@@ -23,7 +23,6 @@ from .catalog import (
     characteristic_basis_monomials,
     closed_form,
     top_degree,
-    verify_space,
 )
 from .extension import (
     BundleData,
@@ -40,6 +39,7 @@ from .extension import (
 )
 from .linalg import BACKEND
 from .series import ClosedFormSeries, TruncatedSeries, palindrome_check, series_from_ring
+from .verify import verify_space
 
 __version__ = "0.1.0"
 

@@ -11,7 +11,7 @@ and a1..an for the polynomial generators of the torus-equivariant base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import (
     GeneratorSymbol,
@@ -22,8 +22,7 @@ from .algebra import (
     RingPresentation,
     make_presentation,
 )
-from .series import ClosedFormSeries, series_from_ring
-from . import linalg
+from .series import ClosedFormSeries
 
 FAMILIES = (
     "point",
@@ -389,95 +388,3 @@ def characteristic_basis_monomials(space: SpaceDescriptor, degree: int) -> tuple
     if family is None:
         raise ValueError(f"{space.label} has no stated characteristic basis family")
     return family.monomials_of_degree(degree)
-
-
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
-
-    def line(self) -> str:
-        """One report line; the detail is shown only when the check fails."""
-        suffix = f" ({self.detail})" if self.detail and not self.ok else ""
-        return f"{'PASS' if self.ok else 'FAIL'} {self.name}{suffix}"
-
-
-@dataclass
-class VerifyReport:
-    label: str
-    cutoff: int
-    checks: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append(CheckResult(name, ok, detail))
-
-    def labelled(self) -> list[CheckResult]:
-        """The checks, each name prefixed by the space's label."""
-        return [CheckResult(f"{self.label}: {c.name}", c.ok, c.detail) for c in self.checks]
-
-    def lines(self) -> list[str]:
-        return [c.line() for c in self.labelled()]
-
-
-def verify_space(space: SpaceDescriptor, cutoff: int | None = None) -> VerifyReport:
-    """Check a catalog space against its own closed form and basis family.
-
-    Verifies per-degree dimensions against the series expansion, linear
-    independence and spanning of the characteristic family (when stated),
-    and that every relation reduces to zero.
-    """
-    pres, series, family = build_space(space)
-    n = default_cutoff(space, pres) if cutoff is None else cutoff
-    ring = QuotientRing(pres, max(n, pres.max_relation_degree()))
-    report = VerifyReport(space.label, n)
-
-    expected = series.truncate(n)
-    engine = series_from_ring(ring, n)
-    bad = [d for d in range(n + 1) if expected[d] != engine[d]]
-    report.add(
-        "dimensions match closed form",
-        not bad,
-        "" if not bad else f"degrees {bad}: engine {[engine[d] for d in bad]}, "
-        f"series {[expected[d] for d in bad]}",
-    )
-
-    if family is None:
-        report.add("characteristic family", True, "none stated; skipped")
-    else:
-        bad_detail = ""
-        for d in range(n + 1):
-            monos = family.monomials_of_degree(d)
-            dim = ring.dimension(d)
-            if len(monos) != dim:
-                bad_detail = f"degree {d}: family has {len(monos)} monomials, dimension {dim}"
-                break
-            if not _independent(ring, monos):
-                bad_detail = f"degree {d}: family {[str(m) for m in monos]} is dependent"
-                break
-        report.add("characteristic family is a basis", not bad_detail, bad_detail)
-
-    bad_rels = [str(r) for r in pres.relations if not ring.is_zero(r)]
-    report.add(
-        "relations vanish",
-        not bad_rels,
-        "" if not bad_rels else f"nonzero residues: {bad_rels}",
-    )
-    return report
-
-
-def _independent(ring: QuotientRing, monomials) -> bool:
-    """Whether the residues of the monomials are linearly independent: the
-    rank of their rows in their degree's table (scaling a rewrite row by
-    its lead keeps the rank), or False in a zero degree."""
-    if not monomials:
-        return True
-    table = ring._table(monomials[0].degree)
-    if not table.basis:
-        return False
-    rows = [sorted(zip(*table.rows[mono.exps][1:])) for mono in monomials]
-    return linalg.rank(rows) == len(monomials)

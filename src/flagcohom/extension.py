@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import (
@@ -123,6 +122,8 @@ def fibre(extension: str, kind: str, rank: int, k: int | None = None) -> SpaceDe
     it does not apply. A Grassmannian of 0- or rank-dimensional subspaces is
     the point; an oriented one's variant follows the parities of k and rank."""
     _check_kind_rank(kind, rank)
+    if k is None and extension in ("grassmannian", "grassmannianize", "odd-grassmannian"):
+        raise BundleError(f"the {extension} extension needs the subspace dimension k")
     if extension == "projectivize":
         # the reduced form is the bundle of lines (complex) or of 2-planes (real)
         if kind not in ("complex", "real"):
@@ -332,26 +333,17 @@ def equivariant_space(
     bundle = BundleData(base, kind, rank, total, euler)
     if construction not in ("flag", "grassmannian"):
         raise BundleError(f"unknown construction {construction!r}")
-    if construction == "grassmannian" and k is None:
-        raise BundleError("equivariant Grassmannian needs the subspace dimension k")
     return extend(bundle, construction, k, cutoff=cutoff)
 
 
 def zero_generators(ring: QuotientRing, names: Sequence[str], cutoff: int | None = None) -> QuotientRing:
     """Specialize the named generators to zero and re-present the ring."""
     drop = {ring.gens.index(name) for name in names}
-    kept = [s for i, s in enumerate(ring.gens.symbols) if i not in drop]
-    gens = Generators(kept)
-    keep_idx = [i for i in range(len(ring.gens)) if i not in drop]
-    relations = []
-    for rel in ring.presentation.relations:
-        terms = {}
-        for exps, c in rel.terms.items():
-            if any(exps[i] for i in drop):
-                continue
-            out = tuple(exps[i] for i in keep_idx)
-            terms[out] = terms.get(out, Fraction(0)) + c
-        relations.append(GradedElement(gens, {e: c for e, c in terms.items() if c}))
+    gens = Generators([s for i, s in enumerate(ring.gens.symbols) if i not in drop])
+    images = {
+        name: gens.zero() if i in drop else gens.gen(name) for i, name in enumerate(ring.gens.names)
+    }
+    relations = [_apply_map(rel, images, gens) for rel in ring.presentation.relations]
     pres = make_presentation(gens, relations, f"{ring.label} at 0")
     return QuotientRing(pres, ring.cutoff if cutoff is None else cutoff)
 
@@ -411,11 +403,13 @@ def bott_tower(
 
 
 def _apply_map(
-    element: GradedElement, images: Mapping[str, GradedElement], target: QuotientRing
+    element: GradedElement, images: Mapping[str, GradedElement], gens: Generators
 ) -> GradedElement:
-    out = target.gens.zero()
+    """The image of `element` under the substitution of each generator by
+    its image in `images`, an element over `gens`."""
+    out = gens.zero()
     for exps, coeff in element.terms.items():
-        value = target.gens.scalar(coeff)
+        value = gens.scalar(coeff)
         for i, e in enumerate(exps):
             if not e:
                 continue
@@ -463,7 +457,7 @@ def ring_pushout(
     phi0 = _prepare_map(b0, e0, map_to_e0)
     for rel in b0.presentation.relations:
         for target, phi, side in ((b1, phi1, "b1"), (e0, phi0, "e0")):
-            image = _apply_map(rel, phi, target)
+            image = _apply_map(rel, phi, target.gens)
             if not target.is_zero(image):
                 raise BundleError(
                     f"map to {side} is not a ring map: relation {rel} has "
@@ -482,18 +476,12 @@ def ring_pushout(
         GeneratorSymbol(rename[s.name], s.degree, s.rewrite_priority) for s in e0.gens.symbols
     )
     gens = Generators(symbols)
-    offset = len(b1.gens)
-
-    def from_e0(el: GradedElement) -> GradedElement:
-        terms = {
-            (0,) * offset + exps: c for exps, c in el.terms.items()
-        }
-        return GradedElement(gens, terms)
+    from_e0 = {name: gens.gen(rename[name]) for name in e0.gens.names}
 
     relations = [r.reindex(gens) for r in b1.presentation.relations]
-    relations += [from_e0(r) for r in e0.presentation.relations]
+    relations += [_apply_map(r, from_e0, gens) for r in e0.presentation.relations]
     for name in b0.gens.names:
-        relations.append(phi1[name].reindex(gens) - from_e0(phi0[name]))
+        relations.append(phi1[name].reindex(gens) - _apply_map(phi0[name], from_e0, gens))
 
     label = f"{b1.label or 'b1'} (x)_{{{b0.label or 'b0'}}} {e0.label or 'e0'}"
     pres = make_presentation(gens, relations, label)

@@ -124,14 +124,13 @@ class ClosedFormSeries:
         return ClosedFormSeries(terms)
 
     def __eq__(self, other: object) -> bool:
+        """Equality of normalized factor forms (no expansion involved)."""
         return isinstance(other, ClosedFormSeries) and self.terms == other.terms
+
+    symbolic_equal = __eq__
 
     def __hash__(self) -> int:
         return hash(self.terms)
-
-    def symbolic_equal(self, other: ClosedFormSeries) -> bool:
-        """Equality of normalized factor forms (no expansion involved)."""
-        return self.terms == other.terms
 
     # -- expansion -----------------------------------------------------------
 

@@ -16,8 +16,8 @@ from flagcohom import (
     verify_space,
 )
 from flagcohom import catalog
-from flagcohom.catalog import VARIANTS, BasisFamily, FamilyPart, _independent, default_cutoff
-from flagcohom.verify import _catalog_descriptors
+from flagcohom.catalog import VARIANTS, BasisFamily, FamilyPart, default_cutoff
+from flagcohom.verify import _catalog_descriptors, _independent
 
 from _oracles import monomials, quotient_dimension
 
@@ -223,17 +223,16 @@ def test_verify_space_passes_on_examples():
         SpaceDescriptor("complete-flag-oriented", 0, 3, "even"),
         SpaceDescriptor("odd-oriented-grassmannian", 1, 2),
     ):
-        report = verify_space(desc)
-        assert report.ok, "\n".join(report.lines())
+        checks = verify_space(desc)
+        assert all(c.ok for c in checks), "\n".join(c.line() for c in checks)
 
 
 def test_verify_space_reports_offending_degree(monkeypatch):
     space = SpaceDescriptor("complex-grassmannian", 2, 4)  # dimensions 1, 0, 1, 0, 2, 0, 1, 0, 1
-    report = verify_space(space)
-    assert [(c.name, c.ok) for c in report.checks] == [
-        ("dimensions match closed form", True),
-        ("characteristic family is a basis", True),
-        ("relations vanish", True),
+    assert [(c.name, c.ok) for c in verify_space(space)] == [
+        ("G_2(C^4): dimensions match closed form", True),
+        ("G_2(C^4): characteristic family is a basis", True),
+        ("G_2(C^4): relations vanish", True),
     ]
     pres, series, family = build_space(space)
     # the family c1^a * c2^b with a + b <= 2, capped one lower
@@ -249,8 +248,8 @@ def test_verify_space_reports_offending_degree(monkeypatch):
         (dependent, "degree 4: family ['c1^2', 'c1*cb1'] is dependent"),
     ):
         monkeypatch.setattr(catalog, "build_space", lambda s, bad=bad: (pres, series, bad))
-        failed = [(c.name, c.ok, c.detail) for c in verify_space(space).checks if not c.ok]
-        assert failed == [("characteristic family is a basis", False, detail)]
+        failed = [(c.name, c.ok, c.detail) for c in verify_space(space) if not c.ok]
+        assert failed == [("G_2(C^4): characteristic family is a basis", False, detail)]
 
 
 def test_cp3_verify_dims():

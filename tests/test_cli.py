@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from flagcohom import SpaceDescriptor, build_space, cli
-from flagcohom.catalog import CheckResult, closed_form
+from flagcohom.catalog import closed_form
 from flagcohom.cli import presentation_doc, presentation_from_doc
+from flagcohom.verify import CheckResult
 
 
 def run_cli(*args, config=None, tmp_path=None):
@@ -94,6 +95,13 @@ def test_large_output_guard():
         "series", "complex-grassmannian", "-k", "2", "-n", "4", "--cutoff", "100", "--force-large"
     )
     assert result.returncode == 0
+    basis = ("basis", "complex-grassmannian", "-k", "2", "-n", "4", "--degree", "65")
+    result = run_cli(*basis)
+    assert result.returncode == 2
+    assert "force-large" in result.stderr
+    result = run_cli(*basis, "--cutoff", "65", "--force-large")
+    assert result.returncode == 0
+    assert "(0 monomials)" in result.stdout
 
 
 def test_basis_refuses_a_negative_degree(capsys):

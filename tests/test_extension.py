@@ -225,6 +225,20 @@ def test_oriented_odd_subspace_in_even_rank_rejected():
         extend(bundle, "grassmannian", 1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: extend(BundleData(point_ring(), "complex", 3, 1), "grassmannian"),
+        lambda: extend(BundleData(point_ring(), "real", 4, 1), "odd-grassmannian"),
+        lambda: equivariant_space("complex", 3, "grassmannian", cutoff=4),
+    ],
+    ids=["grassmannian", "odd-grassmannian", "equivariant-grassmannian"],
+)
+def test_grassmannian_extension_without_k_rejected(build):
+    with pytest.raises(BundleError, match="extension needs the subspace dimension k"):
+        build()
+
+
 def test_leray_hirsch_dimensions_product():
     base = projective_base(3)
     h = base.gens.gen("h")
