@@ -47,6 +47,10 @@ VARIANTS = ("even-even", "even-odd", "odd-odd")
 # the oriented Grassmannian's k range by variant, as (lowest k, n - highest k)
 ORIENTED_K_RANGE = {"even-even": (1, 1), "even-odd": (1, 0), "odd-odd": (0, 1)}
 
+# Largest n and top degree of a catalog space or bundle fibre. Presentations
+# grow fast past it: Fl(C^n) expands a product of 2^n terms.
+MAX_SPACE_SIZE = 256
+
 # the families that read k, and those that read a variant
 _READS_K = ("complex-grassmannian", "real-grassmannian-even", "oriented-grassmannian",
             "odd-real-grassmannian", "odd-oriented-grassmannian")
@@ -201,6 +205,19 @@ def top_degree(space: SpaceDescriptor) -> int:
     return max(t.shift + sum(t.num) - sum(t.den) for t in closed_form(space).terms)
 
 
+def check_size(space: SpaceDescriptor) -> None:
+    """Refuse a space whose presentation would take long to build. n is
+    tested first, since the top degree costs O(n^2) to derive."""
+    if space.n > MAX_SPACE_SIZE:
+        raise ValueError(f"{space.label} is too large: n = {space.n} must be at most {MAX_SPACE_SIZE}")
+    top = top_degree(space)
+    if top > MAX_SPACE_SIZE:
+        raise ValueError(
+            f"{space.label} is too large: n = {space.n} and top degree {top} "
+            f"must be at most {MAX_SPACE_SIZE}"
+        )
+
+
 _FLAG_ROOTS = {
     "complete-flag-complex": ("x", 2),
     "complete-flag-real": ("u", 4),
@@ -323,8 +340,9 @@ def build_space(space: SpaceDescriptor):
     Grassmannians and complete flags are their family's presentation over
     a point (fibre_relations with total = 1, euler = 0). The odd
     Grassmannians add r (or rt) to the real even presentation, and RP^2n
-    is its k = 0 case.
+    is its k = 0 case. A space past MAX_SPACE_SIZE is refused (check_size).
     """
+    check_size(space)
     f, k, n, v = space.family, space.k, space.n, space.variant
     label = space.label
 

@@ -27,9 +27,6 @@ from .series import ClosedFormSeries, series_from_ring
 from .catalog import BasisFamily, SpaceDescriptor
 
 LARGE_OUTPUT_CAP = 64
-# Largest n and top degree of a catalog space or bundle fibre. Presentations
-# grow fast past it: Fl(C^n) expands a product of 2^n terms.
-MAX_SPACE_SIZE = 256
 
 
 class ConfigError(ValueError):
@@ -150,23 +147,9 @@ def _build_space_job(sub, path, cutoff) -> BuiltJob:
     n = _field(sub, path, "n", int, required=False, default=0)
     variant = _field(sub, path, "variant", str, required=False, default="")
     desc = SpaceDescriptor(family, k, n, variant)
-    _check_size(desc)
     pres, series, basis_family = catalog.build_space(desc)
     ring = QuotientRing(pres, catalog.default_cutoff(desc, pres) if cutoff is None else cutoff)
     return BuiltJob(ring, series, basis_family)
-
-
-def _check_size(space: SpaceDescriptor) -> None:
-    """Refuse a space whose presentation would take long to build. n is
-    tested first, since the top degree costs O(n^2) to derive."""
-    if space.n > MAX_SPACE_SIZE:
-        raise ValueError(f"{space.label} is too large: n = {space.n} must be at most {MAX_SPACE_SIZE}")
-    top = catalog.top_degree(space)
-    if top > MAX_SPACE_SIZE:
-        raise ValueError(
-            f"{space.label} is too large: n = {space.n} and top degree {top} "
-            f"must be at most {MAX_SPACE_SIZE}"
-        )
 
 
 def parse_presentation(sub, path) -> RingPresentation:
@@ -198,14 +181,12 @@ def _build_bundle_job(sub, path, cutoff) -> BuiltJob:
     if ext not in extension.BUNDLE_EXTENSIONS:
         raise ConfigError(f"{path}.extension", f"unknown extension {ext!r}")
     k = _read_if(ext in ("grassmannian", "odd-grassmannian"), sub, path, ext, "k", int)
-    fibre = extension.fibre(ext, kind, rank, k)
-    _check_size(fibre)
     full = _read_if(ext == "flag", sub, path, ext, "full", bool, required=False, default=False)
     ring = extension.extend(bundle, ext, k, suffix, full, cutoff)
     # no closed form is recorded for the odd Grassmannian extension
     if base_job.series is None or ext == "odd-grassmannian":
         return BuiltJob(ring)
-    return BuiltJob(ring, base_job.series * catalog.closed_form(fibre))
+    return BuiltJob(ring, base_job.series * catalog.closed_form(extension.fibre(ext, kind, rank, k)))
 
 
 def _read_if(reads: bool, sub, path, ext, key, kind, **options):
@@ -231,7 +212,7 @@ def _build_tower_job(sub, path, cutoff) -> BuiltJob:
             raise ConfigError(spath, "expected an object")
         _check_fields(s, spath, STAGE_FIELDS)
         ext = _field(s, spath, "extension", str)
-        # an unknown extension is left to stage_fibre, which refuses it by name
+        # an unknown extension is left to bott_tower, which refuses it by name
         reads_k = ext == "grassmannianize" or ext not in extension.TOWER_EXTENSIONS
         stage = extension.TowerStage(
             extension=ext,
@@ -243,10 +224,9 @@ def _build_tower_job(sub, path, cutoff) -> BuiltJob:
             else _sum_elements(ring.gens, s["euler_class"], f"{spath}.euler_class"),
             k=_read_if(reads_k, s, spath, ext, "k", int, required=False),
         )
-        fibre = extension.stage_fibre(stage, i + 1)
-        _check_size(fibre)
         ring = extension.bott_tower([stage], base=ring, start_index=i + 1)
         if series is not None:
+            fibre = extension.fibre(extension.TOWER_EXTENSIONS[ext], stage.kind, stage.rank, stage.k)
             series = series * catalog.closed_form(fibre)
     if cutoff is not None:
         ring = QuotientRing(ring.presentation, cutoff)

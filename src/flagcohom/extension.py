@@ -22,7 +22,7 @@ from .algebra import (
     QuotientRing,
     make_presentation,
 )
-from .catalog import SpaceDescriptor, fibre_relations, fibre_symbols, top_degree
+from .catalog import SpaceDescriptor, check_size, fibre_relations, fibre_symbols, top_degree
 
 ElementLike = GradedElement | str | int
 
@@ -30,7 +30,8 @@ _STEP = {"complex": 2, "real": 4, "oriented": 4}
 _CANON = {"complex": "c", "real": "p", "oriented": "p"}
 
 BUNDLE_EXTENSIONS = ("grassmannian", "projectivize", "sphere", "flag", "odd-grassmannian")
-TOWER_EXTENSIONS = ("projectivize", "grassmannianize", "complete-flag")
+# a tower stage's name, and the bundle extension it applies
+TOWER_EXTENSIONS = {"projectivize": "projectivize", "grassmannianize": "grassmannian", "complete-flag": "flag"}
 
 
 class BundleError(ValueError):
@@ -117,12 +118,12 @@ def _ring(base: QuotientRing, gens, relations, label, cutoff, fibre_top) -> Quot
 
 
 def fibre(extension: str, kind: str, rank: int, k: int | None = None) -> SpaceDescriptor:
-    """The catalog space, in reduced parameters, that a bundle extension or
-    tower stage name adds as fibre over a rank-`rank` bundle; BundleError if
-    it does not apply. A Grassmannian of 0- or rank-dimensional subspaces is
-    the point; an oriented one's variant follows the parities of k and rank."""
+    """The catalog space, in reduced parameters, that a bundle extension (one
+    of BUNDLE_EXTENSIONS) adds as fibre over a rank-`rank` bundle; BundleError
+    if it does not apply. A Grassmannian of 0- or rank-dimensional subspaces
+    is the point; an oriented one's variant follows the parities of k and rank."""
     _check_kind_rank(kind, rank)
-    if k is None and extension in ("grassmannian", "grassmannianize", "odd-grassmannian"):
+    if k is None and extension in ("grassmannian", "odd-grassmannian"):
         raise BundleError(f"the {extension} extension needs the subspace dimension k")
     if extension == "projectivize":
         # the reduced form is the bundle of lines (complex) or of 2-planes (real)
@@ -131,7 +132,7 @@ def fibre(extension: str, kind: str, rank: int, k: int | None = None) -> SpaceDe
         if kind == "real" and rank < 2:
             raise BundleError(f"rank {rank} is too small to projectivize")
         extension, k = "grassmannian", 1 if kind == "complex" else 2
-    if extension in ("grassmannian", "grassmannianize"):
+    if extension == "grassmannian":
         if not 0 <= k <= rank:
             raise BundleError(f"need 0 <= k <= rank, got k={k}, rank={rank}")
         if k in (0, rank):
@@ -157,7 +158,7 @@ def fibre(extension: str, kind: str, rank: int, k: int | None = None) -> SpaceDe
         if rank < 3:
             raise BundleError(f"sphere_bundle needs rank at least 3, got rank {rank}")
         return SpaceDescriptor("sphere", 0, rank // 2)
-    if extension in ("flag", "complete-flag"):
+    if extension == "flag":
         n = rank if kind == "complex" else rank // 2
         if n < 1:
             raise BundleError(f"rank {rank} has no even-rank flag")
@@ -180,22 +181,23 @@ def extend(
     bundle: BundleData, extension: str, k: int | None = None, suffix: str = "", full: bool = False,
     cutoff: int | None = None, gen_name: str | None = None,
 ) -> QuotientRing:
-    """The bundle's base extended by the fibre that `extension` names (see
-    `fibre`), with the bundle's classes on the right of the Whitney-type
-    relations. Every new generator name ends in `suffix`, unless `gen_name`
-    names the one new generator of projectivize or sphere. Only flags read
-    `full`.
+    """The bundle's base extended by the fibre that the bundle extension
+    `extension` names (see `fibre`), with the bundle's classes on the right
+    of the Whitney-type relations. A fibre past catalog.MAX_SPACE_SIZE is
+    refused before anything is built. Every new generator name ends in
+    `suffix`, unless `gen_name` names the one new generator of projectivize
+    or sphere. Only flags read `full`.
 
-    - grassmannian (or grassmannianize): the bundle of k-dimensional
-      subspaces, on canonical and complement classes subject to c*cbar = c(V)
-      (Chern or Pontryagin), plus the Euler relations in the oriented case.
-      k = 0 or k = rank gives the base ring unchanged.
+    - grassmannian: the bundle of k-dimensional subspaces, on canonical and
+      complement classes subject to c*cbar = c(V) (Chern or Pontryagin), plus
+      the Euler relations in the oriented case. k = 0 or k = rank gives the
+      base ring unchanged.
     - projectivize: projectivization (complex) or rank-2 Grassmannianization
       (real) in the reduced single-generator form, one new generator g with
       g^n - v_1 g^(n-1) + v_2 g^(n-2) -+ ... + (-1)^n v_n = 0.
     - sphere: the sphere bundle of an oriented bundle of odd rank at least 3,
       one generator eb of degree rank-1 with eb^2 = p_n(V).
-    - flag (or complete-flag): the complete (even-rank) flag bundle. Complex:
+    - flag: the complete (even-rank) flag bundle. Complex:
       x_i of degree 2 with prod(1+x_i) = c(V). Real: u_i of degree 4 with
       prod(1+u_i) = p(V). Oriented: the reduced form on Euler generators e_i
       with prod(1+e_i^2) = p(V) (and prod e_i = e(V) for even rank);
@@ -209,6 +211,7 @@ def extend(
     """
     kind, rank, base = bundle.kind, bundle.rank, bundle.base
     space = fibre(extension, kind, rank, k)
+    check_size(space)
     if extension == "projectivize":
         # a rank-1 complex or rank-2 real bundle has the point as fibre, but
         # P(V) still adds its generator
@@ -232,7 +235,7 @@ def extend(
         relations = fibre_relations(gens, space, bundle.total_class.reindex(gens), euler, suffix, full)
         if extension == "odd-grassmannian":
             label = f"G_{2 * k + 1}(V^{rank})"
-        elif extension in ("flag", "complete-flag"):
+        elif extension == "flag":
             label = f"Fl(V^{rank})"
         else:
             label = f"{space.label} bundle"
@@ -369,33 +372,29 @@ def point_ring(cutoff: int = 0) -> QuotientRing:
     return QuotientRing(make_presentation(Generators(()), (), "pt"), cutoff)
 
 
-def stage_fibre(stage: TowerStage, idx: int) -> SpaceDescriptor:
-    """The fibre that tower stage number `idx` adds. The stage's name must
-    be one of TOWER_EXTENSIONS, and grassmannianize needs k."""
-    if stage.extension not in TOWER_EXTENSIONS:
-        raise BundleError(f"stage {idx}: unknown extension {stage.extension!r}")
-    if stage.extension == "grassmannianize" and stage.k is None:
-        raise BundleError(f"stage {idx}: grassmannianize needs k")
-    return fibre(stage.extension, stage.kind, stage.rank, stage.k)
-
-
 def bott_tower(
     stages: Sequence[TowerStage],
     base: QuotientRing | None = None,
     start_index: int = 1,
 ) -> QuotientRing:
     """Iterated tower of associated bundles, starting from `base` (default a
-    point). Stage i's new generators carry the stage index: x{i} for a
-    complex projectivization, u{i} real, and suffix _{i} otherwise."""
+    point). Each stage's name must be a key of TOWER_EXTENSIONS, and
+    grassmannianize needs k; both are checked first, naming the stage. The
+    stage then applies its bundle extension through `extend`. Stage i's new
+    generators carry the stage index: x{i} for a complex projectivization,
+    u{i} real, and suffix _{i} otherwise."""
     ring = base if base is not None else point_ring()
     for offset, stage in enumerate(stages):
         idx = start_index + offset
+        if stage.extension not in TOWER_EXTENSIONS:
+            raise BundleError(f"stage {idx}: unknown extension {stage.extension!r}")
+        if stage.extension == "grassmannianize" and stage.k is None:
+            raise BundleError(f"stage {idx}: grassmannianize needs k")
         gens = ring.gens
         euler = None if stage.euler_class is None else _as_element(gens, stage.euler_class)
         bundle = BundleData(ring, stage.kind, stage.rank, _as_element(gens, stage.total_class), euler)
-        stage_fibre(stage, idx)  # the stage's name and k are checked first
         name = ("x" if stage.kind == "complex" else "u") + str(idx)
-        ring = extend(bundle, stage.extension, stage.k, suffix=f"_{idx}", gen_name=name)
+        ring = extend(bundle, TOWER_EXTENSIONS[stage.extension], stage.k, suffix=f"_{idx}", gen_name=name)
     return ring
 
 

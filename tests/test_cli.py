@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from flagcohom import SpaceDescriptor, build_space, cli
+from flagcohom import SpaceDescriptor, build_space, cli, extension
 from flagcohom.catalog import closed_form
 from flagcohom.cli import presentation_doc, presentation_from_doc
 from flagcohom.verify import CheckResult
@@ -529,6 +529,24 @@ def test_suffix_names_the_projectivize_and_sphere_generator(
     code, _, captured = present_in_process([], config, tmp_path, capsys)
     assert code == 0
     assert f"generators: {generators}\n" in captured.out
+
+
+def test_a_job_derives_a_fibre_again_only_for_the_closed_form_it_keeps(monkeypatch):
+    # extend derives each fibre once; the job derives it a second time only
+    # to multiply the base's closed form by the fibre's
+    calls = []
+    derive = extension.fibre
+    monkeypatch.setattr(extension, "fibre", lambda *args: calls.append(args) or derive(*args))
+    inline = {"presentation": {"generators": [["h", 2]], "relations": ["h^3"]}, "cutoff": 6}
+    two_stages = {"tower": {"stages": [
+        {"extension": "projectivize", "kind": "complex", "rank": 2, "total_class": "1"},
+        {"extension": "projectivize", "kind": "complex", "rank": 2, "total_class": "1 + 2*x1"}]}}
+    for config, count in ((bundle_doc(CP2, "complex", 2, "1 + c1", "projectivize", suffix="f"), 2),
+                          (bundle_doc(inline, "complex", 2, "1 + h", "projectivize"), 1),
+                          (two_stages, 4)):
+        calls.clear()
+        cli.build_job(config)
+        assert len(calls) == count
 
 
 @pytest.mark.parametrize(

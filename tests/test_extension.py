@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,30 @@ def test_extend_derives_the_fibre_once(monkeypatch):
         calls.clear()
         extend(bundle, name, k)
         assert calls == [(name, bundle.kind, bundle.rank, k)]
+
+
+def test_a_tower_derives_each_stage_fibre_once(monkeypatch):
+    # a stage's name and k are checked by bott_tower; only extend derives
+    # the fibre, under the bundle extension the stage name maps to
+    calls = []
+    derive = extension.fibre
+    monkeypatch.setattr(extension, "fibre", lambda *args: calls.append(args) or derive(*args))
+    bott_tower([TowerStage("projectivize", "complex", 2), TowerStage("grassmannianize", "complex", 3, "1 + x1", k=1)])
+    assert calls == [("projectivize", "complex", 2, None), ("grassmannian", "complex", 3, 1)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_ring(SpaceDescriptor("complete-flag-complex", 0, 17)),
+     lambda: extend(BundleData(point_ring(), "complex", 17, 1), "flag"),
+     lambda: bott_tower([TowerStage("complete-flag", "complex", 17)])],
+    ids=["build_ring", "extend", "bott_tower"],
+)
+def test_the_library_refuses_oversized_spaces_fast(build):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"Fl\(C\^17\) is too large: n = 17 and top degree 272 must be at most 256"):
+        build()
+    assert time.perf_counter() - start < 1
 
 
 def test_projectivization_spec_example():
