@@ -397,6 +397,8 @@ def cmd_verify(args, parser) -> int:
             raise ConfigError("suite", f"unknown suite {s!r}; known: {', '.join(verify.SUITES)}")
     if args.max_n < 0:
         raise ConfigError("--max-n", "must be a nonnegative integer")
+    if args.max_n > verify.MAX_N:
+        raise ConfigError("--max-n", f"must be at most {verify.MAX_N}, the largest that completes")
     checks = verify.run_suites(suites, max_n=args.max_n)
     for check in checks:
         print(check.line())
@@ -465,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help="largest n in the catalog and odd-identity suites, which stops at 3 "
         "(default: 4); the extensions and equivariant suites do not read it. 5 is the largest "
-        "that completes: at 6, Fl~(R^12) has a degree with more monomials than the limit",
+        "that completes, and larger values are refused: at 6, Fl~(R^12) has a degree with more "
+        "monomials than the limit",
     )
     vp.set_defaults(func=cmd_verify)
     return parser

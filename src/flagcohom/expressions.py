@@ -21,7 +21,7 @@ from .algebra import GradedElement, Generators
 # per level, so deeper input would exhaust the interpreter's stack
 MAX_NESTING = 100
 
-# largest literal exponent: the largest top degree the CLI builds; a power
+# largest literal exponent: the largest top degree a space may have; a power
 # costs one multiplication per unit of its exponent
 MAX_EXPONENT = 256
 
@@ -65,9 +65,11 @@ def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
-            raise ElementSyntaxError(text, pos, f"unexpected character {text[pos]!r}")
+            # the character after any whitespace is the one no token starts with
+            raise ElementSyntaxError(text, len(text) - len(rest), f"unexpected character {rest[0]!r}")
         if m.lastgroup == "int":
             digits = m.group("int")
             if len(digits) > MAX_LITERAL_DIGITS:

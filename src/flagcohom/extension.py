@@ -121,7 +121,8 @@ def fibre(extension: str, kind: str, rank: int, k: int | None = None) -> SpaceDe
     """The catalog space, in reduced parameters, that a bundle extension (one
     of BUNDLE_EXTENSIONS) adds as fibre over a rank-`rank` bundle; BundleError
     if it does not apply. A Grassmannian of 0- or rank-dimensional subspaces
-    is the point; an oriented one's variant follows the parities of k and rank."""
+    is the point; a real or oriented one's variant follows the parities of k
+    and rank."""
     _check_kind_rank(kind, rank)
     if k is None and extension in ("grassmannian", "odd-grassmannian"):
         raise BundleError(f"the {extension} extension needs the subspace dimension k")
@@ -144,19 +145,17 @@ def fibre(extension: str, kind: str, rank: int, k: int | None = None) -> SpaceDe
                 f"a rank-{rank} {kind} bundle has no displayed presentation for "
                 f"odd subspace dimension {k}"
             )
-        kr, nr = k // 2, rank // 2
-        if kind == "real":
-            return SpaceDescriptor("real-grassmannian-even", kr, nr)
+        family = "real-grassmannian-even" if kind == "real" else "oriented-grassmannian"
         if rank % 2 == 0:
             variant = "even-even"
         else:
             variant = "even-odd" if k % 2 == 0 else "odd-odd"
-        return SpaceDescriptor("oriented-grassmannian", kr, nr, variant)
+        return SpaceDescriptor(family, k // 2, rank // 2, variant)
     if extension == "sphere":
         if kind != "oriented" or rank % 2 == 0:
-            raise BundleError("sphere_bundle needs an oriented bundle of odd rank")
+            raise BundleError("the sphere extension needs an oriented bundle of odd rank")
         if rank < 3:
-            raise BundleError(f"sphere_bundle needs rank at least 3, got rank {rank}")
+            raise BundleError(f"the sphere extension needs rank at least 3, got rank {rank}")
         return SpaceDescriptor("sphere", 0, rank // 2)
     if extension == "flag":
         n = rank if kind == "complex" else rank // 2

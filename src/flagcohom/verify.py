@@ -14,6 +14,11 @@ from .algebra import QuotientRing
 from .catalog import SpaceDescriptor, closed_form
 from .series import ClosedFormSeries, series_from_ring
 
+# the largest max_n whose suites complete: at 6 the catalog suite reaches
+# Fl~(R^12), whose degree 48 has 118755 monomials, more than
+# algebra.MAX_DEGREE_MONOMIALS, after about 25 s on a 2-CPU machine
+MAX_N = 5
+
 
 @dataclass
 class CheckResult:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -168,13 +169,20 @@ def test_homogeneous_components_reassemble():
      ("-" * 101 + "x", "nesting deeper than 100 at position 100"),
      ("(" * 1000 + "x" + ")" * 1000, "nesting deeper than 100 at position 100"),
      ("x^" + "9" * 4301, "integer literal longer than 4300 digits at position 2"),
-     ("x/" + "7" * 4301, "integer literal longer than 4300 digits at position 2")],
+     ("x/" + "7" * 4301, "integer literal longer than 4300 digits at position 2"),
+     ("x $ 1", "unexpected character '$' at position 2"),
+     ("(x", "expected ')' at position 2"),
+     ("x)", "trailing input at position 1"),
+     ("x / x", "can only divide by an integer literal at position 4"),
+     ("x^x", "exponent must be an integer literal at position 2"),
+     ("*x", "expected a name, number or '(' at position 0")],
     ids=["divide-by-zero", "parentheses-101", "signs-101", "parentheses-1000",
-         "exponent-4301-digits", "divisor-4301-digits"],
+         "exponent-4301-digits", "divisor-4301-digits", "unexpected-character", "unclosed-parenthesis",
+         "trailing-input", "divide-by-a-name", "exponent-a-name", "leading-operator"],
 )
 def test_parse_refuses_division_by_zero_and_deep_nesting(text, message):
     gens = Generators([GeneratorSymbol("x", 2)])
-    with pytest.raises(ElementSyntaxError, match=message):
+    with pytest.raises(ElementSyntaxError, match=re.escape(message)):
         gens.parse(text)
 
 

@@ -340,6 +340,17 @@ def test_verify_rejects_negative_max_n(capsys):
     assert captured.err == "config error: --max-n: must be a nonnegative integer\n"
 
 
+def test_verify_refuses_a_max_n_that_cannot_complete(capsys):
+    # --max-n 6 once ran about 25 s, printed no check and exited 2 on a
+    # degree with more monomials than the limit
+    start = time.perf_counter()
+    assert cli.main(["verify", "--max-n", "6"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --max-n: must be at most 5, the largest that completes\n"
+
+
 def test_verify_maps_failures_to_exit_1(monkeypatch, capsys):
     from flagcohom import verify
 
@@ -555,7 +566,7 @@ def test_a_job_derives_a_fibre_again_only_for_the_closed_form_it_keeps(monkeypat
         ([], {"presentation": {"generators": [["x y", 2]]}, "cutoff": 3},
          "config.presentation: bad generator name 'x y'"),
         ([], bundle_doc(POINT, "oriented", 1, "1", "sphere"),
-         "config.bundle: sphere_bundle needs rank at least 3, got rank 1"),
+         "config.bundle: the sphere extension needs rank at least 3, got rank 1"),
         (["projective-space-real", "-k", "3", "-n", "2"], None,
          "config.space: projective-space-real: takes no k, got k=3"),
         ([], {"tower": {"stages": [{"extension": "complete-flag", "rank": 2, "k": 5}]}},
@@ -767,8 +778,10 @@ def cli_grid() -> list:
 # sha256 of the `present` and `series` runs of cli_grid() as JSON, recorded
 # while the CLI still chose each fibre and constructor itself; re-recorded
 # when tower stages began to refuse a k that their extension does not read,
-# which changed the runs of the five configs with such a stage
-PINNED_CLI_DIGEST = "9341e360568e2f69cd1aab88c57fa136a3beee291c741157419bd7cae7eb399e"
+# which changed the runs of the five configs with such a stage; and again
+# for the labels of real Grassmannian bundles of odd rank and the sphere
+# messages (72 label and 48 message runs changed, nothing else)
+PINNED_CLI_DIGEST = "5c49f432dd3cdf61930f52541340cbfcd078e202d6153dab4e1ea97d702782cd"
 
 
 def test_bundle_and_tower_jobs_match_pinned_digest(tmp_path, capsys):

@@ -230,8 +230,15 @@ def test_sphere_bundle_needs_oriented_odd():
 
 
 def test_sphere_bundle_needs_rank_at_least_3():
-    with pytest.raises(BundleError, match="sphere_bundle needs rank at least 3, got rank 1"):
+    with pytest.raises(BundleError, match="the sphere extension needs rank at least 3, got rank 1"):
         extend(BundleData(point_ring(), "oriented", 1, 1), "sphere")
+
+
+@pytest.mark.parametrize("rank, k, fibre", [(3, 1, "G_1(R^3)"), (3, 2, "G_2(R^3)"), (5, 3, "G_3(R^5)")])
+def test_real_grassmannian_bundles_of_odd_rank_name_their_fibre(rank, k, fibre):
+    # the label once dropped the ambient parity: G_0(R^2), G_2(R^2), G_2(R^4)
+    ring = extend(BundleData(point_ring(), "real", rank, 1), "grassmannian", k)
+    assert ring.label == f"{fibre} bundle over pt"
 
 
 def test_oriented_fibre_euler_relation():
@@ -626,8 +633,11 @@ def test_fibre_specialization_sweep():
 
 
 
-# sha256 of pinned_presentations() as JSON with sorted keys
-PINNED_DIGEST = "714b00493698b7aff1541ca7d2cca0b9c258727d2ac312ed72d7c02bbca7f43f"
+# sha256 of pinned_presentations() as JSON with sorted keys; re-recorded
+# when real Grassmannian bundles of odd rank took their ambient-parity
+# labels and the sphere messages stopped naming sphere_bundle (12 labels and
+# 16 messages changed, nothing else)
+PINNED_DIGEST = "a148315b6f2f609557b0a11eb652a04b652cf8c2bbcea49f2b3c59ed3a239958"
 
 
 def pinned_presentations() -> list:
