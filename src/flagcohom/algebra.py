@@ -769,24 +769,27 @@ class QuotientRing:
         """Monomials whose residues form a basis of the degree-d component."""
         return tuple(Monomial(self.gens, e) for e in self._table(d).basis)
 
-    def normal_form(self, element: GradedElement) -> NormalForm:
-        """The canonical representative supported on basis monomials.
+    def normal_form(self, element: GradedElement, *, den: int = 1) -> NormalForm:
+        """The canonical representative of element / den, supported on basis
+        monomials.
 
-        The input is scaled to integers by the lcm of its denominators and
-        reduced one degree at a time, in increasing degree. In a degree,
-        each monomial adds integer multiples of its row's values at the
-        row's positions into one list over a common lead. A row whose lead
-        does not divide the common lead first rescales the list to the lcm
-        of the two, so each output coefficient is divided once.
+        The input is scaled to integers by the lcm of its denominators, which
+        multiplies into `den`, and reduced one degree at a time, in
+        increasing degree. In a degree, each monomial adds integer multiples
+        of its row's values at the row's positions into one list over a
+        common lead. A row whose lead does not divide the common lead first
+        rescales the list to the lcm of the two, so each output coefficient
+        is one `Fraction`, over the common lead times `den`.
         """
         element = element.reindex(self.gens)
         terms = element.terms
         degrees = self.gens.degrees
-        den = lcm(*(c.denominator for c in terms.values()))
+        lcd = lcm(*(c.denominator for c in terms.values()))
+        den *= lcd
         by_degree: dict[int, list] = {}
         for exps, c in terms.items():
             by_degree.setdefault(sum(map(mul, exps, degrees)), []).append(
-                (exps, c.numerator * (den // c.denominator))
+                (exps, c.numerator * (lcd // c.denominator))
             )
         out: dict[tuple[int, ...], Fraction] = {}
         for d in sorted(by_degree):
@@ -817,4 +820,10 @@ class QuotientRing:
         return self.normal_form(element).is_zero
 
     def multiply(self, a: GradedElement, b: GradedElement) -> NormalForm:
-        return self.normal_form(a.reindex(self.gens) * b.reindex(self.gens))
+        """The normal form of a * b. The Koszul product of the factors,
+        each cleared to integers by the lcm of its denominators, builds no
+        `Fraction` per term: `normal_form` divides by the two lcms once."""
+        da, ia = _integer_terms(a.reindex(self.gens).terms, self.gens._odd)
+        db, ib = _integer_terms(b.reindex(self.gens).terms, self.gens._odd)
+        product = {e: n for e, n in _koszul_product(ia, ib).items() if n}
+        return self.normal_form(GradedElement(self.gens, product), den=da * db)
