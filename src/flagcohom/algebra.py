@@ -16,6 +16,9 @@ over the positions of its basis monomials: a basis monomial's unit row or
 a pivot's primitive reduced row with positive lead. Normal forms and
 products add integer multiples of rows into one list over a common lead,
 grown to the lcm of the leads met, and divide once per output coefficient.
+A product forms the Koszul product of its factors, each cleared to
+integers, in integers, and builds no `Fraction` per term of it: its one
+normal form divides by the factors' denominators with the leads.
 
 Zero monomials cost no reduction. A degree-d monomial m is zero in the
 quotient when m/x is, for some generator x of m: m is plus or minus x

@@ -801,6 +801,40 @@ def test_normal_form_and_multiply_match_dense_fractions(name, data):
     assert (gens.element(a) * gens.element(b)).terms == koszul_terms_product(gens.degrees, a, b)
 
 
+@pytest.mark.parametrize("name", list(EQUIVALENCE_RINGS))
+def test_integer_products_match_the_normal_form_of_the_fraction_product(name):
+    # multiply forms the Koszul product in integers and divides once inside
+    # normal_form; the path it replaced is the normal form of the Fraction
+    # product a * b
+    ring, _ = ring_and_reference(name)
+    gens, half = ring.gens, ring.cutoff // 2
+    rng = random.Random(18)
+
+    def element(universe, integer):
+        degrees = [d for d in range(half + 1) if universe.monomial_count(d)]
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            exps = rng.choice(universe.monomials_of_degree(rng.choice(degrees)))
+            terms[exps] = Fraction(rng.randint(-6, 6), 1 if integer else rng.randint(1, 6))
+        return universe.element(terms)
+
+    sub = Generators(gens.symbols[::2])
+    for _ in range(40):
+        for universe, integer in ((gens, False), (gens, True), (sub, False)):
+            a, b = element(universe, integer), element(universe, integer)
+            expected = ring.normal_form(a.reindex(gens) * b.reindex(gens))
+            assert ring.multiply(a, b) == expected
+            assert ring.multiply(a, gens.zero()).is_zero and ring.multiply(gens.zero(), b).is_zero
+
+    # the degree-8 terms of (r + s)^2 cancel, so the product is 0 at cutoff 6;
+    # r * s itself lies in degree 8
+    ring = QuotientRing(odd_mixing_presentation(), 6)
+    r, s = ring.gens.gen("r"), ring.gens.gen("s")
+    assert ring.multiply(r + s, r + s).is_zero
+    with pytest.raises(CutoffExceededError, match="^degree 8 exceeds cutoff 6$"):
+        ring.multiply(r, s)
+
+
 def seeded_element(rng, ring, d, size):
     """Up to `size` degree-d monomials with small fractional coefficients."""
     exps = ring.gens.monomials_of_degree(d)
