@@ -314,28 +314,31 @@ def equivariant_space(
 
     The bundle's equivariant total class is prod(1+a_i) (complex) or
     prod(1+a_i^2) (real, oriented), with Euler class prod(a_i) in the
-    oriented even case.
+    oriented even case. The fibre's size is checked before the total class,
+    with its 2^torus_rank terms, is expanded.
     """
     if cutoff is None:
         raise PresentationError("equivariant rings need an explicit cutoff")
+    if kind == "complex":
+        rank = torus_rank
+    elif kind in ("real", "oriented"):
+        rank = 2 * torus_rank + (1 if variant == "odd" else 0)
+    else:
+        raise BundleError(f"unknown bundle kind {kind!r}")
+    if construction not in ("flag", "grassmannian"):
+        raise BundleError(f"unknown construction {construction!r}")
+    check_size(fibre(construction, kind, rank, k))
     base = equivariant_base(torus_rank, cutoff)
     one = base.gens.one()
     roots = [base.gens.gen(name) for name in base.gens.names]
     euler = None
     if kind == "complex":
-        rank = torus_rank
         total = math.prod((one + a for a in roots), start=one)
-    elif kind in ("real", "oriented"):
-        rank = 2 * torus_rank + (1 if variant == "odd" else 0)
+    else:
         total = math.prod((one + a * a for a in roots), start=one)
         if kind == "oriented" and variant == "even":
             euler = math.prod(roots, start=one)
-    else:
-        raise BundleError(f"unknown bundle kind {kind!r}")
-    bundle = BundleData(base, kind, rank, total, euler)
-    if construction not in ("flag", "grassmannian"):
-        raise BundleError(f"unknown construction {construction!r}")
-    return extend(bundle, construction, k, cutoff=cutoff)
+    return extend(BundleData(base, kind, rank, total, euler), construction, k, cutoff=cutoff)
 
 
 def zero_generators(ring: QuotientRing, names: Sequence[str], cutoff: int | None = None) -> QuotientRing:

@@ -189,8 +189,9 @@ def test_a_tower_derives_each_stage_fibre_once(monkeypatch):
     "build",
     [lambda: build_ring(SpaceDescriptor("complete-flag-complex", 0, 17)),
      lambda: extend(BundleData(point_ring(), "complex", 17, 1), "flag"),
-     lambda: bott_tower([TowerStage("complete-flag", "complex", 17)])],
-    ids=["build_ring", "extend", "bott_tower"],
+     lambda: bott_tower([TowerStage("complete-flag", "complex", 17)]),
+     lambda: equivariant_space("complex", 17, cutoff=2)],
+    ids=["build_ring", "extend", "bott_tower", "equivariant_space"],
 )
 def test_the_library_refuses_oversized_spaces_fast(build):
     start = time.perf_counter()
