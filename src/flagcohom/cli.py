@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog, extension, verify
+from .expressions import one_budget
 from .algebra import (
     GeneratorSymbol,
     Generators,
@@ -102,7 +103,9 @@ def _sum_elements(gens, value, path) -> GradedElement:
 def build_job(doc: dict, path: str = "config", cutoff: int | None = None) -> BuiltJob:
     """Build a ring (plus closed form and basis family when known) from a
     config document: one of space | presentation | bundle | tower | pushout.
-    A library ValueError becomes a ConfigError at the sub-document's path."""
+    A library ValueError becomes a ConfigError at the sub-document's path.
+    The expressions of the whole job, nested bases included, share one
+    count against expressions.MAX_TERM_PRODUCTS."""
     if not isinstance(doc, dict):
         raise ConfigError(path, "expected an object")
     _check_fields(doc, path, ("cutoff", *FIELDS))
@@ -120,19 +123,20 @@ def build_job(doc: dict, path: str = "config", cutoff: int | None = None) -> Bui
     _check_fields(sub, path, FIELDS[kind])
 
     try:
-        if kind == "space":
-            job = _build_space_job(sub, path, cutoff)
-        elif kind == "presentation":
-            pres = parse_presentation(sub, path)
-            if cutoff is None:
-                raise ConfigError(path, "inline presentations need an explicit cutoff")
-            job = BuiltJob(QuotientRing(pres, cutoff))
-        elif kind == "bundle":
-            job = _build_bundle_job(sub, path, cutoff)
-        elif kind == "tower":
-            job = _build_tower_job(sub, path, cutoff)
-        else:
-            job = _build_pushout_job(sub, path, cutoff)
+        with one_budget():
+            if kind == "space":
+                job = _build_space_job(sub, path, cutoff)
+            elif kind == "presentation":
+                pres = parse_presentation(sub, path)
+                if cutoff is None:
+                    raise ConfigError(path, "inline presentations need an explicit cutoff")
+                job = BuiltJob(QuotientRing(pres, cutoff))
+            elif kind == "bundle":
+                job = _build_bundle_job(sub, path, cutoff)
+            elif kind == "tower":
+                job = _build_tower_job(sub, path, cutoff)
+            else:
+                job = _build_pushout_job(sub, path, cutoff)
     except ConfigError:
         raise
     except ValueError as exc:

@@ -7,12 +7,15 @@ the generator universe the expression is parsed against. Parentheses and
 unary signs nest at most MAX_NESTING deep, an integer literal has at most
 MAX_LITERAL_DIGITS digits, a literal exponent is at most MAX_EXPONENT, and
 the products and powers of one expression multiply at most
-MAX_TERM_PRODUCTS pairs of terms in all.
+MAX_TERM_PRODUCTS pairs of terms in all. Inside `one_budget`, every
+expression parsed shares that one count.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 
 from .algebra import GradedElement, Generators
@@ -39,6 +42,25 @@ MAX_LITERAL_DIGITS = 4300
 # an error message quotes inputs up to this length whole, and a window of
 # this width around the position of longer ones
 QUOTE_WIDTH = 80
+
+# the pairs of terms multiplied so far by the expressions parsed inside
+# `one_budget`, as a one-item list, or None outside it
+_SHARED_PRODUCTS: ContextVar[list[int] | None] = ContextVar("shared_products", default=None)
+
+
+@contextmanager
+def one_budget():
+    """Count the pairs of terms that every expression parsed in the block
+    multiplies against one MAX_TERM_PRODUCTS; an inner block joins the
+    outer one's count."""
+    if _SHARED_PRODUCTS.get() is not None:
+        yield
+        return
+    token = _SHARED_PRODUCTS.set([0])
+    try:
+        yield
+    finally:
+        _SHARED_PRODUCTS.reset(token)
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -94,7 +116,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
-        self.products = 0
+        # [pairs of terms multiplied], shared inside `one_budget`
+        self.products = _SHARED_PRODUCTS.get() or [0]
 
     def peek(self):
         return self.tokens[self.i]
@@ -115,9 +138,10 @@ class _Parser:
 
     def multiply(self, pos: int, lhs: GradedElement, rhs: GradedElement) -> GradedElement:
         """lhs * rhs for the operator at `pos`, refusing the expression once
-        its products multiply more than MAX_TERM_PRODUCTS pairs of terms."""
-        self.products += len(lhs.terms) * len(rhs.terms)
-        if self.products > MAX_TERM_PRODUCTS:
+        its products, with those of the expressions that share its count,
+        multiply more than MAX_TERM_PRODUCTS pairs of terms."""
+        self.products[0] += len(lhs.terms) * len(rhs.terms)
+        if self.products[0] > MAX_TERM_PRODUCTS:
             raise ElementSyntaxError(
                 self.text, pos, f"expansion multiplies more than {MAX_TERM_PRODUCTS} pairs of terms"
             )

@@ -668,6 +668,38 @@ def test_malformed_input_exits_2_without_a_traceback(config, error, tmp_path, ca
     assert captured.out == ""
 
 
+SUM_POWER = "(a+b+c+d+e+f)^12"  # 74,256 pairs of terms
+
+
+def six_generators_doc_with(copies):
+    doc = six_generators_doc(SUM_POWER)
+    doc["presentation"]["relations"] = [SUM_POWER] * copies
+    return doc
+
+
+@pytest.mark.parametrize(
+    "config, error",
+    [(six_generators_doc_with(30), "config.presentation.relations[2][0]"),
+     ({"bundle": {"base": six_generators_doc_with(2), "kind": "complex", "rank": 1, "total_class": SUM_POWER,
+                  "extension": "projectivize"}},
+      "config.bundle.total_class[0]")],
+    ids=["thirty-relations", "base-and-total-class"],
+)
+def test_the_expressions_of_one_job_share_one_term_product_count(config, error, tmp_path, capsys):
+    # each expression is under MAX_TERM_PRODUCTS; the third of the job
+    # crosses it, whichever sub-document it lies in
+    code, seconds, captured = present_in_process([], config, tmp_path, capsys)
+    assert code == 2
+    assert captured.err == f"config error: {error}: expansion multiplies more than 200000 pairs of terms " \
+                           f"at position 13: {SUM_POWER!r}\n"
+    assert seconds < 1
+
+
+def test_two_large_expressions_fit_one_job(tmp_path, capsys):
+    code, _, captured = present_in_process([], six_generators_doc_with(2), tmp_path, capsys)  # 148,512 pairs
+    assert code == 0, captured.err
+
+
 def test_malformed_input_message_quotes_a_window_of_long_input(tmp_path, capsys):
     relation = "(" * 1000 + "x" + ")" * 1000
     config = {"presentation": {"generators": [["x", 2]], "relations": [relation]}, "cutoff": 2}
