@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog, extension, verify
-from .expressions import one_budget
 from .algebra import (
     GeneratorSymbol,
     Generators,
@@ -26,6 +25,7 @@ from .algebra import (
 )
 from .series import ClosedFormSeries, series_from_ring
 from .catalog import BasisFamily, SpaceDescriptor
+from .expressions import one_budget
 
 LARGE_OUTPUT_CAP = 64
 

@@ -44,7 +44,9 @@ MAX_LITERAL_DIGITS = 4300
 QUOTE_WIDTH = 80
 
 # the pairs of terms multiplied so far by the expressions parsed inside
-# `one_budget`, as a one-item list, or None outside it
+# `one_budget`, as a one-item list, or None outside it. A context variable
+# reaches the parses inside library calls (a pushout's maps, a bundle's
+# classes) without a parameter on each
 _SHARED_PRODUCTS: ContextVar[list[int] | None] = ContextVar("shared_products", default=None)
 
 
