@@ -8,7 +8,6 @@ from .algebra import (
     Generators,
     GradedElement,
     Monomial,
-    NormalForm,
     PresentationError,
     QuotientRing,
     RingPresentation,
@@ -54,7 +53,6 @@ __all__ = [
     "Generators",
     "GradedElement",
     "Monomial",
-    "NormalForm",
     "PresentationError",
     "QuotientRing",
     "RingPresentation",

@@ -266,22 +266,6 @@ class Generators:
     def extend(self, extra: Iterable[GeneratorSymbol]) -> Generators:
         return Generators(self.symbols + tuple(extra))
 
-    def _mul_terms(
-        self,
-        a: Mapping[tuple[int, ...], Fraction],
-        b: Mapping[tuple[int, ...], Fraction],
-    ) -> dict[tuple[int, ...], Fraction]:
-        """Koszul-signed product of two term dictionaries.
-
-        Each factor is scaled to integers by the lcm of its denominators, so
-        the loop adds integer products and each output term is divided once.
-        """
-        da, ia = _integer_terms(a, self._odd)
-        db, ib = _integer_terms(b, self._odd)
-        den = da * db
-        return {e: Fraction(n, den) for e, n in _koszul_product(ia, ib).items() if n}
-
-
 def _integer_terms(terms: Mapping[tuple[int, ...], Fraction], odd: tuple[int, ...]):
     """(den, [(exps, numerator over den, odd indices present), ...])."""
     den = lcm(*(c.denominator for c in terms.values()))
@@ -289,6 +273,16 @@ def _integer_terms(terms: Mapping[tuple[int, ...], Fraction], odd: tuple[int, ..
         (e, c.numerator * (den // c.denominator), [i for i in odd if e[i]])
         for e, c in terms.items()
     ]
+
+
+def _integer_product(a: GradedElement, b: GradedElement) -> tuple[int, dict[tuple[int, ...], int]]:
+    """(den, terms) with a * b == terms / den: the Koszul product of the
+    factors, each scaled to integers by the lcm of its denominators, with
+    the sums that cancel dropped. No `Fraction` is built per term."""
+    odd = a.gens._odd
+    da, ia = _integer_terms(a.terms, odd)
+    db, ib = _integer_terms(b.terms, odd)
+    return da * db, {e: n for e, n in _koszul_product(ia, ib).items() if n}
 
 
 def _koszul_product(ia, ib) -> dict[tuple[int, ...], int]:
@@ -431,7 +425,8 @@ class GradedElement:
         if not isinstance(other, GradedElement):
             return NotImplemented
         self._check_universe(other)
-        return GradedElement(self.gens, self.gens._mul_terms(self.terms, other.terms))
+        den, terms = _integer_product(self, other)
+        return GradedElement(self.gens, {e: Fraction(n, den) for e, n in terms.items()})
 
     def __rmul__(self, other) -> GradedElement:
         if isinstance(other, (int, Fraction)):
@@ -502,11 +497,6 @@ class GradedElement:
 
     def __repr__(self) -> str:
         return f"GradedElement({self})"
-
-
-# The normal form of an element is itself an element supported on basis
-# monomials only; no separate wrapper type is needed.
-NormalForm = GradedElement
 
 
 @dataclass(frozen=True)
@@ -772,7 +762,7 @@ class QuotientRing:
         """Monomials whose residues form a basis of the degree-d component."""
         return tuple(Monomial(self.gens, e) for e in self._table(d).basis)
 
-    def normal_form(self, element: GradedElement, *, den: int = 1) -> NormalForm:
+    def normal_form(self, element: GradedElement, *, den: int = 1) -> GradedElement:
         """The canonical representative of element / den, supported on basis
         monomials.
 
@@ -822,11 +812,9 @@ class QuotientRing:
     def is_zero(self, element: GradedElement) -> bool:
         return self.normal_form(element).is_zero
 
-    def multiply(self, a: GradedElement, b: GradedElement) -> NormalForm:
-        """The normal form of a * b. The Koszul product of the factors,
-        each cleared to integers by the lcm of its denominators, builds no
-        `Fraction` per term: `normal_form` divides by the two lcms once."""
-        da, ia = _integer_terms(a.reindex(self.gens).terms, self.gens._odd)
-        db, ib = _integer_terms(b.reindex(self.gens).terms, self.gens._odd)
-        product = {e: n for e, n in _koszul_product(ia, ib).items() if n}
-        return self.normal_form(GradedElement(self.gens, product), den=da * db)
+    def multiply(self, a: GradedElement, b: GradedElement) -> GradedElement:
+        """The normal form of a * b. The integer Koszul product of the
+        factors builds no `Fraction` per term: `normal_form` divides by its
+        denominator once."""
+        den, terms = _integer_product(a.reindex(self.gens), b.reindex(self.gens))
+        return self.normal_form(GradedElement(self.gens, terms), den=den)

@@ -246,7 +246,6 @@ class WhitneyData:
     """Solved complement classes and the residual relations they force."""
 
     gens: Generators  # base generators followed by the canonical classes
-    canonical: tuple[str, ...]
     complements: tuple[GradedElement, ...]
     residuals: tuple[GradedElement, ...]
 
@@ -284,7 +283,7 @@ def whitney_complement(
     residuals = tuple(
         solved[j] if j % 2 == 0 else -solved[j] for j in range(n - k + 1, n + 1)
     )
-    return WhitneyData(gens, tuple(names), complements, residuals)
+    return WhitneyData(gens, complements, residuals)
 
 
 # -- torus-equivariant rings -------------------------------------------------
@@ -341,7 +340,7 @@ def equivariant_space(
     return extend(BundleData(base, kind, rank, total, euler), construction, k, cutoff=cutoff)
 
 
-def zero_generators(ring: QuotientRing, names: Sequence[str], cutoff: int | None = None) -> QuotientRing:
+def zero_generators(ring: QuotientRing, names: Sequence[str]) -> QuotientRing:
     """Specialize the named generators to zero and re-present the ring."""
     drop = {ring.gens.index(name) for name in names}
     gens = Generators([s for i, s in enumerate(ring.gens.symbols) if i not in drop])
@@ -350,7 +349,7 @@ def zero_generators(ring: QuotientRing, names: Sequence[str], cutoff: int | None
     }
     relations = [_apply_map(rel, images, gens) for rel in ring.presentation.relations]
     pres = make_presentation(gens, relations, f"{ring.label} at 0")
-    return QuotientRing(pres, ring.cutoff if cutoff is None else cutoff)
+    return QuotientRing(pres, ring.cutoff)
 
 
 # -- towers ------------------------------------------------------------------
@@ -370,8 +369,8 @@ class TowerStage:
     k: int | None = None
 
 
-def point_ring(cutoff: int = 0) -> QuotientRing:
-    return QuotientRing(make_presentation(Generators(()), (), "pt"), cutoff)
+def point_ring() -> QuotientRing:
+    return QuotientRing(make_presentation(Generators(()), (), "pt"), 0)
 
 
 def bott_tower(

@@ -98,12 +98,12 @@ class ClosedFormSeries:
         return cls.from_factors()
 
     @classmethod
-    def from_factors(cls, num=(), den=(), shift: int = 0, coeff: int = 1) -> ClosedFormSeries:
-        return cls([_Term(coeff, shift, tuple(num), tuple(den))])
+    def from_factors(cls, num=(), den=()) -> ClosedFormSeries:
+        return cls([_Term(1, 0, tuple(num), tuple(den))])
 
     @classmethod
-    def monomial(cls, shift: int, coeff: int = 1) -> ClosedFormSeries:
-        return cls.from_factors(shift=shift, coeff=coeff)
+    def monomial(cls, shift: int) -> ClosedFormSeries:
+        return cls([_Term(1, shift, (), ())])
 
     @classmethod
     def one_plus(cls, s: int) -> ClosedFormSeries:

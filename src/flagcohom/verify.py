@@ -32,7 +32,7 @@ class CheckResult:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name}{suffix}"
 
 
-def verify_space(space: SpaceDescriptor, cutoff: int | None = None) -> list[CheckResult]:
+def verify_space(space: SpaceDescriptor) -> list[CheckResult]:
     """Check a catalog space against its own closed form and basis family.
 
     Verifies per-degree dimensions against the series expansion, linear
@@ -41,8 +41,8 @@ def verify_space(space: SpaceDescriptor, cutoff: int | None = None) -> list[Chec
     the space's label.
     """
     pres, series, family = catalog.build_space(space)
-    n = catalog.default_cutoff(space, pres) if cutoff is None else cutoff
-    ring = QuotientRing(pres, max(n, pres.max_relation_degree()))
+    n = catalog.default_cutoff(space, pres)
+    ring = QuotientRing(pres, n)
     label = space.label
     checks = []
 
@@ -252,7 +252,7 @@ SUITES = {
 }
 
 
-def run_suites(names, max_n: int = 4) -> list[CheckResult]:
+def run_suites(names, max_n: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
     for name in names:
         checks.extend(SUITES[name](max_n))
