@@ -150,7 +150,7 @@ class Generators:
 
     def gen(self, name: str) -> GradedElement:
         i = self.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(self.symbols)))
+        exps = (0,) * i + (1,) + (0,) * (len(self.symbols) - i - 1)
         return GradedElement(self, {exps: Fraction(1)})
 
     def element(self, terms: Mapping[Sequence[int], Scalar]) -> GradedElement:
@@ -168,6 +168,16 @@ class Generators:
             if coeff:
                 clean[exps] = clean.get(exps, Fraction(0)) + coeff
         return GradedElement(self, {e: c for e, c in clean.items() if c})
+
+    def _sum(self, elements: Iterable[GradedElement]) -> GradedElement:
+        """The sum of elements over this universe, added into one dict:
+        linear in their terms, where a chain of `+` copies the sum so far
+        at each step."""
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for el in elements:
+            for exps, c in el.terms.items():
+                terms[exps] = terms.get(exps, 0) + c
+        return GradedElement(self, {e: c for e, c in terms.items() if c})
 
     def parse(self, text: str) -> GradedElement:
         from .expressions import parse_element

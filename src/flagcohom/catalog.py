@@ -84,6 +84,8 @@ class SpaceDescriptor:
             raise ValueError(f"{f}: takes no k, got k={k}")
         if v and f not in _READS_VARIANT:
             raise ValueError(f"{f}: takes no variant, got {v!r}")
+        if n and f == "point":
+            raise ValueError(f"{f}: takes no n, got n={n}")
         if f in ("complex-grassmannian", "odd-real-grassmannian", "odd-oriented-grassmannian"):
             if not 0 <= k <= n:
                 raise ValueError(f"{f}: need 0 <= k <= n, got k={k}, n={n}")

@@ -94,10 +94,7 @@ def _parse_elements(gens: Generators, value, path: str) -> list[GradedElement]:
 
 
 def _sum_elements(gens, value, path) -> GradedElement:
-    total = gens.zero()
-    for el in _parse_elements(gens, value, path):
-        total = total + el
-    return total
+    return gens._sum(_parse_elements(gens, value, path))
 
 
 def build_job(doc: dict, path: str = "config", cutoff: int | None = None) -> BuiltJob:

@@ -162,15 +162,15 @@ class _Parser:
         return value
 
     def expr(self) -> GradedElement:
-        value = self.term()
+        summands = [self.term()]
         while True:
             kind, op, _ = self.peek()
             if kind == "op" and op in "+-":
                 self.take()
                 rhs = self.term()
-                value = value + rhs if op == "+" else value - rhs
+                summands.append(rhs if op == "+" else -rhs)
             else:
-                return value
+                return self.gens._sum(summands)
 
     def term(self) -> GradedElement:
         value = self.atom()

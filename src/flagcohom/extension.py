@@ -23,6 +23,7 @@ from .algebra import (
     make_presentation,
 )
 from .catalog import SpaceDescriptor, check_size, fibre_relations, fibre_symbols, top_degree
+from .expressions import MAX_TERM_PRODUCTS
 
 ElementLike = GradedElement | str | int
 
@@ -314,7 +315,10 @@ def equivariant_space(
     The bundle's equivariant total class is prod(1+a_i) (complex) or
     prod(1+a_i^2) (real, oriented), with Euler class prod(a_i) in the
     oriented even case. The fibre's size is checked before the total class,
-    with its 2^torus_rank terms, is expanded.
+    with its 2^torus_rank terms, is expanded, and then the torus rank:
+    the expansion multiplies 2^(torus_rank+1) - 2 pairs of terms, at most
+    expressions.MAX_TERM_PRODUCTS, the bound the same product meets when
+    written as an expression.
     """
     if cutoff is None:
         raise PresentationError("equivariant rings need an explicit cutoff")
@@ -327,6 +331,11 @@ def equivariant_space(
     if construction not in ("flag", "grassmannian"):
         raise BundleError(f"unknown construction {construction!r}")
     check_size(fibre(construction, kind, rank, k))
+    if 2 ** (torus_rank + 1) - 2 > MAX_TERM_PRODUCTS:
+        raise BundleError(
+            f"torus rank {torus_rank}: the total class multiplies more than "
+            f"{MAX_TERM_PRODUCTS} pairs of terms"
+        )
     base = equivariant_base(torus_rank, cutoff)
     one = base.gens.one()
     roots = [base.gens.gen(name) for name in base.gens.names]

@@ -35,10 +35,10 @@ class CheckResult:
 def verify_space(space: SpaceDescriptor) -> list[CheckResult]:
     """Check a catalog space against its own closed form and basis family.
 
-    Verifies per-degree dimensions against the series expansion, linear
-    independence and spanning of the characteristic family (when stated),
-    and that every relation reduces to zero. Each check's name starts with
-    the space's label.
+    Verifies per-degree dimensions, up to `catalog.default_cutoff`, against
+    the series expansion, linear independence and spanning of the
+    characteristic family (when stated), and that every relation reduces
+    to zero. Each check's name starts with the space's label.
     """
     pres, series, family = catalog.build_space(space)
     n = catalog.default_cutoff(space, pres)

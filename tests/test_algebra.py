@@ -212,6 +212,24 @@ def test_parse_accepts_nesting_at_the_limit():
     assert gens.parse("-" * MAX_NESTING + "x") == x  # an even number of signs
 
 
+def test_a_long_sum_parses_in_linear_time():
+    # each product multiplies two pairs of terms, far below the term-product
+    # bound; adding each summand to a copy of the sum so far made this
+    # quadratic (about 5 s for 20,000 terms)
+    gens = Generators([GeneratorSymbol(f"x{i}", 2) for i in range(60)])
+    rng = random.Random(0)
+    triples = set()
+    while len(triples) < 20_000:
+        triples.add(tuple(sorted(rng.sample(range(60), 3))))
+    text = "+".join(f"x{a}*x{b}*x{c}" for a, b, c in sorted(triples))
+    start = time.perf_counter()
+    total = gens.parse(text)
+    assert time.perf_counter() - start < 2.5
+    assert len(total.terms) == 20_000
+    assert set(total.terms.values()) == {1}
+    assert gens.parse("x1*x2 - x3 + 2*x3 - x1*x2") == gens.gen("x3")
+
+
 def element_strategy(gens, max_degree=10):
     degrees = list(gens.degrees)
     monos = []

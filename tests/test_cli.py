@@ -10,8 +10,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flagcohom import SpaceDescriptor, build_space, cli, extension
+from flagcohom import SpaceDescriptor, build_space, catalog, cli, extension
 from flagcohom.catalog import closed_form
 from flagcohom.cli import presentation_doc, presentation_from_doc
 from flagcohom.verify import CheckResult
@@ -569,6 +570,7 @@ def test_a_job_derives_a_fibre_again_only_for_the_closed_form_it_keeps(monkeypat
          "config.bundle: the sphere extension needs rank at least 3, got rank 1"),
         (["projective-space-real", "-k", "3", "-n", "2"], None,
          "config.space: projective-space-real: takes no k, got k=3"),
+        (["point", "-n", "5"], None, "config.space: point: takes no n, got n=5"),
         ([], {"tower": {"stages": [{"extension": "complete-flag", "rank": 2, "k": 5}]}},
          "config.tower.stages[0].k: the complete-flag extension takes no k"),
         ([], stage_doc("projectivize", "complex", 2, k=1),
@@ -585,7 +587,7 @@ def test_a_job_derives_a_fibre_again_only_for_the_closed_form_it_keeps(monkeypat
         ([], {"tower": {"stages": [], "base": {"space": {"family": "point", "m": 1}}}},
          "config.tower.base.space.m: unknown field"),
     ],
-    ids=["generator-name", "sphere-rank-1", "unread-k", "complete-flag-stage-k", "projectivize-stage-k",
+    ids=["generator-name", "sphere-rank-1", "unread-k", "unread-n", "complete-flag-stage-k", "projectivize-stage-k",
          "unknown-top", "unknown-space", "unknown-presentation", "unknown-bundle", "unknown-tower",
          "unknown-stage", "unknown-pushout", "unknown-nested-space"],
 )
@@ -732,6 +734,128 @@ def test_flag_full_must_be_a_json_boolean(full, tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith("config error: config.bundle.full: expected bool")
     assert captured.out == ""
+
+
+# a value of the wrong type for any field, a bool where an int belongs, or
+# a negative number
+JUNK = st.sampled_from([True, False, None, "2", 2.5, [], {}, -1])
+SOMETIMES = st.sampled_from([False, False, False, True])
+INDICES = st.integers(0, 10**6)
+# total classes, relations and images: valid over a point or over a base
+# with the generator named, naming a generator the base may lack, or
+# malformed; an element may also be a list of component strings
+EXPRESSIONS = st.sampled_from(
+    ["1", "1", "1", "0", "1 + h", "1 + c1", "1 + 2*x1", "h^2", "1 + h/2", ["1"], ["1", "h"],
+     "(1 + h", "x $ 1", "h/0", "h^300", "h/h", "", "(h + c1)^3"]
+)
+
+
+@st.composite
+def config_object(draw, required, optional):
+    """Every required field, and each optional one a quarter of the time."""
+    doc = {key: draw(value) for key, value in required.items()}
+    doc.update({key: draw(value) for key, value in optional.items() if draw(SOMETIMES)})
+    return doc
+
+
+def job_docs(depth):
+    """A job config of any top-level kind whose fields have the right types;
+    bases nest `depth` levels deep. Ranks are at most 5, k may exceed the
+    rank, and names may be unknown."""
+    ranks, k = st.sampled_from([1, 2, 3, 4, 5, 0]), st.integers(-1, 6)
+    kind = st.sampled_from(["complex", "real", "oriented", "quaternionic"])
+    bodies = [
+        st.tuples(st.just("space"), config_object(
+            {"family": st.sampled_from(catalog.FAMILIES + ("lens-space",))},
+            {"k": k, "n": ranks, "variant": st.sampled_from(catalog.VARIANTS + ("even", "odd", "sideways"))},
+        )),
+        st.tuples(st.just("presentation"), config_object(
+            {"generators": st.lists(
+                st.tuples(st.sampled_from(["h", "c1", "x1", "u1", "x y"]), st.integers(0, 4)), max_size=3
+            )},
+            {"relations": st.lists(EXPRESSIONS, max_size=2), "label": st.just("X")},
+        )),
+    ]
+    if depth:
+        base = job_docs(depth - 1)
+        stage = config_object(
+            {"extension": st.sampled_from([*extension.TOWER_EXTENSIONS, "flag"]), "rank": ranks},
+            {"kind": kind, "total_class": EXPRESSIONS, "euler_class": EXPRESSIONS, "k": k},
+        )
+        image_maps = st.dictionaries(
+            st.sampled_from(["h", "c1", "x1"]), st.one_of(EXPRESSIONS, st.integers(-1, 1)), max_size=2
+        )
+        bodies += [
+            st.tuples(st.just("bundle"), config_object(
+                {"base": base, "kind": kind, "rank": ranks, "total_class": EXPRESSIONS,
+                 "extension": st.sampled_from(("projectivize", *extension.BUNDLE_EXTENSIONS, "blow-up"))},
+                {"euler_class": EXPRESSIONS, "suffix": st.just("f"), "k": k, "full": st.booleans()},
+            )),
+            st.tuples(st.just("tower"), config_object({"stages": st.lists(stage, max_size=2)}, {"base": base})),
+            st.tuples(st.just("pushout"), config_object(
+                {"b0": base, "b1": base, "e0": base}, {"map_b1": image_maps, "map_e0": image_maps}
+            )),
+        ]
+    return st.tuples(st.one_of(bodies), st.one_of(st.none(), st.integers(0, 12))).map(
+        lambda doc: {doc[0][0]: doc[0][1]} | ({} if doc[1] is None else {"cutoff": doc[1]})
+    )
+
+
+def config_objects(doc):
+    """Every JSON object in a config, outermost first."""
+    if isinstance(doc, dict):
+        yield doc
+    for value in doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ():
+        yield from config_objects(value)
+
+
+JOB_DOCS = job_docs(2)
+FAULTS = st.sampled_from([None, None, None, None, "junk", "drop", "unknown", "not-an-object"])
+
+
+@st.composite
+def configs(draw):
+    """A generated job config, and in half the draws one fault: a value
+    replaced by JUNK, a field removed, a key no config object reads, or a
+    config that is not an object."""
+    doc = json.loads(json.dumps(draw(JOB_DOCS)))
+    fault = draw(FAULTS)
+    if fault == "not-an-object":
+        return draw(JUNK)
+    if fault is not None:
+        objects = list(config_objects(doc))
+        obj = objects[draw(INDICES) % len(objects)]
+        keys = sorted(obj)
+        if fault == "unknown" or not keys:
+            obj["colour"] = 1
+        elif fault == "drop":
+            del obj[keys[draw(INDICES) % len(keys)]]
+        else:
+            obj[keys[draw(INDICES) % len(keys)]] = draw(JUNK)
+    return doc
+
+
+def test_generated_configs_exit_cleanly(tmp_path, capsys):
+    # `series` asks at most degree 12 of the ring, whatever cutoff the
+    # config gives it
+    path = tmp_path / "job.json"
+    codes = []
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(st.sampled_from([["present"], ["series", "--cutoff", "12"]]), configs())
+    def run(command, doc):
+        path.write_text(json.dumps(doc))
+        code = cli.main([*command, "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert captured.out == ""
+            assert captured.err.startswith(("config error: ", "error: "))
+        codes.append(code)
+
+    run()
+    assert len(codes) >= 500
+    assert 0 in codes and 2 in codes
 
 
 def _bundle_classes(base, kind, rank):

@@ -200,6 +200,15 @@ def test_the_library_refuses_oversized_spaces_fast(build):
     assert time.perf_counter() - start < 1
 
 
+def test_equivariant_space_bounds_the_torus_rank_before_expanding():
+    # G_1(C^17) is small, but prod(1 + a_i) over 17 roots multiplies
+    # 2^18 - 2 pairs of terms; rank 16 (131,070 pairs) is within the bound
+    start = time.perf_counter()
+    with pytest.raises(BundleError, match="torus rank 17: the total class multiplies more than 200000 pairs"):
+        equivariant_space("complex", 17, "grassmannian", k=1, cutoff=2)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_projectivization_spec_example():
     # V = gamma + trivial over CP^m: single relation c1^2 - h*c1
     base = projective_base(2)
