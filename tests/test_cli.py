@@ -796,17 +796,22 @@ def job_docs(depth):
                 {"b0": base, "b1": base, "e0": base}, {"map_b1": image_maps, "map_e0": image_maps}
             )),
         ]
-    return st.tuples(st.one_of(bodies), st.one_of(st.none(), st.integers(0, 12))).map(
-        lambda doc: {doc[0][0]: doc[0][1]} | ({} if doc[1] is None else {"cutoff": doc[1]})
-    )
+
+    def job(kind_and_body, cutoff):
+        kind, body = kind_and_body
+        return {kind: body} if cutoff is None else {kind: body, "cutoff": cutoff}
+
+    return st.builds(job, st.one_of(bodies), st.one_of(st.none(), st.integers(0, 12)))
 
 
 def config_objects(doc):
     """Every JSON object in a config, outermost first."""
     if isinstance(doc, dict):
         yield doc
-    for value in doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ():
-        yield from config_objects(value)
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        for value in doc:
+            yield from config_objects(value)
 
 
 JOB_DOCS = job_docs(2)
