@@ -65,11 +65,13 @@ class BundleData:
         _check_kind_rank(self.kind, self.rank)
         gens = self.base.gens
         self.total_class = _as_element(gens, self.total_class)
-        if self.total_class.homogeneous_part(0) != gens.one():
+        # the total class split by degree, once: it may have 2^rank terms
+        self._components = self.total_class.homogeneous_components()
+        if self._components.get(0) != gens.one():
             raise BundleError("total class must have degree-0 component 1")
         step = _STEP[self.kind]
         limit = step * (self.rank if self.kind == "complex" else self.rank // 2)
-        for d in self.total_class.homogeneous_components():
+        for d in self._components:
             if d == 0:
                 continue
             if d % step or d > limit:
@@ -89,7 +91,7 @@ class BundleData:
 
     def component(self, i: int) -> GradedElement:
         """The i-th characteristic class of the bundle (degree step*i)."""
-        return self.total_class.homogeneous_part(_STEP[self.kind] * i)
+        return self._components.get(_STEP[self.kind] * i, self.total_class.gens.zero())
 
 
 def _as_element(gens: Generators, value: ElementLike) -> GradedElement:
@@ -271,12 +273,12 @@ def whitney_complement(
     if names is None:
         names = [f"{_CANON[kind]}{i}" for i in range(1, k + 1)]
     gens = _extend(total_class.gens, [GeneratorSymbol(nm, step * i) for i, nm in enumerate(names, 1)])
-    total = total_class.reindex(gens)
+    parts = total_class.reindex(gens).homogeneous_components()
     canon = [gens.gen(nm) for nm in names]
 
     solved: list[GradedElement] = [gens.one()]
     for j in range(1, n + 1):
-        value = total.homogeneous_part(step * j)
+        value = parts.get(step * j, gens.zero())
         for i in range(1, min(j, k) + 1):
             value = value - canon[i - 1] * solved[j - i]
         solved.append(value)

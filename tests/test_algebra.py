@@ -151,6 +151,28 @@ def test_universe_mismatch_rejected():
         a * b
 
 
+def test_reindex_moves_each_term_and_keeps_its_coefficient():
+    # generators match by name and degree, in any order; one that no term
+    # uses need not exist in the target. The name map is injective, so each
+    # term moves on its own, with its coefficient object
+    gens = mixed_gens()
+    el = gens.parse("2/3*a*r - 5*b^2*s + 7")
+    names = [("s", 5), ("z", 6), ("b", 4), ("r", 3), ("a", 2)]
+    target = Generators([GeneratorSymbol(n, d) for n, d in names])
+    moved = el.reindex(target)
+    assert moved.terms == {(0, 0, 0, 1, 1): Fraction(2, 3), (1, 0, 2, 0, 0): -5, (0,) * 5: 7}
+    assert sorted(map(id, moved.terms.values())) == sorted(map(id, el.terms.values()))
+    assert moved.reindex(gens) == el
+    wider = gens.extend([GeneratorSymbol("z", 6)])
+    assert el.reindex(wider).terms == {e + (0,): c for e, c in el.terms.items()}
+    a = gens.gen("a")
+    assert a.reindex(Generators([GeneratorSymbol("a", 2)])).terms == {(1,): 1}
+    with pytest.raises(PresentationError, match="undeclared generator 'r'"):
+        el.reindex(Generators([GeneratorSymbol(n, d) for n, d in names if n != "r"]))
+    with pytest.raises(PresentationError, match="generator a has degree 4 in the target universe, expected 2"):
+        a.reindex(Generators([GeneratorSymbol("a", 4)]))
+
+
 def test_homogeneous_components_reassemble():
     gens = mixed_gens()
     el = gens.parse("1 + 2*a - a*r + 3*b^2 - r*s")
@@ -565,6 +587,18 @@ def test_enumeration_follows_the_output():
     assert time.perf_counter() - start < 0.05
 
 
+def test_a_free_generator_enumerates_in_linear_time():
+    # one degree-2 generator has one monomial in each even degree. The search
+    # drops a factor of the last generator in one step, where walking its
+    # exponent down one unit at a time made the degrees to 20,000 take
+    # quadratic time
+    gens = Generators([GeneratorSymbol("x", 2)])
+    ring = QuotientRing(make_presentation(gens, []), 20_000)
+    start = time.perf_counter()
+    assert ring.dimensions() == [1, 0] * 10_000 + [1]
+    assert time.perf_counter() - start < 2
+
+
 def test_a_degree_with_too_many_monomials_is_refused_before_any_step():
     gens = Generators([GeneratorSymbol(f"x{i}", 2) for i in range(30)])
     ring = QuotientRing(make_presentation(gens, [gens.gen("x0") ** 5]), 20)
@@ -803,20 +837,68 @@ def draw_terms(data, ring, top):
     return {e: c for e, c in terms.items() if c}
 
 
+def evict_fractions():
+    """Fill the shared Fraction cache with more distinct values than it
+    holds, none of them a coefficient the tests meet."""
+    for n in range(algebra._FRACTION_CACHE_SIZE + 1):
+        algebra._fraction(n, 1_000_003)
+
+
 @pytest.mark.parametrize("name", list(EQUIVALENCE_RINGS))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_normal_form_and_multiply_match_dense_fractions(name, data):
+    # the coefficients come from a process-wide cache: cleared, warm with
+    # the very values asked, or just evicted by other values
     ring, reference = ring_and_reference(name)
     gens = ring.gens
     terms = draw_terms(data, ring, ring.cutoff)
-    assert ring.normal_form(gens.element(terms)).terms == reference.normal_form(terms)
     half = ring.cutoff // 2
     a = draw_terms(data, ring, half)
     b = draw_terms(data, ring, ring.cutoff - half)
+    cache = data.draw(st.sampled_from(["cleared", "warm", "evicted"]))
+    if cache == "cleared":
+        algebra._fraction.cache_clear()
+    elif cache == "warm":
+        ring.normal_form(gens.element(terms))
+        ring.multiply(gens.element(a), gens.element(b))
+        gens.element(a) * gens.element(b)
+    else:
+        evict_fractions()
+    assert ring.normal_form(gens.element(terms)).terms == reference.normal_form(terms)
     product = ring.multiply(gens.element(a), gens.element(b))
     assert product.terms == reference.multiply(a, b)
     assert (gens.element(a) * gens.element(b)).terms == koszul_terms_product(gens.degrees, a, b)
+
+
+def test_the_fraction_cache_stays_within_its_bound():
+    ring = cp_ring(2)
+    c1 = ring.gens.gen("c1")
+    algebra._fraction.cache_clear()
+    for k in range(1, 10_001):
+        c = Fraction(k, 7919)
+        assert ring.normal_form(c1 * c).terms == {(1,): c}
+        assert (c1 * c1 * c).terms == {(2,): c}
+    info = algebra._fraction.cache_info()
+    assert info.misses >= 10_000
+    assert info.currsize <= algebra._FRACTION_CACHE_SIZE
+
+
+def test_a_term_past_the_cutoff_raises_and_records_no_degree():
+    # a degree is recorded only once its table is built; a term past the
+    # cutoff raises on every call, and the term below it in the same call,
+    # new to the ring, is not recorded either
+    ring = cp_ring(3)
+    c1 = ring.gens.gen("c1")
+    assert ring.normal_form(c1 + c1**2) == c1 + c1**2
+    known = dict(ring._term_degrees)
+    assert known == {(1,): 2, (2,): 4}
+    for _ in range(2):
+        with pytest.raises(CutoffExceededError, match="^degree 8 exceeds cutoff 6$"):
+            ring.normal_form(c1**3 + c1**4)
+        assert ring._term_degrees == known
+    assert ring.normal_form(c1**3).is_zero
+    assert ring._term_degrees == {**known, (3,): 6}
 
 
 @pytest.mark.parametrize("name", list(EQUIVALENCE_RINGS))

@@ -209,6 +209,27 @@ def test_equivariant_space_bounds_the_torus_rank_before_expanding():
     assert time.perf_counter() - start < 0.1
 
 
+def test_equivariant_torus_rank_16_reads_its_total_class_few_times(monkeypatch):
+    # prod(1 + a_i) over 16 roots has 2^16 terms, for a ring asked only to
+    # degree 2. The bundle splits the class by degree once, make_presentation
+    # splits the relation holding it once, and the Gröbner basis reads that
+    # relation's degree: three degree sums per term, plus a few for the
+    # other relations and the pairs. Splitting the class again for its
+    # degree-0 part made four per term
+    calls = 0
+    real = Generators.monomial_degree
+
+    def counting(gens, exps):
+        nonlocal calls
+        calls += 1
+        return real(gens, exps)
+
+    monkeypatch.setattr(Generators, "monomial_degree", counting)
+    ring = equivariant_space("complex", 16, "grassmannian", k=1, cutoff=2)
+    assert ring.dimensions() == [1, 0, 17]
+    assert calls <= 3 * 2**16 + 1000
+
+
 def test_projectivization_spec_example():
     # V = gamma + trivial over CP^m: single relation c1^2 - h*c1
     base = projective_base(2)
