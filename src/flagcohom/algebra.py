@@ -20,11 +20,9 @@ A product forms the Koszul product of its factors, each cleared to
 integers, in integers, and builds no `Fraction` per term of it: its one
 normal form divides by the factors' denominators with the leads.
 
-On warm tables a product computes no degree and builds few `Fraction`s. A
-ring records the degree of each term its normal forms have met, once the
-degree's table is built, and every division of an integer by an integer
-goes through one process-wide cache of `Fraction`s: products share most
-of their coefficients.
+On warm tables a product builds few `Fraction`s: every division of a
+small integer by a small integer goes through one process-wide cache of
+`Fraction`s, and products share most of their coefficients.
 
 Zero monomials cost no reduction. A degree-d monomial m is zero in the
 quotient when m/x is, for some generator x of m: m is plus or minus x
@@ -79,9 +77,19 @@ class TooManyMonomialsError(ValueError):
 # coefficients of normal forms and products. They repeat across products (a
 # pass of the product benchmark makes 44,448 of 2,099 distinct values), so
 # one process-wide cache builds most of them once. Fractions are immutable,
-# so callers may share them.
+# so callers may share them. Only a value whose numerator and denominator
+# lie below `_FRACTION_CACHE_LIMIT` in size is kept: the cache's memory
+# stays bounded, however large the coefficients an input makes.
 _FRACTION_CACHE_SIZE = 4096
-_fraction = lru_cache(maxsize=_FRACTION_CACHE_SIZE)(Fraction)
+_FRACTION_CACHE_LIMIT = 1 << 64
+_small_fraction = lru_cache(maxsize=_FRACTION_CACHE_SIZE)(Fraction)
+
+
+def _fraction(n: int, den: int) -> Fraction:
+    """Fraction(n, den) for a positive den, shared when n and den are small."""
+    if -_FRACTION_CACHE_LIMIT < n < _FRACTION_CACHE_LIMIT and den < _FRACTION_CACHE_LIMIT:
+        return _small_fraction(n, den)
+    return Fraction(n, den)
 
 
 @dataclass(frozen=True)
@@ -302,7 +310,7 @@ def _integer_terms(terms: Mapping[tuple[int, ...], Fraction], odd: tuple[int, ..
     """(den, [(exps, numerator over den, odd indices present), ...])."""
     den = lcm(*(c.denominator for c in terms.values()))
     return den, [
-        (e, c.numerator * (den // c.denominator), [i for i in odd if e[i]])
+        (e, c.numerator * (den // c.denominator), [i for i in odd if e[i]] if odd else ())
         for e, c in terms.items()
     ]
 
@@ -564,9 +572,9 @@ def make_presentation(
     """
     gens = generators if isinstance(generators, Generators) else Generators(generators)
     split: list[GradedElement] = []
-    # the terms of the components kept, by degree and size: a duplicate is
-    # found by comparing dicts, without hashing every coefficient
-    seen: dict[tuple[int, int], list[dict]] = {}
+    # the terms of the components kept. A Fraction is in lowest terms, so its
+    # numerator and denominator name it, and hash faster than it does
+    seen: set[frozenset] = set()
     for rel in relations:
         rel = rel.reindex(gens)
         for d, comp in rel.homogeneous_components().items():
@@ -575,9 +583,9 @@ def make_presentation(
                     f"relation has a nonzero degree-0 component ({comp}); "
                     "the presentation is inconsistent"
                 )
-            same = seen.setdefault((d, len(comp.terms)), [])
-            if comp.terms not in same:
-                same.append(comp.terms)
+            key = frozenset((e, c.numerator, c.denominator) for e, c in comp.terms.items())
+            if key not in seen:
+                seen.add(key)
                 split.append(comp)
     return RingPresentation(gens, tuple(split), label)
 
@@ -619,10 +627,8 @@ class _GroebnerBasis:
         # multiples u*g as (element, u)
         self.relations: dict[int, list[dict]] = {}
         for rel in presentation.relations:
-            den = lcm(*(c.denominator for c in rel.terms.values()))
-            self.relations.setdefault(rel.degree(), []).append(
-                {e: c.numerator * (den // c.denominator) for e, c in rel.terms.items()}
-            )
+            _, terms = _integer_terms(rel.terms, gens._odd)
+            self.relations.setdefault(rel.degree(), []).append({e: c for e, c, _ in terms})
         self.pending: dict[int, set[tuple[int, tuple[int, ...]]]] = {}
         # the zero monomials of each degree stepped: the leads of its unit
         # rows, or every monomial of a zero degree
@@ -740,9 +746,6 @@ class QuotientRing:
         self._lock = threading.Lock()
         self._basis = _GroebnerBasis(presentation, cutoff)
         self._max_gen_degree = max(presentation.generators.degrees, default=0)
-        # exps -> degree of every term `normal_form` has met in a built
-        # table; concurrent writers store equal values
-        self._term_degrees: dict[tuple[int, ...], int] = {}
 
     @property
     def gens(self) -> Generators:
@@ -818,17 +821,14 @@ class QuotientRing:
         """
         element = element.reindex(self.gens)
         terms = element.terms
-        degrees, known = self.gens.degrees, self._term_degrees
+        degrees = self.gens.degrees
         lcd = lcm(*(c.denominator for c in terms.values()))
         den *= lcd
         by_degree: dict[int, list] = {}
-        fresh = []
         for exps, c in terms.items():
-            d = known.get(exps)
-            if d is None:
-                d = sum(map(mul, exps, degrees))
-                fresh.append((exps, d))
-            by_degree.setdefault(d, []).append((exps, c.numerator * (lcd // c.denominator)))
+            by_degree.setdefault(sum(map(mul, exps, degrees)), []).append(
+                (exps, c.numerator * (lcd // c.denominator))
+            )
         out: dict[tuple[int, ...], Fraction] = {}
         for d in sorted(by_degree):
             table = self._table(d)
@@ -852,9 +852,6 @@ class QuotientRing:
             for exps, n in zip(basis, acc):
                 if n:
                     out[exps] = _fraction(n, common)
-        # every degree's table is built now, so the degrees met are recorded:
-        # a degree past the cutoff raised above and records nothing
-        known.update(fresh)
         return GradedElement(self.gens, out)
 
     def is_zero(self, element: GradedElement) -> bool:
