@@ -15,14 +15,12 @@ the slice's own. A table holds a row for every monomial of its degree
 over the positions of its basis monomials: a basis monomial's unit row or
 a pivot's primitive reduced row with positive lead. Normal forms and
 products add integer multiples of rows into one list over a common lead,
-grown to the lcm of the leads met, and divide once per output coefficient.
-A product forms the Koszul product of its factors, each cleared to
-integers, in integers, and builds no `Fraction` per term of it: its one
-normal form divides by the factors' denominators with the leads.
-
-On warm tables a product builds few `Fraction`s: every division of a
-small integer by a small integer goes through one process-wide cache of
-`Fraction`s, and products share most of their coefficients.
+grown to the lcm of the leads met, and put the output over that lead.
+An element holds integer numerators over one denominator, in lowest terms,
+so a product forms the Koszul product of its factors' numerators, in
+integers, over the product of their denominators, and neither a product
+nor a normal form builds a `Fraction`. `Fraction`s appear only where
+coefficients come in and go out.
 
 Zero monomials cost no reduction. A degree-d monomial m is zero in the
 quotient when m/x is, for some generator x of m: m is plus or minus x
@@ -46,8 +44,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import add, ge, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -71,25 +68,6 @@ MAX_DEGREE_MONOMIALS = 100_000
 
 class TooManyMonomialsError(ValueError):
     """A degree has more than `MAX_DEGREE_MONOMIALS` monomials."""
-
-
-# Every `Fraction` built here from an integer numerator and denominator: the
-# coefficients of normal forms and products. They repeat across products (a
-# pass of the product benchmark makes 44,448 of 2,099 distinct values), so
-# one process-wide cache builds most of them once. Fractions are immutable,
-# so callers may share them. Only a value whose numerator and denominator
-# lie below `_FRACTION_CACHE_LIMIT` in size is kept: the cache's memory
-# stays bounded, however large the coefficients an input makes.
-_FRACTION_CACHE_SIZE = 4096
-_FRACTION_CACHE_LIMIT = 1 << 64
-_small_fraction = lru_cache(maxsize=_FRACTION_CACHE_SIZE)(Fraction)
-
-
-def _fraction(n: int, den: int) -> Fraction:
-    """Fraction(n, den) for a positive den, shared when n and den are small."""
-    if -_FRACTION_CACHE_LIMIT < n < _FRACTION_CACHE_LIMIT and den < _FRACTION_CACHE_LIMIT:
-        return _small_fraction(n, den)
-    return Fraction(n, den)
 
 
 @dataclass(frozen=True)
@@ -170,12 +148,12 @@ class Generators:
         value = Fraction(value)
         if not value:
             return GradedElement(self, {})
-        return GradedElement(self, {(0,) * len(self.symbols): value})
+        return GradedElement(self, {(0,) * len(self.symbols): value.numerator}, value.denominator)
 
     def gen(self, name: str) -> GradedElement:
         i = self.index(name)
         exps = (0,) * i + (1,) + (0,) * (len(self.symbols) - i - 1)
-        return GradedElement(self, {exps: Fraction(1)})
+        return GradedElement(self, {exps: 1})
 
     def element(self, terms: Mapping[Sequence[int], Scalar]) -> GradedElement:
         """Build an element from an exponent-vector -> coefficient mapping."""
@@ -191,17 +169,24 @@ class Generators:
             coeff = Fraction(coeff)
             if coeff:
                 clean[exps] = clean.get(exps, Fraction(0)) + coeff
-        return GradedElement(self, {e: c for e, c in clean.items() if c})
+        # the lcm of the denominators of values in lowest terms leaves no
+        # common factor; a value that cancels has denominator 1
+        den = lcm(*(c.denominator for c in clean.values()))
+        nums = {e: c.numerator * (den // c.denominator) for e, c in clean.items() if c}
+        return GradedElement(self, nums, den)
 
     def _sum(self, elements: Iterable[GradedElement]) -> GradedElement:
-        """The sum of elements over this universe, added into one dict:
-        linear in their terms, where a chain of `+` copies the sum so far
-        at each step."""
-        terms: dict[tuple[int, ...], Fraction] = {}
+        """The sum of elements over this universe, added into one dict over
+        the lcm of their denominators: linear in their terms, where a chain
+        of `+` copies the sum so far at each step."""
+        elements = list(elements)
+        den = lcm(*(el.den for el in elements))
+        nums: dict[tuple[int, ...], int] = {}
         for el in elements:
-            for exps, c in el.terms.items():
-                terms[exps] = terms.get(exps, 0) + c
-        return GradedElement(self, {e: c for e, c in terms.items() if c})
+            scale = den // el.den
+            for exps, n in el.nums.items():
+                nums[exps] = nums.get(exps, 0) + n * scale
+        return _lowest(self, nums, den)
 
     def parse(self, text: str) -> GradedElement:
         from .expressions import parse_element
@@ -306,23 +291,22 @@ class Generators:
     def extend(self, extra: Iterable[GeneratorSymbol]) -> Generators:
         return Generators(self.symbols + tuple(extra))
 
-def _integer_terms(terms: Mapping[tuple[int, ...], Fraction], odd: tuple[int, ...]):
-    """(den, [(exps, numerator over den, odd indices present), ...])."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, [
-        (e, c.numerator * (den // c.denominator), [i for i in odd if e[i]] if odd else ())
-        for e, c in terms.items()
-    ]
+
+def _lowest(gens: Generators, nums: dict[tuple[int, ...], int], den: int) -> GradedElement:
+    """The element nums / den, for a positive den, in lowest terms: zero
+    numerators dropped and the gcd of den and the numerators divided out."""
+    nums = {e: n for e, n in nums.items() if n}
+    g = gcd(den, *nums.values())
+    if g != 1:
+        nums = {e: n // g for e, n in nums.items()}
+    return GradedElement(gens, nums, den // g)
 
 
-def _integer_product(a: GradedElement, b: GradedElement) -> tuple[int, dict[tuple[int, ...], int]]:
-    """(den, terms) with a * b == terms / den: the Koszul product of the
-    factors, each scaled to integers by the lcm of its denominators, with
-    the sums that cancel dropped. No `Fraction` is built per term."""
-    odd = a.gens._odd
-    da, ia = _integer_terms(a.terms, odd)
-    db, ib = _integer_terms(b.terms, odd)
-    return da * db, {e: n for e, n in _koszul_product(ia, ib).items() if n}
+def _koszul_terms(el: GradedElement) -> list:
+    """el's numerators as the [(exps, n, odd indices present), ...] that
+    `_koszul_product` takes; without odd generators, no index lists."""
+    odd = el.gens._odd
+    return [(e, n, [i for i in odd if e[i]] if odd else ()) for e, n in el.nums.items()]
 
 
 def _koszul_product(ia, ib) -> dict[tuple[int, ...], int]:
@@ -356,7 +340,7 @@ class Monomial:
         return self.gens.monomial_degree(self.exps)
 
     def as_element(self) -> GradedElement:
-        return GradedElement(self.gens, {self.exps: Fraction(1)})
+        return GradedElement(self.gens, {self.exps: 1})
 
     def __str__(self) -> str:
         return format_monomial(self.gens, self.exps)
@@ -380,23 +364,35 @@ def format_coefficient(c: Fraction) -> str:
 
 
 class GradedElement:
-    """Sparse rational combination of monomials over a generator universe."""
+    """Sparse rational combination of monomials over a generator universe:
+    integer numerators `nums` (exponent vector -> int) over one denominator
+    `den`. The constructor checks nothing and takes them in lowest terms:
+    den > 0, no zero numerator, gcd(den, *nums) == 1. A value has one form,
+    so equality compares fields. `terms`, the coefficients as `Fraction`s,
+    is a view that builds a new dict on each call."""
 
-    __slots__ = ("gens", "terms")
+    __slots__ = ("gens", "nums", "den")
 
-    def __init__(self, gens: Generators, terms: dict[tuple[int, ...], Fraction]):
+    def __init__(self, gens: Generators, nums: dict[tuple[int, ...], int], den: int = 1):
         self.gens = gens
-        self.terms = terms
+        self.nums = nums
+        self.den = den
 
     # -- queries ---------------------------------------------------------
 
     @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """A new dict: exponent vector -> coefficient."""
+        den = self.den
+        return {e: Fraction(n, den) for e, n in self.nums.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def degree(self) -> int:
         """Degree of a homogeneous element (0 for the zero element)."""
-        degrees = {self.gens.monomial_degree(e) for e in self.terms}
+        degrees = {self.gens.monomial_degree(e) for e in self.nums}
         if not degrees:
             return 0
         if len(degrees) > 1:
@@ -404,21 +400,21 @@ class GradedElement:
         return degrees.pop()
 
     def is_homogeneous(self) -> bool:
-        return len({self.gens.monomial_degree(e) for e in self.terms}) <= 1
+        return len({self.gens.monomial_degree(e) for e in self.nums}) <= 1
 
     def homogeneous_components(self) -> dict[int, GradedElement]:
-        parts: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        for exps, c in self.terms.items():
-            parts.setdefault(self.gens.monomial_degree(exps), {})[exps] = c
-        return {d: GradedElement(self.gens, t) for d, t in sorted(parts.items())}
+        parts: dict[int, dict[tuple[int, ...], int]] = {}
+        for exps, n in self.nums.items():
+            parts.setdefault(self.gens.monomial_degree(exps), {})[exps] = n
+        return {d: _lowest(self.gens, t, self.den) for d, t in sorted(parts.items())}
 
     def homogeneous_part(self, d: int) -> GradedElement:
-        terms = {e: c for e, c in self.terms.items() if self.gens.monomial_degree(e) == d}
-        return GradedElement(self.gens, terms)
+        nums = {e: n for e, n in self.nums.items() if self.gens.monomial_degree(e) == d}
+        return _lowest(self.gens, nums, self.den)
 
     def _sorted_exps(self) -> list[tuple[int, ...]]:
         # by degree, then in display order: descending lex, earlier generators dominant
-        return sorted(self.terms, key=lambda e: (-self.gens.monomial_degree(e), e), reverse=True)
+        return sorted(self.nums, key=lambda e: (-self.gens.monomial_degree(e), e), reverse=True)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -432,19 +428,26 @@ class GradedElement:
         if not isinstance(other, GradedElement):
             return NotImplemented
         self._check_universe(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms[exps] + c if exps in terms else c
+        den = self.den
+        if other.den != den:
+            return self.gens._sum((self, other))
+        nums = dict(self.nums)
+        for exps, n in other.nums.items():
+            s = nums[exps] + n if exps in nums else n
             if s:
-                terms[exps] = s
+                nums[exps] = s
             else:
-                terms.pop(exps, None)
-        return GradedElement(self.gens, terms)
+                nums.pop(exps, None)
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                return GradedElement(self.gens, {e: n // g for e, n in nums.items()}, den // g)
+        return GradedElement(self.gens, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> GradedElement:
-        return GradedElement(self.gens, {e: -c for e, c in self.terms.items()})
+        return GradedElement(self.gens, {e: -n for e, n in self.nums.items()}, self.den)
 
     def __sub__(self, other) -> GradedElement:
         if isinstance(other, (int, Fraction)):
@@ -459,14 +462,13 @@ class GradedElement:
     def __mul__(self, other) -> GradedElement:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            if not c:
-                return self.gens.zero()
-            return GradedElement(self.gens, {e: v * c for e, v in self.terms.items()})
+            nums = {e: n * c.numerator for e, n in self.nums.items()}
+            return _lowest(self.gens, nums, self.den * c.denominator)
         if not isinstance(other, GradedElement):
             return NotImplemented
         self._check_universe(other)
-        den, terms = _integer_product(self, other)
-        return GradedElement(self.gens, {e: _fraction(n, den) for e, n in terms.items()})
+        product = _koszul_product(_koszul_terms(self), _koszul_terms(other))
+        return _lowest(self.gens, product, self.den * other.den)
 
     def __rmul__(self, other) -> GradedElement:
         if isinstance(other, (int, Fraction)):
@@ -491,7 +493,7 @@ class GradedElement:
             other = self.gens.scalar(other)
         if not isinstance(other, GradedElement):
             return NotImplemented
-        return self.gens == other.gens and self.terms == other.terms
+        return self.gens == other.gens and self.den == other.den and self.nums == other.nums
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -503,11 +505,11 @@ class GradedElement:
         if target.symbols[:width] == self.gens.symbols:
             # an extension of this universe: every term gains trailing zeros
             pad = (0,) * (len(target) - width)
-            return GradedElement(target, {e + pad: c for e, c in self.terms.items()})
+            return GradedElement(target, {e + pad: n for e, n in self.nums.items()}, self.den)
         # each target position's source position, or the padding zero past
         # the end of the source exponents
         pick = [width] * len(target)
-        for i, (s, used) in enumerate(zip(self.gens.symbols, map(any, zip(*self.terms)))):
+        for i, (s, used) in enumerate(zip(self.gens.symbols, map(any, zip(*self.nums)))):
             if used:
                 j = target.index(s.name)
                 if target.symbols[j].degree != s.degree:
@@ -518,15 +520,16 @@ class GradedElement:
                 pick[j] = i
         # distinct names map to distinct positions, so no two terms meet
         return GradedElement(
-            target, {tuple(map((e + (0,)).__getitem__, pick)): c for e, c in self.terms.items()}
+            target, {tuple(map((e + (0,)).__getitem__, pick)): n for e, n in self.nums.items()}, self.den
         )
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
+        terms = self.terms
         chunks = []
         for exps in self._sorted_exps():
-            c = self.terms[exps]
+            c = terms[exps]
             mono = format_monomial(self.gens, exps)
             if mono == "1":
                 body = format_coefficient(abs(c))
@@ -572,9 +575,9 @@ def make_presentation(
     """
     gens = generators if isinstance(generators, Generators) else Generators(generators)
     split: list[GradedElement] = []
-    # the terms of the components kept. A Fraction is in lowest terms, so its
-    # numerator and denominator name it, and hash faster than it does
-    seen: set[frozenset] = set()
+    # the fields of the components kept: an element in lowest terms has one
+    # form, so they name it
+    seen: set[tuple[int, frozenset]] = set()
     for rel in relations:
         rel = rel.reindex(gens)
         for d, comp in rel.homogeneous_components().items():
@@ -583,7 +586,7 @@ def make_presentation(
                     f"relation has a nonzero degree-0 component ({comp}); "
                     "the presentation is inconsistent"
                 )
-            key = frozenset((e, c.numerator, c.denominator) for e, c in comp.terms.items())
+            key = (comp.den, frozenset(comp.nums.items()))
             if key not in seen:
                 seen.add(key)
                 split.append(comp)
@@ -623,12 +626,12 @@ class _GroebnerBasis:
         self.leads: list[tuple[int, ...]] = []
         # integer terms of each element, lead first, with their odd indices
         self.elements: list[list] = []
-        # rows still to reduce, by degree: relations as integer terms, and
-        # multiples u*g as (element, u)
+        # rows still to reduce, by degree: relations as their numerators, and
+        # multiples u*g as (element, u). A relation is homogeneous and
+        # nonzero, so one term gives its degree
         self.relations: dict[int, list[dict]] = {}
         for rel in presentation.relations:
-            _, terms = _integer_terms(rel.terms, gens._odd)
-            self.relations.setdefault(rel.degree(), []).append({e: c for e, c, _ in terms})
+            self.relations.setdefault(gens.monomial_degree(next(iter(rel.nums))), []).append(rel.nums)
         self.pending: dict[int, set[tuple[int, tuple[int, ...]]]] = {}
         # the zero monomials of each degree stepped: the leads of its unit
         # rows, or every monomial of a zero degree
@@ -807,29 +810,24 @@ class QuotientRing:
         """Monomials whose residues form a basis of the degree-d component."""
         return tuple(Monomial(self.gens, e) for e in self._table(d).basis)
 
-    def normal_form(self, element: GradedElement, *, den: int = 1) -> GradedElement:
-        """The canonical representative of element / den, supported on basis
+    def normal_form(self, element: GradedElement) -> GradedElement:
+        """The canonical representative of `element`, supported on basis
         monomials.
 
-        The input is scaled to integers by the lcm of its denominators, which
-        multiplies into `den`, and reduced one degree at a time, in
-        increasing degree. In a degree, each monomial adds integer multiples
-        of its row's values at the row's positions into one list over a
-        common lead. A row whose lead does not divide the common lead first
-        rescales the list to the lcm of the two, so each output coefficient
-        is one `Fraction`, over the common lead times `den`.
+        The numerators are reduced one degree at a time, in increasing
+        degree. In a degree, each monomial adds integer multiples of its
+        row's values at the row's positions into one list over a common
+        lead, first rescaling the list to the lcm of the two leads when its
+        row's lead does not divide the common one. The lists, over the lcm
+        of their leads times the input's denominator, are the output.
         """
         element = element.reindex(self.gens)
-        terms = element.terms
         degrees = self.gens.degrees
-        lcd = lcm(*(c.denominator for c in terms.values()))
-        den *= lcd
         by_degree: dict[int, list] = {}
-        for exps, c in terms.items():
-            by_degree.setdefault(sum(map(mul, exps, degrees)), []).append(
-                (exps, c.numerator * (lcd // c.denominator))
-            )
-        out: dict[tuple[int, ...], Fraction] = {}
+        for term in element.nums.items():
+            by_degree.setdefault(sum(map(mul, term[0], degrees)), []).append(term)
+        # (basis, sum of the rows, their common lead) per nonzero degree
+        parts = []
         for d in sorted(by_degree):
             table = self._table(d)
             basis = table.basis
@@ -848,18 +846,16 @@ class QuotientRing:
                 n *= common // lead
                 for i, v in zip(positions, values):
                     acc[i] += n * v
-            common *= den
-            for exps, n in zip(basis, acc):
-                if n:
-                    out[exps] = _fraction(n, common)
-        return GradedElement(self.gens, out)
+            parts.append((basis, acc, common))
+        top = lcm(*(common for _, _, common in parts))
+        out: dict[tuple[int, ...], int] = {}
+        for basis, acc, common in parts:
+            out.update(zip(basis, acc if common == top else [v * (top // common) for v in acc]))
+        return _lowest(self.gens, out, top * element.den)
 
     def is_zero(self, element: GradedElement) -> bool:
         return self.normal_form(element).is_zero
 
     def multiply(self, a: GradedElement, b: GradedElement) -> GradedElement:
-        """The normal form of a * b. The integer Koszul product of the
-        factors builds no `Fraction` per term: `normal_form` divides by its
-        denominator once."""
-        den, terms = _integer_product(a.reindex(self.gens), b.reindex(self.gens))
-        return self.normal_form(GradedElement(self.gens, terms), den=den)
+        """The normal form of a * b."""
+        return self.normal_form(a.reindex(self.gens) * b.reindex(self.gens))

@@ -251,10 +251,8 @@ def _build_pushout_job(sub, path, cutoff) -> BuiltJob:
 
 
 def element_doc(el: GradedElement) -> list:
-    return [
-        [list(exps), el.terms[exps].numerator, el.terms[exps].denominator]
-        for exps in el._sorted_exps()
-    ]
+    terms = el.terms
+    return [[list(exps), terms[exps].numerator, terms[exps].denominator] for exps in el._sorted_exps()]
 
 
 def presentation_doc(pres: RingPresentation) -> dict:

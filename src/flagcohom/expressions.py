@@ -142,7 +142,7 @@ class _Parser:
         """lhs * rhs for the operator at `pos`, refusing the expression once
         its products, with those of the expressions that share its count,
         multiply more than MAX_TERM_PRODUCTS pairs of terms."""
-        self.products[0] += len(lhs.terms) * len(rhs.terms)
+        self.products[0] += len(lhs.nums) * len(rhs.nums)
         if self.products[0] > MAX_TERM_PRODUCTS:
             raise ElementSyntaxError(
                 self.text, pos, f"expansion multiplies more than {MAX_TERM_PRODUCTS} pairs of terms"

@@ -418,15 +418,14 @@ def _apply_map(
 ) -> GradedElement:
     """The image of `element` under the substitution of each generator by
     its image in `images`, an element over `gens`."""
-    out = gens.zero()
+    values = []
     for exps, coeff in element.terms.items():
         value = gens.scalar(coeff)
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            value = value * images[element.gens.names[i]] ** e
-        out = out + value
-    return out
+        for name, e in zip(element.gens.names, exps):
+            if e:
+                value = value * images[name] ** e
+        values.append(value)
+    return gens._sum(values)
 
 
 def _prepare_map(
@@ -487,12 +486,16 @@ def ring_pushout(
         GeneratorSymbol(rename[s.name], s.degree, s.rewrite_priority) for s in e0.gens.symbols
     )
     gens = Generators(symbols)
-    from_e0 = {name: gens.gen(rename[name]) for name in e0.gens.names}
+    renamed = Generators(symbols[len(b1.gens) :])
+
+    def from_e0(el: GradedElement) -> GradedElement:
+        # renaming keeps every position, so the exponents carry over as they are
+        return GradedElement(renamed, el.nums, el.den).reindex(gens)
 
     relations = [r.reindex(gens) for r in b1.presentation.relations]
-    relations += [_apply_map(r, from_e0, gens) for r in e0.presentation.relations]
+    relations += [from_e0(r) for r in e0.presentation.relations]
     for name in b0.gens.names:
-        relations.append(phi1[name].reindex(gens) - _apply_map(phi0[name], from_e0, gens))
+        relations.append(phi1[name].reindex(gens) - from_e0(phi0[name]))
 
     label = f"{b1.label or 'b1'} (x)_{{{b0.label or 'b0'}}} {e0.label or 'e0'}"
     pres = make_presentation(gens, relations, label)

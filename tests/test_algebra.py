@@ -16,7 +16,6 @@ from flagcohom import (
     CutoffExceededError,
     GeneratorSymbol,
     Generators,
-    GradedElement,
     PresentationError,
     QuotientRing,
     SpaceDescriptor,
@@ -154,14 +153,16 @@ def test_universe_mismatch_rejected():
 def test_reindex_moves_each_term_and_keeps_its_coefficient():
     # generators match by name and degree, in any order; one that no term
     # uses need not exist in the target. The name map is injective, so each
-    # term moves on its own, with its coefficient object
+    # term moves on its own, with its numerator object, over the same
+    # denominator
     gens = mixed_gens()
     el = gens.parse("2/3*a*r - 5*b^2*s + 7")
     names = [("s", 5), ("z", 6), ("b", 4), ("r", 3), ("a", 2)]
     target = Generators([GeneratorSymbol(n, d) for n, d in names])
     moved = el.reindex(target)
     assert moved.terms == {(0, 0, 0, 1, 1): Fraction(2, 3), (1, 0, 2, 0, 0): -5, (0,) * 5: 7}
-    assert sorted(map(id, moved.terms.values())) == sorted(map(id, el.terms.values()))
+    assert moved.den == el.den == 3
+    assert sorted(map(id, moved.nums.values())) == sorted(map(id, el.nums.values()))
     assert moved.reindex(gens) == el
     wider = gens.extend([GeneratorSymbol("z", 6)])
     assert el.reindex(wider).terms == {e + (0,): c for e, c in el.terms.items()}
@@ -758,7 +759,7 @@ def tables_matching_dense_reference(symbols, relations, cutoff=10):
     """Every table of the presentation to the cutoff, each checked against
     `_oracles.reference_table`."""
     gens = Generators([GeneratorSymbol(f"x{i}", d, p) for i, (d, p) in enumerate(symbols)])
-    ring = QuotientRing(make_presentation(gens, [GradedElement(gens, r) for r in relations]), cutoff)
+    ring = QuotientRing(make_presentation(gens, [gens.element(r) for r in relations]), cutoff)
     degrees = list(gens.degrees)
     tables = []
     for d in range(cutoff + 1):
@@ -858,65 +859,70 @@ def draw_terms(data, ring, top):
     return {e: c for e, c in terms.items() if c}
 
 
-def evict_fractions():
-    """Fill the shared Fraction cache with more distinct values than it
-    holds, none of them a coefficient the tests meet."""
-    for n in range(algebra._FRACTION_CACHE_SIZE + 1):
-        algebra._fraction(n, 1_000_003)
+def assert_canonical(el):
+    """el's numerators are in lowest terms over a positive denominator."""
+    assert el.den > 0
+    assert math.gcd(el.den, *el.nums.values()) == 1
+    assert all(el.nums.values())
 
 
 @pytest.mark.parametrize("name", list(EQUIVALENCE_RINGS))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_normal_form_and_multiply_match_dense_fractions(name, data):
-    # the coefficients come from a process-wide cache: cleared, warm with
-    # the very values asked, or just evicted by other values
     ring, reference = ring_and_reference(name)
     gens = ring.gens
     terms = draw_terms(data, ring, ring.cutoff)
     half = ring.cutoff // 2
     a = draw_terms(data, ring, half)
     b = draw_terms(data, ring, ring.cutoff - half)
-    cache = data.draw(st.sampled_from(["cleared", "warm", "evicted"]))
-    if cache == "cleared":
-        algebra._small_fraction.cache_clear()
-    elif cache == "warm":
-        ring.normal_form(gens.element(terms))
-        ring.multiply(gens.element(a), gens.element(b))
-        gens.element(a) * gens.element(b)
-    else:
-        evict_fractions()
-    assert ring.normal_form(gens.element(terms)).terms == reference.normal_form(terms)
+    nf = ring.normal_form(gens.element(terms))
+    assert nf.terms == reference.normal_form(terms)
     product = ring.multiply(gens.element(a), gens.element(b))
     assert product.terms == reference.multiply(a, b)
-    assert (gens.element(a) * gens.element(b)).terms == koszul_terms_product(gens.degrees, a, b)
+    koszul = gens.element(a) * gens.element(b)
+    assert koszul.terms == koszul_terms_product(gens.degrees, a, b)
+    for el in (nf, product, koszul):
+        assert_canonical(el)
 
 
-def test_the_fraction_cache_stays_within_its_bound():
-    ring = cp_ring(2)
-    c1 = ring.gens.gen("c1")
-    algebra._small_fraction.cache_clear()
-    for k in range(1, 10_001):
-        c = Fraction(k, 7919)
-        assert ring.normal_form(c1 * c).terms == {(1,): c}
-        assert (c1 * c1 * c).terms == {(2,): c}
-    info = algebra._small_fraction.cache_info()
-    assert info.misses >= 10_000
-    assert info.currsize <= algebra._FRACTION_CACHE_SIZE
+def test_products_and_normal_forms_on_warm_tables_build_no_fraction(monkeypatch):
+    # coefficients over fresh primes: a value met before cannot be reused
+    gens = Generators([GeneratorSymbol("x", 2), GeneratorSymbol("y", 2)])
+    x, y = gens.gen("x"), gens.gen("y")
+    ring = QuotientRing(make_presentation(gens, [2 * x**2 - 3 * x * y + y**2]), 8)
+    ring.dimensions()
+    a = x * Fraction(1, 7919) + y * Fraction(2, 7907)
+    b = x * Fraction(3, 7901) - y * Fraction(5, 7883)
+    c = a * b + x**2 * Fraction(1, 7877)
+    built = 0
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    product = ring.multiply(a, b)
+    nf = ring.normal_form(c)
+    cubed = ring.multiply(product, a)
+    monkeypatch.undo()
+    assert built == 0
+    assert product == ring.normal_form(a * b) and nf == ring.normal_form(c)
+    assert cubed == ring.normal_form(a * a * b)
+    assert not ring.normal_form(c - a * b - x**2 * Fraction(1, 7877)).nums
 
 
-def test_the_fraction_cache_keeps_no_large_coefficient():
-    # the powers of a long literal have ever longer coefficients, built on
-    # their own: the cache's memory does not grow with the input's numbers
+def test_a_large_coefficient_survives_powers_and_products():
+    # the powers of a long literal have ever longer coefficients
     gens = Generators([GeneratorSymbol("x", 2)])
     big = 10**300 + 7
-    algebra._small_fraction.cache_clear()
     assert gens.parse(f"({big}*x)^16").terms == {(16,): Fraction(big**16)}
     ring = QuotientRing(make_presentation(gens, []), 40)
     x = gens.gen("x")
     assert ring.multiply(x * Fraction(1, big), x * big).terms == {(2,): 1}
     assert ring.multiply(x, x * Fraction(big, 3)).terms == {(2,): Fraction(big, 3)}
-    assert algebra._small_fraction.cache_info().currsize <= 1
 
 
 def test_a_term_past_the_cutoff_raises_on_every_call():
@@ -1069,7 +1075,7 @@ def test_relation_rows_span_matches_quotient():
         for d in range(ring.cutoff + 1 - rel.degree()):
             for m in monomials(degrees, d):
                 row = koszul_terms_product(degrees, {m: Fraction(1)}, rel.terms)
-                assert ring.is_zero(GradedElement(ring.gens, row))
+                assert ring.is_zero(ring.gens.element(row))
 
 
 @st.composite
@@ -1095,7 +1101,7 @@ def test_random_presentations_match_sympy_groebner_standard_monomials(presentati
     degrees, relations = presentation
     cutoff = 12
     gens = Generators([GeneratorSymbol(f"x{i}", d) for i, d in enumerate(degrees)])
-    elements = [GradedElement(gens, {e: Fraction(c) for e, c in r.items()}) for r in relations]
+    elements = [gens.element(r) for r in relations]
     ring = QuotientRing(make_presentation(gens, elements), cutoff)
     xs = sympy.symbols(f"x0:{len(degrees)}")
     polys = [sum(c * math.prod(x ** k for x, k in zip(xs, e)) for e, c in r.items()) for r in relations if r]
