@@ -11,11 +11,14 @@ reduction per degree both extends the basis and yields that degree's
 additive monomial basis and rewrite table (the normal-form map): its rows
 contain one element of the ideal per leading monomial of the ideal's
 degree-d slice, so they span the slice, and their reduced echelon form is
-the slice's own. A table holds a row for every monomial of its degree
-over the positions of its basis monomials: a basis monomial's unit row or
-a pivot's primitive reduced row with positive lead. Normal forms and
-products add integer multiples of rows into one list over a common lead,
-grown to the lcm of the leads met, and put the output over that lead.
+the slice's own. Each row is built once, as the sorted column list the
+reduction reads: a multiple u*g of a basis element comes out in column
+order, which multiplying by a monomial keeps. A table holds a row for every
+monomial of its degree over the positions of its basis monomials: a basis
+monomial's unit row or a pivot's primitive reduced row with positive lead.
+Normal forms and products add integer multiples of rows into one list over
+a common lead, grown to the lcm of the leads met, and put the output over
+that lead.
 An element holds integer numerators over one denominator, in lowest terms,
 so a product forms the Koszul product of its factors' numerators, in
 integers, over the product of their denominators, and neither a product
@@ -26,10 +29,10 @@ Zero monomials cost no reduction. A degree-d monomial m is zero in the
 quotient when m/x is, for some generator x of m: m is plus or minus x
 times m/x, and m/x lies in the ideal. The degree-d step finds such
 monomials from the zero monomials of the lower degrees (the pivots whose
-rewrite row has no positions, or every monomial of a zero degree), and
-gives each its unit row without building or reducing a row for it. The
-reduced echelon form of the slice holds that unit row anyway, with a zero
-in the monomial's column in every other row, so the tables do not change.
+rewrite row has no positions, or every monomial of a zero degree), builds
+no row over its column, and leaves its unit row to the table. The reduced
+echelon form of the slice holds that unit row anyway, with a zero in the
+monomial's column in every other row, so the tables do not change.
 
 Whole degrees follow from the same rule. Let g be the largest generator
 degree. If the quotient is zero in each of the degrees d-g, ..., d-1, it is
@@ -302,11 +305,18 @@ def _lowest(gens: Generators, nums: dict[tuple[int, ...], int], den: int) -> Gra
     return GradedElement(gens, nums, den // g)
 
 
-def _koszul_terms(el: GradedElement) -> list:
-    """el's numerators as the [(exps, n, odd indices present), ...] that
-    `_koszul_product` takes; without odd generators, no index lists."""
-    odd = el.gens._odd
-    return [(e, n, [i for i in odd if e[i]] if odd else ()) for e, n in el.nums.items()]
+def _koszul_terms(odd: tuple[int, ...], terms: Iterable[tuple[tuple[int, ...], int]]) -> list:
+    """Integer terms as the [(exps, n, odd indices present), ...] that
+    `_koszul_product` takes; without odd generators `odd`, no index lists."""
+    return [(e, n, [i for i in odd if e[i]] if odd else ()) for e, n in terms]
+
+
+def _koszul_sign(ea: tuple[int, ...], odd_a, odd_b) -> int:
+    """The sign of monomials a*b with odd indices odd_a, odd_b: 0 if they share
+    one, else the parity of moving b's odd factors left past a's later ones."""
+    if any(ea[i] for i in odd_b):
+        return 0
+    return -1 if sum(1 for i in odd_b for j in odd_a if j > i) % 2 else 1
 
 
 def _koszul_product(ia, ib) -> dict[tuple[int, ...], int]:
@@ -318,11 +328,9 @@ def _koszul_product(ia, ib) -> dict[tuple[int, ...], int]:
         for eb, nb, odd_b in ib:
             n = na * nb
             if odd_a and odd_b:
-                if any(ea[i] for i in odd_b):
+                n *= _koszul_sign(ea, odd_a, odd_b)
+                if not n:
                     continue
-                # moving b's odd factors left past a's higher-index odd factors
-                if sum(1 for i in odd_b for j in odd_a if j > i) % 2:
-                    n = -n
             exps = tuple(map(add, ea, eb))
             out[exps] = out.get(exps, 0) + n
     return out
@@ -408,10 +416,6 @@ class GradedElement:
             parts.setdefault(self.gens.monomial_degree(exps), {})[exps] = n
         return {d: _lowest(self.gens, t, self.den) for d, t in sorted(parts.items())}
 
-    def homogeneous_part(self, d: int) -> GradedElement:
-        nums = {e: n for e, n in self.nums.items() if self.gens.monomial_degree(e) == d}
-        return _lowest(self.gens, nums, self.den)
-
     def _sorted_exps(self) -> list[tuple[int, ...]]:
         # by degree, then in display order: descending lex, earlier generators dominant
         return sorted(self.nums, key=lambda e: (-self.gens.monomial_degree(e), e), reverse=True)
@@ -467,7 +471,8 @@ class GradedElement:
         if not isinstance(other, GradedElement):
             return NotImplemented
         self._check_universe(other)
-        product = _koszul_product(_koszul_terms(self), _koszul_terms(other))
+        odd = self.gens._odd
+        product = _koszul_product(_koszul_terms(odd, self.nums.items()), _koszul_terms(odd, other.nums.items()))
         return _lowest(self.gens, product, self.den * other.den)
 
     def __rmul__(self, other) -> GradedElement:
@@ -603,21 +608,21 @@ class _GroebnerBasis:
     degree d, both halves u*g of every pair of elements whose leads have
     their lcm in degree d, and x*g for every odd generator x in the lead of
     an element g of degree d - deg x: x kills the lead but not always the
-    tail. Each u*g is the Koszul product `_koszul_product` that elements
-    use too. A reduced row whose lead has no reducer is a new element.
+    tail. `_multiple` builds each u*g as a sorted row over the live columns,
+    with the sign rule of element products; only relations are sorted. A
+    reduced row whose lead has no reducer is a new element.
 
     A degree-d monomial m is dead when m/x is zero for a generator x of m:
     `_dead` multiplies the zero monomials of each degree d - deg x by x.
     A dead m lies in the ideal, so the slice's reduced echelon form holds
     its unit row and has a zero in its column in every other row. A dead
-    column therefore gets no divisor scan and no reducer, its entries are
-    dropped from every row before the reduction, and its unit row joins the
-    reduced rows after it. The unit row is x times the monomial element
-    m/x, so it is a valid reducer for m (F4 takes any ideal element with
-    the right lead). An older lead divides m/x and so m: a dead column
-    leads no new element, and the pairs its unit row would make are
-    redundant by Buchberger's chain criterion. The new elements, and so the
-    basis, are those a reducer row for every dead column would give.
+    column is left out of the rows' column index, so it gets no divisor
+    scan, no reducer and no entry, and the table writes its unit row: x
+    times the monomial element m/x, a valid reducer for m (F4 takes any
+    ideal element with the right lead). An older lead divides m/x and so m:
+    a dead column leads no new element, and the pairs its unit row would
+    make are redundant by Buchberger's chain criterion. The new elements,
+    and so the basis, are those a reducer row per dead column would give.
     """
 
     def __init__(self, presentation: RingPresentation, cutoff: int):
@@ -642,16 +647,13 @@ class _GroebnerBasis:
         if any(w2 + w1):
             self.order = lambda m: (-sum(map(mul, m, w2)), -sum(map(mul, m, w1)))
 
-    def step(self, d: int) -> tuple[Sequence[tuple[int, ...]], list[list[tuple[int, int]]]] | None:
+    def step(self, d: int) -> tuple[Sequence[tuple[int, ...]], list, set] | None:
         """Extend the basis to degree d. Returns the columns, the degree-d
-        monomials in column order, and the reduced rows of the ideal's
-        degree-d slice over them, sorted by lead, or None when an older lead
-        divides every degree-d monomial.
-
-        The columns are the degree-d monomials in display order, stably
-        sorted by descending priority-2 weight, then descending priority-1
-        weight, so display order breaks ties; without priorities there is
-        nothing to sort."""
+        monomials in display order stably sorted by descending priority-2,
+        then priority-1 weight; the reduced rows of the ideal's degree-d slice
+        over the live columns, sorted by lead, each built once as the sorted
+        list `linalg.rref` reads; and the dead monomials, whose unit rows
+        complete them. Returns None when older leads divide every column."""
         cols = self.gens.monomials_of_degree(d)
         if self.order:
             cols = sorted(cols, key=self.order)
@@ -662,19 +664,18 @@ class _GroebnerBasis:
         if None not in hits.values():
             self.zeros[d] = cols
             return None
-        rows = [self._multiple(*hit) for hit in hits.values() if hit is not None] + relations
-        rows += [self._multiple(k, u) for k, u in pending]
-        if dead:
-            rows = [{e: c for e, c in row.items() if e not in dead} for row in rows]
-        index = {m: i for i, m in enumerate(cols)}
-        reduced = linalg.rref([sorted((index[e], c) for e, c in row.items()) for row in rows if row])
+        # the live columns; a dead monomial has no entry, so no row gets one
+        index = {cols[c]: c for c in hits}
+        rows = [self._multiple(*hit, index) for hit in hits.values() if hit is not None]
+        rows += [sorted((index[e], v) for e, v in rel.items() if e in index) for rel in relations]
+        rows += [self._multiple(k, u, index) for k, u in pending]
+        reduced = linalg.rref([row for row in rows if row])
         for row in reduced:
             if hits[row[0][0]] is None:
                 self._add(d, [(cols[c], v) for c, v in row])
-        if dead:
-            reduced = sorted(reduced + [[(index[m], 1)] for m in dead], key=lambda row: row[0][0])
-        self.zeros[d] = [cols[row[0][0]] for row in reduced if len(row) == 1]
-        return cols, reduced
+        units = {row[0][0] for row in reduced if len(row) == 1}
+        self.zeros[d] = [m for c, m in enumerate(cols) if c in units or m in dead]
+        return cols, reduced, dead
 
     def _dead(self, d: int) -> set[tuple[int, ...]]:
         """The degree-d monomials x*m of a generator x and a zero monomial m
@@ -693,15 +694,26 @@ class _GroebnerBasis:
                 return k, tuple(map(sub, m, lead))
         return None
 
-    def _multiple(self, k: int, u: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        """The Koszul-signed product u*g of a monomial and element k."""
-        return _koszul_product([(u, 1, [i for i in self.gens._odd if u[i]])], self.elements[k])
+    def _multiple(self, k: int, u: tuple[int, ...], index: dict[tuple[int, ...], int]) -> list[tuple[int, int]]:
+        """The Koszul-signed product u*g of a monomial and element k as a row
+        over the live columns `index`, in g's column order, which u keeps."""
+        odd_u = [i for i in self.gens._odd if u[i]]
+        row = []
+        for e, v, odd_e in self.elements[k]:
+            if odd_u and odd_e:
+                v *= _koszul_sign(u, odd_u, odd_e)
+                if not v:
+                    continue
+            c = index.get(tuple(map(add, u, e)))
+            if c is not None:
+                row.append((c, v))
+        return row
 
     def _add(self, d: int, terms: list[tuple[tuple[int, ...], int]]) -> None:
         gens, cutoff = self.gens, self.cutoff
         k = len(self.leads)
         lead = terms[0][0]
-        self.elements.append([(e, v, [i for i in gens._odd if e[i]]) for e, v in terms])
+        self.elements.append(_koszul_terms(gens._odd, terms))
         for j, other in enumerate(self.leads):
             top = tuple(map(max, lead, other))
             e = gens.monomial_degree(top)
@@ -780,21 +792,27 @@ class QuotientRing:
         return 0 < d and g <= d and not any(t.basis for t in self._tables[d - g : d])
 
     def _compute_table(self, d: int) -> _DegreeTable:
+        """Degree d's table from one basis step, whose reduced rows and dead monomials pivot."""
         if self._vanishes(d):
             return _ZERO_TABLE
         stepped = self._basis.step(d)
         if stepped is None:
             return _ZERO_TABLE
-        cols, reduced = stepped
+        cols, reduced, dead = stepped
         pivots = {cols[row[0][0]]: row for row in reduced}
-        basis = tuple(m for m in self.gens.monomials_of_degree(d) if m not in pivots)
+        basis = tuple(m for m in self.gens.monomials_of_degree(d) if m not in pivots and m not in dead)
         if not basis:
             return _ZERO_TABLE
         index = {m: i for i, m in enumerate(basis)}
         position = [index.get(m) for m in cols]  # column -> basis position
         rows = {m: (1, (i,), (1,)) for m, i in index.items()}
-        for pivot, row in pivots.items():
-            rows[pivot] = (row[0][1], tuple(position[c] for c, _ in row[1:]), tuple(-v for _, v in row[1:]))
+        # the pivots' rows in column order: a dead monomial's is its unit row
+        for m, i in zip(cols, position):
+            if i is None and m in dead:
+                rows[m] = (1, (), ())
+            elif i is None:
+                (_, lead), *rest = pivots[m]
+                rows[m] = (lead, tuple([position[c] for c, _ in rest]), tuple([-v for _, v in rest]))
         return _DegreeTable(basis, rows)
 
     # -- public queries ----------------------------------------------------

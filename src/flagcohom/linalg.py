@@ -67,7 +67,10 @@ def rref(rows: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
 
     Returns one row per pivot, sorted by leading column. Every returned row
     is primitive with positive leading value, and no row has a nonzero entry
-    under another row's leading column.
+    under another row's leading column. Back-substitution scans each pivot
+    row once, rightmost first: eliminating an entry with an already reduced
+    pivot row adds entries only at later non-pivot columns, so the scan
+    resumes at the entry after it.
     """
     pivots = {}
     for row in rows:
@@ -81,15 +84,13 @@ def rref(rows: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
 
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
-        while True:
-            hit = None
-            for c, v in row[1:]:
-                if c in pivots:
-                    hit = (c, v)
-                    break
-            if hit is None:
-                break
-            row = _combine(row, hit[1], pivots[hit[0]])
+        i = 1
+        while i < len(row):
+            c, v = row[i]
+            if c in pivots:
+                row = _combine(row, v, pivots[c])
+            else:
+                i += 1
         pivots[col] = row
 
     return [pivots[c] for c in sorted(pivots)]

@@ -1,7 +1,9 @@
 """Element arithmetic, presentations and quotient normal forms."""
 
 import hashlib
+import itertools
 import math
+import operator
 import random
 import re
 import sys
@@ -821,6 +823,57 @@ def test_pruned_tables_match_dense_reference(monkeypatch):
 
     check()
     assert seen["dead"] and seen["zero pivots"], seen
+
+
+def exponent_vectors(degrees, d):
+    """Every exponent vector of degree d, odd generators squared included."""
+    ranges = [range(d // g + 1) for g in degrees]
+    return [e for e in itertools.product(*ranges) if sum(map(operator.mul, e, degrees)) == d]
+
+
+def test_multiples_match_the_word_sign_product():
+    # the Gröbner step builds each multiple u*g straight into a row over the
+    # live columns. Every element of three bases times every monomial u of
+    # degree at most 6, against the word-sign product restricted to the
+    # columns kept, term by term. The columns are every exponent vector of
+    # the product's degree in the elimination order, odd squares included,
+    # so a product that vanishes must be dropped by the sign rule and not by
+    # a missing column; every third column is removed, as dead ones are
+    rings = [
+        QuotientRing(odd_mixing_presentation(), 24),
+        build_ring(SpaceDescriptor("complete-flag-oriented", 0, 4, "odd")),
+        equivariant_space("complex", 2, "flag", cutoff=12),
+    ]
+    seen = {"rows": 0, "sign flips": 0, "odd squares": 0}
+    for ring in rings:
+        ring.dimensions()
+        basis, gens = ring._basis, ring.gens
+        degrees, key = list(gens.degrees), elimination_key(gens)
+        columns = {}
+        for k, terms in enumerate(basis.elements):
+            degree = gens.monomial_degree(terms[0][0])
+            for du in range(7):
+                d = degree + du
+                if d not in columns:
+                    cols = sorted(exponent_vectors(degrees, d), key=key)
+                    columns[d] = {m: c for c, m in enumerate(cols) if c % 3 != 1}
+                index = columns[d]
+                for u in monomials(degrees, du):
+                    expected = []
+                    for e, v, _ in terms:
+                        product = koszul_product(degrees, u, e)
+                        if product is None:
+                            seen["odd squares"] += 1
+                            continue
+                        exps, sign = product
+                        seen["sign flips"] += sign < 0
+                        if exps in index:
+                            expected.append((index[exps], sign * v))
+                    row = basis._multiple(k, u, index)
+                    assert row == sorted(expected), (ring.label, terms, u)
+                    assert all(a < b for (a, _), (b, _) in zip(row, row[1:])), (ring.label, terms, u)
+                    seen["rows"] += 1
+    assert all(seen.values()), seen
 
 
 # Rings for the equivalence of the integer normal form and product with

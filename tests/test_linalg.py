@@ -71,3 +71,48 @@ def test_selected_backend_is_exposed():
 
     assert linalg.BACKEND == flagcohom.BACKEND == "python"
 
+
+
+def chained_matrix(rng, ncols):
+    """Rows over `ncols` columns whose reduction runs long back-substitution
+    chains: most columns lead a row with entries at several later columns,
+    often adjacent ones, so a row meets pivot after pivot; a few columns lead
+    nothing, and some rows are combinations of others."""
+    free = set(rng.sample(range(1, ncols), ncols // 8))
+    matrix = []
+    for lead in range(ncols):
+        if lead in free:
+            continue
+        row = [0] * ncols
+        row[lead] = rng.choice((1, 1, 2, -3))
+        start = lead + 1
+        for c in range(start, min(ncols, start + rng.randint(2, 6))):
+            row[c] = rng.randint(-3, 3)
+        for c in rng.sample(range(start, ncols), min(2, ncols - start)):
+            row[c] = rng.randint(-2, 2)
+        matrix.append(row)
+    for _ in range(ncols // 6):
+        a, b = rng.sample(matrix, 2)
+        s, t = rng.randint(-2, 2), rng.randint(1, 2)
+        matrix.append([s * x + t * y for x, y in zip(a, b)])
+    rng.shuffle(matrix)
+    return matrix
+
+
+def test_long_back_substitution_chains_match_dense_oracle():
+    from math import gcd
+
+    rng = random.Random(20261020)
+    for _ in range(12):
+        ncols = rng.randint(30, 60)
+        matrix = chained_matrix(rng, ncols)
+        reduced = linalg.rref(to_sparse(matrix))
+        oracle_pivots, oracle_rows = dense_rref([[Fraction(v) for v in r] for r in matrix])
+        assert [row[0][0] for row in reduced] == oracle_pivots
+        assert rational_rows(reduced, ncols) == oracle_rows
+        for row in reduced:
+            g = 0
+            for _, v in row:
+                g = gcd(g, v)
+            assert g == 1 and row[0][1] > 0
+            assert all(a < b for (a, _), (b, _) in zip(row, row[1:]))
