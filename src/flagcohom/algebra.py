@@ -647,13 +647,15 @@ class _GroebnerBasis:
         if any(w2 + w1):
             self.order = lambda m: (-sum(map(mul, m, w2)), -sum(map(mul, m, w1)))
 
-    def step(self, d: int) -> tuple[Sequence[tuple[int, ...]], list, set] | None:
+    def step(
+        self, d: int
+    ) -> tuple[Sequence[tuple[int, ...]], list[list[tuple[int, int]]], set[tuple[int, ...]]] | None:
         """Extend the basis to degree d. Returns the columns, the degree-d
         monomials in display order stably sorted by descending priority-2,
         then priority-1 weight; the reduced rows of the ideal's degree-d slice
         over the live columns, sorted by lead, each built once as the sorted
         list `linalg.rref` reads; and the dead monomials, whose unit rows
-        complete them. Returns None when older leads divide every column."""
+        complete them. Returns None when older leads divide every live column."""
         cols = self.gens.monomials_of_degree(d)
         if self.order:
             cols = sorted(cols, key=self.order)
@@ -806,12 +808,11 @@ class QuotientRing:
         index = {m: i for i, m in enumerate(basis)}
         position = [index.get(m) for m in cols]  # column -> basis position
         rows = {m: (1, (i,), (1,)) for m, i in index.items()}
-        # the pivots' rows in column order: a dead monomial's is its unit row
+        # the pivots' rows in column order; a column with no basis position and
+        # no reduced row is dead, and its row is its unit row: lead 1, no tail
         for m, i in zip(cols, position):
-            if i is None and m in dead:
-                rows[m] = (1, (), ())
-            elif i is None:
-                (_, lead), *rest = pivots[m]
+            if i is None:
+                (_, lead), *rest = pivots.get(m, ((None, 1),))
                 rows[m] = (lead, tuple([position[c] for c, _ in rest]), tuple([-v for _, v in rest]))
         return _DegreeTable(basis, rows)
 

@@ -1,12 +1,4 @@
-import os
 import sys
 from pathlib import Path
 
-from hypothesis import settings
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-# HYPOTHESIS_PROFILE=ci prints the reproduction blob of a failing property
-settings.register_profile("ci", print_blob=True)
-if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
-    settings.load_profile("ci")

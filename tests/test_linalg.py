@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from flagcohom import linalg
 
@@ -37,6 +38,18 @@ def test_small_fixed_matrix():
     assert rational_rows(reduced, 4) == oracle_rows
 
 
+def check_against_oracle(matrix, ncols):
+    """rref of `matrix` has the dense oracle's pivots and rows, and each row
+    is primitive (content 1, positive leading value) with increasing columns."""
+    reduced = linalg.rref(to_sparse(matrix))
+    oracle_pivots, oracle_rows = dense_rref([[Fraction(v) for v in r] for r in matrix])
+    assert [row[0][0] for row in reduced] == oracle_pivots
+    assert rational_rows(reduced, ncols) == oracle_rows
+    for row in reduced:
+        assert gcd(*(v for _, v in row)) == 1 and row[0][1] > 0
+        assert all(a < b for (a, _), (b, _) in zip(row, row[1:]))
+
+
 def test_random_matrices_match_dense_oracle():
     rng = random.Random(20240817)
     for _ in range(60):
@@ -47,17 +60,7 @@ def test_random_matrices_match_dense_oracle():
             [rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(ncols)]
             for _ in range(nrows)
         ]
-        reduced = linalg.rref(to_sparse(matrix))
-        oracle_pivots, oracle_rows = dense_rref([[Fraction(v) for v in r] for r in matrix])
-        assert [row[0][0] for row in reduced] == oracle_pivots
-        assert rational_rows(reduced, ncols) == oracle_rows
-        # primitivity: content 1, positive leading value
-        from math import gcd
-        for row in reduced:
-            g = 0
-            for _, v in row:
-                g = gcd(g, v)
-            assert g == 1 and row[0][1] > 0
+        check_against_oracle(matrix, ncols)
 
 
 def test_zero_and_empty_rows():
@@ -70,7 +73,6 @@ def test_selected_backend_is_exposed():
     import flagcohom
 
     assert linalg.BACKEND == flagcohom.BACKEND == "python"
-
 
 
 def chained_matrix(rng, ncols):
@@ -100,19 +102,7 @@ def chained_matrix(rng, ncols):
 
 
 def test_long_back_substitution_chains_match_dense_oracle():
-    from math import gcd
-
     rng = random.Random(20261020)
     for _ in range(12):
         ncols = rng.randint(30, 60)
-        matrix = chained_matrix(rng, ncols)
-        reduced = linalg.rref(to_sparse(matrix))
-        oracle_pivots, oracle_rows = dense_rref([[Fraction(v) for v in r] for r in matrix])
-        assert [row[0][0] for row in reduced] == oracle_pivots
-        assert rational_rows(reduced, ncols) == oracle_rows
-        for row in reduced:
-            g = 0
-            for _, v in row:
-                g = gcd(g, v)
-            assert g == 1 and row[0][1] > 0
-            assert all(a < b for (a, _), (b, _) in zip(row, row[1:]))
+        check_against_oracle(chained_matrix(rng, ncols), ncols)
