@@ -52,6 +52,7 @@ from operator import add, ge, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import linalg
+from .series import ClosedFormSeries
 
 Scalar = Union[int, Fraction]
 
@@ -552,11 +553,13 @@ class GradedElement:
 
 @dataclass(frozen=True)
 class RingPresentation:
-    """Ordered generators plus homogeneous relations of positive degree."""
+    """Ordered generators plus homogeneous relations of positive degree, and
+    the ring's Poincare series in closed form, or None when unknown."""
 
     generators: Generators
     relations: tuple[GradedElement, ...]
     label: str = ""
+    closed_form: ClosedFormSeries | None = None
 
     def max_relation_degree(self) -> int:
         return max((r.degree() for r in self.relations), default=0)
@@ -571,12 +574,14 @@ def make_presentation(
     generators: Iterable[GeneratorSymbol] | Generators,
     relations: Iterable[GradedElement] = (),
     label: str = "",
+    closed_form: ClosedFormSeries | None = None,
 ) -> RingPresentation:
     """Validate and normalize a presentation.
 
     Relations may be inhomogeneous (total-class equations); they are split
     into homogeneous components here. A nonzero component of degree zero
-    means the equation is inconsistent and is rejected.
+    means the equation is inconsistent and is rejected. `closed_form` is
+    the ring's Poincare series, kept as given, or None when unknown.
     """
     gens = generators if isinstance(generators, Generators) else Generators(generators)
     split: list[GradedElement] = []
@@ -595,7 +600,7 @@ def make_presentation(
             if key not in seen:
                 seen.add(key)
                 split.append(comp)
-    return RingPresentation(gens, tuple(split), label)
+    return RingPresentation(gens, tuple(split), label, closed_form)
 
 
 class _GroebnerBasis:

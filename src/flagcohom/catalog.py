@@ -176,8 +176,7 @@ class BasisFamily:
     def contains(self, monomial: Monomial) -> bool:
         exps = monomial.exps
         for part in self.parts:
-            core = set(part.core)
-            if any(e != p for i, (e, p) in enumerate(zip(exps, part.prefix)) if i not in core):
+            if any(e != p for i, (e, p) in enumerate(zip(exps, part.prefix)) if i not in part.core):
                 continue
             if sum(exps[i] for i in part.core) <= part.max_exponent_sum:
                 return True
@@ -198,26 +197,35 @@ def _basis_vector(width: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(width))
 
 
+def top_degree_of(series: ClosedFormSeries) -> int:
+    """Largest degree with a nonzero coefficient of a catalog closed form,
+    or of a product of them: the degree of the Poincare polynomial (the real
+    dimension of a closed orientable space, 0 for the rationally trivial
+    ones). Every catalog closed form is a sum of polynomials with positive
+    coefficients, so no leading term cancels and the degree is the largest
+    degree of a term."""
+    return max(t.shift + sum(t.num) - sum(t.den) for t in series.terms)
+
+
 def top_degree(space: SpaceDescriptor) -> int:
-    """Largest degree with a nonzero component: the degree of the space's
-    Poincare polynomial (its real dimension for the closed orientable
-    fixtures, 0 for the rationally trivial ones). Every catalog closed form
-    is a sum of polynomials with positive coefficients, so no leading term
-    cancels and the degree is the largest degree of a term."""
-    return max(t.shift + sum(t.num) - sum(t.den) for t in closed_form(space).terms)
+    """The top degree of the space's closed form."""
+    return top_degree_of(closed_form(space))
 
 
-def check_size(space: SpaceDescriptor) -> None:
-    """Refuse a space whose presentation would take long to build. n is
-    tested first, since the top degree costs O(n^2) to derive."""
+def check_size(space: SpaceDescriptor) -> ClosedFormSeries:
+    """The space's closed form, after refusing a space whose presentation
+    would take long to build. n is tested first, since the closed form costs
+    O(n^2) to derive; its top degree is tested next."""
     if space.n > MAX_SPACE_SIZE:
         raise ValueError(f"{space.label} is too large: n = {space.n} must be at most {MAX_SPACE_SIZE}")
-    top = top_degree(space)
+    series = closed_form(space)
+    top = top_degree_of(series)
     if top > MAX_SPACE_SIZE:
         raise ValueError(
             f"{space.label} is too large: n = {space.n} and top degree {top} "
             f"must be at most {MAX_SPACE_SIZE}"
         )
+    return series
 
 
 _FLAG_ROOTS = {
@@ -296,7 +304,7 @@ def _borel(step: int, n: int, blocks) -> ClosedFormSeries:
 
 def closed_form(space: SpaceDescriptor) -> ClosedFormSeries:
     """The space's Poincare polynomial: the one statement of each family's
-    series, read by build_space, top_degree and the CLI's bundle series.
+    series, derived once per space built, by check_size (see build_space).
 
     Flag-type families are Borel quotients of their block ranks: CP^(n-1)
     is (1, n-1), a Grassmannian (k, n-k) (RP^2n the real k = 0 case), a
@@ -337,27 +345,27 @@ def closed_form(space: SpaceDescriptor) -> ClosedFormSeries:
 
 
 def build_space(space: SpaceDescriptor):
-    """(presentation, closed_form(space), characteristic family or None).
+    """(presentation, its closed form, characteristic family or None).
 
     Grassmannians and complete flags are their family's presentation over
     a point (fibre_relations with total = 1, euler = 0). The odd
     Grassmannians add r (or rt) to the real even presentation, and RP^2n
     is its k = 0 case. A space past MAX_SPACE_SIZE is refused (check_size).
     """
-    check_size(space)
+    series = check_size(space)
     f, k, n, v = space.family, space.k, space.n, space.variant
     label = space.label
 
     if f == "point":
-        pres = make_presentation(Generators(()), (), label)
-        return pres, closed_form(space), BasisFamily(pres.generators, (FamilyPart((), (), 0),))
+        pres = make_presentation(Generators(()), (), label, series)
+        return pres, series, BasisFamily(pres.generators, (FamilyPart((), (), 0),))
 
     if f in ("projective-space-complex", "sphere"):
         # CP^(n-1) = Q[c1]/(c1^n), and S^2n in its reduced form Q[eb]/(eb^2)
         name, degree, power = ("c1", 2, n) if f == "projective-space-complex" else ("eb", 2 * n, 2)
         gens = Generators([GeneratorSymbol(name, degree)])
-        pres = make_presentation(gens, (gens.gen(name) ** power,), label)
-        return pres, closed_form(space), BasisFamily(gens, (FamilyPart((0,), (0,), power - 1),))
+        pres = make_presentation(gens, (gens.gen(name) ** power,), label, series)
+        return pres, series, BasisFamily(gens, (FamilyPart((0,), (0,), power - 1),))
 
     odd = f in ("odd-real-grassmannian", "odd-oriented-grassmannian")
     fibre = space
@@ -371,10 +379,10 @@ def build_space(space: SpaceDescriptor):
         name = "r" if f == "odd-real-grassmannian" else "rt"
         gens = gens.extend([GeneratorSymbol(name, 2 * n + 1)])
         relations.append(gens.gen(name) * gens.gen(name))
-    pres = make_presentation(gens, relations, label)
+    pres = make_presentation(gens, relations, label, series)
 
     if f in _FLAG_ROOTS:
-        return pres, closed_form(space), None
+        return pres, series, None
     width = len(gens)
     p_core = tuple(range(k))
     parts = [FamilyPart(_unit(width), p_core, n - k)]
@@ -386,20 +394,18 @@ def build_space(space: SpaceDescriptor):
         pb_core = tuple(gens.index(f"pb{j}") for j in range(1, n - k))
         parts.append(FamilyPart(_basis_vector(width, gens.index("e")), pb_core, k))
         parts.append(FamilyPart(_basis_vector(width, gens.index("eb")), p_core[:-1], n - k))
-    return pres, closed_form(space), BasisFamily(gens, tuple(parts))
+    return pres, series, BasisFamily(gens, tuple(parts))
 
 
-def default_cutoff(space: SpaceDescriptor, pres: RingPresentation | None = None) -> int:
-    """The larger of the top degree and the highest relation degree; pass
-    the space's presentation when it is already built."""
-    if pres is None:
-        pres = build_space(space)[0]
-    return max(top_degree(space), pres.max_relation_degree())
+def default_cutoff(pres: RingPresentation) -> int:
+    """The larger of the top degree of the presentation's closed form, which
+    must be known, and its highest relation degree."""
+    return max(top_degree_of(pres.closed_form), pres.max_relation_degree())
 
 
 def build_ring(space: SpaceDescriptor, cutoff: int | None = None) -> QuotientRing:
     pres, _, _ = build_space(space)
-    return QuotientRing(pres, default_cutoff(space, pres) if cutoff is None else cutoff)
+    return QuotientRing(pres, default_cutoff(pres) if cutoff is None else cutoff)
 
 
 def characteristic_basis_monomials(space: SpaceDescriptor, degree: int) -> tuple[Monomial, ...]:

@@ -23,7 +23,7 @@ from .algebra import (
     RingPresentation,
     make_presentation,
 )
-from .series import ClosedFormSeries, series_from_ring
+from .series import series_from_ring
 from .catalog import BasisFamily, SpaceDescriptor
 from .expressions import one_budget
 
@@ -40,7 +40,6 @@ class ConfigError(ValueError):
 @dataclass
 class BuiltJob:
     ring: QuotientRing
-    series: ClosedFormSeries | None = None
     family: BasisFamily | None = None
     kind: str = ""  # the config's top-level key, set by build_job
 
@@ -98,8 +97,8 @@ def _sum_elements(gens, value, path) -> GradedElement:
 
 
 def build_job(doc: dict, path: str = "config", cutoff: int | None = None) -> BuiltJob:
-    """Build a ring (plus closed form and basis family when known) from a
-    config document: one of space | presentation | bundle | tower | pushout.
+    """Build a ring (plus basis family when known) from a config document:
+    one of space | presentation | bundle | tower | pushout.
     A library ValueError becomes a ConfigError at the sub-document's path.
     The expressions of the whole job, nested bases included, share one
     count against expressions.MAX_TERM_PRODUCTS."""
@@ -148,9 +147,9 @@ def _build_space_job(sub, path, cutoff) -> BuiltJob:
     n = _field(sub, path, "n", int, required=False, default=0)
     variant = _field(sub, path, "variant", str, required=False, default="")
     desc = SpaceDescriptor(family, k, n, variant)
-    pres, series, basis_family = catalog.build_space(desc)
-    ring = QuotientRing(pres, catalog.default_cutoff(desc, pres) if cutoff is None else cutoff)
-    return BuiltJob(ring, series, basis_family)
+    pres, _, basis_family = catalog.build_space(desc)
+    ring = QuotientRing(pres, catalog.default_cutoff(pres) if cutoff is None else cutoff)
+    return BuiltJob(ring, basis_family)
 
 
 def parse_presentation(sub, path) -> RingPresentation:
@@ -168,8 +167,7 @@ def parse_presentation(sub, path) -> RingPresentation:
 
 
 def _build_bundle_job(sub, path, cutoff) -> BuiltJob:
-    base_job = build_job(_field(sub, path, "base", dict), f"{path}.base")
-    base = base_job.ring
+    base = build_job(_field(sub, path, "base", dict), f"{path}.base").ring
     kind = _field(sub, path, "kind", str)
     rank = _field(sub, path, "rank", int)
     total = _sum_elements(base.gens, _field(sub, path, "total_class", None), f"{path}.total_class")
@@ -183,11 +181,7 @@ def _build_bundle_job(sub, path, cutoff) -> BuiltJob:
         raise ConfigError(f"{path}.extension", f"unknown extension {ext!r}")
     k = _read_if(ext in ("grassmannian", "odd-grassmannian"), sub, path, ext, "k", int)
     full = _read_if(ext == "flag", sub, path, ext, "full", bool, required=False, default=False)
-    ring = extension.extend(bundle, ext, k, suffix, full, cutoff)
-    # no closed form is recorded for the odd Grassmannian extension
-    if base_job.series is None or ext == "odd-grassmannian":
-        return BuiltJob(ring)
-    return BuiltJob(ring, base_job.series * catalog.closed_form(extension.fibre(ext, kind, rank, k)))
+    return BuiltJob(extension.extend(bundle, ext, k, suffix, full, cutoff))
 
 
 def _read_if(reads: bool, sub, path, ext, key, kind, **options):
@@ -202,11 +196,7 @@ def _read_if(reads: bool, sub, path, ext, key, kind, **options):
 
 def _build_tower_job(sub, path, cutoff) -> BuiltJob:
     stage_docs = _field(sub, path, "stages", list)
-    base_job = None
-    if "base" in sub:
-        base_job = build_job(sub["base"], f"{path}.base")
-    ring = base_job.ring if base_job else extension.point_ring()
-    series = base_job.series if base_job else ClosedFormSeries.one()
+    ring = build_job(sub["base"], f"{path}.base").ring if "base" in sub else extension.point_ring()
     for i, s in enumerate(stage_docs):
         spath = f"{path}.stages[{i}]"
         if not isinstance(s, dict):
@@ -226,12 +216,9 @@ def _build_tower_job(sub, path, cutoff) -> BuiltJob:
             k=_read_if(reads_k, s, spath, ext, "k", int, required=False),
         )
         ring = extension.bott_tower([stage], base=ring, start_index=i + 1)
-        if series is not None:
-            fibre = extension.fibre(extension.TOWER_EXTENSIONS[ext], stage.kind, stage.rank, stage.k)
-            series = series * catalog.closed_form(fibre)
     if cutoff is not None:
         ring = QuotientRing(ring.presentation, cutoff)
-    return BuiltJob(ring, series)
+    return BuiltJob(ring)
 
 
 def _build_pushout_job(sub, path, cutoff) -> BuiltJob:
@@ -319,24 +306,25 @@ def cmd_series(args, parser) -> int:
     if n > LARGE_OUTPUT_CAP and not args.force_large:
         raise ConfigError("cutoff", f"{n} exceeds the cap {LARGE_OUTPUT_CAP}; pass --force-large")
     ts = series_from_ring(job.ring, min(n, job.ring.cutoff))
+    closed_form = job.ring.presentation.closed_form
     if args.format == "structured":
         doc = {
             "label": job.ring.label,
             "cutoff": ts.cutoff,
             "coefficients": list(ts.coefficients),
             "closed_form": None
-            if job.series is None
+            if closed_form is None
             else [
                 {"coeff": t.coeff, "shift": t.shift, "num": list(t.num), "den": list(t.den)}
-                for t in job.series.terms
+                for t in closed_form.terms
             ],
         }
         print(json.dumps(doc, indent=2))
     else:
         print(f"poincare series of {job.ring.label or 'ring'} up to degree {ts.cutoff}:")
         print("  " + str(ts))
-        if job.series is not None:
-            print(f"closed form: {job.series}")
+        if closed_form is not None:
+            print(f"closed form: {closed_form}")
     return 0
 
 

@@ -2,10 +2,11 @@
 sphere and flag bundles, Whitney complement recursion, torus-equivariant
 bases, towers of iterated extensions, and pushouts of presented rings.
 
-`extend` is the one constructor of a bundle extension. It returns a fresh
+`extend` is the one constructor of a bundle extension. It returns a
 QuotientRing whose presentation is the base presentation extended by the
 fibre's generators and the Whitney-type relations, with right-hand sides
-taken from the bundle's total classes.
+taken from the bundle's total classes, or the base itself when the fibre
+adds nothing (the point, or the odd Grassmannian's ends k = 0 and n).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .algebra import (
     QuotientRing,
     make_presentation,
 )
-from .catalog import SpaceDescriptor, check_size, fibre_relations, fibre_symbols, top_degree
+from .catalog import SpaceDescriptor, build_ring, check_size, fibre_relations, fibre_symbols, top_degree_of
 from .expressions import MAX_TERM_PRODUCTS
 
 ElementLike = GradedElement | str | int
@@ -112,14 +113,6 @@ def _extend(base: Generators, extra: Sequence[GeneratorSymbol]) -> Generators:
     return base.extend(extra)
 
 
-def _ring(base: QuotientRing, gens, relations, label, cutoff, fibre_top) -> QuotientRing:
-    carried = [r.reindex(gens) for r in base.presentation.relations]
-    pres = make_presentation(gens, carried + list(relations), label)
-    if cutoff is None:
-        cutoff = max(base.cutoff + fibre_top, pres.max_relation_degree())
-    return QuotientRing(pres, cutoff)
-
-
 def fibre(extension: str, kind: str, rank: int, k: int | None = None) -> SpaceDescriptor:
     """The catalog space, in reduced parameters, that a bundle extension (one
     of BUNDLE_EXTENSIONS) adds as fibre over a rank-`rank` bundle; BundleError
@@ -188,7 +181,9 @@ def extend(
     of the Whitney-type relations. A fibre past catalog.MAX_SPACE_SIZE is
     refused before anything is built. Every new generator name ends in
     `suffix`, unless `gen_name` names the one new generator of projectivize
-    or sphere. Only flags read `full`.
+    or sphere. Only flags read `full`. The ring's closed form is the base's
+    times the fibre's (Leray-Hirsch), or None when the base has none or the
+    extension is odd-grassmannian.
 
     - grassmannian: the bundle of k-dimensional subspaces, on canonical and
       complement classes subject to c*cbar = c(V) (Chern or Pontryagin), plus
@@ -213,7 +208,7 @@ def extend(
     """
     kind, rank, base = bundle.kind, bundle.rank, bundle.base
     space = fibre(extension, kind, rank, k)
-    check_size(space)
+    fibre_series = check_size(space)
     if extension == "projectivize":
         # a rank-1 complex or rank-2 real bundle has the point as fibre, but
         # P(V) still adds its generator
@@ -241,7 +236,13 @@ def extend(
             label = f"Fl(V^{rank})"
         else:
             label = f"{space.label} bundle"
-    return _ring(base, gens, relations, f"{label} over {base.label or 'base'}", cutoff, top_degree(space))
+    known = base.presentation.closed_form is not None and extension != "odd-grassmannian"
+    series = base.presentation.closed_form * fibre_series if known else None
+    carried = [r.reindex(gens) for r in base.presentation.relations]
+    pres = make_presentation(gens, [*carried, *relations], f"{label} over {base.label or 'base'}", series)
+    if cutoff is None:
+        cutoff = max(base.cutoff + top_degree_of(fibre_series), pres.max_relation_degree())
+    return QuotientRing(pres, cutoff)
 
 
 @dataclass(frozen=True)
@@ -381,7 +382,7 @@ class TowerStage:
 
 
 def point_ring() -> QuotientRing:
-    return QuotientRing(make_presentation(Generators(()), (), "pt"), 0)
+    return build_ring(SpaceDescriptor("point"))
 
 
 def bott_tower(

@@ -41,7 +41,7 @@ def verify_space(space: SpaceDescriptor) -> list[CheckResult]:
     to zero. Each check's name starts with the space's label.
     """
     pres, series, family = catalog.build_space(space)
-    n = catalog.default_cutoff(space, pres)
+    n = catalog.default_cutoff(pres)
     ring = QuotientRing(pres, n)
     label = space.label
     checks = []
@@ -145,7 +145,7 @@ def suite_catalog(max_n: int) -> list[CheckResult]:
             dual = SpaceDescriptor("complex-grassmannian", n - k, n)
             b = closed_form(dual)
             ok = a.symbolic_equal(b) and a.truncate(2 * n) == b.truncate(2 * n)
-            top = catalog.top_degree(dual)
+            top = catalog.top_degree_of(b)
             ok = ok and series_from_ring(catalog.build_ring(dual), top) == a.truncate(top)
             checks.append(CheckResult(f"complex duality G_{k} vs G_{n - k} in C^{n}", ok))
     return checks
@@ -159,7 +159,7 @@ def suite_odd_identity(max_n: int) -> list[CheckResult]:
             stated = closed_form(space)
             even = closed_form(SpaceDescriptor("real-grassmannian-even", k, n))
             product = ClosedFormSeries.one_plus(2 * n + 1) * even
-            top = catalog.top_degree(space)
+            top = catalog.top_degree_of(stated)
             sym = stated.symbolic_equal(product)
             num = stated.truncate(top) == product.truncate(top)
             label = f"G_{2 * k + 1}(R^{2 * n + 2})"

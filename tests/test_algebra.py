@@ -108,8 +108,9 @@ def test_monomials_of_degree_come_in_display_order(degrees, d, more):
 
 def test_catalog_monomials_come_in_display_order():
     for desc in dict.fromkeys(_catalog_descriptors(4)):
-        gens = build_space(desc)[0].generators
-        for d in range(default_cutoff(desc) + 1):
+        pres = build_space(desc)[0]
+        gens = pres.generators
+        for d in range(default_cutoff(pres) + 1):
             expected = sorted(monomials(list(gens.degrees), d), key=display_key)
             assert list(gens.monomials_of_degree(d)) == expected, (desc.label, d)
 
@@ -689,9 +690,8 @@ def odd_mixing_presentation():
 def test_tables_match_dense_reference_past_the_vanishing_window():
     # every table the engine keeps, and the normal form of every monomial,
     # against dense Fraction elimination of all relation multiples
-    cases = [
-        (build_space(desc)[0], default_cutoff(desc)) for desc in dict.fromkeys(_catalog_descriptors(3))
-    ]
+    presentations = (build_space(desc)[0] for desc in dict.fromkeys(_catalog_descriptors(3)))
+    cases = [(pres, default_cutoff(pres)) for pres in presentations]
     cases.append((odd_mixing_presentation(), 15))  # its top degree
     for pres, top in cases:
         gens = pres.generators
@@ -718,10 +718,8 @@ PINNED_TABLES = "b0927592d58e878eb19dbd5a23c2caa3de973be0c1aa59376791cd0aaa93f8b
 
 
 def test_tables_match_pinned_digest():
-    rings = [
-        QuotientRing(build_space(desc)[0], default_cutoff(desc) + 6)
-        for desc in dict.fromkeys(_catalog_descriptors(4))
-    ]
+    presentations = (build_space(desc)[0] for desc in dict.fromkeys(_catalog_descriptors(4)))
+    rings = [QuotientRing(pres, default_cutoff(pres) + 6) for pres in presentations]
     rings.append(QuotientRing(odd_mixing_presentation(), 24))
     rings.append(equivariant_space("complex", 2, "flag", cutoff=12))
     rings.append(equivariant_space("complex", 3, "flag", cutoff=14))
@@ -1092,9 +1090,8 @@ def test_products_in_hundreds_of_basis_positions_obey_the_ring_laws():
 def test_degree_ranks_agree_modulo_large_primes():
     # rank mod p never exceeds the rank over Q, and equals it for all but
     # the primes dividing some minor, so two large primes name a kernel bug
-    cases = [
-        (build_space(desc)[0], default_cutoff(desc)) for desc in dict.fromkeys(_catalog_descriptors(3))
-    ]
+    presentations = (build_space(desc)[0] for desc in dict.fromkeys(_catalog_descriptors(3)))
+    cases = [(pres, default_cutoff(pres)) for pres in presentations]
     cases.append((odd_mixing_presentation(), 15))
     for pres, top in cases:
         for d in range(top + 1):

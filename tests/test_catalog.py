@@ -262,7 +262,7 @@ def test_g2r4_dims_and_default_cutoff():
     desc = SpaceDescriptor("oriented-grassmannian", 1, 2, "even-even")
     ring = build_ring(desc)
     assert ring.dimensions(4) == [1, 0, 2, 0, 1]
-    assert default_cutoff(desc) >= 4
+    assert default_cutoff(ring.presentation) >= 4
 
 
 def test_degenerate_grassmannians_are_points():

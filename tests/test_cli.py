@@ -543,22 +543,25 @@ def test_suffix_names_the_projectivize_and_sphere_generator(
     assert f"generators: {generators}\n" in captured.out
 
 
-def test_a_job_derives_a_fibre_again_only_for_the_closed_form_it_keeps(monkeypatch):
-    # extend derives each fibre once; the job derives it a second time only
-    # to multiply the base's closed form by the fibre's
-    calls = []
-    derive = extension.fibre
-    monkeypatch.setattr(extension, "fibre", lambda *args: calls.append(args) or derive(*args))
+def test_a_job_derives_each_fibre_and_closed_form_once(monkeypatch):
+    # catalog.check_size derives the closed form of each catalog space and of
+    # each stage's fibre, once, and the presentation carries it to the CLI
+    fibres, closed_forms = [], []
+    derive, state = extension.fibre, catalog.closed_form
+    monkeypatch.setattr(extension, "fibre", lambda *args: fibres.append(args) or derive(*args))
+    monkeypatch.setattr(catalog, "closed_form", lambda space: closed_forms.append(space) or state(space))
     inline = {"presentation": {"generators": [["h", 2]], "relations": ["h^3"]}, "cutoff": 6}
     two_stages = {"tower": {"stages": [
         {"extension": "projectivize", "kind": "complex", "rank": 2, "total_class": "1"},
         {"extension": "projectivize", "kind": "complex", "rank": 2, "total_class": "1 + 2*x1"}]}}
-    for config, count in ((bundle_doc(CP2, "complex", 2, "1 + c1", "projectivize", suffix="f"), 2),
-                          (bundle_doc(inline, "complex", 2, "1 + h", "projectivize"), 1),
-                          (two_stages, 4)):
-        calls.clear()
+    for config, counts in (({"space": {"family": "complex-grassmannian", "k": 2, "n": 4}}, (0, 1)),
+                           (bundle_doc(CP2, "complex", 2, "1 + c1", "projectivize", suffix="f"), (1, 2)),
+                           (bundle_doc(inline, "complex", 2, "1 + h", "projectivize"), (1, 1)),
+                           (two_stages, (2, 3))):
+        fibres.clear()
+        closed_forms.clear()
         cli.build_job(config)
-        assert len(calls) == count
+        assert (len(fibres), len(closed_forms)) == counts
 
 
 @pytest.mark.parametrize(
@@ -941,8 +944,11 @@ def cli_grid() -> list:
 # when tower stages began to refuse a k that their extension does not read,
 # which changed the runs of the five configs with such a stage; and again
 # for the labels of real Grassmannian bundles of odd rank and the sphere
-# messages (72 label and 48 message runs changed, nothing else)
-PINNED_CLI_DIGEST = "5c49f432dd3cdf61930f52541340cbfcd078e202d6153dab4e1ea97d702782cd"
+# messages (72 label and 48 message runs changed, nothing else); and again
+# when presentations began to carry their closed forms, so an odd-Grassmannian
+# bundle with k = 0 or k = n, which is its base ring, prints the base's
+# closed form (24 series runs gained that line, nothing else)
+PINNED_CLI_DIGEST = "4b172be1f407a202131083df5e0fad65b218c05912a02bb6131d07d64ca2371b"
 
 
 def test_bundle_and_tower_jobs_match_pinned_digest(tmp_path, capsys):

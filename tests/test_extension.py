@@ -38,6 +38,7 @@ from flagcohom import (
 )
 from flagcohom import extension
 from flagcohom.algebra import PresentationError
+from flagcohom.catalog import top_degree_of
 from flagcohom.cli import presentation_doc
 from flagcohom.series import ClosedFormSeries
 from flagcohom.verify import _catalog_descriptors
@@ -313,6 +314,40 @@ def test_leray_hirsch_dimensions_product():
         base_series = series_from_ring(base, n)
         fibre_series = closed_form(SpaceDescriptor("complex-grassmannian", k, rank)).truncate(n)
         assert series_from_ring(ring, n) == base_series.convolve(fibre_series)
+
+
+def test_a_bundle_over_a_catalog_base_carries_the_leray_hirsch_closed_form():
+    cp2 = build_ring(SpaceDescriptor("projective-space-complex", 0, 3))
+    s4 = build_ring(SpaceDescriptor("sphere", 0, 2))
+    c1, eb = cp2.gens.gen("c1"), s4.gens.gen("eb")
+    cases = [
+        (BundleData(cp2, "complex", 3, (1 + c1) ** 2), "grassmannian", 1),
+        (BundleData(cp2, "complex", 2, 1 + c1), "projectivize", None),
+        (BundleData(cp2, "complex", 3, 1 + 2 * c1 + c1 ** 2), "flag", None),
+        (BundleData(s4, "oriented", 3, 1 + eb), "sphere", None),
+        (BundleData(s4, "real", 4, 1 + eb), "grassmannian", 2),
+        (BundleData(point_ring(), "complex", 3, 1), "flag", None),
+        (BundleData(point_ring(), "real", 6, 1), "projectivize", None),
+    ]
+    for bundle, ext, k in cases:
+        ring = extend(bundle, ext, k, suffix="f")
+        fibre = closed_form(extension.fibre(ext, bundle.kind, bundle.rank, k))
+        series = ring.presentation.closed_form
+        assert series == bundle.base.presentation.closed_form * fibre, ring.label
+        top = top_degree_of(series)
+        assert series_from_ring(ring, top) == series.truncate(top), ring.label
+        assert QuotientRing(ring.presentation, top + 2).presentation.closed_form == series
+
+
+def test_a_ring_of_unknown_series_has_no_closed_form():
+    cp2 = build_ring(SpaceDescriptor("projective-space-complex", 0, 3))
+    rings = [
+        extend(BundleData(projective_base(2), "complex", 2, 1), "projectivize"),
+        extend(BundleData(point_ring(), "real", 6, 1), "odd-grassmannian", 1),
+        ring_pushout(point_ring(), cp2, build_ring(SpaceDescriptor("sphere", 0, 2)), {}, {}),
+        zero_generators(cp2, ["c1"]),
+    ]
+    assert [ring.presentation.closed_form for ring in rings] == [None] * 4
 
 
 # -- flag bundles -------------------------------------------------------------------
