@@ -660,7 +660,10 @@ class _GroebnerBasis:
         then priority-1 weight; the reduced rows of the ideal's degree-d slice
         over the live columns, sorted by lead, each built once as the sorted
         list `linalg.rref` reads; and the dead monomials, whose unit rows
-        complete them. Returns None when older leads divide every live column."""
+        complete them. Returns None when older leads divide every live column,
+        and at once when the degree has no monomial, so no row to reduce."""
+        if not self.gens.monomial_count(d):
+            return None
         cols = self.gens.monomials_of_degree(d)
         if self.order:
             cols = sorted(cols, key=self.order)

@@ -18,6 +18,7 @@ from .algebra import (
     Generators,
     GradedElement,
     Monomial,
+    PresentationError,
     QuotientRing,
     RingPresentation,
     make_presentation,
@@ -398,9 +399,17 @@ def build_space(space: SpaceDescriptor):
 
 
 def default_cutoff(pres: RingPresentation) -> int:
-    """The larger of the top degree of the presentation's closed form, which
-    must be known, and its highest relation degree."""
-    return max(top_degree_of(pres.closed_form), pres.max_relation_degree())
+    """The larger of the top degree of the presentation's closed form and its
+    highest relation degree; PresentationError when that form is None or a
+    term is no polynomial, as an equivariant ring's: more of its denominator
+    factors 1-t^b than numerator ones 1-t^a hold some Phi_m (m | b, m | a)."""
+    series = pres.closed_form
+    if series is None or any(
+        sum(b % m == 0 for b in t.den) > sum(a % m == 0 for a in t.num)
+        for t in series.terms for b in t.den for m in range(1, b + 1) if b % m == 0
+    ):
+        raise PresentationError(f"{pres.label or 'the ring'} has no polynomial closed form to size a cutoff by")
+    return max(top_degree_of(series), pres.max_relation_degree())
 
 
 def build_ring(space: SpaceDescriptor, cutoff: int | None = None) -> QuotientRing:

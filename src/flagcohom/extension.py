@@ -25,6 +25,7 @@ from .algebra import (
 )
 from .catalog import SpaceDescriptor, build_ring, check_size, fibre_relations, fibre_symbols, top_degree_of
 from .expressions import MAX_TERM_PRODUCTS
+from .series import ClosedFormSeries
 
 ElementLike = GradedElement | str | int
 
@@ -294,14 +295,12 @@ def whitney_complement(
 
 
 def equivariant_base(torus_rank: int, cutoff: int) -> QuotientRing:
-    """The polynomial base ring on degree-2 generators a_1..a_n.
-
-    The ring is infinite dimensional, so the cutoff is mandatory.
-    """
-    if cutoff is None:
-        raise PresentationError("equivariant rings need an explicit cutoff")
+    """The polynomial base ring H_T(pt) on degree-2 generators a_1..a_n, with
+    closed form 1/(1-t^2)^n. It is infinite dimensional, so the cutoff is
+    mandatory: QuotientRing refuses None with a PresentationError."""
     gens = Generators([GeneratorSymbol(f"a{i}", 2) for i in range(1, torus_rank + 1)])
-    pres = make_presentation(gens, (), f"H_T^{torus_rank}(pt)")
+    series = ClosedFormSeries.from_factors(den=(2,) * torus_rank)
+    pres = make_presentation(gens, (), f"H_T^{torus_rank}(pt)", series)
     return QuotientRing(pres, cutoff)
 
 

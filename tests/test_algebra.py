@@ -500,18 +500,26 @@ def test_concurrent_degree_computation_is_safe():
 
 
 def test_degrees_past_the_vanishing_window_build_no_matrix(monkeypatch):
-    steps = []
-    real = algebra._GroebnerBasis.step
+    steps, dead = [], []
+    real, real_dead = algebra._GroebnerBasis.step, algebra._GroebnerBasis._dead
 
     def counting(basis, d):
         steps.append(d)
         return real(basis, d)
 
+    def counting_dead(basis, d):
+        dead.append(d)
+        return real_dead(basis, d)
+
     monkeypatch.setattr(algebra._GroebnerBasis, "step", counting)
+    monkeypatch.setattr(algebra._GroebnerBasis, "_dead", counting_dead)
     # G_2(C^4): zero above degree 8, generators of degree at most 4
     ring = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 40)
     assert ring.dimensions() == ring.dimensions(8) + [0] * 32
     assert steps == list(range(13))
+    # its generators are all even, so an odd degree has no monomial: it is
+    # stepped, and the step returns before looking for dead monomials
+    assert dead == list(range(0, 13, 2))
     # a degree asked for first builds the degrees below it, so the rule
     # applies however the degrees are asked
     steps.clear()

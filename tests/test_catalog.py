@@ -6,17 +6,26 @@ from dataclasses import replace
 import pytest
 
 from flagcohom import (
+    GeneratorSymbol,
+    Generators,
     Monomial,
     SpaceDescriptor,
     build_ring,
     build_space,
     characteristic_basis_monomials,
+    equivariant_base,
+    equivariant_space,
+    make_presentation,
+    point_ring,
+    ring_pushout,
     series_from_ring,
     top_degree,
     verify_space,
 )
 from flagcohom import catalog
-from flagcohom.catalog import VARIANTS, BasisFamily, FamilyPart, default_cutoff
+from flagcohom.algebra import PresentationError
+from flagcohom.catalog import VARIANTS, BasisFamily, FamilyPart, default_cutoff, top_degree_of
+from flagcohom.series import ClosedFormSeries
 from flagcohom.verify import _catalog_descriptors, _independent
 
 from _oracles import monomials, quotient_dimension
@@ -250,6 +259,43 @@ def test_verify_space_reports_offending_degree(monkeypatch):
         monkeypatch.setattr(catalog, "build_space", lambda s, bad=bad: (pres, series, bad))
         failed = [(c.name, c.ok, c.detail) for c in verify_space(space) if not c.ok]
         assert failed == [("G_2(C^4): characteristic family is a basis", False, detail)]
+    # a presentation stating (1+t^2) times its series, top degree 10; the
+    # closed form returned beside it is right, and is not the one read
+    wrong = replace(pres, closed_form=ClosedFormSeries.one_plus(2) * series)
+    monkeypatch.setattr(catalog, "build_space", lambda s: (wrong, series, family))
+    failed = [(c.name, c.ok, c.detail) for c in verify_space(space) if not c.ok]
+    assert failed == [(
+        "G_2(C^4): dimensions match closed form",
+        False,
+        "degrees [2, 4, 6, 8, 10]: engine [1, 2, 1, 1, 0], series [2, 3, 3, 2, 1]",
+    )]
+
+
+def test_default_cutoff_refuses_a_series_it_cannot_size():
+    gens = Generators([GeneratorSymbol("x", 2)])
+    cp2 = build_ring(SpaceDescriptor("projective-space-complex", 0, 3))
+    for pres in (
+        make_presentation(gens, [gens.gen("x") ** 3], "inline"),  # no closed form
+        ring_pushout(point_ring(), cp2, build_ring(SpaceDescriptor("sphere", 0, 2)), {}, {}).presentation,
+        equivariant_base(2, 4).presentation,  # 1/(1-t^2)^2
+        equivariant_space("complex", 3, "flag", cutoff=6).presentation,
+    ):
+        with pytest.raises(PresentationError):
+            default_cutoff(pres)
+
+
+def test_default_cutoff_sizes_every_catalog_space():
+    # the catalog up to n = 5, and the largest G_2 and complete flag that
+    # catalog.MAX_SPACE_SIZE admits: top degrees 256 and 240
+    spaces = list(dict.fromkeys(_catalog_descriptors(5)))
+    assert len(spaces) == 174
+    spaces += [SpaceDescriptor("complex-grassmannian", 2, 66), SpaceDescriptor("complete-flag-complex", 0, 16)]
+    cutoffs = []
+    for space in spaces:
+        pres = build_space(space)[0]
+        cutoffs.append(default_cutoff(pres))
+        assert cutoffs[-1] == max(top_degree_of(pres.closed_form), pres.max_relation_degree())
+    assert cutoffs[-2:] == [256, 240]
 
 
 def test_cp3_verify_dims():

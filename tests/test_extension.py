@@ -396,6 +396,27 @@ def test_flag_bundle_series_product():
 def test_equivariant_base_is_free_polynomial_ring():
     ring = equivariant_base(2, 8)
     assert ring.dimensions(8) == [1, 0, 2, 0, 3, 0, 4, 0, 5]
+    assert ring.presentation.closed_form == ClosedFormSeries.from_factors(den=(2, 2))
+    assert series_from_ring(ring, 8) == ring.presentation.closed_form.truncate(8)
+
+
+@pytest.mark.parametrize(
+    "kind, torus_rank, construction, k",
+    [(kind, r, "flag", None) for kind in ("complex", "real", "oriented") for r in (2, 3)]
+    + [("complex", 3, "grassmannian", 1)],
+)
+def test_equivariant_rings_carry_their_series(kind, torus_rank, construction, k):
+    # 1/(1-t^2)^n times the fibre's series, which the engine's dimensions
+    # match; specializing the a_i to 0 leaves a ring of unknown series
+    cutoff = 10
+    ring = equivariant_space(kind, torus_rank, construction, k, cutoff=cutoff)
+    rank = torus_rank if kind == "complex" else 2 * torus_rank
+    space = extension.fibre(construction, kind, rank, k)
+    series = ClosedFormSeries.from_factors(den=(2,) * torus_rank) * closed_form(space)
+    assert ring.presentation.closed_form == series
+    assert series_from_ring(ring, cutoff) == series.truncate(cutoff)
+    plain = zero_generators(ring, [f"a{i}" for i in range(1, torus_rank + 1)])
+    assert plain.presentation.closed_form is None
 
 
 def test_equivariant_needs_cutoff():
