@@ -19,9 +19,7 @@ from .catalog import (
     SpaceDescriptor,
     build_ring,
     build_space,
-    characteristic_basis_monomials,
     closed_form,
-    top_degree,
 )
 from .extension import (
     BundleData,
@@ -37,7 +35,7 @@ from .extension import (
     zero_generators,
 )
 from .linalg import BACKEND
-from .series import ClosedFormSeries, TruncatedSeries, palindrome_check, series_from_ring
+from .series import ClosedFormSeries, TruncatedSeries, series_from_ring
 from .verify import verify_space
 
 __version__ = "0.1.0"
@@ -63,17 +61,14 @@ __all__ = [
     "bott_tower",
     "build_ring",
     "build_space",
-    "characteristic_basis_monomials",
     "closed_form",
     "equivariant_base",
     "equivariant_space",
     "extend",
     "make_presentation",
-    "palindrome_check",
     "point_ring",
     "ring_pushout",
     "series_from_ring",
-    "top_degree",
     "verify_space",
     "whitney_complement",
     "zero_generators",

@@ -14,15 +14,17 @@ degree-d slice, so they span the slice, and their reduced echelon form is
 the slice's own. Each row is built once, as the sorted column list the
 reduction reads: a multiple u*g of a basis element comes out in column
 order, which multiplying by a monomial keeps. A table holds a row for every
-monomial of its degree over the positions of its basis monomials: a basis
-monomial's unit row or a pivot's primitive reduced row with positive lead.
-Normal forms and products add integer multiples of rows into one list over
-a common lead, grown to the lcm of the leads met, and put the output over
-that lead.
-An element holds integer numerators over one denominator, in lowest terms,
-so a product forms the Koszul product of its factors' numerators, in
-integers, over the product of their denominators, and neither a product
-nor a normal form builds a `Fraction`. `Fraction`s appear only where
+monomial of its degree, as (position, value) pairs over the positions of its
+basis monomials: a basis monomial's unit row or a pivot's primitive reduced
+row with positive lead.
+An element holds integer numerators over one denominator, in lowest terms.
+A product of elements forms the Koszul product of their numerators, in
+integers, over the product of their denominators. A product in a quotient
+forms none: `normal_form(a, b)` adds, for each pair of terms of the two
+factors, the Koszul-signed integer product times the product monomial's row
+into one list per degree over a common lead, grown to the lcm of the leads
+met, and puts the output over that lead times the denominators. Neither a
+product nor a normal form builds a `Fraction`. `Fraction`s appear only where
 coefficients come in and go out.
 
 Zero monomials cost no reduction. A degree-d monomial m is zero in the
@@ -741,12 +743,13 @@ class _GroebnerBasis:
 @dataclass(frozen=True)
 class _DegreeTable:
     basis: tuple[tuple[int, ...], ...]  # exponent vectors in display order
-    # exps -> (lead, positions, values) for every monomial of the degree:
-    # the monomial equals the sum of v/lead times basis[pos]. A basis
-    # monomial's row is (1, (its position,), (1,)); a pivot's is its
-    # reduced row, primitive with positive lead, with its other entries
-    # negated, in column order
-    rows: dict[tuple[int, ...], tuple[int, tuple[int, ...], tuple[int, ...]]]
+    # exps -> (lead, ((position, value), ...)) for every monomial of the
+    # degree: the monomial equals the sum of value/lead times
+    # basis[position]. A basis monomial's row is (1, ((its position, 1),));
+    # a dead monomial's is (1, ()); a pivot's is its reduced row, primitive
+    # with positive lead, with its other entries negated, in column order.
+    # Equal pairs are shared within a table
+    rows: dict[tuple[int, ...], tuple[int, tuple[tuple[int, int], ...]]]
 
 
 # The table of every zero degree, whether reduced or known to vanish, and of
@@ -815,13 +818,16 @@ class QuotientRing:
             return _ZERO_TABLE
         index = {m: i for i, m in enumerate(basis)}
         position = [index.get(m) for m in cols]  # column -> basis position
-        rows = {m: (1, (i,), (1,)) for m, i in index.items()}
+        # equal (position, value) pairs are one tuple across the table's rows,
+        # which keeps a table smaller than separate position and value tuples
+        shared: dict[tuple[int, int], tuple[int, int]] = {}
+        rows = {m: (1, (shared.setdefault((i, 1), (i, 1)),)) for m, i in index.items()}
         # the pivots' rows in column order; a column with no basis position and
         # no reduced row is dead, and its row is its unit row: lead 1, no tail
         for m, i in zip(cols, position):
             if i is None:
                 (_, lead), *rest = pivots.get(m, ((None, 1),))
-                rows[m] = (lead, tuple([position[c] for c, _ in rest]), tuple([-v for _, v in rest]))
+                rows[m] = (lead, tuple([shared.setdefault(p, p) for p in [(position[c], -v) for c, v in rest]]))
         return _DegreeTable(basis, rows)
 
     # -- public queries ----------------------------------------------------
@@ -837,25 +843,37 @@ class QuotientRing:
         """Monomials whose residues form a basis of the degree-d component."""
         return tuple(Monomial(self.gens, e) for e in self._table(d).basis)
 
-    def normal_form(self, element: GradedElement) -> GradedElement:
-        """The canonical representative of `element`, supported on basis
-        monomials.
+    def normal_form(self, element: GradedElement, other: GradedElement | None = None) -> GradedElement:
+        """The canonical representative of `element * other`, or of `element`
+        when `other` is None, supported on basis monomials.
 
-        The numerators are reduced one degree at a time, in increasing
-        degree. In a degree, each monomial adds integer multiples of its
-        row's values at the row's positions into one list over a common
-        lead, first rescaling the list to the lcm of the two leads when its
-        row's lead does not divide the common one. The lists, over the lcm
-        of their leads times the input's denominator, are the output.
+        Each factor's integer terms are split by degree once. The product is
+        reduced one degree at a time, in increasing degree, without forming
+        it: each pair of terms, one from each factor, adds its Koszul-signed
+        integer product times its product monomial's row into one list over
+        a common lead, first rescaling the list to the lcm of the two leads
+        when the row's lead does not divide the common one. The lists, over
+        the lcm of their leads times the factors' denominators, are the
+        output. A degree past the cutoff raises unless its part of the
+        product cancels.
         """
-        element = element.reindex(self.gens)
-        degrees = self.gens.degrees
-        by_degree: dict[int, list] = {}
-        for term in element.nums.items():
-            by_degree.setdefault(sum(map(mul, term[0], degrees)), []).append(term)
+        gens = self.gens
+        degrees, odd = gens.degrees, gens._odd
+        if other is None:
+            other = GradedElement(gens, {(0,) * len(degrees): 1})
+        fa, fb = {}, {}
+        for el, split in ((element, fa), (other, fb)):
+            for term in _koszul_terms(odd, el.reindex(gens).nums.items()):
+                split.setdefault(sum(map(mul, term[0], degrees)), []).append(term)
         # (basis, sum of the rows, their common lead) per nonzero degree
         parts = []
-        for d in sorted(by_degree):
+        for d in sorted({da + db for da in fa for db in fb}):
+            pairs = [(ta, fb[d - da]) for da, ta in fa.items() if d - da in fb]
+            if d > self.cutoff:
+                # past the cutoff, only a degree whose part cancels passes
+                if gens._sum(_lowest(gens, _koszul_product(ta, tb), 1) for ta, tb in pairs).nums:
+                    raise CutoffExceededError(f"degree {d} exceeds cutoff {self.cutoff}")
+                continue
             table = self._table(d)
             basis = table.basis
             if not basis:
@@ -864,25 +882,34 @@ class QuotientRing:
             # the sum of the rows so far, times their common lead
             acc = [0] * len(basis)
             common = 1
-            for exps, n in by_degree[d]:
-                lead, positions, values = rows[exps]
-                if common % lead:
-                    scale = lcm(common, lead) // common
-                    acc = [v * scale for v in acc]
-                    common *= scale
-                n *= common // lead
-                for i, v in zip(positions, values):
-                    acc[i] += n * v
+            for ta, tb in pairs:
+                for ea, na, odd_a in ta:
+                    for eb, nb, odd_b in tb:
+                        n = na * nb
+                        if odd_a and odd_b:
+                            n *= _koszul_sign(ea, odd_a, odd_b)
+                            if not n:
+                                continue
+                        lead, entries = rows[tuple(map(add, ea, eb))]
+                        if lead != common:
+                            if common % lead:
+                                scale = lcm(common, lead) // common
+                                acc = [v * scale for v in acc]
+                                common *= scale
+                            n *= common // lead
+                        for i, v in entries:
+                            acc[i] += n * v
             parts.append((basis, acc, common))
         top = lcm(*(common for _, _, common in parts))
         out: dict[tuple[int, ...], int] = {}
         for basis, acc, common in parts:
             out.update(zip(basis, acc if common == top else [v * (top // common) for v in acc]))
-        return _lowest(self.gens, out, top * element.den)
+        return _lowest(gens, out, top * element.den * other.den)
 
     def is_zero(self, element: GradedElement) -> bool:
         return self.normal_form(element).is_zero
 
     def multiply(self, a: GradedElement, b: GradedElement) -> GradedElement:
-        """The normal form of a * b."""
-        return self.normal_form(a.reindex(self.gens) * b.reindex(self.gens))
+        """The normal form of a * b: one `normal_form` call, which forms no
+        product element."""
+        return self.normal_form(a, b)

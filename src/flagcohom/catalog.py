@@ -183,12 +183,6 @@ class BasisFamily:
                 return True
         return False
 
-    def all_monomials(self, upto: int) -> list[Monomial]:
-        out: list[Monomial] = []
-        for d in range(upto + 1):
-            out.extend(self.monomials_of_degree(d))
-        return out
-
 
 def _unit(width: int) -> tuple[int, ...]:
     return (0,) * width
@@ -206,11 +200,6 @@ def top_degree_of(series: ClosedFormSeries) -> int:
     coefficients, so no leading term cancels and the degree is the largest
     degree of a term."""
     return max(t.shift + sum(t.num) - sum(t.den) for t in series.terms)
-
-
-def top_degree(space: SpaceDescriptor) -> int:
-    """The top degree of the space's closed form."""
-    return top_degree_of(closed_form(space))
 
 
 def check_size(space: SpaceDescriptor) -> ClosedFormSeries:
@@ -415,11 +404,3 @@ def default_cutoff(pres: RingPresentation) -> int:
 def build_ring(space: SpaceDescriptor, cutoff: int | None = None) -> QuotientRing:
     pres, _, _ = build_space(space)
     return QuotientRing(pres, default_cutoff(pres) if cutoff is None else cutoff)
-
-
-def characteristic_basis_monomials(space: SpaceDescriptor, degree: int) -> tuple[Monomial, ...]:
-    """The space's characteristic monomial family in one degree."""
-    _, _, family = build_space(space)
-    if family is None:
-        raise ValueError(f"{space.label} has no stated characteristic basis family")
-    return family.monomials_of_degree(degree)

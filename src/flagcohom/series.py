@@ -47,14 +47,6 @@ class TruncatedSeries:
         return ", ".join(str(c) for c in self.coefficients)
 
 
-def palindrome_check(series: TruncatedSeries, top: int) -> bool:
-    """True iff a_d = a_(top-d) for all d (Poincare-duality shape)."""
-    if top > series.cutoff:
-        raise ValueError(f"top degree {top} exceeds the truncation {series.cutoff}")
-    coeffs = series.coefficients
-    return all(coeffs[d] == coeffs[top - d] for d in range(top + 1))
-
-
 @dataclass(frozen=True)
 class _Term:
     coeff: int

@@ -27,12 +27,11 @@ from flagcohom import (
     point_ring,
     ring_pushout,
     series_from_ring,
-    top_degree,
     whitney_complement,
     zero_generators,
 )
 from flagcohom import TowerStage
-from flagcohom.catalog import ORIENTED_K_RANGE, VARIANTS
+from flagcohom.catalog import ORIENTED_K_RANGE, VARIANTS, top_degree_of
 from flagcohom.series import ClosedFormSeries
 from flagcohom.verify import verify_space
 
@@ -81,7 +80,7 @@ def test_criterion_2_complex_characteristic_basis():
             desc = SpaceDescriptor("complex-grassmannian", k, n)
             r = ring("complex-grassmannian", k, n)
             family = build_space(desc)[2]
-            for d in range(top_degree(desc) + 1):
+            for d in range(top_degree_of(closed_form(desc)) + 1):
                 monos = family.monomials_of_degree(d)
                 assert len(monos) == r.dimension(d), (k, n, d)
                 assert _independent(r, monos), (k, n, d)
@@ -114,7 +113,7 @@ def test_criterion_4_oriented_even():
                     continue
                 desc = SpaceDescriptor("oriented-grassmannian", k, n, variant)
                 r = ring("oriented-grassmannian", k, n, variant)
-                top = top_degree(desc)
+                top = top_degree_of(closed_form(desc))
                 expected = closed_form(desc).truncate(top)
                 assert dims(r, top) == list(expected.coefficients), (k, n, variant)
                 for rel in r.presentation.relations:
@@ -155,7 +154,7 @@ def test_criterion_5_worked_examples():
         display = ClosedFormSeries.one_plus(2 * n - 2) * ClosedFormSeries.from_factors(
             num=(4 * n,), den=(4,)
         )
-        top = top_degree(SpaceDescriptor("oriented-grassmannian", 1, n, "odd-odd"))
+        top = top_degree_of(closed_form(SpaceDescriptor("oriented-grassmannian", 1, n, "odd-odd")))
         assert dims(r, top) == list(display.truncate(top).coefficients), n
 
 

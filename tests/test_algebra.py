@@ -454,8 +454,8 @@ def rewrite_items(table):
     in the table's row order; the basis monomials' unit rows are skipped."""
     basis, units = table.basis, set(table.basis)
     return [
-        (pivot, (lead, tuple((basis[i], v) for i, v in zip(positions, values))))
-        for pivot, (lead, positions, values) in table.rows.items()
+        (pivot, (lead, tuple((basis[i], v) for i, v in entries)))
+        for pivot, (lead, entries) in table.rows.items()
         if pivot not in units
     ]
 
@@ -825,7 +825,7 @@ def test_pruned_tables_match_dense_reference(monkeypatch):
     @given(sparse_presentations())
     def check(presentation):
         for table in tables_matching_dense_reference(*presentation):
-            seen["zero pivots"] += sum(1 for _, positions, _ in table.rows.values() if not positions)
+            seen["zero pivots"] += sum(1 for _, entries in table.rows.values() if not entries)
 
     check()
     assert seen["dead"] and seen["zero pivots"], seen
@@ -997,8 +997,8 @@ def test_a_term_past_the_cutoff_raises_on_every_call():
 
 @pytest.mark.parametrize("name", list(EQUIVALENCE_RINGS))
 def test_integer_products_match_the_normal_form_of_the_fraction_product(name):
-    # multiply forms the Koszul product in integers and divides once inside
-    # normal_form; the path it replaced is the normal form of the Fraction
+    # multiply reduces the pairs of terms of its factors straight into the
+    # tables; the path it replaced is the normal form of the Fraction
     # product a * b
     ring, _ = ring_and_reference(name)
     gens, half = ring.gens, ring.cutoff // 2
@@ -1017,7 +1017,7 @@ def test_integer_products_match_the_normal_form_of_the_fraction_product(name):
         for universe, integer in ((gens, False), (gens, True), (sub, False)):
             a, b = element(universe, integer), element(universe, integer)
             expected = ring.normal_form(a.reindex(gens) * b.reindex(gens))
-            assert ring.multiply(a, b) == expected
+            assert ring.multiply(a, b) == expected == ring.normal_form(a, b)
             assert ring.multiply(a, gens.zero()).is_zero and ring.multiply(gens.zero(), b).is_zero
 
     # the degree-8 terms of (r + s)^2 cancel, so the product is 0 at cutoff 6;
@@ -1027,6 +1027,29 @@ def test_integer_products_match_the_normal_form_of_the_fraction_product(name):
     assert ring.multiply(r + s, r + s).is_zero
     with pytest.raises(CutoffExceededError, match="^degree 8 exceeds cutoff 6$"):
         ring.multiply(r, s)
+    # inhomogeneous factors: the degree-8 part cancels, the lower parts survive
+    for x, y in ((1 + r + s, 3 + r + s), (r + s - 2, r + s), (1 + r + s, r + s)):
+        assert ring.multiply(x, y) == ring.normal_form(x * y) == ring.normal_form(x, y)
+    assert ring.multiply(1 + r + s, 3 + r + s) == 3 + 4 * r + 4 * s
+    # a part past the cutoff that survives raises the message of the normal
+    # form of the product, for its lowest such degree: degree 8 of -2*r*s,
+    # degree 10 of (r + s)(r + s + a*r) = -a*r*s, whose degree-8 part
+    # cancels, and degree 7 of a^2*r, below the surviving -a*r*s
+    a = ring.gens.gen("a")
+    for x, y, d in ((1 + r + s, r - s, 8), (r + s, r + s + a * r, 10), (a + r + s, 1 + a * r, 7)):
+        for product in (lambda: ring.multiply(x, y), lambda: ring.normal_form(x * y)):
+            with pytest.raises(CutoffExceededError, match=f"^degree {d} exceeds cutoff 6$"):
+                product()
+
+    # components in the zero degrees 6, 8 and 10 of Q[c1]/(c1^3)
+    gens = Generators([GeneratorSymbol("c1", 2)])
+    c1 = gens.gen("c1")
+    ring = QuotientRing(make_presentation(gens, [c1**3]), 10)
+    for x, y in ((c1 + 2 * c1**3, 1 + c1**2), (c1**3 + 1, c1**2 - c1), (c1**3, c1**2)):
+        assert ring.multiply(x, y) == ring.normal_form(x * y) == ring.normal_form(x, y)
+    assert ring.multiply(c1 + 2 * c1**3, 1 + c1**2) == c1
+    assert ring.multiply(c1**3 + 1, c1**2 - c1) == c1**2 - c1
+    assert ring.multiply(c1**3, c1**2).is_zero
 
 
 def seeded_element(rng, ring, d, size):
@@ -1048,11 +1071,11 @@ def seeded_element(rng, ring, d, size):
 )
 def test_products_in_warm_tables_make_one_normal_form_and_no_reduction(make, monkeypatch):
     # the read side of the product benchmark: once every table is built, a
-    # product is one normal form of the Koszul product, with no table or
-    # row reduction
+    # product is one normal form, with no table or row reduction, and builds
+    # no product element
     ring = make()
     ring.dimensions()
-    calls = {"normal_form": 0, "table": 0, "rref": 0}
+    calls = {"normal_form": 0, "table": 0, "rref": 0, "koszul_product": 0, "mul": 0}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -1064,6 +1087,8 @@ def test_products_in_warm_tables_make_one_normal_form_and_no_reduction(make, mon
     monkeypatch.setattr(QuotientRing, "normal_form", counted("normal_form", QuotientRing.normal_form))
     monkeypatch.setattr(QuotientRing, "_compute_table", counted("table", QuotientRing._compute_table))
     monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+    monkeypatch.setattr(algebra, "_koszul_product", counted("koszul_product", algebra._koszul_product))
+    monkeypatch.setattr(algebra.GradedElement, "__mul__", counted("mul", algebra.GradedElement.__mul__))
     rng = random.Random(12)
     degrees = [d for d in range(1, ring.cutoff + 1) if len(ring.gens.monomials_of_degree(d)) >= 2]
     pairs = [(a, b) for a in degrees for b in degrees if a <= b and a + b <= ring.cutoff]

@@ -13,10 +13,9 @@ from flagcohom import (
     TruncatedSeries,
     build_ring,
     closed_form,
-    palindrome_check,
     series_from_ring,
-    top_degree,
 )
+from flagcohom.catalog import top_degree_of
 from flagcohom.verify import _catalog_descriptors
 
 from _oracles import complex_grassmannian_dims, expand_factors
@@ -123,7 +122,7 @@ def test_closed_forms_match_pinned_digest():
     for space in spaces:
         series = closed_form(space)
         terms = [[t.coeff, t.shift, list(t.num), list(t.den)] for t in series.terms]
-        records.append([space.label, str(series), terms, top_degree(space)])
+        records.append([space.label, str(series), terms, top_degree_of(series)])
     assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == PINNED_CLOSED_FORMS
 
 
@@ -256,15 +255,6 @@ def test_ring_series_start_at_one_with_nonnegative_coefficients():
         ring = build_ring(desc)
         ts = series_from_ring(ring, ring.cutoff)
         assert ts[0] == 1 and all(c >= 0 for c in ts.coefficients)
-
-
-def test_palindrome_check():
-    g24 = grassmannian(2, 4).truncate(8)
-    assert palindrome_check(g24, 8)
-    assert not palindrome_check(TruncatedSeries((1, 0, 1, 0, 0)), 4)
-    assert palindrome_check(TruncatedSeries((1,)), 0)
-    with pytest.raises(ValueError):
-        palindrome_check(TruncatedSeries((1, 1)), 5)
 
 
 def test_convolve_requires_enough_coefficients():
