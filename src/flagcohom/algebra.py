@@ -14,18 +14,20 @@ degree-d slice, so they span the slice, and their reduced echelon form is
 the slice's own. Each row is built once, as the sorted column list the
 reduction reads: a multiple u*g of a basis element comes out in column
 order, which multiplying by a monomial keeps. A table holds a row for every
-monomial of its degree, as (position, value) pairs over the positions of its
-basis monomials: a basis monomial's unit row or a pivot's primitive reduced
-row with positive lead.
+monomial of its degree, keyed by the ring's packed key of the monomial, as
+(position, value) pairs over the positions of its basis monomials: a basis
+monomial's unit row or a pivot's primitive reduced row with positive lead.
+The packed key is one integer per monomial, linear in its exponents, so the
+key of a product of monomials within the cutoff is the sum of their keys.
 An element holds integer numerators over one denominator, in lowest terms.
 A product of elements forms the Koszul product of their numerators, in
 integers, over the product of their denominators. A product in a quotient
-forms none: `normal_form(a, b)` adds, for each pair of terms of the two
-factors, the Koszul-signed integer product times the product monomial's row
-into one list per degree over a common lead, grown to the lcm of the leads
-met, and puts the output over that lead times the denominators. Neither a
-product nor a normal form builds a `Fraction`. `Fraction`s appear only where
-coefficients come in and go out.
+forms none: `normal_form(a, b)` keys each term of the two factors once and
+adds, for each pair of terms, the Koszul-signed integer product times the
+row at the sum of their keys into one list per degree over a common lead,
+grown to the lcm of the leads met, and puts the output over that lead times
+the denominators. Neither a product nor a normal form builds a `Fraction`.
+`Fraction`s appear only where coefficients come in and go out.
 
 Zero monomials cost no reduction. A degree-d monomial m is zero in the
 quotient when m/x is, for some generator x of m: m is plus or minus x
@@ -743,13 +745,14 @@ class _GroebnerBasis:
 @dataclass(frozen=True)
 class _DegreeTable:
     basis: tuple[tuple[int, ...], ...]  # exponent vectors in display order
-    # exps -> (lead, ((position, value), ...)) for every monomial of the
-    # degree: the monomial equals the sum of value/lead times
+    # key -> (lead, ((position, value), ...)) for every monomial of the
+    # degree, by the ring's packed key (`QuotientRing._key`) of its
+    # exponents: the monomial equals the sum of value/lead times
     # basis[position]. A basis monomial's row is (1, ((its position, 1),));
     # a dead monomial's is (1, ()); a pivot's is its reduced row, primitive
     # with positive lead, with its other entries negated, in column order.
     # Equal pairs are shared within a table
-    rows: dict[tuple[int, ...], tuple[int, tuple[tuple[int, int], ...]]]
+    rows: dict[int, tuple[int, tuple[tuple[int, int], ...]]]
 
 
 # The table of every zero degree, whether reduced or known to vanish, and of
@@ -766,14 +769,21 @@ class QuotientRing:
     """
 
     def __init__(self, presentation: RingPresentation, cutoff: int):
-        if cutoff is None or cutoff < 0:
-            raise PresentationError("a nonnegative cutoff degree is required")
+        if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
+            raise PresentationError(f"a nonnegative integer cutoff degree is required, got {cutoff!r}")
         self.presentation = presentation
         self.cutoff = cutoff
         self._tables: list[_DegreeTable] = []  # indexed by degree
         self._lock = threading.Lock()
         self._basis = _GroebnerBasis(presentation, cutoff)
-        self._max_gen_degree = max(presentation.generators.degrees, default=0)
+        degrees = presentation.generators.degrees
+        self._max_gen_degree = max(degrees, default=0)
+        # a monomial's packed key sum(e_i * w_i) holds exponent i in a field
+        # wide enough for it within the cutoff, and the degree above them all.
+        # An overflow carries upward, so a key whose degree is in range is exact
+        widths = [(cutoff // g).bit_length() for g in degrees]
+        self._shift = shift = sum(widths)
+        self._weights = tuple((1 << sum(widths[:i])) + (g << shift) for i, g in enumerate(degrees))
 
     @property
     def gens(self) -> Generators:
@@ -786,6 +796,13 @@ class QuotientRing:
     def __repr__(self) -> str:
         name = self.label or self.presentation.describe()
         return f"QuotientRing({name}, cutoff={self.cutoff})"
+
+    def _key(self, exps: Sequence[int]) -> int:
+        return sum(map(mul, exps, self._weights))
+
+    def _row(self, exps: Sequence[int]) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """A monomial's row (lead, ((position, value), ...)) in its degree's nonzero table."""
+        return self._table(self.gens.monomial_degree(exps)).rows[self._key(exps)]
 
     def _table(self, d: int) -> _DegreeTable:
         if d < 0:
@@ -821,13 +838,14 @@ class QuotientRing:
         # equal (position, value) pairs are one tuple across the table's rows,
         # which keeps a table smaller than separate position and value tuples
         shared: dict[tuple[int, int], tuple[int, int]] = {}
-        rows = {m: (1, (shared.setdefault((i, 1), (i, 1)),)) for m, i in index.items()}
+        key = self._key
+        rows = {key(m): (1, (shared.setdefault((i, 1), (i, 1)),)) for m, i in index.items()}
         # the pivots' rows in column order; a column with no basis position and
         # no reduced row is dead, and its row is its unit row: lead 1, no tail
         for m, i in zip(cols, position):
             if i is None:
                 (_, lead), *rest = pivots.get(m, ((None, 1),))
-                rows[m] = (lead, tuple([shared.setdefault(p, p) for p in [(position[c], -v) for c, v in rest]]))
+                rows[key(m)] = (lead, tuple([shared.setdefault(p, p) for p in [(position[c], -v) for c, v in rest]]))
         return _DegreeTable(basis, rows)
 
     # -- public queries ----------------------------------------------------
@@ -847,32 +865,37 @@ class QuotientRing:
         """The canonical representative of `element * other`, or of `element`
         when `other` is None, supported on basis monomials.
 
-        Each factor's integer terms are split by degree once. The product is
-        reduced one degree at a time, in increasing degree, without forming
-        it: each pair of terms, one from each factor, adds its Koszul-signed
-        integer product times its product monomial's row into one list over
-        a common lead, first rescaling the list to the lcm of the two leads
-        when the row's lead does not divide the common one. The lists, over
-        the lcm of their leads times the factors' denominators, are the
-        output. A degree past the cutoff raises unless its part of the
-        product cancels.
+        Each factor's integer terms are keyed and split by degree once. The
+        product is reduced one degree at a time, in increasing degree,
+        without forming it: each pair of terms, one from each factor, adds
+        its Koszul-signed integer product times the row at the sum of their
+        keys into one list over a common lead, first rescaling the list to
+        the lcm of the two leads when the row's lead does not divide the
+        common one. The lists' nonzero entries, over the lcm of their leads
+        times the factors' denominators, are the output. A degree past the
+        cutoff raises unless its part of the product, formed over the
+        exponent vectors, cancels.
         """
-        gens = self.gens
-        degrees, odd = gens.degrees, gens._odd
+        gens, cutoff, shift, weights, odd = self.gens, self.cutoff, self._shift, self._weights, self.gens._odd
         if other is None:
-            other = GradedElement(gens, {(0,) * len(degrees): 1})
+            other = GradedElement(gens, {(0,) * len(weights): 1})
+        # each factor's terms (key, n, odd indices present, exps) by degree; a
+        # key whose degree reads past the cutoff may carry, so is not trusted
         fa, fb = {}, {}
         for el, split in ((element, fa), (other, fb)):
-            for term in _koszul_terms(odd, el.reindex(gens).nums.items()):
-                split.setdefault(sum(map(mul, term[0], degrees)), []).append(term)
+            for e, n in el.reindex(gens).nums.items():
+                k = sum(map(mul, e, weights))
+                d = k >> shift if k >> shift <= cutoff else gens.monomial_degree(e)
+                split.setdefault(d, []).append((k, n, [i for i in odd if e[i]] if odd else (), e))
         # (basis, sum of the rows, their common lead) per nonzero degree
         parts = []
         for d in sorted({da + db for da in fa for db in fb}):
             pairs = [(ta, fb[d - da]) for da, ta in fa.items() if d - da in fb]
-            if d > self.cutoff:
+            if d > cutoff:
                 # past the cutoff, only a degree whose part cancels passes
-                if gens._sum(_lowest(gens, _koszul_product(ta, tb), 1) for ta, tb in pairs).nums:
-                    raise CutoffExceededError(f"degree {d} exceeds cutoff {self.cutoff}")
+                exps_terms = [[[(e, n, o) for _, n, o, e in t] for t in ab] for ab in pairs]
+                if gens._sum(_lowest(gens, _koszul_product(*ab), 1) for ab in exps_terms).nums:
+                    raise CutoffExceededError(f"degree {d} exceeds cutoff {cutoff}")
                 continue
             table = self._table(d)
             basis = table.basis
@@ -883,14 +906,14 @@ class QuotientRing:
             acc = [0] * len(basis)
             common = 1
             for ta, tb in pairs:
-                for ea, na, odd_a in ta:
-                    for eb, nb, odd_b in tb:
+                for ka, na, odd_a, ea in ta:
+                    for kb, nb, odd_b, _ in tb:
                         n = na * nb
                         if odd_a and odd_b:
                             n *= _koszul_sign(ea, odd_a, odd_b)
                             if not n:
                                 continue
-                        lead, entries = rows[tuple(map(add, ea, eb))]
+                        lead, entries = rows[ka + kb]
                         if lead != common:
                             if common % lead:
                                 scale = lcm(common, lead) // common
@@ -900,11 +923,17 @@ class QuotientRing:
                         for i, v in entries:
                             acc[i] += n * v
             parts.append((basis, acc, common))
+        # the nonzero entries over one lead times the denominators, in lowest terms
         top = lcm(*(common for _, _, common in parts))
         out: dict[tuple[int, ...], int] = {}
         for basis, acc, common in parts:
-            out.update(zip(basis, acc if common == top else [v * (top // common) for v in acc]))
-        return _lowest(gens, out, top * element.den * other.den)
+            scale = top // common
+            out.update({m: v * scale for m, v in zip(basis, acc) if v})
+        den = top * element.den * other.den
+        g = gcd(den, *out.values())
+        if g != 1:
+            out = {m: v // g for m, v in out.items()}
+        return GradedElement(gens, out, den // g)
 
     def is_zero(self, element: GradedElement) -> bool:
         return self.normal_form(element).is_zero

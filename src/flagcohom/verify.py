@@ -91,7 +91,7 @@ def _independent(ring: QuotientRing, monomials) -> bool:
     table = ring._table(monomials[0].degree)
     if not table.basis:
         return False
-    rows = [sorted(table.rows[mono.exps][1]) for mono in monomials]
+    rows = [sorted(ring._row(mono.exps)[1]) for mono in monomials]
     return linalg.rank(rows) == len(monomials)
 
 

@@ -373,6 +373,12 @@ def test_degree_basis_beyond_cutoff_raises():
         ring.normal_form(ring.gens.gen("c1") ** 4)
 
 
+@pytest.mark.parametrize("cutoff", [2.5, "4", None, True, -1])
+def test_a_cutoff_that_is_not_a_nonnegative_int_is_refused(cutoff):
+    with pytest.raises(PresentationError, match=f"^a nonnegative integer cutoff degree is required, got {cutoff!r}$"):
+        QuotientRing(cp_ring(2).presentation, cutoff)
+
+
 def test_is_zero_of_zero_element():
     ring = cp_ring(2)
     assert ring.is_zero(ring.gens.zero())
@@ -449,22 +455,27 @@ def test_normal_form_is_multiplicative(data):
     assert nf(nf(a)) == nf(a)
 
 
-def rewrite_items(table):
-    """A table's pivot rows as (pivot, (lead, ((basis monomial, v), ...))),
-    in the table's row order; the basis monomials' unit rows are skipped."""
+def rewrite_items(ring, d):
+    """Degree d's pivot rows as (pivot, (lead, ((basis monomial, v), ...))),
+    in the table's row order, each row's key mapped back to its monomial;
+    the basis monomials' unit rows are skipped."""
+    table = ring._table(d)
+    if not table.rows:
+        return []
+    monomial = {ring._key(m): m for m in ring.gens.monomials_of_degree(d)}
     basis, units = table.basis, set(table.basis)
     return [
-        (pivot, (lead, tuple((basis[i], v) for i, v in entries)))
-        for pivot, (lead, entries) in table.rows.items()
-        if pivot not in units
+        (monomial[key], (lead, tuple((basis[i], v) for i, v in entries)))
+        for key, (lead, entries) in table.rows.items()
+        if monomial[key] not in units
     ]
 
 
-def fraction_rewrite(table):
-    """A table's integer rewrite rows as pivot -> {basis monomial: Fraction}."""
+def fraction_rewrite(ring, d):
+    """Degree d's integer rewrite rows as pivot -> {basis monomial: Fraction}."""
     return {
         pivot: {b: Fraction(v, lead) for b, v in entries}
-        for pivot, (lead, entries) in rewrite_items(table)
+        for pivot, (lead, entries) in rewrite_items(ring, d)
     }
 
 
@@ -473,7 +484,7 @@ def test_per_degree_tables_are_deterministic():
     r1, r2 = build_ring(desc), build_ring(desc)
     for d in range(0, 12, 2):
         assert [m.exps for m in r1.degree_basis(d)] == [m.exps for m in r2.degree_basis(d)]
-        assert fraction_rewrite(r1._table(d)) == fraction_rewrite(r2._table(d))
+        assert fraction_rewrite(r1, d) == fraction_rewrite(r2, d)
 
 
 def test_concurrent_degree_computation_is_safe():
@@ -496,7 +507,7 @@ def test_concurrent_degree_computation_is_safe():
     assert dims == [reference.dimension(d) for d in degrees]
     for d in range(ring.cutoff + 1):
         assert ring._table(d).basis == reference._table(d).basis
-        assert fraction_rewrite(ring._table(d)) == fraction_rewrite(reference._table(d))
+        assert fraction_rewrite(ring, d) == fraction_rewrite(reference, d)
 
 
 def test_degrees_past_the_vanishing_window_build_no_matrix(monkeypatch):
@@ -712,7 +723,7 @@ def test_tables_match_dense_reference_past_the_vanishing_window():
             table = ring._table(d)
             assert set(table.basis) == basis, (pres.label, d)
             if basis:
-                assert fraction_rewrite(table) == rewrite, (pres.label, d)
+                assert fraction_rewrite(ring, d) == rewrite, (pres.label, d)
             for m in monomials(degrees, d):
                 expected = rewrite.get(m, {m: 1}) if basis else {}
                 assert ring.normal_form(gens.element({m: 1})).terms == expected, (pres.label, m)
@@ -738,7 +749,7 @@ def test_tables_match_pinned_digest():
         tables = {d: ring._table(d) for d in reversed(range(ring.cutoff + 1))}
         for d in range(ring.cutoff + 1):
             table = tables[d]
-            digest.update(repr((ring.label, d, table.basis, rewrite_items(table))).encode())
+            digest.update(repr((ring.label, d, table.basis, rewrite_items(ring, d))).encode())
     assert digest.hexdigest() == PINNED_TABLES
 
 
@@ -775,7 +786,7 @@ def tables_matching_dense_reference(symbols, relations, cutoff=10):
         table = ring._table(d)
         assert set(table.basis) == basis, d
         if basis:
-            assert fraction_rewrite(table) == rewrite, d
+            assert fraction_rewrite(ring, d) == rewrite, d
         tables.append(table)
     return tables
 
@@ -1050,6 +1061,32 @@ def test_integer_products_match_the_normal_form_of_the_fraction_product(name):
     assert ring.multiply(c1 + 2 * c1**3, 1 + c1**2) == c1
     assert ring.multiply(c1**3 + 1, c1**2 - c1) == c1**2 - c1
     assert ring.multiply(c1**3, c1**2).is_zero
+
+    # the packed key at its limits. At cutoff 14, x^7 fills x's 3-bit field
+    # and y^3 fills y's 2-bit one; past the cutoff an exponent overflows its
+    # field, and y's carries into the degree. Without relations the normal
+    # form of a product is the product
+    gens = Generators([GeneratorSymbol("x", 2), GeneratorSymbol("r", 3), GeneratorSymbol("s", 3), GeneratorSymbol("y", 4)])
+    x, r, s, y = (gens.gen(n) for n in gens.names)
+    ring = QuotientRing(make_presentation(gens, []), 14)
+    monos = [gens.element({m: 1}) for d in range(15) for m in gens.monomials_of_degree(d)]
+    for m, n in itertools.product(monos, monos):
+        if m.degree() + n.degree() <= 14:
+            assert ring.multiply(m, n) == m * n == ring.normal_form(m, n), (m, n)
+    assert ring.multiply(x**3, x**4) == x**7 and ring.multiply(y, y**2) == y**3
+    assert ring.multiply(r, s) == -ring.multiply(s, r) == r * s != 0
+    # factor terms past twice the cutoff: p = x^13*(r + s) squares to zero,
+    # so (1 + p)(p - 1) is -1 and (p + y)(p - y) is -y^2; a part that
+    # survives names its true degree, 32 for y^8, whose key's degree field
+    # reads 34
+    p = x**13 * (r + s)
+    for a, b in ((1 + p, p - 1), (p, p), (p + y, p - y)):
+        assert ring.multiply(a, b) == ring.normal_form(a * b) == ring.normal_form(a, b)
+    assert ring.multiply(1 + p, p - 1) == -1 and ring.multiply(p + y, p - y) == -y**2
+    for a, b, d in ((p, x, 31), (y**8, 1 + x, 32), (x + y**4, x**7, 16), (y**8 * r, s, 38)):
+        for product in (lambda: ring.multiply(a, b), lambda: ring.normal_form(a * b)):
+            with pytest.raises(CutoffExceededError, match=f"^degree {d} exceeds cutoff 14$"):
+                product()
 
 
 def seeded_element(rng, ring, d, size):
