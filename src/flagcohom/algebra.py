@@ -17,8 +17,14 @@ order, which multiplying by a monomial keeps. A table holds a row for every
 monomial of its degree, keyed by the ring's packed key of the monomial, as
 (position, value) pairs over the positions of its basis monomials: a basis
 monomial's unit row or a pivot's primitive reduced row with positive lead.
-The packed key is one integer per monomial, linear in its exponents, so the
-key of a product of monomials within the cutoff is the sum of their keys.
+The packed key is one integer per monomial, linear in its exponents. Its
+bit fields, from the top down, are the degree, the priority-2 and the
+priority-1 weight (each only when some generator has that priority) and the
+exponents, generator 0 highest, each one guard bit wider than its largest
+value within the cutoff. So the key of a product of monomials within the
+cutoff is the sum of their keys, a degree's descending keys are its column
+order, and divisibility is one subtraction that clears no guard bit. The
+Gröbner step enumerates, reduces and hands the tables keys alone.
 An element holds integer numerators over one denominator, in lowest terms.
 A product of elements forms the Koszul product of their numerators, in
 integers, over the product of their denominators. A product in a quotient
@@ -52,7 +58,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, ge, mul, sub
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import linalg
@@ -208,11 +214,7 @@ class Generators:
         """All exponent vectors of total degree d, in display order."""
         cached = self._mono_cache.get(d)
         if cached is None:
-            count = self.monomial_count(d)
-            if count > MAX_DEGREE_MONOMIALS:
-                raise TooManyMonomialsError(
-                    f"degree {d} has {count} monomials, more than the limit {MAX_DEGREE_MONOMIALS}"
-                )
+            count = self._enumerable_count(d)
             out: list[tuple[int, ...]] = []
             degs, n = self.degrees, len(self.degrees)
             caps = [1 if i in self._odd else d for i in range(n)]
@@ -295,6 +297,12 @@ class Generators:
         if d < 0:
             return 0
         return self._counts(d)[0][d]
+
+    def _enumerable_count(self, d: int) -> int:
+        """The number of degree-d monomials, refused above MAX_DEGREE_MONOMIALS."""
+        if (count := self.monomial_count(d)) > MAX_DEGREE_MONOMIALS:
+            raise TooManyMonomialsError(f"degree {d} has {count} monomials, more than the limit {MAX_DEGREE_MONOMIALS}")
+        return count
 
     def extend(self, extra: Iterable[GeneratorSymbol]) -> Generators:
         return Generators(self.symbols + tuple(extra))
@@ -411,9 +419,6 @@ class GradedElement:
         if len(degrees) > 1:
             raise ValueError(f"element is not homogeneous: degrees {sorted(degrees)}")
         return degrees.pop()
-
-    def is_homogeneous(self) -> bool:
-        return len({self.gens.monomial_degree(e) for e in self.nums}) <= 1
 
     def homogeneous_components(self) -> dict[int, GradedElement]:
         parts: dict[int, dict[tuple[int, ...], int]] = {}
@@ -612,17 +617,23 @@ class _GroebnerBasis:
     cutoff, in the elimination order. `step` extends it by one degree, and
     is called for each degree in increasing order.
 
+    A monomial is its packed key; `_exps` reads one back only for a new
+    lead, an odd multiplier's sign and a table's basis. A lead l divides m
+    exactly when no field of k_m - k_l borrows, ((k_m | G) - k_l) & G == G
+    for the guard-bit mask G, and then k_m - k_l is the key of m/l.
+
     Degree d reduces, in one call to `linalg.rref`, one reducer u*g for each
     live degree-d monomial that an older lead divides, then the relations of
     degree d, both halves u*g of every pair of elements whose leads have
     their lcm in degree d, and x*g for every odd generator x in the lead of
     an element g of degree d - deg x: x kills the lead but not always the
     tail. `_multiple` builds each u*g as a sorted row over the live columns,
-    with the sign rule of element products; only relations are sorted. A
-    reduced row whose lead has no reducer is a new element.
+    adding u's key to each term's, with the sign rule of element products;
+    only relations are sorted. A reduced row whose lead has no reducer is a
+    new element.
 
     A degree-d monomial m is dead when m/x is zero for a generator x of m:
-    `_dead` multiplies the zero monomials of each degree d - deg x by x.
+    `_dead` adds x's key to the zero monomials of each degree d - deg x.
     A dead m lies in the ideal, so the slice's reduced echelon form holds
     its unit row and has a zero in its column in every other row. A dead
     column is left out of the rows' column index, so it gets no divisor
@@ -637,109 +648,137 @@ class _GroebnerBasis:
     def __init__(self, presentation: RingPresentation, cutoff: int):
         self.gens = gens = presentation.generators
         self.cutoff = cutoff
-        self.leads: list[tuple[int, ...]] = []
-        # integer terms of each element, lead first, with their odd indices
+        degrees, n = gens.degrees, len(gens)
+        # the key's fields from the lowest up, as the module docstring lays
+        # them out: the exponents, as (offset, mask) by generator, then the
+        # priority-1 and priority-2 weights where used, and the degree
+        self.fields: list[tuple[int, int]] = [(0, 0)] * n
+        offset = self.guard = 0
+        for i in reversed(range(n)):
+            width = min(cutoff // degrees[i], 1 if degrees[i] % 2 else cutoff).bit_length() + 1
+            self.fields[i] = (offset, (1 << width) - 1)
+            offset += width
+            self.guard |= 1 << (offset - 1)
+        self.weights = [1 << start for start, _ in self.fields]
+        weighted = [[g * (s.rewrite_priority == q) for g, s in zip(degrees, gens)] for q in (1, 2)]
+        for part in [*filter(any, weighted), degrees]:
+            self.shift = offset
+            self.weights = [w + (x << offset) for w, x in zip(self.weights, part)]
+            offset += cutoff.bit_length() + 1
+            self.guard |= 1 << (offset - 1)
+        # an odd generator's exponent is its field's low bit
+        self.odd = [(i, 1 << self.fields[i][0]) for i in gens._odd]
+        # the leads' keys, and their exponent vectors for the pairs' lcms
+        self.leads: list[int] = []
+        self.lead_exps: list[tuple[int, ...]] = []
+        # keyed terms of each element, lead first, with their odd indices
         self.elements: list[list] = []
-        # rows still to reduce, by degree: relations as their numerators, and
-        # multiples u*g as (element, u). A relation is homogeneous and
-        # nonzero, so one term gives its degree
-        self.relations: dict[int, list[dict]] = {}
+        # rows still to reduce, by degree: relations as keyed terms, and
+        # multiples u*g as (element, key of u); one term gives a relation's degree
+        self.relations: dict[int, list[list[tuple[int, int]]]] = {}
         for rel in presentation.relations:
-            self.relations.setdefault(gens.monomial_degree(next(iter(rel.nums))), []).append(rel.nums)
-        self.pending: dict[int, set[tuple[int, tuple[int, ...]]]] = {}
-        # the zero monomials of each degree stepped: the leads of its unit
-        # rows, or every monomial of a zero degree
-        self.zeros: dict[int, Sequence[tuple[int, ...]]] = {}
-        w2, w1 = ([s.degree if s.rewrite_priority == p else 0 for s in gens] for p in (2, 1))
-        # the columns' sort key, or None when no generator has a rewrite priority
-        self.order = None
-        if any(w2 + w1):
-            self.order = lambda m: (-sum(map(mul, m, w2)), -sum(map(mul, m, w1)))
+            if (d := gens.monomial_degree(next(iter(rel.nums)))) <= cutoff:
+                self.relations.setdefault(d, []).append([(self.key(e), v) for e, v in rel.nums.items()])
+        self.pending: dict[int, set[tuple[int, int]]] = {}
+        # the keys of the zero monomials of each degree stepped, in no order:
+        # the leads of its unit rows and its dead monomials, or every monomial
+        # of a zero degree
+        self.zeros: dict[int, Sequence[int]] = {}
+        self.tails: list[list[list[int]]] = [[] for _ in range(n + 1)]
 
-    def step(
-        self, d: int
-    ) -> tuple[Sequence[tuple[int, ...]], list[list[tuple[int, int]]], set[tuple[int, ...]]] | None:
-        """Extend the basis to degree d. Returns the columns, the degree-d
-        monomials in display order stably sorted by descending priority-2,
-        then priority-1 weight; the reduced rows of the ideal's degree-d slice
-        over the live columns, sorted by lead, each built once as the sorted
-        list `linalg.rref` reads; and the dead monomials, whose unit rows
-        complete them. Returns None when older leads divide every live column,
-        and at once when the degree has no monomial, so no row to reduce."""
-        if not self.gens.monomial_count(d):
+    def _keys(self, d: int) -> list[int]:
+        """The keys of the degree-d monomials in display order. `tails[i][j]`,
+        the keys of the degree-j monomials in generators i.., is filled up to
+        degree d as those with generator i, x_i times a tail of degree
+        j - deg x_i, then those without: each costs its size."""
+        tails, weights, degrees = self.tails, self.weights, self.gens.degrees
+        for j in range(len(tails[0]), d + 1):
+            tails[-1].append([] if j else [0])
+            for i in reversed(range(len(weights))):
+                g, without = degrees[i], tails[i + 1]
+                rest = without if g % 2 else tails[i]
+                tails[i].append([k + weights[i] for k in rest[j - g]] + without[j] if j >= g else without[j])
+        return tails[0][d]
+
+    def key(self, exps: Sequence[int]) -> int:
+        return sum(map(mul, exps, self.weights))
+
+    def _exps(self, key: int) -> tuple[int, ...]:
+        return tuple([(key >> offset) & mask for offset, mask in self.fields])
+
+    def step(self, d: int) -> tuple[list[int], list[list[tuple[int, int]]], set[int]] | None:
+        """Extend the basis to degree d. Returns the columns, the keys of the
+        degree-d monomials in descending order; the reduced rows of the
+        ideal's degree-d slice over the live columns, sorted by lead, each
+        built once as the sorted list `linalg.rref` reads; and the keys of
+        the dead monomials, whose unit rows complete them. Returns None when
+        older leads divide every live column, and at once when the degree has
+        no monomial, so no row to reduce."""
+        if not self.gens._enumerable_count(d):
             return None
-        cols = self.gens.monomials_of_degree(d)
-        if self.order:
-            cols = sorted(cols, key=self.order)
+        cols = sorted(self._keys(d), reverse=True)
         dead = self._dead(d)
-        # each live column's reducer (k, u), or None when no older lead divides it
-        hits = {c: self._divisor(m) for c, m in enumerate(cols) if m not in dead}
+        guard, leads = self.guard, self.leads
+        # each live column's reducer (k, key of u), or None if no older lead divides it
+        hits: dict[int, tuple[int, int] | None] = {}
+        for c, m in enumerate(cols):
+            if m not in dead:
+                hits[c], high = None, m | guard
+                for k, lead in enumerate(leads):
+                    if (high - lead) & guard == guard:
+                        hits[c] = (k, m - lead)
+                        break
         relations, pending = self.relations.pop(d, []), self.pending.pop(d, ())
         if None not in hits.values():
             self.zeros[d] = cols
             return None
-        # the live columns; a dead monomial has no entry, so no row gets one
+        # the live columns by key; a dead monomial has no entry, so no row gets one
         index = {cols[c]: c for c in hits}
         rows = [self._multiple(*hit, index) for hit in hits.values() if hit is not None]
-        rows += [sorted((index[e], v) for e, v in rel.items() if e in index) for rel in relations]
+        rows += [sorted((index[m], v) for m, v in rel if m in index) for rel in relations]
         rows += [self._multiple(k, u, index) for k, u in pending]
         reduced = linalg.rref([row for row in rows if row])
         for row in reduced:
             if hits[row[0][0]] is None:
                 self._add(d, [(cols[c], v) for c, v in row])
         units = {row[0][0] for row in reduced if len(row) == 1}
-        self.zeros[d] = [m for c, m in enumerate(cols) if c in units or m in dead]
+        self.zeros[d] = [cols[c] for c in units] + list(dead)
         return cols, reduced, dead
 
-    def _dead(self, d: int) -> set[tuple[int, ...]]:
-        """The degree-d monomials x*m of a generator x and a zero monomial m
-        of degree d - deg x, an odd x only where m lacks it."""
-        dead: set[tuple[int, ...]] = set()
-        for i, g in enumerate(self.gens.degrees):
-            odd = g % 2
-            for m in self.zeros.get(d - g, ()):
-                if not (odd and m[i]):
-                    dead.add(m[:i] + (m[i] + 1,) + m[i + 1 :])
+    def _dead(self, d: int) -> set[int]:
+        """The keys of the degree-d monomials x*m of a generator x and a zero
+        monomial m of degree d - deg x, an odd x only where m lacks it."""
+        dead: set[int] = set()
+        for g, w, (start, _) in zip(self.gens.degrees, self.weights, self.fields):
+            bit = (1 << start) * (g % 2)  # an odd x's exponent bit
+            dead.update([m + w for m in self.zeros.get(d - g, ()) if not m & bit])
         return dead
 
-    def _divisor(self, m: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-        for k, lead in enumerate(self.leads):
-            if all(map(ge, m, lead)):
-                return k, tuple(map(sub, m, lead))
-        return None
+    def _multiple(self, k: int, u: int, index: dict[int, int]) -> list[tuple[int, int]]:
+        """The Koszul-signed product u*g of a monomial key u and element k as a
+        row over the live columns `index`, in g's column order, which u keeps."""
+        terms = self.elements[k]
+        odd_u = [i for i, bit in self.odd if u & bit] if self.odd else ()
+        if odd_u:
+            exps_u = self._exps(u)
+            terms = [(e, v * _koszul_sign(exps_u, odd_u, odd_e) if odd_e else v, ()) for e, v, odd_e in terms]
+        return [(c, v) for e, v, _ in terms if v and (c := index.get(u + e)) is not None]
 
-    def _multiple(self, k: int, u: tuple[int, ...], index: dict[tuple[int, ...], int]) -> list[tuple[int, int]]:
-        """The Koszul-signed product u*g of a monomial and element k as a row
-        over the live columns `index`, in g's column order, which u keeps."""
-        odd_u = [i for i in self.gens._odd if u[i]]
-        row = []
-        for e, v, odd_e in self.elements[k]:
-            if odd_u and odd_e:
-                v *= _koszul_sign(u, odd_u, odd_e)
-                if not v:
-                    continue
-            c = index.get(tuple(map(add, u, e)))
-            if c is not None:
-                row.append((c, v))
-        return row
-
-    def _add(self, d: int, terms: list[tuple[tuple[int, ...], int]]) -> None:
-        gens, cutoff = self.gens, self.cutoff
-        k = len(self.leads)
-        lead = terms[0][0]
-        self.elements.append(_koszul_terms(gens._odd, terms))
-        for j, other in enumerate(self.leads):
-            top = tuple(map(max, lead, other))
-            e = gens.monomial_degree(top)
-            if e <= cutoff:
-                self.pending.setdefault(e, set()).update(
-                    ((k, tuple(map(sub, top, lead))), (j, tuple(map(sub, top, other))))
-                )
+    def _add(self, d: int, terms: list[tuple[int, int]]) -> None:
+        gens, cutoff, odd = self.gens, self.cutoff, self.odd
+        k, lead = len(self.leads), terms[0][0]
+        exps = self._exps(lead)
+        self.elements.append([(e, v, [i for i, bit in odd if e & bit] if odd else ()) for e, v in terms])
+        for j, other in enumerate(self.lead_exps):
+            # the lcm's exponents fit their fields, so its key's top field is its degree
+            t = self.key(tuple(map(max, exps, other)))
+            if (e := t >> self.shift) <= cutoff:
+                self.pending.setdefault(e, set()).update(((k, t - lead), (j, t - self.leads[j])))
         self.leads.append(lead)
-        for i in gens._odd:
-            if lead[i] and d + gens.degrees[i] <= cutoff:
-                x = tuple(int(j == i) for j in range(len(lead)))
-                self.pending.setdefault(d + gens.degrees[i], set()).add((k, x))
+        self.lead_exps.append(exps)
+        for i, bit in odd:
+            if lead & bit and d + gens.degrees[i] <= cutoff:
+                self.pending.setdefault(d + gens.degrees[i], set()).add((k, self.weights[i]))
 
 
 @dataclass(frozen=True)
@@ -747,7 +786,8 @@ class _DegreeTable:
     basis: tuple[tuple[int, ...], ...]  # exponent vectors in display order
     # key -> (lead, ((position, value), ...)) for every monomial of the
     # degree, by the ring's packed key (`QuotientRing._key`) of its
-    # exponents: the monomial equals the sum of value/lead times
+    # exponents, as the Gröbner step enumerates them, so the table keys
+    # nothing: the monomial equals the sum of value/lead times
     # basis[position]. A basis monomial's row is (1, ((its position, 1),));
     # a dead monomial's is (1, ()); a pivot's is its reduced row, primitive
     # with positive lead, with its other entries negated, in column order.
@@ -775,15 +815,12 @@ class QuotientRing:
         self.cutoff = cutoff
         self._tables: list[_DegreeTable] = []  # indexed by degree
         self._lock = threading.Lock()
-        self._basis = _GroebnerBasis(presentation, cutoff)
-        degrees = presentation.generators.degrees
-        self._max_gen_degree = max(degrees, default=0)
-        # a monomial's packed key sum(e_i * w_i) holds exponent i in a field
-        # wide enough for it within the cutoff, and the degree above them all.
-        # An overflow carries upward, so a key whose degree is in range is exact
-        widths = [(cutoff // g).bit_length() for g in degrees]
-        self._shift = shift = sum(widths)
-        self._weights = tuple((1 << sum(widths[:i])) + (g << shift) for i, g in enumerate(degrees))
+        self._basis = basis = _GroebnerBasis(presentation, cutoff)
+        self._max_gen_degree = max(presentation.generators.degrees, default=0)
+        # the basis's packed key sum(e_i * w_i), whose top field, from bit `_shift`
+        # up, is the degree. An overflow carries upward, so a key whose degree
+        # is in range is exact
+        self._key, self._weights, self._shift = basis.key, basis.weights, basis.shift
 
     @property
     def gens(self) -> Generators:
@@ -796,9 +833,6 @@ class QuotientRing:
     def __repr__(self) -> str:
         name = self.label or self.presentation.describe()
         return f"QuotientRing({name}, cutoff={self.cutoff})"
-
-    def _key(self, exps: Sequence[int]) -> int:
-        return sum(map(mul, exps, self._weights))
 
     def _row(self, exps: Sequence[int]) -> tuple[int, tuple[tuple[int, int], ...]]:
         """A monomial's row (lead, ((position, value), ...)) in its degree's nonzero table."""
@@ -829,24 +863,30 @@ class QuotientRing:
         if stepped is None:
             return _ZERO_TABLE
         cols, reduced, dead = stepped
-        pivots = {cols[row[0][0]]: row for row in reduced}
-        basis = tuple(m for m in self.gens.monomials_of_degree(d) if m not in pivots and m not in dead)
+        pivots = {row[0][0]: row for row in reduced}
+        # the columns with no pivot that are not dead, in display order
+        exps = self._basis._exps
+        basis = sorted([(exps(k), k) for c, k in enumerate(cols) if c not in pivots and k not in dead], reverse=True)
         if not basis:
             return _ZERO_TABLE
-        index = {m: i for i, m in enumerate(basis)}
-        position = [index.get(m) for m in cols]  # column -> basis position
+        index = {k: i for i, (_, k) in enumerate(basis)}
+        position = [index.get(k) for k in cols]  # column -> basis position
         # equal (position, value) pairs are one tuple across the table's rows,
         # which keeps a table smaller than separate position and value tuples
         shared: dict[tuple[int, int], tuple[int, int]] = {}
-        key = self._key
-        rows = {key(m): (1, (shared.setdefault((i, 1), (i, 1)),)) for m, i in index.items()}
-        # the pivots' rows in column order; a column with no basis position and
-        # no reduced row is dead, and its row is its unit row: lead 1, no tail
-        for m, i in zip(cols, position):
+        rows = {k: (1, (shared.setdefault((i, 1), (i, 1)),)) for k, i in index.items()}
+        # the pivots' rows in column order. A column with no basis position
+        # whose reduced row is a unit row, or that has none (a dead column),
+        # is a zero monomial: lead 1, no entries
+        for c, (k, i) in enumerate(zip(cols, position)):
             if i is None:
-                (_, lead), *rest = pivots.get(m, ((None, 1),))
-                rows[key(m)] = (lead, tuple([shared.setdefault(p, p) for p in [(position[c], -v) for c, v in rest]]))
-        return _DegreeTable(basis, rows)
+                row = pivots.get(c)
+                if row is None or len(row) == 1:
+                    rows[k] = (1, ())
+                else:
+                    tail = [shared.setdefault(p, p) for col, v in row[1:] for p in [(position[col], -v)]]
+                    rows[k] = (row[0][1], tuple(tail))
+        return _DegreeTable(tuple([m for m, _ in basis]), rows)
 
     # -- public queries ----------------------------------------------------
 

@@ -171,11 +171,10 @@ class BasisFamily:
 
     def monomials_of_degree(self, d: int) -> tuple[Monomial, ...]:
         """The family's monomials of degree d, in the ring's display order."""
-        monomials = (Monomial(self.gens, e) for e in self.gens.monomials_of_degree(d))
-        return tuple(m for m in monomials if self.contains(m))
+        return tuple(Monomial(self.gens, e) for e in self.gens.monomials_of_degree(d) if self.contains(e))
 
-    def contains(self, monomial: Monomial) -> bool:
-        exps = monomial.exps
+    def contains(self, exps: tuple[int, ...]) -> bool:
+        """Whether the family holds the monomial with these exponents."""
         for part in self.parts:
             if any(e != p for i, (e, p) in enumerate(zip(exps, part.prefix)) if i not in part.core):
                 continue

@@ -28,6 +28,10 @@ from .catalog import BasisFamily, SpaceDescriptor
 from .expressions import one_budget
 
 LARGE_OUTPUT_CAP = 64
+# The largest cutoff a job may ask for, with or without --force-large. A
+# series to cutoff 10^6 of the point takes about a second and 100 MB; every
+# degree up to the cutoff is visited, so 10^8 would need about 9 GB.
+MAX_CUTOFF = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -111,6 +115,8 @@ def build_job(doc: dict, path: str = "config", cutoff: int | None = None) -> Bui
     cutoff = doc.get("cutoff", cutoff)
     if cutoff is not None and (not _is_int(cutoff) or cutoff < 0):
         raise ConfigError(f"{path}.cutoff", "must be a nonnegative integer")
+    if cutoff is not None and cutoff > MAX_CUTOFF:
+        raise ConfigError(f"{path}.cutoff", f"{cutoff} exceeds the limit {MAX_CUTOFF}")
     kind = kinds[0]
     sub = doc[kind]
     path = f"{path}.{kind}"
@@ -350,7 +356,7 @@ def cmd_basis(args, parser) -> int:
         for m in basis:
             mark = ""
             if job.family is not None:
-                mark = "  [family]" if job.family.contains(m) else ""
+                mark = "  [family]" if job.family.contains(m.exps) else ""
             print(f"  {m}{mark}")
         if family is not None:
             print(f"characteristic family in degree {d}: {', '.join(str(m) for m in family) or '(empty)'}")

@@ -96,8 +96,7 @@ def display_key(exps):
     st.lists(st.integers(-1, 14), max_size=4),
 )
 def test_monomials_of_degree_come_in_display_order(degrees, d, more):
-    # the Gröbner step's stable sort by priority weights leaves its ties in
-    # this order. The degrees after d are asked in random order on the same
+    # a table's basis comes in this order. The degrees after d are asked in random order on the same
     # generators, so the count table is both reused and rebuilt
     gens = Generators([GeneratorSymbol(f"x{i}", deg) for i, deg in enumerate(degrees)])
     for e in [d, *more]:
@@ -182,8 +181,8 @@ def test_homogeneous_components_reassemble():
     el = gens.parse("1 + 2*a - a*r + 3*b^2 - r*s")
     parts = el.homogeneous_components()
     total = gens.zero()
-    for comp in parts.values():
-        assert comp.is_homogeneous()
+    for d, comp in parts.items():
+        assert comp.degree() == d
         total = total + comp
     assert total == el
 
@@ -580,14 +579,21 @@ def test_zero_monomials_hand_the_kernel_no_rows(monkeypatch):
 
 
 def test_a_high_degree_enumerates_no_monomial_past_the_window(monkeypatch):
+    # monomials are enumerated as exponent vectors, and by the Gröbner step
+    # as keys
     enumerated = set()
-    real = Generators.monomials_of_degree
+    real_vectors, real_keys = Generators.monomials_of_degree, algebra._GroebnerBasis._keys
 
-    def recording(gens, d):
+    def vectors(gens, d):
         enumerated.add(d)
-        return real(gens, d)
+        return real_vectors(gens, d)
 
-    monkeypatch.setattr(Generators, "monomials_of_degree", recording)
+    def keys(basis, d):
+        enumerated.add(d)
+        return real_keys(basis, d)
+
+    monkeypatch.setattr(Generators, "monomials_of_degree", vectors)
+    monkeypatch.setattr(algebra._GroebnerBasis, "_keys", keys)
     ring = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 60)
     assert ring.dimension(60) == 0
     assert max(enumerated) == 12
@@ -848,14 +854,55 @@ def exponent_vectors(degrees, d):
     return [e for e in itertools.product(*ranges) if sum(map(operator.mul, e, degrees)) == d]
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(0, 2)), min_size=1, max_size=4),
+    st.integers(0, 12),
+    st.data(),
+)
+def test_packed_keys_order_and_divide_as_exponent_vectors(symbols, cutoff, data):
+    # the Gröbner step enumerates a degree's keys in display order, sorts its
+    # columns by descending key, and takes a lead l to divide m when no field
+    # of k_m - k_l borrows past its guard bit. Against the oracle's column
+    # order, the display order and plain exponent arithmetic, over monomials
+    # within the cutoff that fill the fields, each paired both ways with
+    # every monomial: each generator's largest power, every monomial of the
+    # top degree, and a sample of the rest
+    gens = Generators(GeneratorSymbol(f"x{i}", d, p) for i, (d, p) in enumerate(symbols))
+    ring = QuotientRing(make_presentation(gens), cutoff)
+    degrees, guard, column_order = list(gens.degrees), ring._basis.guard, elimination_key(gens)
+    everything = []
+    for d in range(cutoff + 1):
+        monos = monomials(degrees, d)
+        assert sorted(monos, key=ring._key, reverse=True) == sorted(monos, key=column_order)
+        assert ring._basis._keys(d) == [ring._key(m) for m in sorted(monos, key=display_key)]
+        assert all(ring._key(m) >> ring._shift == d for m in monos)
+        everything += monos
+    powers = [
+        tuple(min(cutoff // g, 1 if g % 2 else cutoff) * (j == i) for j in range(len(degrees)))
+        for i, g in enumerate(degrees)
+    ]
+    filled = powers + monomials(degrees, cutoff) + data.draw(st.lists(st.sampled_from(everything), max_size=5))
+    for m in filled:
+        for other in everything:
+            for a, b in ((m, other), (other, m)):
+                ka, kb = ring._key(a), ring._key(b)
+                divides = all(map(operator.ge, a, b))
+                assert (((ka | guard) - kb) & guard == guard) == divides, (symbols, cutoff, a, b)
+                if divides:
+                    assert ka - kb == ring._key(tuple(map(operator.sub, a, b)))
+
+
 def test_multiples_match_the_word_sign_product():
     # the Gröbner step builds each multiple u*g straight into a row over the
-    # live columns. Every element of three bases times every monomial u of
-    # degree at most 6, against the word-sign product restricted to the
-    # columns kept, term by term. The columns are every exponent vector of
-    # the product's degree in the elimination order, odd squares included,
-    # so a product that vanishes must be dropped by the sign rule and not by
-    # a missing column; every third column is removed, as dead ones are
+    # live columns, adding u's key to each term's. Every element of three
+    # bases times every monomial u of degree at most 6, up to the cutoff,
+    # against the word-sign product restricted to the columns kept, term by
+    # term. The columns are every exponent vector of the product's degree in
+    # the elimination order, odd squares included (an odd exponent of 2, as
+    # a product of two monomials can have, keeps its key apart), so a
+    # product that vanishes must be dropped by the sign rule and not by a
+    # missing column; every third column is removed, as dead ones are
     rings = [
         QuotientRing(odd_mixing_presentation(), 24),
         build_ring(SpaceDescriptor("complete-flag-oriented", 0, 4, "odd")),
@@ -866,19 +913,23 @@ def test_multiples_match_the_word_sign_product():
         ring.dimensions()
         basis, gens = ring._basis, ring.gens
         degrees, key = list(gens.degrees), elimination_key(gens)
+        odd = [i for i, g in enumerate(degrees) if g % 2]
+        monomial = {ring._key(m): m for d in range(ring.cutoff + 1) for m in monomials(degrees, d)}
         columns = {}
         for k, terms in enumerate(basis.elements):
-            degree = gens.monomial_degree(terms[0][0])
-            for du in range(7):
+            degree = gens.monomial_degree(monomial[terms[0][0]])
+            for du in range(min(7, ring.cutoff - degree + 1)):
                 d = degree + du
                 if d not in columns:
-                    cols = sorted(exponent_vectors(degrees, d), key=key)
-                    columns[d] = {m: c for c, m in enumerate(cols) if c % 3 != 1}
-                index = columns[d]
+                    vectors = [e for e in exponent_vectors(degrees, d) if all(e[i] <= 2 for i in odd)]
+                    cols = sorted(vectors, key=key)
+                    index = {m: c for c, m in enumerate(cols) if c % 3 != 1}
+                    columns[d] = index, {ring._key(m): c for m, c in index.items()}
+                index, keyed = columns[d]
                 for u in monomials(degrees, du):
                     expected = []
                     for e, v, _ in terms:
-                        product = koszul_product(degrees, u, e)
+                        product = koszul_product(degrees, u, monomial[e])
                         if product is None:
                             seen["odd squares"] += 1
                             continue
@@ -886,7 +937,7 @@ def test_multiples_match_the_word_sign_product():
                         seen["sign flips"] += sign < 0
                         if exps in index:
                             expected.append((index[exps], sign * v))
-                    row = basis._multiple(k, u, index)
+                    row = basis._multiple(k, ring._key(u), keyed)
                     assert row == sorted(expected), (ring.label, terms, u)
                     assert all(a < b for (a, _), (b, _) in zip(row, row[1:])), (ring.label, terms, u)
                     seen["rows"] += 1
@@ -1031,6 +1082,8 @@ def test_integer_products_match_the_normal_form_of_the_fraction_product(name):
             assert ring.multiply(a, b) == expected == ring.normal_form(a, b)
             assert ring.multiply(a, gens.zero()).is_zero and ring.multiply(gens.zero(), b).is_zero
 
+
+def test_integer_products_past_the_cutoff_in_zero_degrees_and_at_the_key_limits():
     # the degree-8 terms of (r + s)^2 cancel, so the product is 0 at cutoff 6;
     # r * s itself lies in degree 8
     ring = QuotientRing(odd_mixing_presentation(), 6)
@@ -1063,9 +1116,10 @@ def test_integer_products_match_the_normal_form_of_the_fraction_product(name):
     assert ring.multiply(c1**3, c1**2).is_zero
 
     # the packed key at its limits. At cutoff 14, x^7 fills x's 3-bit field
-    # and y^3 fills y's 2-bit one; past the cutoff an exponent overflows its
-    # field, and y's carries into the degree. Without relations the normal
-    # form of a product is the product
+    # and y^3 fills y's 2-bit one, each below its guard bit; past the cutoff
+    # an exponent overflows its field, y's into s's and x's, the highest,
+    # into the degree. Without relations the normal form of a product is the
+    # product
     gens = Generators([GeneratorSymbol("x", 2), GeneratorSymbol("r", 3), GeneratorSymbol("s", 3), GeneratorSymbol("y", 4)])
     x, r, s, y = (gens.gen(n) for n in gens.names)
     ring = QuotientRing(make_presentation(gens, []), 14)
@@ -1077,13 +1131,14 @@ def test_integer_products_match_the_normal_form_of_the_fraction_product(name):
     assert ring.multiply(r, s) == -ring.multiply(s, r) == r * s != 0
     # factor terms past twice the cutoff: p = x^13*(r + s) squares to zero,
     # so (1 + p)(p - 1) is -1 and (p + y)(p - y) is -y^2; a part that
-    # survives names its true degree, 32 for y^8, whose key's degree field
-    # reads 34
+    # survives names its true degree, 32 for x^16, whose key's degree field
+    # reads 33
     p = x**13 * (r + s)
     for a, b in ((1 + p, p - 1), (p, p), (p + y, p - y)):
         assert ring.multiply(a, b) == ring.normal_form(a * b) == ring.normal_form(a, b)
     assert ring.multiply(1 + p, p - 1) == -1 and ring.multiply(p + y, p - y) == -y**2
-    for a, b, d in ((p, x, 31), (y**8, 1 + x, 32), (x + y**4, x**7, 16), (y**8 * r, s, 38)):
+    assert ring._key((16, 0, 0, 0)) >> ring._shift == 33
+    for a, b, d in ((p, x, 31), (y**8, 1 + x, 32), (x**16, 1 + y, 32), (x + y**4, x**7, 16), (y**8 * r, s, 38)):
         for product in (lambda: ring.multiply(a, b), lambda: ring.normal_form(a * b)):
             with pytest.raises(CutoffExceededError, match=f"^degree {d} exceeds cutoff 14$"):
                 product()

@@ -105,6 +105,28 @@ def test_large_output_guard():
     assert "(0 monomials)" in result.stdout
 
 
+def test_a_cutoff_past_the_limit_is_refused_before_anything_is_built(tmp_path, capsys):
+    # a series visits every degree up to its cutoff, so one past MAX_CUTOFF
+    # would not finish: it is refused at once, from the flag or from a
+    # config, and --force-large lifts only the output cap
+    path = tmp_path / "job.json"
+    for cutoff in (10**20, cli.MAX_CUTOFF + 1):
+        path.write_text(json.dumps({"space": {"family": "point"}, "cutoff": cutoff}))
+        for argv in (
+            ["series", "point", "--cutoff", str(cutoff), "--force-large"],
+            ["series", "--config", str(path), "--force-large"],
+        ):
+            start = time.perf_counter()
+            code = cli.main(argv)
+            elapsed = time.perf_counter() - start
+            captured = capsys.readouterr()
+            assert code == 2, argv
+            assert captured.err == f"config error: config.cutoff: {cutoff} exceeds the limit {cli.MAX_CUTOFF}\n"
+            assert captured.out == ""
+            assert elapsed < 1, argv
+    assert cli.build_job({"space": {"family": "point"}}, cutoff=cli.MAX_CUTOFF).ring.cutoff == cli.MAX_CUTOFF
+
+
 def test_basis_refuses_a_negative_degree(capsys):
     code = cli.main(["basis", "complex-grassmannian", "-k", "2", "-n", "4", "--degree", "-1"])
     captured = capsys.readouterr()
