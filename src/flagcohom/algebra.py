@@ -684,21 +684,30 @@ class _GroebnerBasis:
         # the leads of its unit rows and its dead monomials, or every monomial
         # of a zero degree
         self.zeros: dict[int, Sequence[int]] = {}
-        self.tails: list[list[list[int]]] = [[] for _ in range(n + 1)]
+        # the keys of each degree enumerated, in display order, and where
+        # those in generators i.. begin
+        self.degree_keys: list[list[int]] = []
+        self.starts: list[list[int]] = []
 
     def _keys(self, d: int) -> list[int]:
-        """The keys of the degree-d monomials in display order. `tails[i][j]`,
-        the keys of the degree-j monomials in generators i.., is filled up to
-        degree d as those with generator i, x_i times a tail of degree
-        j - deg x_i, then those without: each costs its size."""
-        tails, weights, degrees = self.tails, self.weights, self.gens.degrees
-        for j in range(len(tails[0]), d + 1):
-            tails[-1].append([] if j else [0])
-            for i in reversed(range(len(weights))):
-                g, without = degrees[i], tails[i + 1]
-                rest = without if g % 2 else tails[i]
-                tails[i].append([k + weights[i] for k in rest[j - g]] + without[j] if j >= g else without[j])
-        return tails[0][d]
+        """The keys of the degree-d monomials in display order. `degree_keys[j]`
+        is filled up to degree d as the monomials whose first generator is
+        x_0, then those whose first is x_1, and so on, the unit last; those
+        whose first is x_i are x_i times the degree-(j - deg x_i) monomials
+        in generators i.. (i+1.. for an odd x_i), which begin at `starts[.][i]`.
+        A degree holds its monomial count and costs its size."""
+        keys, starts, weights, degrees = self.degree_keys, self.starts, self.weights, self.gens.degrees
+        for j in range(len(keys), d + 1):
+            row, start = [], [0]
+            for i, (g, w) in enumerate(zip(degrees, weights)):
+                if g <= j:
+                    row += [k + w for k in keys[j - g][starts[j - g][i + g % 2]:]]
+                start.append(len(row))
+            if not j:
+                row.append(0)
+            keys.append(row)
+            starts.append(start)
+        return keys[d]
 
     def key(self, exps: Sequence[int]) -> int:
         return sum(map(mul, exps, self.weights))

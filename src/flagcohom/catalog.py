@@ -10,6 +10,7 @@ and a1..an for the polynomial generators of the torus-equivariant base.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -155,7 +156,8 @@ def _ambient(k: int, n: int, variant: str) -> tuple[int, int]:
 @dataclass(frozen=True)
 class FamilyPart:
     """Monomials prefix * (product over core indices) with a capped
-    exponent sum over the core."""
+    exponent sum over the core. The prefix is an exponent vector, read
+    off the core."""
 
     prefix: tuple[int, ...]
     core: tuple[int, ...]
@@ -169,9 +171,32 @@ class BasisFamily:
     gens: Generators
     parts: tuple[FamilyPart, ...]
 
+    @functools.cached_property
+    def _cores(self) -> list[tuple[Generators, int]]:
+        """Each part's core generators, and the degree of its prefix off the core."""
+        return [
+            (
+                Generators(self.gens.symbols[i] for i in part.core),
+                sum(e * g for i, (e, g) in enumerate(zip(part.prefix, self.gens.degrees)) if i not in part.core),
+            )
+            for part in self.parts
+        ]
+
     def monomials_of_degree(self, d: int) -> tuple[Monomial, ...]:
-        """The family's monomials of degree d, in the ring's display order."""
-        return tuple(Monomial(self.gens, e) for e in self.gens.monomials_of_degree(d) if self.contains(e))
+        """The family's monomials of degree d, in the ring's display order:
+        each part's prefix times the core monomials of the remaining degree
+        whose exponent sum is within its cap."""
+        members = set()
+        for part, (core, shift) in zip(self.parts, self._cores):
+            if d < shift:
+                continue
+            exps = list(part.prefix)
+            for c in core.monomials_of_degree(d - shift):
+                if sum(c) <= part.max_exponent_sum:
+                    for i, e in zip(part.core, c):
+                        exps[i] = e
+                    members.add(tuple(exps))
+        return tuple(Monomial(self.gens, e) for e in sorted(members, reverse=True))
 
     def contains(self, exps: tuple[int, ...]) -> bool:
         """Whether the family holds the monomial with these exponents."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import shutil
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -416,43 +417,48 @@ def _present_kind(args, parser, kind: str) -> int:
     return 0
 
 
-def _add_target_args(sp, with_degree=False, with_elements=False):
-    sp.add_argument("family", nargs="?", help="catalog space family")
-    sp.add_argument("-k", type=int, default=0)
-    sp.add_argument("-n", type=int, default=0)
-    sp.add_argument("--variant", default="")
-    sp.add_argument("--config", help="path to a JSON job config")
-    sp.add_argument("--cutoff", type=int, default=None)
-    sp.add_argument("--format", choices=("text", "structured"), default="text")
-    sp.add_argument("--force-large", action="store_true")
-    if with_degree:
-        sp.add_argument("--degree", type=int, required=True)
-    if with_elements:
-        sp.add_argument("a")
-        sp.add_argument("b")
+def _target_parser(formatter) -> argparse.ArgumentParser:
+    """The arguments the ring commands share, for their `parents=`."""
+    target = argparse.ArgumentParser(add_help=False, formatter_class=formatter)
+    target.add_argument("family", nargs="?", help="catalog space family")
+    target.add_argument("-k", type=int, default=0)
+    target.add_argument("-n", type=int, default=0)
+    target.add_argument("--variant", default="")
+    target.add_argument("--config", help="path to a JSON job config")
+    target.add_argument("--cutoff", type=int, default=None)
+    target.add_argument("--format", choices=("text", "structured"), default="text")
+    target.add_argument("--force-large", action="store_true")
+    return target
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse starts a help formatter for each argument it adds, and each
+    # reads the terminal size unless given a width: one read serves them all
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="flagcohom",
         description="presentations, bases and Poincare series of flag-bundle cohomology rings",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    target = _target_parser(formatter)
 
+    # each command's arguments after the shared ones, as (name, options)
     commands = {
-        "present": (cmd_present, "print a ring presentation", {}),
-        "series": (cmd_series, "print Poincare series coefficients", {}),
-        "basis": (cmd_basis, "print an additive basis in one degree", {"with_degree": True}),
-        "mul": (cmd_mul, "multiply two elements and print the normal form", {"with_elements": True}),
-        "tower": (cmd_tower, "build a tower config and print its presentation", {}),
-        "pushout": (cmd_pushout, "build a pushout config and print its presentation", {}),
+        "present": (cmd_present, "print a ring presentation", ()),
+        "series": (cmd_series, "print Poincare series coefficients", ()),
+        "basis": (cmd_basis, "print an additive basis in one degree", (("--degree", {"type": int, "required": True}),)),
+        "mul": (cmd_mul, "multiply two elements and print the normal form", (("a", {}), ("b", {}))),
+        "tower": (cmd_tower, "build a tower config and print its presentation", ()),
+        "pushout": (cmd_pushout, "build a pushout config and print its presentation", ()),
     }
     for name, (func, help_text, extra) in commands.items():
-        sp = sub.add_parser(name, help=help_text)
-        _add_target_args(sp, **extra)
+        sp = sub.add_parser(name, help=help_text, parents=[target], formatter_class=formatter)
+        for arg, options in extra:
+            sp.add_argument(arg, **options)
         sp.set_defaults(func=func)
 
-    vp = sub.add_parser("verify", help="run verification suites")
+    vp = sub.add_parser("verify", help="run verification suites", formatter_class=formatter)
     vp.add_argument("suites", nargs="*", help=" | ".join(verify.SUITES) + " (default: all)")
     vp.add_argument(
         "--max-n",

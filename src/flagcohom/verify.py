@@ -5,11 +5,16 @@ any failure to a nonzero exit status. Every dimensions check reads the
 closed form that the code building the ring stated on its presentation
 (`_series_check`). The pytest acceptance module runs the same identities
 at the full documented parameter ranges.
+
+One `run_suites` call reduces each distinct catalog ring once (`_Run`):
+spaces whose presentations, closed forms, families and cutoffs are equal
+share one outcome, and each still reports its own lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import catalog, extension, linalg
 from .algebra import QuotientRing
@@ -53,13 +58,70 @@ def verify_space(space: SpaceDescriptor) -> list[CheckResult]:
     characteristic family (when stated), and that every relation reduces
     to zero. Each check's name starts with the space's label.
     """
-    pres, _, family = catalog.build_space(space)
-    ring = QuotientRing(pres, catalog.default_cutoff(pres))
-    label = space.label
-    checks = [_series_check(f"{label}: dimensions match closed form", ring)]
+    return _labelled(space, _Run().space(space)[1])
+
+
+def _labelled(space: SpaceDescriptor, outcome: _Outcome) -> list[CheckResult]:
+    return [CheckResult(f"{space.label}: {c.name}", c.ok, c.detail) for c in outcome.checks]
+
+
+class _Content(NamedTuple):
+    """Everything a catalog space's checks read, as values: generator
+    symbols (name, degree, priority), relations as (denominator, terms),
+    closed form, family parts (None when no family is stated) and cutoff."""
+
+    symbols: tuple
+    relations: tuple
+    closed_form: ClosedFormSeries
+    parts: tuple | None
+    cutoff: int
+
+
+class _Outcome(NamedTuple):
+    """A ring's dimensions up to its cutoff, and its checks named without a
+    label: dimensions, characteristic family, relations."""
+
+    dimensions: tuple[int, ...]
+    checks: tuple[CheckResult, ...]
+
+
+class _Run:
+    """The record of one `run_suites` call: each catalog space's content and
+    outcome, its presentation built once, and each distinct content checked
+    once and held once. It holds values only, no ring, presentation or
+    generators, and goes when the call returns, so no run sees another's."""
+
+    def __init__(self):
+        self.spaces: dict[SpaceDescriptor, tuple[_Content, _Outcome]] = {}
+        self.checked: dict[_Content, tuple[_Content, _Outcome]] = {}
+
+    def space(self, space: SpaceDescriptor) -> tuple[_Content, _Outcome]:
+        """The space's content and outcome, checking it unless an equal
+        content has been checked."""
+        found = self.spaces.get(space)
+        if found is None:
+            pres, _, family = catalog.build_space(space)
+            content = _Content(
+                pres.generators.symbols,
+                tuple((r.den, tuple(sorted(r.nums.items()))) for r in pres.relations),
+                pres.closed_form,
+                None if family is None else family.parts,
+                catalog.default_cutoff(pres),
+            )
+            found = self.checked.get(content)
+            if found is None:
+                found = self.checked[content] = (content, _check(pres, family, content.cutoff))
+            self.spaces[space] = found
+        return found
+
+
+def _check(pres, family, cutoff: int) -> _Outcome:
+    """Reduce the presentation to the cutoff and check it; the ring is dropped on return."""
+    ring = QuotientRing(pres, cutoff)
+    checks = [_series_check("dimensions match closed form", ring)]
 
     if family is None:
-        checks.append(CheckResult(f"{label}: characteristic family", True, "none stated; skipped"))
+        checks.append(CheckResult("characteristic family", True, "none stated; skipped"))
     else:
         bad_detail = ""
         for d in range(ring.cutoff + 1):
@@ -71,26 +133,29 @@ def verify_space(space: SpaceDescriptor) -> list[CheckResult]:
             if not _independent(ring, monos):
                 bad_detail = f"degree {d}: family {[str(m) for m in monos]} is dependent"
                 break
-        checks.append(CheckResult(f"{label}: characteristic family is a basis", not bad_detail, bad_detail))
+        checks.append(CheckResult("characteristic family is a basis", not bad_detail, bad_detail))
 
     bad_rels = [str(r) for r in pres.relations if not ring.is_zero(r)]
     checks.append(CheckResult(
-        f"{label}: relations vanish",
+        "relations vanish",
         not bad_rels,
         "" if not bad_rels else f"nonzero residues: {bad_rels}",
     ))
-    return checks
+    return _Outcome(tuple(ring.dimensions()), tuple(checks))
 
 
 def _independent(ring: QuotientRing, monomials) -> bool:
     """Whether the residues of the monomials are linearly independent: the
     rank of their rows in their degree's table (scaling a rewrite row by
-    its lead keeps the rank), or False in a zero degree."""
+    its lead keeps the rank), or False in a zero degree; True at once for
+    the degree's basis monomials in display order."""
     if not monomials:
         return True
     table = ring._table(monomials[0].degree)
     if not table.basis:
         return False
+    if tuple(m.exps for m in monomials) == table.basis:
+        return True
     rows = [sorted(ring._row(mono.exps)[1]) for mono in monomials]
     return linalg.rank(rows) == len(monomials)
 
@@ -123,42 +188,35 @@ def _catalog_descriptors(max_n: int):
     yield SpaceDescriptor("point")
 
 
-def suite_catalog(max_n: int) -> list[CheckResult]:
+def suite_catalog(max_n: int, run: _Run) -> list[CheckResult]:
     checks: list[CheckResult] = []
     for desc in dict.fromkeys(_catalog_descriptors(max_n)):
-        checks.extend(verify_space(desc))
+        checks.extend(_labelled(desc, run.space(desc)[1]))
     # the three ambient variants share one presentation
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
-            presentations = [
-                catalog.build_space(SpaceDescriptor("real-grassmannian-even", k, n, v))[0]
-                for v in catalog.VARIANTS
-            ]
-            same = all(
-                p.generators == presentations[0].generators
-                and p.relations == presentations[0].relations
-                for p in presentations
-            )
+            contents = [run.space(SpaceDescriptor("real-grassmannian-even", k, n, v))[0] for v in catalog.VARIANTS]
+            same = len({(c.symbols, c.relations) for c in contents}) == 1
             checks.append(CheckResult(f"real even (k={k}, n={n}): ambient variants agree", same))
     # complex duality k <-> n-k: closed forms, and the engine's G_{n-k} against G_k
     for n in range(max_n + 1):
         for k in range(n // 2 + 1):
-            a = closed_form(SpaceDescriptor("complex-grassmannian", k, n))
-            dual = SpaceDescriptor("complex-grassmannian", n - k, n)
-            b = closed_form(dual)
+            a = run.space(SpaceDescriptor("complex-grassmannian", k, n))[0].closed_form
+            content, dual = run.space(SpaceDescriptor("complex-grassmannian", n - k, n))
+            b = content.closed_form
             ok = a.symbolic_equal(b) and a.truncate(2 * n) == b.truncate(2 * n)
             top = catalog.top_degree_of(b)
-            ok = ok and series_from_ring(catalog.build_ring(dual), top) == a.truncate(top)
+            ok = ok and dual.dimensions[: top + 1] == a.truncate(top).coefficients
             checks.append(CheckResult(f"complex duality G_{k} vs G_{n - k} in C^{n}", ok))
     return checks
 
 
-def suite_odd_identity(max_n: int) -> list[CheckResult]:
+def suite_odd_identity(max_n: int, run: _Run) -> list[CheckResult]:
     checks = []
     for n in range(min(max_n, 3) + 1):
         for k in range(n + 1):
-            space = SpaceDescriptor("odd-real-grassmannian", k, n)
-            stated = closed_form(space)
+            content, outcome = run.space(SpaceDescriptor("odd-real-grassmannian", k, n))
+            stated = content.closed_form
             even = closed_form(SpaceDescriptor("real-grassmannian-even", k, n))
             product = ClosedFormSeries.one_plus(2 * n + 1) * even
             top = catalog.top_degree_of(stated)
@@ -167,11 +225,12 @@ def suite_odd_identity(max_n: int) -> list[CheckResult]:
             label = f"G_{2 * k + 1}(R^{2 * n + 2})"
             checks.append(CheckResult(f"odd factorization {label}: symbolic", sym))
             checks.append(CheckResult(f"odd factorization {label}: numeric", num))
-            checks.append(_series_check(f"odd engine dims {label}", catalog.build_ring(space)))
+            dims = outcome.checks[0]
+            checks.append(CheckResult(f"odd engine dims {label}", dims.ok, dims.detail))
     return checks
 
 
-def suite_extensions(max_n: int) -> list[CheckResult]:
+def suite_extensions(max_n: int, run: _Run) -> list[CheckResult]:
     checks = []
     # Leray-Hirsch product over a projective base with nontrivial classes
     base = catalog.build_ring(SpaceDescriptor("projective-space-complex", 0, 3))
@@ -219,14 +278,14 @@ def suite_extensions(max_n: int) -> list[CheckResult]:
     return checks
 
 
-def suite_equivariant(max_n: int) -> list[CheckResult]:
+def suite_equivariant(max_n: int, run: _Run) -> list[CheckResult]:
     rank, cutoff = 2, 8
     ring = extension.equivariant_space("complex", rank, "flag", cutoff=cutoff)
     checks = [_series_check(f"equivariant flag rank {rank}: dims = Borel convolution", ring)]
     plain = extension.zero_generators(ring, [f"a{i}" for i in range(1, rank + 1)])
-    fl_ring = catalog.build_ring(SpaceDescriptor("complete-flag-complex", 0, rank))
+    fl_dims = run.space(SpaceDescriptor("complete-flag-complex", 0, rank))[1].dimensions
     ok = all(
-        plain.dimension(d) == (fl_ring.dimension(d) if d <= fl_ring.cutoff else 0)
+        plain.dimension(d) == (fl_dims[d] if d < len(fl_dims) else 0)
         for d in range(cutoff + 1)
     )
     checks.append(CheckResult(f"equivariant flag rank {rank}: a_i -> 0 recovers the fibre", ok))
@@ -242,7 +301,8 @@ SUITES = {
 
 
 def run_suites(names, max_n: int) -> list[CheckResult]:
+    run = _Run()
     checks: list[CheckResult] = []
     for name in names:
-        checks.extend(SUITES[name](max_n))
+        checks.extend(SUITES[name](max_n, run))
     return checks

@@ -21,7 +21,7 @@ from flagcohom import (
     series_from_ring,
     verify_space,
 )
-from flagcohom import catalog
+from flagcohom import algebra, catalog, verify
 from flagcohom.algebra import PresentationError
 from flagcohom.catalog import VARIANTS, BasisFamily, FamilyPart, default_cutoff, top_degree_of
 from flagcohom.series import ClosedFormSeries
@@ -272,6 +272,101 @@ def test_verify_space_reports_offending_degree(monkeypatch):
         False,
         "degrees [2, 4, 6, 8, 10]: engine [1, 2, 1, 1, 0], series [2, 3, 3, 2, 1]",
     )]
+
+
+def test_generated_family_members_match_the_filtered_enumeration():
+    # every monomial of the degree, kept when the family contains it, as
+    # the family was enumerated before its members were generated
+    spaces = list(dict.fromkeys(_catalog_descriptors(5)))
+    checked = 0
+    for space in spaces:
+        pres, _, family = build_space(space)
+        if family is None:
+            continue
+        for d in range(default_cutoff(pres) + 3):
+            filtered = tuple(e for e in family.gens.monomials_of_degree(d) if family.contains(e))
+            assert tuple(m.exps for m in family.monomials_of_degree(d)) == filtered, (space.label, d)
+            checked += 1
+    assert checked == 2412
+
+
+def count_reductions(monkeypatch):
+    """Counts of QuotientRings built and Groebner steps taken, from now on."""
+    counts = {"rings": 0, "steps": 0}
+    init, step = algebra.QuotientRing.__init__, algebra._GroebnerBasis.step
+
+    def counting_init(self, *args):
+        counts["rings"] += 1
+        init(self, *args)
+
+    def counting_step(self, d):
+        counts["steps"] += 1
+        return step(self, d)
+
+    monkeypatch.setattr(algebra.QuotientRing, "__init__", counting_init)
+    monkeypatch.setattr(algebra._GroebnerBasis, "step", counting_step)
+    return counts
+
+
+def test_a_default_run_reduces_each_distinct_ring_once(monkeypatch):
+    # the CLI's default run: one ring for each of the 98 distinct contents
+    # of the 130 catalog spaces, and 16 for the extension and equivariant
+    # checks
+    counts = count_reductions(monkeypatch)
+    checks = verify.run_suites(list(verify.SUITES), 4)
+    assert len(checks) == 445 and all(c.ok for c in checks)
+    assert counts == {"rings": 114, "steps": 1135}
+
+
+def test_a_second_run_reuses_nothing_from_the_first(monkeypatch):
+    space = SpaceDescriptor("complex-grassmannian", 1, 2)  # CP^1
+    assert all(c.ok for c in verify.run_suites(["catalog"], 2))
+    pres, series, family = build_space(space)
+    wrong_series = replace(pres, closed_form=ClosedFormSeries.one_plus(4) * series)
+    wrong_relations = replace(pres, relations=pres.relations[1:])  # c1*cb1 alone
+    # the duality check compares the ring's dimensions with the closed form
+    # its presentation states, so it fails with either
+    for wrong, failing in (
+        (wrong_series, [f"{space.label}: dimensions match closed form", "complex duality G_1 vs G_1 in C^2"]),
+        (wrong_relations, [f"{space.label}: dimensions match closed form",
+                           f"{space.label}: characteristic family is a basis",
+                           "complex duality G_1 vs G_1 in C^2"]),
+    ):
+        real = catalog.build_space
+        monkeypatch.setattr(catalog, "build_space", lambda s, wrong=wrong: (wrong, series, family) if s == space else real(s))
+        assert [c.name for c in verify.run_suites(["catalog"], 2) if not c.ok] == failing
+        monkeypatch.undo()
+        assert all(c.ok for c in verify.run_suites(["catalog"], 2))
+
+
+def test_presentations_that_differ_in_one_value_get_separate_outcomes(monkeypatch):
+    # G_1(C^3) and three presentations that differ from it in one relation
+    # coefficient, one rewrite priority or the closed form; a fifth differs
+    # in its label only, which no check reads, and shares the first's outcome
+    pres, series, family = build_space(SpaceDescriptor("complex-grassmannian", 1, 3))
+    gens = pres.generators
+    coefficient = make_presentation(
+        gens, [gens.parse("c1 + 2*cb1"), *pres.relations[1:]], pres.label, series
+    )
+    low = Generators(replace(s, rewrite_priority=0) if s.name == "cb1" else s for s in gens)
+    priority = make_presentation(low, pres.relations, pres.label, series)
+    stated = replace(pres, closed_form=ClosedFormSeries.one_plus(2) * series)
+    relabelled = replace(pres, label="another label")
+    spaces = [SpaceDescriptor("complex-grassmannian", k, 5) for k in range(5)]
+    built = {
+        spaces[0]: (pres, family),
+        spaces[1]: (coefficient, family),
+        spaces[2]: (priority, BasisFamily(low, family.parts)),
+        spaces[3]: (stated, family),
+        spaces[4]: (relabelled, family),
+    }
+    monkeypatch.setattr(catalog, "build_space", lambda s: (built[s][0], series, built[s][1]))
+    counts = count_reductions(monkeypatch)
+    run = verify._Run()
+    outcomes = [run.space(s)[1] for s in spaces]
+    assert counts["rings"] == 4 and len(run.checked) == 4
+    assert outcomes[4] is outcomes[0]
+    assert [c.ok for o in outcomes for c in o.checks] == [True] * 9 + [False, True, True] + [True] * 3
 
 
 def test_default_cutoff_refuses_a_series_it_cannot_size():
