@@ -35,21 +35,18 @@ grown to the lcm of the leads met, and puts the output over that lead times
 the denominators. Neither a product nor a normal form builds a `Fraction`.
 `Fraction`s appear only where coefficients come in and go out.
 
-Zero monomials cost no reduction. A degree-d monomial m is zero in the
-quotient when m/x is, for some generator x of m: m is plus or minus x
-times m/x, and m/x lies in the ideal. The degree-d step finds such
-monomials from the zero monomials of the lower degrees (the pivots whose
-rewrite row has no positions, or every monomial of a zero degree), builds
-no row over its column, and leaves its unit row to the table. The reduced
-echelon form of the slice holds that unit row anyway, with a zero in the
-monomial's column in every other row, so the tables do not change.
-
-Whole degrees follow from the same rule. Let g be the largest generator
-degree. If the quotient is zero in each of the degrees d-g, ..., d-1, it is
-zero in degree d: removing one generator from a degree-d monomial leaves a
-divisor whose degree lies in that window. This holds for odd generators as
-well. Every lower table is built before a degree's, so once a window is
-zero the basis takes no further step and the degree is not enumerated.
+One rule finds zeros without a reduction: a monomial m is zero in the
+quotient when m/x is, for some generator x of m, since m is plus or minus
+x times m/x and m/x lies in the ideal (odd generators included). Applied
+to whole degrees, degree d > 0 is zero when, for each generator x with
+deg x <= d, degree d - deg x is. Every lower table is built before a
+degree's, so such a degree takes no Gröbner step: its table is the
+shared zero table. Applied to the monomials of a degree that is stepped,
+it gives the dead ones, x times a zero monomial of degree d - deg x: the
+step builds no row over their columns and gives them unit rows in the
+table. The reduced echelon form of the slice holds those unit rows
+anyway, with a zero in their columns in every other row, so the tables
+do not change.
 """
 
 from __future__ import annotations
@@ -612,10 +609,30 @@ def make_presentation(
     return RingPresentation(gens, tuple(split), label, closed_form)
 
 
+@dataclass(frozen=True)
+class _DegreeTable:
+    basis: tuple[tuple[int, ...], ...]  # exponent vectors in display order
+    # key -> (lead, ((position, value), ...)) for every monomial of the
+    # degree, by the ring's packed key (`QuotientRing._key`) of its
+    # exponents, as the Gröbner step enumerates them, so the table keys
+    # nothing: the monomial equals the sum of value/lead times
+    # basis[position]. A basis monomial's row is (1, ((its position, 1),));
+    # a zero monomial's is (1, ()); a pivot's is its reduced row, primitive
+    # with positive lead, with its other entries negated. Rows are in column
+    # order, and equal pairs are shared within a table
+    rows: dict[int, tuple[int, tuple[tuple[int, int], ...]]]
+
+
+# The table of every zero degree, whether stepped or skipped by the zero
+# rule, and of every negative degree.
+_ZERO_TABLE = _DegreeTable((), {})
+
+
 class _GroebnerBasis:
     """A homogeneous Gröbner basis of a presentation's ideal, truncated at a
-    cutoff, in the elimination order. `step` extends it by one degree, and
-    is called for each degree in increasing order.
+    cutoff, in the elimination order. `step` extends it by one degree and
+    returns that degree's table; it is called in increasing degree, for
+    each degree the zero rule does not skip.
 
     A monomial is its packed key; `_exps` reads one back only for a new
     lead, an odd multiplier's sign and a table's basis. A lead l divides m
@@ -633,10 +650,11 @@ class _GroebnerBasis:
     new element.
 
     A degree-d monomial m is dead when m/x is zero for a generator x of m:
-    `_dead` adds x's key to the zero monomials of each degree d - deg x.
-    A dead m lies in the ideal, so the slice's reduced echelon form holds
-    its unit row and has a zero in its column in every other row. A dead
-    column is left out of the rows' column index, so it gets no divisor
+    `_dead` adds x's key to the zero monomials of each degree d - deg x,
+    those its step kept in `zeros`, or all of them if the zero rule skipped
+    it. A dead m lies in the ideal, so the slice's reduced echelon form
+    holds its unit row and has a zero in its column in every other row. A
+    dead column is left out of the rows' column index, so it gets no divisor
     scan, no reducer and no entry, and the table writes its unit row: x
     times the monomial element m/x, a valid reducer for m (F4 takes any
     ideal element with the right lead). An older lead divides m/x and so m:
@@ -680,10 +698,9 @@ class _GroebnerBasis:
             if (d := gens.monomial_degree(next(iter(rel.nums)))) <= cutoff:
                 self.relations.setdefault(d, []).append([(self.key(e), v) for e, v in rel.nums.items()])
         self.pending: dict[int, set[tuple[int, int]]] = {}
-        # the keys of the zero monomials of each degree stepped, in no order:
-        # the leads of its unit rows and its dead monomials, or every monomial
-        # of a zero degree
-        self.zeros: dict[int, Sequence[int]] = {}
+        # the keys of the zero monomials of each degree stepped, in column
+        # order: its dead monomials and the leads of its unit rows
+        self.zeros: dict[int, list[int]] = {}
         # the keys of each degree enumerated, in display order, and where
         # those in generators i.. begin
         self.degree_keys: list[list[int]] = []
@@ -715,16 +732,14 @@ class _GroebnerBasis:
     def _exps(self, key: int) -> tuple[int, ...]:
         return tuple([(key >> offset) & mask for offset, mask in self.fields])
 
-    def step(self, d: int) -> tuple[list[int], list[list[tuple[int, int]]], set[int]] | None:
-        """Extend the basis to degree d. Returns the columns, the keys of the
-        degree-d monomials in descending order; the reduced rows of the
-        ideal's degree-d slice over the live columns, sorted by lead, each
-        built once as the sorted list `linalg.rref` reads; and the keys of
-        the dead monomials, whose unit rows complete them. Returns None when
-        older leads divide every live column, and at once when the degree has
-        no monomial, so no row to reduce."""
-        if not self.gens._enumerable_count(d):
-            return None
+    def step(self, d: int) -> _DegreeTable:
+        """Extend the basis to degree d and return its table. The columns are
+        the keys of the degree-d monomials in descending order; the rows of
+        the ideal's degree-d slice over the live columns, each built once as
+        the sorted list `linalg.rref` reads, reduce to the pivots' rows. The
+        live columns with no pivot are the basis; the dead ones, and those
+        whose reduced row is a unit row, are the zero monomials."""
+        self.gens._enumerable_count(d)  # the refusal of a degree too large to enumerate
         cols = sorted(self._keys(d), reverse=True)
         dead = self._dead(d)
         guard, leads = self.guard, self.leads
@@ -737,30 +752,51 @@ class _GroebnerBasis:
                     if (high - lead) & guard == guard:
                         hits[c] = (k, m - lead)
                         break
-        relations, pending = self.relations.pop(d, []), self.pending.pop(d, ())
-        if None not in hits.values():
-            self.zeros[d] = cols
-            return None
         # the live columns by key; a dead monomial has no entry, so no row gets one
         index = {cols[c]: c for c in hits}
         rows = [self._multiple(*hit, index) for hit in hits.values() if hit is not None]
-        rows += [sorted((index[m], v) for m, v in rel if m in index) for rel in relations]
-        rows += [self._multiple(k, u, index) for k, u in pending]
-        reduced = linalg.rref([row for row in rows if row])
-        for row in reduced:
+        rows += [sorted((index[m], v) for m, v in rel if m in index) for rel in self.relations.pop(d, ())]
+        rows += [self._multiple(k, u, index) for k, u in self.pending.pop(d, ())]
+        pivots = {}
+        for row in linalg.rref([row for row in rows if row]):
+            pivots[row[0][0]] = row
             if hits[row[0][0]] is None:
                 self._add(d, [(cols[c], v) for c, v in row])
-        units = {row[0][0] for row in reduced if len(row) == 1}
-        self.zeros[d] = [cols[c] for c in units] + list(dead)
-        return cols, reduced, dead
+        # the live columns with no pivot, in display order, and their positions
+        exps = self._exps
+        basis = sorted([(exps(cols[c]), c) for c in hits if c not in pivots], reverse=True)
+        position = {c: i for i, (_, c) in enumerate(basis)}
+        # equal (position, value) pairs are one tuple across the table's rows,
+        # which keeps a table smaller than separate position and value tuples
+        shared: dict[tuple[int, int], tuple[int, int]] = {}
+        table: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
+        # each column's row: a basis monomial's unit row; a zero monomial's
+        # empty row, for a dead column or a unit row of the reduction; or a
+        # pivot's reduced row over the basis positions
+        self.zeros[d] = zeros = []
+        for c, k in enumerate(cols):
+            i, row = position.get(c), pivots.get(c)
+            if i is not None:
+                table[k] = (1, (shared.setdefault((i, 1), (i, 1)),))
+            elif row is None or len(row) == 1:
+                table[k] = (1, ())
+                zeros.append(k)
+            else:
+                tail = [shared.setdefault(p, p) for col, v in row[1:] for p in [(position[col], -v)]]
+                table[k] = (row[0][1], tuple(tail))
+        return _DegreeTable(tuple([m for m, _ in basis]), table) if basis else _ZERO_TABLE
 
     def _dead(self, d: int) -> set[int]:
         """The keys of the degree-d monomials x*m of a generator x and a zero
-        monomial m of degree d - deg x, an odd x only where m lacks it."""
+        monomial m of degree d - deg x, an odd x only where m lacks it. A
+        degree the zero rule skipped has no `zeros`: all its monomials are
+        zero, and `_keys(d)` has enumerated them."""
         dead: set[int] = set()
         for g, w, (start, _) in zip(self.gens.degrees, self.weights, self.fields):
-            bit = (1 << start) * (g % 2)  # an odd x's exponent bit
-            dead.update([m + w for m in self.zeros.get(d - g, ()) if not m & bit])
+            if g <= d:
+                bit = (1 << start) * (g % 2)  # an odd x's exponent bit
+                zeros = self.zeros.get(d - g)
+                dead.update([m + w for m in (self._keys(d - g) if zeros is None else zeros) if not m & bit])
         return dead
 
     def _multiple(self, k: int, u: int, index: dict[int, int]) -> list[tuple[int, int]]:
@@ -790,31 +826,13 @@ class _GroebnerBasis:
                 self.pending.setdefault(d + gens.degrees[i], set()).add((k, self.weights[i]))
 
 
-@dataclass(frozen=True)
-class _DegreeTable:
-    basis: tuple[tuple[int, ...], ...]  # exponent vectors in display order
-    # key -> (lead, ((position, value), ...)) for every monomial of the
-    # degree, by the ring's packed key (`QuotientRing._key`) of its
-    # exponents, as the Gröbner step enumerates them, so the table keys
-    # nothing: the monomial equals the sum of value/lead times
-    # basis[position]. A basis monomial's row is (1, ((its position, 1),));
-    # a dead monomial's is (1, ()); a pivot's is its reduced row, primitive
-    # with positive lead, with its other entries negated, in column order.
-    # Equal pairs are shared within a table
-    rows: dict[int, tuple[int, tuple[tuple[int, int], ...]]]
-
-
-# The table of every zero degree, whether reduced or known to vanish, and of
-# every negative degree.
-_ZERO_TABLE = _DegreeTable((), {})
-
-
 class QuotientRing:
     """A presented graded-commutative ring with per-degree normal forms.
 
-    Tables are built in increasing degree, each by one step of the Gröbner
-    basis, under one lock; asking for degree d builds every missing degree
-    up to d. A built table is immutable, and reads take no lock.
+    Tables are built in increasing degree under one lock, each by one step
+    of the Gröbner basis unless the zero rule of the module docstring rules
+    its degree zero; asking for degree d builds every missing degree up to
+    d. A built table is immutable, and reads take no lock.
     """
 
     def __init__(self, presentation: RingPresentation, cutoff: int):
@@ -825,7 +843,6 @@ class QuotientRing:
         self._tables: list[_DegreeTable] = []  # indexed by degree
         self._lock = threading.Lock()
         self._basis = basis = _GroebnerBasis(presentation, cutoff)
-        self._max_gen_degree = max(presentation.generators.degrees, default=0)
         # the basis's packed key sum(e_i * w_i), whose top field, from bit `_shift`
         # up, is the degree. An overflow carries upward, so a key whose degree
         # is in range is exact
@@ -859,43 +876,14 @@ class QuotientRing:
                     tables.append(self._compute_table(len(tables)))
         return tables[d]
 
-    def _vanishes(self, d: int) -> bool:
-        """Whether the tables of degrees d-g .. d-1 are all zero."""
-        g = self._max_gen_degree
-        return 0 < d and g <= d and not any(t.basis for t in self._tables[d - g : d])
-
     def _compute_table(self, d: int) -> _DegreeTable:
-        """Degree d's table from one basis step, whose reduced rows and dead monomials pivot."""
-        if self._vanishes(d):
+        """Degree d's table: the zero table when the zero rule holds, every
+        degree d - deg x of a generator x with deg x <= d being zero, and
+        else the table of the basis's step to degree d."""
+        tables = self._tables
+        if d and not any(tables[d - g].basis for g in self.gens.degrees if g <= d):
             return _ZERO_TABLE
-        stepped = self._basis.step(d)
-        if stepped is None:
-            return _ZERO_TABLE
-        cols, reduced, dead = stepped
-        pivots = {row[0][0]: row for row in reduced}
-        # the columns with no pivot that are not dead, in display order
-        exps = self._basis._exps
-        basis = sorted([(exps(k), k) for c, k in enumerate(cols) if c not in pivots and k not in dead], reverse=True)
-        if not basis:
-            return _ZERO_TABLE
-        index = {k: i for i, (_, k) in enumerate(basis)}
-        position = [index.get(k) for k in cols]  # column -> basis position
-        # equal (position, value) pairs are one tuple across the table's rows,
-        # which keeps a table smaller than separate position and value tuples
-        shared: dict[tuple[int, int], tuple[int, int]] = {}
-        rows = {k: (1, (shared.setdefault((i, 1), (i, 1)),)) for k, i in index.items()}
-        # the pivots' rows in column order. A column with no basis position
-        # whose reduced row is a unit row, or that has none (a dead column),
-        # is a zero monomial: lead 1, no entries
-        for c, (k, i) in enumerate(zip(cols, position)):
-            if i is None:
-                row = pivots.get(c)
-                if row is None or len(row) == 1:
-                    rows[k] = (1, ())
-                else:
-                    tail = [shared.setdefault(p, p) for col, v in row[1:] for p in [(position[col], -v)]]
-                    rows[k] = (row[0][1], tuple(tail))
-        return _DegreeTable(tuple([m for m, _ in basis]), rows)
+        return self._basis.step(d)
 
     # -- public queries ----------------------------------------------------
 

@@ -13,7 +13,6 @@ import json
 import shutil
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import catalog, extension, verify
 from .algebra import (
@@ -255,14 +254,6 @@ def presentation_doc(pres: RingPresentation) -> dict:
         "generators": [[s.name, s.degree] for s in pres.generators],
         "relations": [element_doc(r) for r in pres.relations],
     }
-
-
-def presentation_from_doc(doc: dict) -> RingPresentation:
-    gens = Generators([GeneratorSymbol(n, d) for n, d in doc["generators"]])
-    relations = []
-    for rel in doc["relations"]:
-        relations.append(gens.element({tuple(e): Fraction(num, den) for e, num, den in rel}))
-    return make_presentation(gens, relations, doc.get("label", ""))
 
 
 def render_presentation(pres: RingPresentation, fmt: str) -> str:

@@ -23,7 +23,8 @@ from .series import ClosedFormSeries, series_from_ring
 
 # the largest max_n whose suites complete: at 6 the catalog suite reaches
 # Fl~(R^12), whose degree 48 has 118755 monomials, more than
-# algebra.MAX_DEGREE_MONOMIALS, after about 25 s on a 2-CPU machine
+# algebra.MAX_DEGREE_MONOMIALS, and is refused there after 7-8 s on a
+# 2-CPU machine (Python 3.11)
 MAX_N = 5
 
 

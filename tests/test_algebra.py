@@ -526,17 +526,44 @@ def test_degrees_past_the_vanishing_window_build_no_matrix(monkeypatch):
     # G_2(C^4): zero above degree 8, generators of degree at most 4
     ring = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 40)
     assert ring.dimensions() == ring.dimensions(8) + [0] * 32
-    assert steps == list(range(13))
-    # its generators are all even, so an odd degree has no monomial: it is
-    # stepped, and the step returns before looking for dead monomials
+    # its generators are all even, so an odd degree d has only odd degrees
+    # d - deg x below it, which are zero: the zero rule skips it. Degree 14
+    # and every degree above it are skipped as well
+    assert steps == list(range(0, 13, 2))
     assert dead == list(range(0, 13, 2))
     # a degree asked for first builds the degrees below it, so the rule
     # applies however the degrees are asked
     steps.clear()
     fresh = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 40)
     assert fresh.dimension(30) == 0
-    assert steps == list(range(13))
+    assert steps == list(range(0, 13, 2))
     assert fresh.normal_form(fresh.gens.gen("c1") ** 15).is_zero
+
+
+def test_the_zero_rule_skips_degrees_below_nonzero_ones(monkeypatch):
+    # x (degree 2) and y (degree 6) with x^2 = xy = 0: the ring is 1, x, y,
+    # y^2 and y^3 to degree 18. Degrees 10 - deg x and 16 - deg x are zero
+    # for x and y, so the rule skips degrees 10 and 16 (and the odd ones),
+    # though nonzero degrees lie above them. The steps of degrees 12 and 18
+    # read every monomial of the degree skipped below them as zero, so each
+    # monomial but y^2 or y^3 is dead and the kernel gets no row
+    steps, rows = [], {}
+    real_step, real_rref = algebra._GroebnerBasis.step, linalg.rref
+
+    def step(basis, d):
+        steps.append(d)
+        return real_step(basis, d)
+
+    def rref(r):
+        rows[steps[-1]] = rows.get(steps[-1], 0) + len(r)
+        return real_rref(r)
+
+    monkeypatch.setattr(algebra._GroebnerBasis, "step", step)
+    monkeypatch.setattr(linalg, "rref", rref)
+    tables = tables_matching_dense_reference([(2, 0), (6, 0)], [{(2, 0): 1}, {(1, 1): 1}], cutoff=18)
+    assert [len(t.basis) for t in tables] == [int(d in (0, 2, 6, 12, 18)) for d in range(19)]
+    assert steps == [0, 2, 4, 6, 8, 12, 14, 18]
+    assert rows[12] == rows[18] == 0
 
 
 def test_a_table_hands_the_kernel_one_row_per_leading_monomial(monkeypatch):

@@ -1,5 +1,4 @@
-"""CLI subcommands via subprocess: output, exit codes and the structured
-round trip."""
+"""CLI subcommands via subprocess: output, exit codes and structured output."""
 
 import hashlib
 import json
@@ -14,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from flagcohom import SpaceDescriptor, build_space, catalog, cli, extension
 from flagcohom.catalog import closed_form
-from flagcohom.cli import presentation_doc, presentation_from_doc
 from flagcohom.verify import CheckResult
 
 
@@ -344,20 +342,6 @@ def test_malformed_config_diagnostics(tmp_path):
     result = run_cli("present", "--config", str(path))
     assert result.returncode == 2
     assert "line" in result.stderr
-
-
-def test_structured_round_trip():
-    for desc in (
-        SpaceDescriptor("complex-grassmannian", 2, 4),
-        SpaceDescriptor("oriented-grassmannian", 1, 2, "even-even"),
-        SpaceDescriptor("odd-real-grassmannian", 1, 2),
-    ):
-        pres = build_space(desc)[0]
-        doc = presentation_doc(pres)
-        reparsed = presentation_from_doc(json.loads(json.dumps(doc)))
-        assert presentation_doc(reparsed) == doc
-        assert [s.name for s in reparsed.generators] == [s.name for s in pres.generators]
-        assert [r.terms for r in reparsed.relations] == [r.terms for r in pres.relations]
 
 
 def test_structured_output_is_parseable_json():
