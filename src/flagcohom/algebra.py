@@ -72,8 +72,9 @@ class CutoffExceededError(ValueError):
     """A degree beyond the ring's computed range was requested."""
 
 
-# The most monomials one degree may have. A degree with more is refused
-# before it is enumerated.
+# The most monomials one degree may have. Every degree the Gröbner step
+# enumerates, the one asked for and each one below it, is counted from the
+# degrees below it and refused before it is built when it has more.
 MAX_DEGREE_MONOMIALS = 100_000
 
 
@@ -111,7 +112,7 @@ class GeneratorSymbol:
 class Generators:
     """Ordered generator universe shared by monomials and elements."""
 
-    __slots__ = ("symbols", "degrees", "names", "_index", "_odd", "_mono_cache", "_count_table")
+    __slots__ = ("symbols", "degrees", "names", "_index", "_odd")
 
     def __init__(self, symbols: Iterable[GeneratorSymbol]):
         self.symbols: tuple[GeneratorSymbol, ...] = tuple(symbols)
@@ -122,8 +123,6 @@ class Generators:
         self.degrees: tuple[int, ...] = tuple(s.degree for s in self.symbols)
         self._index = {s.name: i for i, s in enumerate(self.symbols)}
         self._odd = tuple(i for i, s in enumerate(self.symbols) if s.is_odd)
-        self._mono_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._count_table: list[list[int]] = [[]]
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -206,100 +205,6 @@ class Generators:
 
     def monomial(self, exps: Sequence[int]) -> Monomial:
         return Monomial(self, tuple(exps))
-
-    def monomials_of_degree(self, d: int) -> tuple[tuple[int, ...], ...]:
-        """All exponent vectors of total degree d, in display order."""
-        cached = self._mono_cache.get(d)
-        if cached is None:
-            count = self._enumerable_count(d)
-            out: list[tuple[int, ...]] = []
-            degs, n = self.degrees, len(self.degrees)
-            caps = [1 if i in self._odd else d for i in range(n)]
-            # the search descends only where the rest can be completed
-            counts = self._counts(d)
-            exps = [0] * n
-            # the generators with a nonzero exponent, in order: the search
-            # keeps one entry per factor, however many generators there are
-            factors: list[int] = []
-            first, left = 0, d
-            while count:
-                # each generator from `first` on takes the largest exponent
-                # that leaves a degree the generators after it reach
-                for i in range(first, n):
-                    if not left:
-                        break
-                    g, after = degs[i], counts[i + 1]
-                    e = left // g
-                    if e > caps[i]:
-                        e = caps[i]
-                    while not after[left - e * g]:
-                        e -= 1
-                    if e:
-                        exps[i] = e
-                        factors.append(i)
-                        left -= e * g
-                out.append(tuple(exps))
-                # the last nonzero exponent drops by one, and again while the
-                # generators after it cannot complete the degree freed; a
-                # factor that drops to zero leaves. Exponents run from high
-                # to low, generator by generator: the output is in display
-                # order. No generator follows the last one, so a factor of
-                # it leaves in one step
-                while factors:
-                    i = factors[-1]
-                    if i == n - 1:
-                        left += exps[i] * degs[i]
-                        exps[i] = 0
-                        factors.pop()
-                        continue
-                    exps[i] -= 1
-                    left += degs[i]
-                    if not exps[i]:
-                        factors.pop()
-                    if counts[i + 1][left]:
-                        break
-                else:
-                    break
-                first = i + 1
-            cached = self._mono_cache.setdefault(d, tuple(out))
-        return cached
-
-    def _counts(self, d: int) -> list[list[int]]:
-        """counts[i][j]: the number of degree-j monomials in the generators
-        i.., for every j up to at least d. Row i is the product of
-        1/(1-t^deg) over the even generators from i on and 1+t^deg over the
-        odd ones. It is built for twice the degree asked, so a ring's
-        degrees, asked in increasing order, rebuild it a few times."""
-        counts = self._count_table
-        if len(counts[-1]) <= d:
-            top = 2 * d
-            counts = [[1] + [0] * top]
-            for g in reversed(self.degrees):
-                r, shift = counts[-1], g
-                # one shift multiplies by 1+t^shift; doubling the shift, as
-                # often as it fits, multiplies by 1/(1-t^g), as every
-                # exponent is one sum of distinct powers of two
-                while shift <= top:
-                    r = r[:shift] + list(map(add, r[shift:], r))
-                    if g % 2:
-                        break
-                    shift *= 2
-                counts.append(r)
-            counts.reverse()
-            self._count_table = counts
-        return counts
-
-    def monomial_count(self, d: int) -> int:
-        """The number of degree-d monomials."""
-        if d < 0:
-            return 0
-        return self._counts(d)[0][d]
-
-    def _enumerable_count(self, d: int) -> int:
-        """The number of degree-d monomials, refused above MAX_DEGREE_MONOMIALS."""
-        if (count := self.monomial_count(d)) > MAX_DEGREE_MONOMIALS:
-            raise TooManyMonomialsError(f"degree {d} has {count} monomials, more than the limit {MAX_DEGREE_MONOMIALS}")
-        return count
 
     def extend(self, extra: Iterable[GeneratorSymbol]) -> Generators:
         return Generators(self.symbols + tuple(extra))
@@ -707,14 +612,20 @@ class _GroebnerBasis:
         self.starts: list[list[int]] = []
 
     def _keys(self, d: int) -> list[int]:
-        """The keys of the degree-d monomials in display order. `degree_keys[j]`
-        is filled up to degree d as the monomials whose first generator is
-        x_0, then those whose first is x_1, and so on, the unit last; those
-        whose first is x_i are x_i times the degree-(j - deg x_i) monomials
-        in generators i.. (i+1.. for an odd x_i), which begin at `starts[.][i]`.
+        """The keys of the degree-d monomials in display order: the one
+        enumeration of a ring's monomials. `degree_keys[j]` is filled up to
+        degree d as the monomials whose first generator is x_0, then those
+        whose first is x_1, and so on, the unit last; those whose first is
+        x_i are x_i times the degree-(j - deg x_i) monomials in generators
+        i.. (i+1.. for an odd x_i), which begin at `starts[.][i]`. So the
+        lower degrees count every degree built, d or one below it, and one
+        with more than `MAX_DEGREE_MONOMIALS` is refused before it is built.
         A degree holds its monomial count and costs its size."""
         keys, starts, weights, degrees = self.degree_keys, self.starts, self.weights, self.gens.degrees
         for j in range(len(keys), d + 1):
+            count = sum(len(keys[j - g]) - starts[j - g][i + g % 2] for i, g in enumerate(degrees) if g <= j)
+            if count > MAX_DEGREE_MONOMIALS:
+                raise TooManyMonomialsError(f"degree {j} has {count} monomials, more than the limit {MAX_DEGREE_MONOMIALS}")
             row, start = [], [0]
             for i, (g, w) in enumerate(zip(degrees, weights)):
                 if g <= j:
@@ -739,7 +650,6 @@ class _GroebnerBasis:
         the sorted list `linalg.rref` reads, reduce to the pivots' rows. The
         live columns with no pivot are the basis; the dead ones, and those
         whose reduced row is a unit row, are the zero monomials."""
-        self.gens._enumerable_count(d)  # the refusal of a degree too large to enumerate
         cols = sorted(self._keys(d), reverse=True)
         dead = self._dead(d)
         guard, leads = self.guard, self.leads

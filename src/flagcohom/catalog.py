@@ -10,7 +10,6 @@ and a1..an for the polynomial generators of the torus-equivariant base.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -166,36 +165,40 @@ class FamilyPart:
 
 @dataclass(frozen=True)
 class BasisFamily:
-    """A characteristic monomial family: union of capped monomial sets."""
+    """A characteristic monomial family: union of capped monomial sets. A
+    degree's members are built by a search over each part's core, not by
+    the ring's enumeration of its monomials: it builds no monomial outside
+    the family, so no degree is counted against `MAX_DEGREE_MONOMIALS`."""
 
     gens: Generators
     parts: tuple[FamilyPart, ...]
 
-    @functools.cached_property
-    def _cores(self) -> list[tuple[Generators, int]]:
-        """Each part's core generators, and the degree of its prefix off the core."""
-        return [
-            (
-                Generators(self.gens.symbols[i] for i in part.core),
-                sum(e * g for i, (e, g) in enumerate(zip(part.prefix, self.gens.degrees)) if i not in part.core),
-            )
-            for part in self.parts
-        ]
-
     def monomials_of_degree(self, d: int) -> tuple[Monomial, ...]:
         """The family's monomials of degree d, in the ring's display order:
         each part's prefix times the core monomials of the remaining degree
-        whose exponent sum is within its cap."""
+        whose exponent sum is within its cap. The search over the core
+        carries the degree and the exponent sum left, and stops where the
+        degree left is below every core degree left."""
+        degrees = self.gens.degrees
         members = set()
-        for part, (core, shift) in zip(self.parts, self._cores):
-            if d < shift:
-                continue
-            exps = list(part.prefix)
-            for c in core.monomials_of_degree(d - shift):
-                if sum(c) <= part.max_exponent_sum:
-                    for i, e in zip(part.core, c):
-                        exps[i] = e
+        for part in self.parts:
+            core = part.core
+            exps = [0 if i in core else e for i, e in enumerate(part.prefix)]
+            # the smallest degree of the core generators from each position on
+            low = [min(degrees[i] for i in core[p:]) for p in range(len(core))] + [d + 1]
+
+            def search(p: int, left: int, cap: int) -> None:
+                if not left:
                     members.add(tuple(exps))
+                elif left >= low[p]:
+                    i = core[p]
+                    g = degrees[i]
+                    # an odd generator's exponent is at most 1; the loop leaves it 0
+                    for e in range(min(left // g, cap, 1 if g % 2 else cap), -1, -1):
+                        exps[i] = e
+                        search(p + 1, left - e * g, cap - e)
+
+            search(0, d - self.gens.monomial_degree(exps), part.max_exponent_sum)
         return tuple(Monomial(self.gens, e) for e in sorted(members, reverse=True))
 
     def contains(self, exps: tuple[int, ...]) -> bool:

@@ -78,40 +78,28 @@ def test_parity_follows_degree():
     assert not GeneratorSymbol("x", 2).is_odd
 
 
-def test_monomial_enumeration_matches_bruteforce():
-    gens = mixed_gens()
-    for d in range(13):
-        assert sorted(gens.monomials_of_degree(d)) == sorted(monomials([2, 3, 4, 5], d))
-
-
 def display_key(exps):
     # descending lex, earlier generators dominant
     return tuple(-e for e in exps)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.integers(1, 5), min_size=1, max_size=5),
-    st.integers(0, 14),
-    st.lists(st.integers(-1, 14), max_size=4),
-)
-def test_monomials_of_degree_come_in_display_order(degrees, d, more):
-    # a table's basis comes in this order. The degrees after d are asked in random order on the same
-    # generators, so the count table is both reused and rebuilt
-    gens = Generators([GeneratorSymbol(f"x{i}", deg) for i, deg in enumerate(degrees)])
-    for e in [d, *more]:
-        expected = monomials(degrees, e)
-        assert list(gens.monomials_of_degree(e)) == sorted(expected, key=display_key), e
-        assert gens.monomial_count(e) == len(expected), e
+def universe_monomials(gens, d):
+    """The degree-d exponent vectors of a bare universe, in display order."""
+    return sorted(monomials(list(gens.degrees), d), key=display_key)
+
+
+def ring_monomials(ring, d):
+    """The degree-d exponent vectors of a ring's universe, as the Gröbner
+    step enumerates them: its keys, decoded, in display order."""
+    return [ring._basis._exps(k) for k in ring._basis._keys(d)]
 
 
 def test_catalog_monomials_come_in_display_order():
     for desc in dict.fromkeys(_catalog_descriptors(4)):
         pres = build_space(desc)[0]
-        gens = pres.generators
-        for d in range(default_cutoff(pres) + 1):
-            expected = sorted(monomials(list(gens.degrees), d), key=display_key)
-            assert list(gens.monomials_of_degree(d)) == expected, (desc.label, d)
+        ring = QuotientRing(pres, default_cutoff(pres))
+        for d in range(ring.cutoff + 1):
+            assert ring_monomials(ring, d) == universe_monomials(pres.generators, d), (desc.label, d)
 
 
 def test_monomial_degree_and_str():
@@ -256,10 +244,9 @@ def test_a_long_sum_parses_in_linear_time():
 
 
 def element_strategy(gens, max_degree=10):
-    degrees = list(gens.degrees)
     monos = []
     for d in range(max_degree + 1):
-        monos.extend(gens.monomials_of_degree(d))
+        monos.extend(universe_monomials(gens, d))
     coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
     return st.dictionaries(st.sampled_from(monos), coeff, max_size=4).map(gens.element)
 
@@ -283,7 +270,7 @@ def test_product_is_associative_and_graded_commutative(data):
 def test_koszul_sign_matches_word_oracle(data):
     gens = mixed_gens()
     degrees = list(gens.degrees)
-    monos = [m for d in range(9) for m in gens.monomials_of_degree(d)]
+    monos = [m for d in range(9) for m in universe_monomials(gens, d)]
     ea = data.draw(st.sampled_from(monos))
     eb = data.draw(st.sampled_from(monos))
     product = gens.element({ea: 1}) * gens.element({eb: 1})
@@ -459,14 +446,11 @@ def rewrite_items(ring, d):
     in the table's row order, each row's key mapped back to its monomial;
     the basis monomials' unit rows are skipped."""
     table = ring._table(d)
-    if not table.rows:
-        return []
-    monomial = {ring._key(m): m for m in ring.gens.monomials_of_degree(d)}
     basis, units = table.basis, set(table.basis)
     return [
-        (monomial[key], (lead, tuple((basis[i], v) for i, v in entries)))
+        (m, (lead, tuple((basis[i], v) for i, v in entries)))
         for key, (lead, entries) in table.rows.items()
-        if monomial[key] not in units
+        if (m := ring._basis._exps(key)) not in units
     ]
 
 
@@ -606,48 +590,25 @@ def test_zero_monomials_hand_the_kernel_no_rows(monkeypatch):
 
 
 def test_a_high_degree_enumerates_no_monomial_past_the_window(monkeypatch):
-    # monomials are enumerated as exponent vectors, and by the Gröbner step
-    # as keys
+    # a ring's monomials are enumerated by the Gröbner step alone, as keys
     enumerated = set()
-    real_vectors, real_keys = Generators.monomials_of_degree, algebra._GroebnerBasis._keys
-
-    def vectors(gens, d):
-        enumerated.add(d)
-        return real_vectors(gens, d)
+    real_keys = algebra._GroebnerBasis._keys
 
     def keys(basis, d):
         enumerated.add(d)
         return real_keys(basis, d)
 
-    monkeypatch.setattr(Generators, "monomials_of_degree", vectors)
     monkeypatch.setattr(algebra._GroebnerBasis, "_keys", keys)
     ring = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 60)
     assert ring.dimension(60) == 0
     assert max(enumerated) == 12
 
 
-def test_monomial_counts_match_enumeration():
-    gens = mixed_gens()
-    assert [gens.monomial_count(d) for d in range(-1, 30)] == [
-        len(gens.monomials_of_degree(d)) for d in range(-1, 30)
-    ]
-
-
-def test_enumeration_follows_the_output():
-    # 18 odd generators of degree 1 have one monomial of degree 18; the
-    # search descends only where the generators after it reach the rest of
-    # the degree, so it does not walk the 2^18 partial products
-    gens = Generators([GeneratorSymbol(f"x{i}", 1) for i in range(18)])
-    start = time.perf_counter()
-    assert gens.monomials_of_degree(18) == ((1,) * 18,)
-    assert time.perf_counter() - start < 0.05
-
-
 def test_a_free_generator_enumerates_in_linear_time():
-    # one degree-2 generator has one monomial in each even degree. The search
-    # drops a factor of the last generator in one step, where walking its
-    # exponent down one unit at a time made the degrees to 20,000 take
-    # quadratic time
+    # one degree-2 generator has one monomial in each even degree, whose key
+    # the Gröbner step builds from the degree 2 below it, so the degrees to
+    # 20,000 take linear time (a search that walked the exponent down one
+    # unit at a time once made them quadratic)
     gens = Generators([GeneratorSymbol("x", 2)])
     ring = QuotientRing(make_presentation(gens, []), 20_000)
     start = time.perf_counter()
@@ -679,13 +640,28 @@ def test_many_relations_of_one_degree_are_deduplicated_in_linear_time():
 def test_a_degree_with_too_many_monomials_is_refused_before_any_step():
     gens = Generators([GeneratorSymbol(f"x{i}", 2) for i in range(30)])
     ring = QuotientRing(make_presentation(gens, [gens.gen("x0") ** 5]), 20)
-    assert gens.monomial_count(10) == 278256 > algebra.MAX_DEGREE_MONOMIALS
+    assert math.comb(34, 5) == 278256 > algebra.MAX_DEGREE_MONOMIALS
     for _ in range(2):
         with pytest.raises(algebra.TooManyMonomialsError, match="degree 10 has 278256 monomials"):
             ring.dimension(10)
         # degrees 0-9 are built; the relation of degree 10 is still to reduce
         assert len(ring._tables) == 10
         assert list(ring._basis.relations) == [10]
+
+
+def test_every_degree_the_step_enumerates_is_refused_past_the_limit():
+    # r0..r19 of degree 1, each zero, and w of degree 19: the zero rule skips
+    # degrees 2 to 18, and the step of degree 19 reads their monomials as
+    # zero, so it enumerates every degree below 19. Degree 19 has 21
+    # monomials, but degree 8 has C(20, 8) and is refused before it is built,
+    # where enumerating every degree built all 2^20 monomials
+    gens = Generators([*(GeneratorSymbol(f"r{i}", 1) for i in range(20)), GeneratorSymbol("w", 19)])
+    ring = QuotientRing(make_presentation(gens, [gens.gen(f"r{i}") for i in range(20)]), 19)
+    start = time.perf_counter()
+    with pytest.raises(algebra.TooManyMonomialsError, match="^degree 8 has 125970 monomials, more than the limit 100000$"):
+        ring.dimensions()
+    assert time.perf_counter() - start < 1
+    assert len(ring._basis.degree_keys) == 8
 
 
 def test_negative_degrees_are_zero():
@@ -1094,10 +1070,10 @@ def test_integer_products_match_the_normal_form_of_the_fraction_product(name):
     rng = random.Random(18)
 
     def element(universe, integer):
-        degrees = [d for d in range(half + 1) if universe.monomial_count(d)]
+        degrees = [d for d in range(half + 1) if universe_monomials(universe, d)]
         terms = {}
         for _ in range(rng.randint(1, 6)):
-            exps = rng.choice(universe.monomials_of_degree(rng.choice(degrees)))
+            exps = rng.choice(universe_monomials(universe, rng.choice(degrees)))
             terms[exps] = Fraction(rng.randint(-6, 6), 1 if integer else rng.randint(1, 6))
         return universe.element(terms)
 
@@ -1150,7 +1126,7 @@ def test_integer_products_past_the_cutoff_in_zero_degrees_and_at_the_key_limits(
     gens = Generators([GeneratorSymbol("x", 2), GeneratorSymbol("r", 3), GeneratorSymbol("s", 3), GeneratorSymbol("y", 4)])
     x, r, s, y = (gens.gen(n) for n in gens.names)
     ring = QuotientRing(make_presentation(gens, []), 14)
-    monos = [gens.element({m: 1}) for d in range(15) for m in gens.monomials_of_degree(d)]
+    monos = [gens.element({m: 1}) for d in range(15) for m in universe_monomials(gens, d)]
     for m, n in itertools.product(monos, monos):
         if m.degree() + n.degree() <= 14:
             assert ring.multiply(m, n) == m * n == ring.normal_form(m, n), (m, n)
@@ -1173,7 +1149,7 @@ def test_integer_products_past_the_cutoff_in_zero_degrees_and_at_the_key_limits(
 
 def seeded_element(rng, ring, d, size):
     """Up to `size` degree-d monomials with small fractional coefficients."""
-    exps = ring.gens.monomials_of_degree(d)
+    exps = ring_monomials(ring, d)
     terms = {}
     for e in rng.sample(exps, min(size, len(exps))):
         terms[e] = Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 4)), rng.choice((1, 1, 2, 3)))
@@ -1209,7 +1185,7 @@ def test_products_in_warm_tables_make_one_normal_form_and_no_reduction(make, mon
     monkeypatch.setattr(algebra, "_koszul_product", counted("koszul_product", algebra._koszul_product))
     monkeypatch.setattr(algebra.GradedElement, "__mul__", counted("mul", algebra.GradedElement.__mul__))
     rng = random.Random(12)
-    degrees = [d for d in range(1, ring.cutoff + 1) if len(ring.gens.monomials_of_degree(d)) >= 2]
+    degrees = [d for d in range(1, ring.cutoff + 1) if len(ring_monomials(ring, d)) >= 2]
     pairs = [(a, b) for a in degrees for b in degrees if a <= b and a + b <= ring.cutoff]
     for da, db in pairs:
         a, b = seeded_element(rng, ring, da, 6), seeded_element(rng, ring, db, 6)

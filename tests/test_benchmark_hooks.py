@@ -12,7 +12,7 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # hooks whose targets the engine no longer has; their metrics stay in the
 # benchmark's result line, at zero
-ABSENT = {"linalg.integer_row", "algebra.relation_rows"}
+ABSENT = {"linalg.integer_row", "algebra.relation_rows", "algebra.Generators.monomials_of_degree"}
 
 
 def benchmark_hooks():

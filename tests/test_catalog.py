@@ -9,6 +9,7 @@ from flagcohom import (
     GeneratorSymbol,
     Generators,
     Monomial,
+    QuotientRing,
     SpaceDescriptor,
     build_ring,
     build_space,
@@ -152,16 +153,22 @@ def test_odd_grassmannian_family_prefixed_by_r():
     assert fam == ["1", "p1", "r", "p1*r"]
 
 
+def ring_monomials(ring, d):
+    """The degree-d exponent vectors of a ring's universe, as the Gröbner
+    step enumerates them: its keys, decoded, in display order."""
+    return [ring._basis._exps(k) for k in ring._basis._keys(d)]
+
+
 def test_independent_detects_dependent_monomials():
     ring = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 10)
-    degree_4 = [Monomial(ring.gens, e) for e in ring.gens.monomials_of_degree(4)]
+    degree_4 = [Monomial(ring.gens, e) for e in ring_monomials(ring, 4)]
     assert len(degree_4) == 5
     basis = ring.degree_basis(4)
     assert _independent(ring, basis)
     assert not _independent(ring, degree_4)
     assert not _independent(ring, (basis[0], basis[0]))
     # a monomial of a zero degree is dependent on its own
-    assert not _independent(ring, (Monomial(ring.gens, ring.gens.monomials_of_degree(10)[0]),))
+    assert not _independent(ring, (Monomial(ring.gens, ring_monomials(ring, 10)[0]),))
 
 
 def test_flags_state_no_family():
@@ -275,19 +282,33 @@ def test_verify_space_reports_offending_degree(monkeypatch):
 
 
 def test_generated_family_members_match_the_filtered_enumeration():
-    # every monomial of the degree, kept when the family contains it, as
-    # the family was enumerated before its members were generated
+    # every monomial of the degree, as the ring enumerates them, kept when
+    # the family contains it, as the family was enumerated before its
+    # members were generated
     spaces = list(dict.fromkeys(_catalog_descriptors(5)))
     checked = 0
     for space in spaces:
         pres, _, family = build_space(space)
         if family is None:
             continue
-        for d in range(default_cutoff(pres) + 3):
-            filtered = tuple(e for e in family.gens.monomials_of_degree(d) if family.contains(e))
+        ring = QuotientRing(pres, default_cutoff(pres) + 2)
+        for d in range(ring.cutoff + 1):
+            filtered = tuple(e for e in ring_monomials(ring, d) if family.contains(e))
             assert tuple(m.exps for m in family.monomials_of_degree(d)) == filtered, (space.label, d)
             checked += 1
     assert checked == 2412
+
+
+def test_a_family_degree_builds_its_members_alone():
+    # degree 128 of G_8(C^24): the family's 17,575 members, where the
+    # uncapped core has 116,263 monomials, more than the limit, and
+    # enumerating them was refused
+    desc = SpaceDescriptor("complex-grassmannian", 8, 24)
+    family = build_space(desc)[2]
+    members = [m.exps for m in family.monomials_of_degree(128)]
+    assert len(members) == 17_575 == closed_form(desc).truncate(128)[128]
+    assert members == sorted(members, reverse=True)
+    assert all(map(family.contains, members))
 
 
 def count_reductions(monkeypatch):

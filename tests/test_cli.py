@@ -134,16 +134,24 @@ def test_basis_refuses_a_negative_degree(capsys):
 
 
 def test_series_refuses_a_degree_with_too_many_monomials(tmp_path, capsys):
-    # 30 generators of degree 2 and no relations: 278256 monomials in degree 10
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps({"presentation": {"generators": [[f"x{i}", 2] for i in range(30)]}}))
-    start = time.perf_counter()
-    code = cli.main(["series", "--config", str(path), "--cutoff", "20", "--force-large"])
-    elapsed = time.perf_counter() - start
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == "error: degree 10 has 278256 monomials, more than the limit 100000\n"
-    assert elapsed < 1
+    # 30 generators of degree 2 and no relations: 278256 monomials in degree
+    # 10. Twenty zero generators of degree 1 and w of degree 19: degree 19
+    # has 21 monomials, but its step enumerates the degrees below it, and
+    # degree 8 has 125970
+    odd = [f"r{i}" for i in range(20)]
+    for presentation, cutoff, message in (
+        ({"generators": [[f"x{i}", 2] for i in range(30)]}, 20, "degree 10 has 278256 monomials"),
+        ({"generators": [[r, 1] for r in odd] + [["w", 19]], "relations": odd}, 19, "degree 8 has 125970 monomials"),
+    ):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"presentation": presentation}))
+        start = time.perf_counter()
+        code = cli.main(["series", "--config", str(path), "--cutoff", str(cutoff), "--force-large"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {message}, more than the limit 100000\n"
+        assert elapsed < 1
 
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):
