@@ -6,13 +6,16 @@ to zero; even-degree generators are central. A finitely presented quotient
 keeps a homogeneous Gröbner basis of its ideal in the elimination order
 (the weight of priority-2 generators, then of priority-1 generators, then
 lex), built one degree at a time in increasing degree, in the manner of
-Buchberger's algorithm with the row reduction of Faugère's F4. One row
-reduction per degree both extends the basis and yields that degree's
-additive monomial basis and rewrite table (the normal-form map): its rows
-contain one element of the ideal per leading monomial of the ideal's
-degree-d slice, so they span the slice, and their reduced echelon form is
-the slice's own. Each row is built once, as the sorted column list the
-reduction reads: a multiple u*g of a basis element comes out in column
+Buchberger's algorithm with the row reduction and symbolic preprocessing
+of Faugère's F4, in two layers. The basis layer reduces, in one row
+reduction per degree, only that degree's relations, pairs and odd
+products and the multiples of basis elements their monomials reach, and
+lists the degree's standard monomials, those no lead divides: its
+additive monomial basis. The table layer builds a degree's rewrite table
+(the normal-form map) from them, by one row reduction of one multiple of
+a basis element per other monomial, whose reduced echelon form is the
+ideal's degree-d slice's own. Each row is built once, as the column list
+the reduction reads: a multiple u*g of a basis element comes out in column
 order, which multiplying by a monomial keeps. A table holds a row for every
 monomial of its degree, keyed by the ring's packed key of the monomial, as
 (position, value) pairs over the positions of its basis monomials: a basis
@@ -24,7 +27,7 @@ exponents, generator 0 highest, each one guard bit wider than its largest
 value within the cutoff. So the key of a product of monomials within the
 cutoff is the sum of their keys, a degree's descending keys are its column
 order, and divisibility is one subtraction that clears no guard bit. The
-Gröbner step enumerates, reduces and hands the tables keys alone.
+Gröbner basis enumerates, reduces and hands the tables keys alone.
 An element holds integer numerators over one denominator, in lowest terms.
 A product of elements forms the Koszul product of their numerators, in
 integers, over the product of their denominators. A product in a quotient
@@ -39,14 +42,15 @@ One rule finds zeros without a reduction: a monomial m is zero in the
 quotient when m/x is, for some generator x of m, since m is plus or minus
 x times m/x and m/x lies in the ideal (odd generators included). Applied
 to whole degrees, degree d > 0 is zero when, for each generator x with
-deg x <= d, degree d - deg x is. Every lower table is built before a
-degree's, so such a degree takes no Gröbner step: its table is the
-shared zero table. Applied to the monomials of a degree that is stepped,
-it gives the dead ones, x times a zero monomial of degree d - deg x: the
-step builds no row over their columns and gives them unit rows in the
-table. The reduced echelon form of the slice holds those unit rows
-anyway, with a zero in their columns in every other row, so the tables
-do not change.
+deg x <= d, degree d - deg x is: the basis layer takes no step there. A
+degree with no standard monomial, found so by the rule or by a step, is
+zero exactly, and its table is the shared zero table, built with no
+reduction. Applied to the monomials of a degree whose table is built, the
+rule gives the dead ones, x times a zero monomial of degree d - deg x:
+the table layer builds no row over their columns and gives them unit
+rows. The reduced echelon form of the slice holds those unit rows anyway,
+with a zero in their columns in every other row, so the tables do not
+change.
 """
 
 from __future__ import annotations
@@ -72,9 +76,10 @@ class CutoffExceededError(ValueError):
     """A degree beyond the ring's computed range was requested."""
 
 
-# The most monomials one degree may have. Every degree the Gröbner step
-# enumerates, the one asked for and each one below it, is counted from the
-# degrees below it and refused before it is built when it has more.
+# The most monomials one degree may have. Every list of a degree's keys the
+# Gröbner basis builds, of its monomials for a table or of its candidate
+# standard monomials for a step, is counted from the lists below it and
+# refused before it is built when it has more.
 MAX_DEGREE_MONOMIALS = 100_000
 
 
@@ -519,7 +524,7 @@ class _DegreeTable:
     basis: tuple[tuple[int, ...], ...]  # exponent vectors in display order
     # key -> (lead, ((position, value), ...)) for every monomial of the
     # degree, by the ring's packed key (`QuotientRing._key`) of its
-    # exponents, as the Gröbner step enumerates them, so the table keys
+    # exponents, as the Gröbner basis enumerates them, so the table keys
     # nothing: the monomial equals the sum of value/lead times
     # basis[position]. A basis monomial's row is (1, ((its position, 1),));
     # a zero monomial's is (1, ()); a pivot's is its reduced row, primitive
@@ -528,44 +533,54 @@ class _DegreeTable:
     rows: dict[int, tuple[int, tuple[tuple[int, int], ...]]]
 
 
-# The table of every zero degree, whether stepped or skipped by the zero
-# rule, and of every negative degree.
+# The table of every degree with no standard monomial, and of every
+# negative degree.
 _ZERO_TABLE = _DegreeTable((), {})
 
 
 class _GroebnerBasis:
     """A homogeneous Gröbner basis of a presentation's ideal, truncated at a
-    cutoff, in the elimination order. `step` extends it by one degree and
-    returns that degree's table; it is called in increasing degree, for
-    each degree the zero rule does not skip.
+    cutoff, in the elimination order, in two layers: the basis and its
+    standard monomials, and the tables built from them.
 
     A monomial is its packed key; `_exps` reads one back only for a new
     lead, an odd multiplier's sign and a table's basis. A lead l divides m
     exactly when no field of k_m - k_l borrows, ((k_m | G) - k_l) & G == G
     for the guard-bit mask G, and then k_m - k_l is the key of m/l.
 
-    Degree d reduces, in one call to `linalg.rref`, one reducer u*g for each
-    live degree-d monomial that an older lead divides, then the relations of
-    degree d, both halves u*g of every pair of elements whose leads have
-    their lcm in degree d, and x*g for every odd generator x in the lead of
-    an element g of degree d - deg x: x kills the lead but not always the
-    tail. `_multiple` builds each u*g as a sorted row over the live columns,
-    adding u's key to each term's, with the sign rule of element products;
-    only relations are sorted. A reduced row whose lead has no reducer is a
-    new element.
+    The basis layer, `standard(d)`, extends the basis in increasing degree
+    and lists each degree's standard monomials, those no lead divides,
+    which are its basis in the quotient. A degree the zero rule rules zero
+    takes no step and has none. `step(d)` reduces, in one call to
+    `linalg.rref`, the relations of degree d, both halves u*g of every pair
+    of elements whose leads have their lcm in degree d, and x*g for every
+    odd generator x in the lead of an element g of degree d - deg x (x
+    kills the lead but not always the tail), with a reducer u*g for each
+    monomial these rows, or the reducers, reach that a lead divides (F4's
+    symbolic preprocessing, `_reduce`). A reduced row whose lead no older
+    lead divides is a new element. In a ring with no odd generator a pair
+    whose leads share no generator is dropped (Buchberger's first
+    criterion). The step's candidates are x_i times the standard monomials
+    of degree d - deg x_i in generators i.., built from the lower lists as
+    `_monomials` builds every key list, counted and refused past
+    `MAX_DEGREE_MONOMIALS` before the step reduces anything. `_multiple`
+    builds each u*g as a row in descending key order, adding u's key to
+    each term's, with the sign rule of element products; only relations
+    are sorted.
 
+    The table layer, `table(d)`, builds degree d's table when the degree
+    has a standard monomial: one reducer u*g per other live monomial of
+    the degree, in one call to `linalg.rref`, with no relation, pair or new
+    element. The reducers lie in the ideal's degree-d slice and lead every
+    column but the standard ones, so their reduced echelon form is the
+    slice's own, and the table is that of reducing every relation multiple.
     A degree-d monomial m is dead when m/x is zero for a generator x of m:
     `_dead` adds x's key to the zero monomials of each degree d - deg x,
-    those its step kept in `zeros`, or all of them if the zero rule skipped
-    it. A dead m lies in the ideal, so the slice's reduced echelon form
-    holds its unit row and has a zero in its column in every other row. A
-    dead column is left out of the rows' column index, so it gets no divisor
-    scan, no reducer and no entry, and the table writes its unit row: x
-    times the monomial element m/x, a valid reducer for m (F4 takes any
-    ideal element with the right lead). An older lead divides m/x and so m:
-    a dead column leads no new element, and the pairs its unit row would
-    make are redundant by Buchberger's chain criterion. The new elements,
-    and so the basis, are those a reducer row per dead column would give.
+    those its table kept in `zeros`, or all of them if that degree had no
+    standard monomial. A dead m lies in the ideal, so the slice's reduced
+    echelon form holds its unit row and has a zero in its column in every
+    other row: a dead column gets no reducer and no entry, and the table
+    writes its unit row.
     """
 
     def __init__(self, presentation: RingPresentation, cutoff: int):
@@ -594,6 +609,8 @@ class _GroebnerBasis:
         # the leads' keys, and their exponent vectors for the pairs' lcms
         self.leads: list[int] = []
         self.lead_exps: list[tuple[int, ...]] = []
+        # the leads' keys by their first generator
+        self.first_leads: list[list[int]] = [[] for _ in range(n)]
         # keyed terms of each element, lead first, with their odd indices
         self.elements: list[list] = []
         # rows still to reduce, by degree: relations as keyed terms, and
@@ -603,39 +620,16 @@ class _GroebnerBasis:
             if (d := gens.monomial_degree(next(iter(rel.nums)))) <= cutoff:
                 self.relations.setdefault(d, []).append([(self.key(e), v) for e, v in rel.nums.items()])
         self.pending: dict[int, set[tuple[int, int]]] = {}
-        # the keys of the zero monomials of each degree stepped, in column
-        # order: its dead monomials and the leads of its unit rows
+        # the keys of each degree's standard monomials, in display order, and
+        # where those in generators i.. begin
+        self.standard_keys: list[list[int]] = []
+        self.standard_starts: list[list[int]] = []
+        # the table layer's: the keys of the zero monomials of each degree whose
+        # table was built, in column order, and the keys of each degree
+        # enumerated, in display order, and where those in generators i.. begin
         self.zeros: dict[int, list[int]] = {}
-        # the keys of each degree enumerated, in display order, and where
-        # those in generators i.. begin
         self.degree_keys: list[list[int]] = []
         self.starts: list[list[int]] = []
-
-    def _keys(self, d: int) -> list[int]:
-        """The keys of the degree-d monomials in display order: the one
-        enumeration of a ring's monomials. `degree_keys[j]` is filled up to
-        degree d as the monomials whose first generator is x_0, then those
-        whose first is x_1, and so on, the unit last; those whose first is
-        x_i are x_i times the degree-(j - deg x_i) monomials in generators
-        i.. (i+1.. for an odd x_i), which begin at `starts[.][i]`. So the
-        lower degrees count every degree built, d or one below it, and one
-        with more than `MAX_DEGREE_MONOMIALS` is refused before it is built.
-        A degree holds its monomial count and costs its size."""
-        keys, starts, weights, degrees = self.degree_keys, self.starts, self.weights, self.gens.degrees
-        for j in range(len(keys), d + 1):
-            count = sum(len(keys[j - g]) - starts[j - g][i + g % 2] for i, g in enumerate(degrees) if g <= j)
-            if count > MAX_DEGREE_MONOMIALS:
-                raise TooManyMonomialsError(f"degree {j} has {count} monomials, more than the limit {MAX_DEGREE_MONOMIALS}")
-            row, start = [], [0]
-            for i, (g, w) in enumerate(zip(degrees, weights)):
-                if g <= j:
-                    row += [k + w for k in keys[j - g][starts[j - g][i + g % 2]:]]
-                start.append(len(row))
-            if not j:
-                row.append(0)
-            keys.append(row)
-            starts.append(start)
-        return keys[d]
 
     def key(self, exps: Sequence[int]) -> int:
         return sum(map(mul, exps, self.weights))
@@ -643,64 +637,202 @@ class _GroebnerBasis:
     def _exps(self, key: int) -> tuple[int, ...]:
         return tuple([(key >> offset) & mask for offset, mask in self.fields])
 
-    def step(self, d: int) -> _DegreeTable:
-        """Extend the basis to degree d and return its table. The columns are
-        the keys of the degree-d monomials in descending order; the rows of
-        the ideal's degree-d slice over the live columns, each built once as
-        the sorted list `linalg.rref` reads, reduce to the pivots' rows. The
-        live columns with no pivot are the basis; the dead ones, and those
-        whose reduced row is a unit row, are the zero monomials."""
+    def _monomials(self, lists: list[list[int]], starts: list[list[int]], d: int) -> tuple[list[int], list[int]]:
+        """Degree d's keys built from the lower `lists` (every monomial, or
+        the standard ones), in display order, and where those in generators
+        i.. begin: the monomials whose first generator is x_0, then those
+        whose first is x_1, and so on, the unit last; those whose first is
+        x_i are x_i times the degree-(d - deg x_i) keys in generators i..
+        (i+1.. for an odd x_i), which begin at `starts[.][i]`. The lower
+        lists count the keys first, and more than `MAX_DEGREE_MONOMIALS`
+        are refused before they are built."""
+        degrees, weights = self.gens.degrees, self.weights
+        count = sum(len(lists[d - g]) - starts[d - g][i + g % 2] for i, g in enumerate(degrees) if g <= d)
+        if count > MAX_DEGREE_MONOMIALS:
+            raise TooManyMonomialsError(f"degree {d} has {count} monomials, more than the limit {MAX_DEGREE_MONOMIALS}")
+        row, start = [], [0]
+        for i, (g, w) in enumerate(zip(degrees, weights)):
+            if g <= d:
+                row += [k + w for k in lists[d - g][starts[d - g][i + g % 2]:]]
+            start.append(len(row))
+        if not d:
+            row.append(0)
+        return row, start
+
+    # -- the basis layer ---------------------------------------------------
+
+    def standard(self, d: int) -> list[int]:
+        """The keys of degree d's standard monomials in display order,
+        extending the basis to degree d first. Degree d > 0 is zero, and
+        takes no step, when each degree d - deg x of a generator x with
+        deg x <= d is zero."""
+        keys = self.standard_keys
+        for j in range(len(keys), d + 1):
+            if j and not any(keys[j - g] for g in self.gens.degrees if g <= j):
+                keys.append([])
+                self.standard_starts.append([0] * (len(self.gens) + 1))
+            else:
+                self.step(j)
+        return keys[d]
+
+    def step(self, d: int) -> None:
+        """Extend the basis to degree d and list its standard monomials. A
+        candidate m is x_i times a standard monomial m/x_i, so a lead that
+        divides m has x_i as its first generator: m is standard when no such
+        lead, the new ones included, divides it."""
+        guard = self.guard
+        row, start = self._monomials(self.standard_keys, self.standard_starts, d)
+        relations = [sorted(rel, reverse=True) for rel in self.relations.pop(d, ())]
+        for terms in self._reduce(relations, self.pending.pop(d, ())):
+            self._add(d, terms)
+        standard, kept = [], [0]
+        for i, leads in enumerate(self.first_leads):
+            block = row[start[i]:start[i + 1]]
+            for lead in leads:
+                block = [m for m in block if ((m | guard) - lead) & guard != guard]
+            standard += block
+            kept.append(len(standard))
+        if not d:
+            standard.append(0)
+        self.standard_keys.append(standard)
+        self.standard_starts.append(kept)
+
+    def _reduce(self, rows: list[list[tuple[int, int]]], multiples: Iterable[tuple[int, int]] = ()) -> list:
+        """Reduce rows of one degree, each (key, value) pairs in descending
+        key order, and the multiples u*g given as (element, key of u), in one
+        call to `linalg.rref`, with a reducer u*g for each monomial they
+        reach, or the reducers reach, that a lead divides and no multiple
+        leads. Returns the reduced rows whose lead no lead divides, as
+        (key, value) pairs: the new elements of a step, or the echelon form
+        of the rows' residues. The kernel's columns are the negated keys, so
+        its column order is the monomial order."""
+        rows = list(rows)
+        # the monomials reached that a lead divides: a multiple's own lead first
+        divisible = set()
+        for k, u in multiples:
+            if row := self._multiple(k, u):
+                rows.append(row)
+                if row[0][0] == u + self.leads[k]:
+                    divisible.add(row[0][0])
+        if not rows:
+            return []
+        reached = set(divisible)
+        todo = [m for row in rows for m, _ in row]
+        while todo:
+            m = todo.pop()
+            if m not in reached:
+                reached.add(m)
+                if row := self._reducer(m):
+                    rows.append(row)
+                    divisible.add(m)
+                    todo += [t for t, _ in row]
+        reduced = linalg.rref([[(-m, v) for m, v in row] for row in rows])
+        return [[(-c, v) for c, v in row] for row in reduced if -row[0][0] not in divisible]
+
+    def rank(self, d: int, elements: Iterable[Mapping[tuple[int, ...], int]]) -> int:
+        """The rank of the residues of degree-d elements, each given as integer
+        terms, modulo the ideal: the number of rows `_reduce` leaves led by a
+        standard monomial."""
+        self.standard(d)
+        key = self.key
+        return len(self._reduce([sorted([(key(e), n) for e, n in el.items()], reverse=True) for el in elements]))
+
+    def _reducer(self, m: int) -> list[tuple[int, int]] | None:
+        """u*g for the first element g whose lead divides the monomial m, or
+        None when no lead divides it."""
+        guard = self.guard
+        high = m | guard
+        for k, lead in enumerate(self.leads):
+            if (high - lead) & guard == guard:
+                return self._multiple(k, m - lead)
+        return None
+
+    def _multiple(self, k: int, u: int) -> list[tuple[int, int]]:
+        """The Koszul-signed product u*g of a monomial key u and element k,
+        in g's order, which u keeps; a term an odd factor of u squares is
+        left out."""
+        terms = self.elements[k]
+        odd_u = [i for i, bit in self.odd if u & bit] if self.odd else ()
+        if not odd_u:
+            return [(u + e, v) for e, v, _ in terms]
+        exps_u = self._exps(u)
+        return [
+            (u + e, v * s) for e, v, odd_e in terms if (s := _koszul_sign(exps_u, odd_u, odd_e) if odd_e else 1)
+        ]
+
+    def _add(self, d: int, terms: list[tuple[int, int]]) -> None:
+        gens, cutoff, odd = self.gens, self.cutoff, self.odd
+        k, lead = len(self.leads), terms[0][0]
+        exps = self._exps(lead)
+        self.elements.append([(e, v, [i for i, bit in odd if e & bit] if odd else ()) for e, v in terms])
+        for j, other in enumerate(self.lead_exps):
+            # the lcm's exponents fit their fields, so its key's top field is
+            # its degree; leads that share no generator have the lcm of key
+            # lead + other, and with no odd generator their pair is dropped
+            t = self.key(tuple(map(max, exps, other)))
+            if (e := t >> self.shift) <= cutoff and (odd or t != lead + self.leads[j]):
+                self.pending.setdefault(e, set()).update(((k, t - lead), (j, t - self.leads[j])))
+        self.leads.append(lead)
+        self.lead_exps.append(exps)
+        self.first_leads[next(i for i, e in enumerate(exps) if e)].append(lead)
+        for i, bit in odd:
+            if lead & bit and d + gens.degrees[i] <= cutoff:
+                self.pending.setdefault(d + gens.degrees[i], set()).add((k, self.weights[i]))
+
+    # -- the table layer ---------------------------------------------------
+
+    def table(self, d: int) -> _DegreeTable:
+        """Degree d's table: the shared zero table when it has no standard
+        monomial, and else each column's row. The columns are the keys of
+        the degree-d monomials in descending order; the reducers of the live
+        columns that are not standard reduce to the pivots' rows. A standard
+        column's row is its unit row; a dead column's, or one whose reduced
+        row is a unit row, is empty, and it is a zero monomial."""
+        standard = self.standard(d)
+        if not standard:
+            return _ZERO_TABLE
         cols = sorted(self._keys(d), reverse=True)
         dead = self._dead(d)
-        guard, leads = self.guard, self.leads
-        # each live column's reducer (k, key of u), or None if no older lead divides it
-        hits: dict[int, tuple[int, int] | None] = {}
-        for c, m in enumerate(cols):
-            if m not in dead:
-                hits[c], high = None, m | guard
-                for k, lead in enumerate(leads):
-                    if (high - lead) & guard == guard:
-                        hits[c] = (k, m - lead)
-                        break
-        # the live columns by key; a dead monomial has no entry, so no row gets one
-        index = {cols[c]: c for c in hits}
-        rows = [self._multiple(*hit, index) for hit in hits.values() if hit is not None]
-        rows += [sorted((index[m], v) for m, v in rel if m in index) for rel in self.relations.pop(d, ())]
-        rows += [self._multiple(k, u, index) for k, u in self.pending.pop(d, ())]
-        pivots = {}
-        for row in linalg.rref([row for row in rows if row]):
-            pivots[row[0][0]] = row
-            if hits[row[0][0]] is None:
-                self._add(d, [(cols[c], v) for c, v in row])
-        # the live columns with no pivot, in display order, and their positions
-        exps = self._exps
-        basis = sorted([(exps(cols[c]), c) for c in hits if c not in pivots], reverse=True)
-        position = {c: i for i, (_, c) in enumerate(basis)}
+        position = {m: i for i, m in enumerate(standard)}
+        # every live monomial that is not standard has a lead that divides it
+        rows = [
+            [(-t, v) for t, v in self._reducer(m) if t not in dead]
+            for m in cols
+            if m not in dead and m not in position
+        ]
+        pivots = {-row[0][0]: row for row in linalg.rref(rows)}
         # equal (position, value) pairs are one tuple across the table's rows,
         # which keeps a table smaller than separate position and value tuples
         shared: dict[tuple[int, int], tuple[int, int]] = {}
         table: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-        # each column's row: a basis monomial's unit row; a zero monomial's
-        # empty row, for a dead column or a unit row of the reduction; or a
-        # pivot's reduced row over the basis positions
         self.zeros[d] = zeros = []
-        for c, k in enumerate(cols):
-            i, row = position.get(c), pivots.get(c)
+        for m in cols:
+            i, row = position.get(m), pivots.get(m)
             if i is not None:
-                table[k] = (1, (shared.setdefault((i, 1), (i, 1)),))
+                table[m] = (1, (shared.setdefault((i, 1), (i, 1)),))
             elif row is None or len(row) == 1:
-                table[k] = (1, ())
-                zeros.append(k)
+                table[m] = (1, ())
+                zeros.append(m)
             else:
-                tail = [shared.setdefault(p, p) for col, v in row[1:] for p in [(position[col], -v)]]
-                table[k] = (row[0][1], tuple(tail))
-        return _DegreeTable(tuple([m for m, _ in basis]), table) if basis else _ZERO_TABLE
+                tail = [shared.setdefault(p, p) for c, v in row[1:] for p in [(position[-c], -v)]]
+                table[m] = (row[0][1], tuple(tail))
+        return _DegreeTable(tuple(map(self._exps, standard)), table)
+
+    def _keys(self, d: int) -> list[int]:
+        """The keys of the degree-d monomials in display order, each degree
+        up to d built by `_monomials` from those below it."""
+        keys, starts = self.degree_keys, self.starts
+        for j in range(len(keys), d + 1):
+            row, start = self._monomials(keys, starts, j)
+            keys.append(row)
+            starts.append(start)
+        return keys[d]
 
     def _dead(self, d: int) -> set[int]:
         """The keys of the degree-d monomials x*m of a generator x and a zero
         monomial m of degree d - deg x, an odd x only where m lacks it. A
-        degree the zero rule skipped has no `zeros`: all its monomials are
-        zero, and `_keys(d)` has enumerated them."""
+        degree whose table is the zero table has no `zeros`: all its
+        monomials are zero, and `_keys(d)` has enumerated them."""
         dead: set[int] = set()
         for g, w, (start, _) in zip(self.gens.degrees, self.weights, self.fields):
             if g <= d:
@@ -709,40 +841,15 @@ class _GroebnerBasis:
                 dead.update([m + w for m in (self._keys(d - g) if zeros is None else zeros) if not m & bit])
         return dead
 
-    def _multiple(self, k: int, u: int, index: dict[int, int]) -> list[tuple[int, int]]:
-        """The Koszul-signed product u*g of a monomial key u and element k as a
-        row over the live columns `index`, in g's column order, which u keeps."""
-        terms = self.elements[k]
-        odd_u = [i for i, bit in self.odd if u & bit] if self.odd else ()
-        if odd_u:
-            exps_u = self._exps(u)
-            terms = [(e, v * _koszul_sign(exps_u, odd_u, odd_e) if odd_e else v, ()) for e, v, odd_e in terms]
-        return [(c, v) for e, v, _ in terms if v and (c := index.get(u + e)) is not None]
-
-    def _add(self, d: int, terms: list[tuple[int, int]]) -> None:
-        gens, cutoff, odd = self.gens, self.cutoff, self.odd
-        k, lead = len(self.leads), terms[0][0]
-        exps = self._exps(lead)
-        self.elements.append([(e, v, [i for i, bit in odd if e & bit] if odd else ()) for e, v in terms])
-        for j, other in enumerate(self.lead_exps):
-            # the lcm's exponents fit their fields, so its key's top field is its degree
-            t = self.key(tuple(map(max, exps, other)))
-            if (e := t >> self.shift) <= cutoff:
-                self.pending.setdefault(e, set()).update(((k, t - lead), (j, t - self.leads[j])))
-        self.leads.append(lead)
-        self.lead_exps.append(exps)
-        for i, bit in odd:
-            if lead & bit and d + gens.degrees[i] <= cutoff:
-                self.pending.setdefault(d + gens.degrees[i], set()).add((k, self.weights[i]))
-
 
 class QuotientRing:
     """A presented graded-commutative ring with per-degree normal forms.
 
-    Tables are built in increasing degree under one lock, each by one step
-    of the Gröbner basis unless the zero rule of the module docstring rules
-    its degree zero; asking for degree d builds every missing degree up to
-    d. A built table is immutable, and reads take no lock.
+    Tables are built in increasing degree under one lock, each by the
+    Gröbner basis's table layer from that degree's standard monomials, with
+    no reduction where there are none; asking for degree d builds every
+    missing degree up to d, and extends the basis as far. A built table is
+    immutable, and reads take no lock.
     """
 
     def __init__(self, presentation: RingPresentation, cutoff: int):
@@ -787,13 +894,9 @@ class QuotientRing:
         return tables[d]
 
     def _compute_table(self, d: int) -> _DegreeTable:
-        """Degree d's table: the zero table when the zero rule holds, every
-        degree d - deg x of a generator x with deg x <= d being zero, and
-        else the table of the basis's step to degree d."""
-        tables = self._tables
-        if d and not any(tables[d - g].basis for g in self.gens.degrees if g <= d):
-            return _ZERO_TABLE
-        return self._basis.step(d)
+        """Degree d's table, from the basis's standard monomials of degree d:
+        the shared zero table when there are none (`_GroebnerBasis.table`)."""
+        return self._basis.table(d)
 
     # -- public queries ----------------------------------------------------
 

@@ -456,9 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="largest n in the catalog and odd-identity suites, which stops at 3 "
-        "(default: 4); the extensions and equivariant suites do not read it. 5 is the largest "
-        "that completes, and larger values are refused: at 6, Fl~(R^12) has a degree with more "
-        "monomials than the limit",
+        "(default: 4); the extensions and equivariant suites do not read it. 7 is the largest "
+        "that completes, and larger values are refused: at 8, Fl~(R^16) has a degree with more "
+        "standard monomial candidates than the limit",
     )
     vp.set_defaults(func=cmd_verify)
     return parser

@@ -8,7 +8,10 @@ at the full documented parameter ranges.
 
 One `run_suites` call reduces each distinct catalog ring once (`_Run`):
 spaces whose presentations, closed forms, families and cutoffs are equal
-share one outcome, and each still reports its own lines.
+share one outcome, and each still reports its own lines. A catalog ring is
+checked from its Gröbner basis alone (`_check`), which builds no rewrite
+table: the dimensions and the characteristic family from its standard
+monomials, and the relations by its own reduction.
 """
 
 from __future__ import annotations
@@ -16,16 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import catalog, extension, linalg
-from .algebra import QuotientRing
+from . import catalog, extension
+from .algebra import _GroebnerBasis
 from .catalog import SpaceDescriptor, closed_form
 from .series import ClosedFormSeries, series_from_ring
 
-# the largest max_n whose suites complete: at 6 the catalog suite reaches
-# Fl~(R^12), whose degree 48 has 118755 monomials, more than
-# algebra.MAX_DEGREE_MONOMIALS, and is refused there after 7-8 s on a
-# 2-CPU machine (Python 3.11)
-MAX_N = 5
+# the largest max_n whose suites complete: 7 runs 933 checks in about 1 s
+# on a 2-CPU machine (Python 3.11). At 8 the catalog suite reaches
+# Fl~(R^16), whose degree 32 has 110064 products x*s of a generator x and
+# a standard monomial s, more than algebra.MAX_DEGREE_MONOMIALS, and is
+# refused there after about 1.3 s
+MAX_N = 7
 
 
 @dataclass
@@ -40,14 +44,13 @@ class CheckResult:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name}{suffix}"
 
 
-def _series_check(name: str, ring: QuotientRing) -> CheckResult:
-    """Whether the ring's dimensions up to its cutoff match the closed form
-    its presentation carries; a failure names the degrees that differ."""
-    n = ring.cutoff
-    expected = ring.presentation.closed_form.truncate(n)
-    engine = series_from_ring(ring, n)
-    bad = [d for d in range(n + 1) if expected[d] != engine[d]]
-    detail = f"degrees {bad}: engine {[engine[d] for d in bad]}, series {[expected[d] for d in bad]}"
+def _series_check(name: str, closed_form: ClosedFormSeries, dims) -> CheckResult:
+    """Whether dimensions up to a cutoff, in degrees 0 to len(dims) - 1,
+    match a ring's closed form; a failure names the degrees that differ."""
+    n = len(dims) - 1
+    expected = closed_form.truncate(n)
+    bad = [d for d in range(n + 1) if expected[d] != dims[d]]
+    detail = f"degrees {bad}: engine {[dims[d] for d in bad]}, series {[expected[d] for d in bad]}"
     return CheckResult(name, not bad, detail if bad else "")
 
 
@@ -56,8 +59,8 @@ def verify_space(space: SpaceDescriptor) -> list[CheckResult]:
 
     Verifies per-degree dimensions, up to `catalog.default_cutoff`, against
     the presentation's closed form, linear independence and spanning of the
-    characteristic family (when stated), and that every relation reduces
-    to zero. Each check's name starts with the space's label.
+    characteristic family (when stated), and that the Gröbner basis reduces
+    every relation to zero. Each check's name starts with the space's label.
     """
     return _labelled(space, _Run().space(space)[1])
 
@@ -117,48 +120,48 @@ class _Run:
 
 
 def _check(pres, family, cutoff: int) -> _Outcome:
-    """Reduce the presentation to the cutoff and check it; the ring is dropped on return."""
-    ring = QuotientRing(pres, cutoff)
-    checks = [_series_check("dimensions match closed form", ring)]
+    """Extend the presentation's Gröbner basis to the cutoff and check it
+    from its standard monomials and its own reduction, building no table;
+    the basis is dropped on return."""
+    basis = _GroebnerBasis(pres, cutoff)
+    dims = [len(basis.standard(d)) for d in range(cutoff + 1)]
+    checks = [_series_check("dimensions match closed form", pres.closed_form, dims)]
 
     if family is None:
         checks.append(CheckResult("characteristic family", True, "none stated; skipped"))
     else:
         bad_detail = ""
-        for d in range(ring.cutoff + 1):
+        for d in range(cutoff + 1):
             monos = family.monomials_of_degree(d)
-            dim = ring.dimension(d)
-            if len(monos) != dim:
-                bad_detail = f"degree {d}: family has {len(monos)} monomials, dimension {dim}"
+            if len(monos) != dims[d]:
+                bad_detail = f"degree {d}: family has {len(monos)} monomials, dimension {dims[d]}"
                 break
-            if not _independent(ring, monos):
+            if not _independent(basis, monos):
                 bad_detail = f"degree {d}: family {[str(m) for m in monos]} is dependent"
                 break
         checks.append(CheckResult("characteristic family is a basis", not bad_detail, bad_detail))
 
-    bad_rels = [str(r) for r in pres.relations if not ring.is_zero(r)]
+    # a relation vanishes when the basis reduces it to zero
+    bad_rels = [str(r) for r in pres.relations if basis.rank(r.degree(), [r.nums])]
     checks.append(CheckResult(
         "relations vanish",
         not bad_rels,
         "" if not bad_rels else f"nonzero residues: {bad_rels}",
     ))
-    return _Outcome(tuple(ring.dimensions()), tuple(checks))
+    return _Outcome(tuple(dims), tuple(checks))
 
 
-def _independent(ring: QuotientRing, monomials) -> bool:
-    """Whether the residues of the monomials are linearly independent: the
-    rank of their rows in their degree's table (scaling a rewrite row by
-    its lead keeps the rank), or False in a zero degree; True at once for
-    the degree's basis monomials in display order."""
+def _independent(basis: _GroebnerBasis, monomials) -> bool:
+    """Whether the residues of monomials of one degree are linearly
+    independent: True at once for the degree's standard monomials in
+    display order, and else whether the basis's reduction leaves one row
+    per monomial led by a standard monomial."""
     if not monomials:
         return True
-    table = ring._table(monomials[0].degree)
-    if not table.basis:
-        return False
-    if tuple(m.exps for m in monomials) == table.basis:
+    d = monomials[0].degree
+    if [basis.key(m.exps) for m in monomials] == basis.standard(d):
         return True
-    rows = [sorted(ring._row(mono.exps)[1]) for mono in monomials]
-    return linalg.rank(rows) == len(monomials)
+    return basis.rank(d, [{m.exps: 1} for m in monomials]) == len(monomials)
 
 
 def _catalog_descriptors(max_n: int):
@@ -239,7 +242,7 @@ def suite_extensions(max_n: int, run: _Run) -> list[CheckResult]:
     total = (1 + h) * (1 + h)  # rank-2 classes c1=2h, c2=h^2, padded to rank 3
     bundle = extension.BundleData(base, "complex", 3, total)
     ring = extension.extend(bundle, "grassmannian", 1, suffix="f")
-    checks.append(_series_check("Leray-Hirsch product over CP^2 base", ring))
+    checks.append(_series_check("Leray-Hirsch product over CP^2 base", ring.presentation.closed_form, ring.dimensions()))
 
     # Whitney residuals regenerate the ideal
     data = extension.whitney_complement(total, 1, 3, "complex", names=["g1"])
@@ -282,7 +285,9 @@ def suite_extensions(max_n: int, run: _Run) -> list[CheckResult]:
 def suite_equivariant(max_n: int, run: _Run) -> list[CheckResult]:
     rank, cutoff = 2, 8
     ring = extension.equivariant_space("complex", rank, "flag", cutoff=cutoff)
-    checks = [_series_check(f"equivariant flag rank {rank}: dims = Borel convolution", ring)]
+    checks = [_series_check(
+        f"equivariant flag rank {rank}: dims = Borel convolution", ring.presentation.closed_form, ring.dimensions()
+    )]
     plain = extension.zero_generators(ring, [f"a{i}" for i in range(1, rank + 1)])
     fl_dims = run.space(SpaceDescriptor("complete-flag-complex", 0, rank))[1].dimensions
     ok = all(

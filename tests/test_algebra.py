@@ -493,115 +493,156 @@ def test_concurrent_degree_computation_is_safe():
         assert fraction_rewrite(ring, d) == fraction_rewrite(reference, d)
 
 
+def trace_layers(monkeypatch):
+    """From now on: "steps", the degree of each basis-layer step, and
+    "tables", of each table-layer call, in order; "kernel", each
+    `linalg.rref` call as (layer, degree, rows handed in), its layer the
+    innermost step or table call; and "work", each `_keys` or `_dead` call
+    inside a table call as (name, table degree)."""
+    trace = {"steps": [], "tables": [], "kernel": [], "work": []}
+    context = []
+    basis_class, real_rref = algebra._GroebnerBasis, linalg.rref
+
+    def layer(name, key, real):
+        def wrapper(basis, d):
+            trace[key].append(d)
+            context.append((name, d))
+            try:
+                return real(basis, d)
+            finally:
+                context.pop()
+
+        return wrapper
+
+    def work(name, real):
+        def wrapper(basis, d):
+            if context and context[-1][0] == "table":
+                trace["work"].append((name, context[-1][1]))
+            return real(basis, d)
+
+        return wrapper
+
+    def rref(rows):
+        trace["kernel"].append((*context[-1], len(rows)))
+        return real_rref(rows)
+
+    monkeypatch.setattr(basis_class, "step", layer("basis", "steps", basis_class.step))
+    monkeypatch.setattr(basis_class, "table", layer("table", "tables", basis_class.table))
+    monkeypatch.setattr(basis_class, "_keys", work("_keys", basis_class._keys))
+    monkeypatch.setattr(basis_class, "_dead", work("_dead", basis_class._dead))
+    monkeypatch.setattr(linalg, "rref", rref)
+    return trace
+
+
+def table_work(trace):
+    """The table degrees that enumerated, found dead monomials or row-reduced."""
+    return {d for _, d in trace["work"]} | {d for layer, d, _ in trace["kernel"] if layer == "table"}
+
+
 def test_degrees_past_the_vanishing_window_build_no_matrix(monkeypatch):
-    steps, dead = [], []
-    real, real_dead = algebra._GroebnerBasis.step, algebra._GroebnerBasis._dead
-
-    def counting(basis, d):
-        steps.append(d)
-        return real(basis, d)
-
-    def counting_dead(basis, d):
-        dead.append(d)
-        return real_dead(basis, d)
-
-    monkeypatch.setattr(algebra._GroebnerBasis, "step", counting)
-    monkeypatch.setattr(algebra._GroebnerBasis, "_dead", counting_dead)
+    trace = trace_layers(monkeypatch)
     # G_2(C^4): zero above degree 8, generators of degree at most 4
     ring = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 40)
     assert ring.dimensions() == ring.dimensions(8) + [0] * 32
     # its generators are all even, so an odd degree d has only odd degrees
     # d - deg x below it, which are zero: the zero rule skips it. Degree 14
     # and every degree above it are skipped as well
-    assert steps == list(range(0, 13, 2))
-    assert dead == list(range(0, 13, 2))
+    assert trace["steps"] == list(range(0, 13, 2))
+    # every degree is asked of the table layer, and only one with a standard
+    # monomial enumerates, finds dead monomials or row-reduces
+    assert trace["tables"] == list(range(41))
+    assert table_work(trace) == set(range(0, 9, 2))
+    assert [d for name, d in trace["work"] if name == "_dead"] == list(range(0, 9, 2))
     # a degree asked for first builds the degrees below it, so the rule
     # applies however the degrees are asked
-    steps.clear()
+    trace["steps"].clear()
     fresh = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 40)
     assert fresh.dimension(30) == 0
-    assert steps == list(range(0, 13, 2))
+    assert trace["steps"] == list(range(0, 13, 2))
     assert fresh.normal_form(fresh.gens.gen("c1") ** 15).is_zero
+    # G~_2(R^6) is zero above degree 8 too, but has a generator of degree 8:
+    # the basis layer steps degrees 10 to 16 and finds no standard monomial
+    # there, so their tables make no `_keys`, `_dead` or `rref` call
+    for key in trace:
+        trace[key].clear()
+    ring = build_ring(SpaceDescriptor("oriented-grassmannian", 1, 3, "even-even"), 60)
+    assert ring.dimensions() == ring.dimensions(8) + [0] * 52
+    assert trace["steps"] == list(range(0, 17, 2))
+    assert table_work(trace) == set(range(0, 9, 2))
 
 
 def test_the_zero_rule_skips_degrees_below_nonzero_ones(monkeypatch):
     # x (degree 2) and y (degree 6) with x^2 = xy = 0: the ring is 1, x, y,
     # y^2 and y^3 to degree 18. Degrees 10 - deg x and 16 - deg x are zero
     # for x and y, so the rule skips degrees 10 and 16 (and the odd ones),
-    # though nonzero degrees lie above them. The steps of degrees 12 and 18
+    # though nonzero degrees lie above them. The tables of degrees 12 and 18
     # read every monomial of the degree skipped below them as zero, so each
     # monomial but y^2 or y^3 is dead and the kernel gets no row
-    steps, rows = [], {}
-    real_step, real_rref = algebra._GroebnerBasis.step, linalg.rref
-
-    def step(basis, d):
-        steps.append(d)
-        return real_step(basis, d)
-
-    def rref(r):
-        rows[steps[-1]] = rows.get(steps[-1], 0) + len(r)
-        return real_rref(r)
-
-    monkeypatch.setattr(algebra._GroebnerBasis, "step", step)
-    monkeypatch.setattr(linalg, "rref", rref)
+    trace = trace_layers(monkeypatch)
     tables = tables_matching_dense_reference([(2, 0), (6, 0)], [{(2, 0): 1}, {(1, 1): 1}], cutoff=18)
     assert [len(t.basis) for t in tables] == [int(d in (0, 2, 6, 12, 18)) for d in range(19)]
-    assert steps == [0, 2, 4, 6, 8, 12, 14, 18]
-    assert rows[12] == rows[18] == 0
+    assert trace["steps"] == [0, 2, 4, 6, 8, 12, 14, 18]
+    # the table layer reduces the degrees with a standard monomial alone
+    table_rows = {d: n for layer, d, n in trace["kernel"] if layer == "table"}
+    assert sorted(table_rows) == [0, 2, 6, 12, 18]
+    assert table_rows[12] == table_rows[18] == 0
 
 
 def test_a_table_hands_the_kernel_one_row_per_leading_monomial(monkeypatch):
     # equivariant Fl(C^3) in degree 18: 2002 monomials, of which 1757 lead an
-    # ideal element; the relation multiples of that degree are 2541 rows
-    sizes = []
-    real = linalg.rref
-
-    def counting(rows):
-        sizes.append(len(rows))
-        return real(rows)
-
-    monkeypatch.setattr(linalg, "rref", counting)
+    # ideal element; the relation multiples of that degree are 2541 rows. The
+    # table layer reduces one reducer per leading monomial, and the basis
+    # layer, whose last new element is in degree 6, reduces nothing there
+    trace = trace_layers(monkeypatch)
     ring = equivariant_space("complex", 3, "flag", cutoff=18)
     assert ring.dimension(18) == 2002 - 1757
-    assert max(sizes) <= 1757
+    assert [(layer, n) for layer, d, n in trace["kernel"] if d == 18] == [("table", 1757)]
 
 
 def test_zero_monomials_hand_the_kernel_no_rows(monkeypatch):
     # Fl~(R^9) has four generators of degree 2 and is zero above degree 32,
     # with many zero monomials below it. Giving each dead monomial its unit
-    # row after the reduction leaves the kernel 1637 rows, at most 256 at
-    # once (4473 and 968 when every dead monomial had a reducer row).
-    # Equivariant Fl(C^3) has no zero monomial, and hands it the same rows
-    sizes = []
-    real = linalg.rref
+    # row after the reduction leaves the table layer 1631 rows, at most 256
+    # at once, and the basis layer 15 (4473 and 968 when every dead monomial
+    # had a reducer row; 1637 in one layer when each table also reduced the
+    # relations and pairs). Equivariant Fl(C^3) has no zero monomial: its
+    # table layer gets one row per monomial outside the basis, 4131, and its
+    # basis layer 7 (4137 in one layer)
+    trace = trace_layers(monkeypatch)
 
-    def counting(rows):
-        sizes.append(len(rows))
-        return real(rows)
+    def rows(layer):
+        return [n for name, _, n in trace["kernel"] if name == layer]
 
-    monkeypatch.setattr(linalg, "rref", counting)
     ring = build_ring(SpaceDescriptor("complete-flag-oriented", 0, 4, "odd"))
     assert ring.cutoff == 32 and ring.dimension(32) == 1
     ring.dimensions()
-    assert sum(sizes) <= 1637 and max(sizes) <= 256
-    sizes.clear()
-    equivariant_space("complex", 3, "flag", cutoff=18).dimensions()
-    assert sum(sizes) == 4137
+    assert sum(rows("table")) <= 1631 and max(rows("table")) <= 256
+    assert sum(rows("basis")) <= 15
+    trace["kernel"].clear()
+    ring = equivariant_space("complex", 3, "flag", cutoff=18)
+    dims = ring.dimensions()
+    assert sum(rows("table")) == 4131 == sum(len(ring_monomials(ring, d)) - n for d, n in enumerate(dims))
+    assert sum(rows("basis")) == 7
 
 
 def test_a_high_degree_enumerates_no_monomial_past_the_window(monkeypatch):
-    # a ring's monomials are enumerated by the Gröbner step alone, as keys
-    enumerated = set()
-    real_keys = algebra._GroebnerBasis._keys
+    # `_monomials` is the one enumeration of a ring's monomials, as keys: of
+    # every monomial for the table layer's `_keys`, which a degree with no
+    # standard monomial does not call, and of the standard ones for each
+    # basis-layer step. G_2(C^4) is zero above degree 8, and the zero rule
+    # skips every degree above 12
+    enumerated = {"all": set(), "standard": set()}
+    real = algebra._GroebnerBasis._monomials
 
-    def keys(basis, d):
-        enumerated.add(d)
-        return real_keys(basis, d)
+    def monomials_(basis, lists, starts, d):
+        enumerated["standard" if lists is basis.standard_keys else "all"].add(d)
+        return real(basis, lists, starts, d)
 
-    monkeypatch.setattr(algebra._GroebnerBasis, "_keys", keys)
+    monkeypatch.setattr(algebra._GroebnerBasis, "_monomials", monomials_)
     ring = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 60)
     assert ring.dimension(60) == 0
-    assert max(enumerated) == 12
+    assert max(enumerated["all"]) == 8
+    assert max(enumerated["standard"]) == 12
 
 
 def test_a_free_generator_enumerates_in_linear_time():
@@ -673,29 +714,19 @@ def test_negative_degrees_are_zero():
 
 
 def test_each_degree_makes_at_most_one_row_reduction(monkeypatch):
-    # a nonzero degree makes exactly one: the basis step and the table share it
-    degree, calls = [None], []
-    real_rref, real_table = linalg.rref, QuotientRing._compute_table
-
-    def table(ring, d):
-        degree[0] = d
-        return real_table(ring, d)
-
-    def rref(rows):
-        calls.append(degree[0])
-        return real_rref(rows)
-
-    monkeypatch.setattr(QuotientRing, "_compute_table", table)
-    monkeypatch.setattr(linalg, "rref", rref)
+    # at most one in each layer, and the table layer exactly one in a
+    # nonzero degree
+    trace = trace_layers(monkeypatch)
     for ring in (
         build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 30),
         QuotientRing(odd_mixing_presentation(), 24),
         equivariant_space("complex", 3, "flag", cutoff=10),
     ):
-        calls.clear()
+        trace["kernel"].clear()
         dims = ring.dimensions()
+        calls = [(layer, d) for layer, d, _ in trace["kernel"]]
         assert len(calls) == len(set(calls)), ring.label
-        assert {d for d, n in enumerate(dims) if n} <= set(calls), ring.label
+        assert {d for layer, d in calls if layer == "table"} == {d for d, n in enumerate(dims) if n}, ring.label
 
 
 def odd_mixing_presentation():
@@ -808,6 +839,42 @@ def test_random_graded_presentations_match_dense_reference(presentation):
     tables_matching_dense_reference(*presentation)
 
 
+@settings(max_examples=100, deadline=None)
+@given(graded_presentations())
+def test_standard_monomials_match_dense_reference(presentation):
+    # the basis layer alone, with no table built: its standard monomials, in
+    # display order, are the dense oracle's basis, and its own reduction
+    # takes every relation to zero
+    symbols, relations = presentation
+    gens = Generators([GeneratorSymbol(f"x{i}", d, p) for i, (d, p) in enumerate(symbols)])
+    pres = make_presentation(gens, [gens.element(r) for r in relations])
+    basis = algebra._GroebnerBasis(pres, 10)
+    for d in range(11):
+        expected, _ = reference_table(list(gens.degrees), relations, d, elimination_key(gens))
+        assert [basis._exps(k) for k in basis.standard(d)] == sorted(expected, key=display_key), d
+    assert all(basis.rank(r.degree(), [r.nums]) == 0 for r in pres.relations)
+
+
+def test_standard_monomials_are_the_tables_bases():
+    # every catalog ring to n = 5 at its default cutoff, odd-mixing and
+    # equivariant Fl(C^2) to Fl(C^4): a basis with no table, degree by
+    # degree, against the tables of a ring of the same presentation, whose
+    # normal forms take every relation to zero, as the basis's own
+    # reduction does
+    presentations = [build_space(desc)[0] for desc in dict.fromkeys(_catalog_descriptors(5))]
+    rings = [(pres, default_cutoff(pres)) for pres in presentations]
+    rings.append((odd_mixing_presentation(), 24))
+    rings += [(equivariant_space("complex", n, "flag", cutoff=c).presentation, c) for n, c in ((2, 12), (3, 14), (4, 12))]
+    assert len(rings) == 178
+    for pres, cutoff in rings:
+        basis, ring = algebra._GroebnerBasis(pres, cutoff), QuotientRing(pres, cutoff)
+        for d in range(cutoff + 1):
+            assert tuple(map(basis._exps, basis.standard(d))) == ring._table(d).basis, (pres.label, d)
+        for r in pres.relations:
+            assert ring.normal_form(r).is_zero, (pres.label, str(r))
+            assert basis.rank(r.degree(), [r.nums]) == 0, (pres.label, str(r))
+
+
 @st.composite
 def sparse_presentations(draw):
     """2-4 generators of degree 1-3 with random rewrite priorities, and 1-4
@@ -897,15 +964,14 @@ def test_packed_keys_order_and_divide_as_exponent_vectors(symbols, cutoff, data)
 
 
 def test_multiples_match_the_word_sign_product():
-    # the Gröbner step builds each multiple u*g straight into a row over the
-    # live columns, adding u's key to each term's. Every element of three
-    # bases times every monomial u of degree at most 6, up to the cutoff,
-    # against the word-sign product restricted to the columns kept, term by
-    # term. The columns are every exponent vector of the product's degree in
-    # the elimination order, odd squares included (an odd exponent of 2, as
-    # a product of two monomials can have, keeps its key apart), so a
-    # product that vanishes must be dropped by the sign rule and not by a
-    # missing column; every third column is removed, as dead ones are
+    # both layers build each multiple u*g as (key, value) pairs, adding u's
+    # key to each term's. Every element of three bases times every monomial
+    # u of degree at most 6, up to the cutoff, against the word-sign
+    # product, term by term, each key read back as its column among every
+    # exponent vector of the product's degree in the elimination order, odd
+    # squares included (an odd exponent of 2, as a product of two monomials
+    # can have, keeps its key apart): a product that vanishes must be
+    # dropped by the sign rule, and the terms come in column order
     rings = [
         QuotientRing(odd_mixing_presentation(), 24),
         build_ring(SpaceDescriptor("complete-flag-oriented", 0, 4, "odd")),
@@ -925,8 +991,7 @@ def test_multiples_match_the_word_sign_product():
                 d = degree + du
                 if d not in columns:
                     vectors = [e for e in exponent_vectors(degrees, d) if all(e[i] <= 2 for i in odd)]
-                    cols = sorted(vectors, key=key)
-                    index = {m: c for c, m in enumerate(cols) if c % 3 != 1}
+                    index = {m: c for c, m in enumerate(sorted(vectors, key=key))}
                     columns[d] = index, {ring._key(m): c for m, c in index.items()}
                 index, keyed = columns[d]
                 for u in monomials(degrees, du):
@@ -938,9 +1003,8 @@ def test_multiples_match_the_word_sign_product():
                             continue
                         exps, sign = product
                         seen["sign flips"] += sign < 0
-                        if exps in index:
-                            expected.append((index[exps], sign * v))
-                    row = basis._multiple(k, ring._key(u), keyed)
+                        expected.append((index[exps], sign * v))
+                    row = [(keyed[t], v) for t, v in basis._multiple(k, ring._key(u))]
                     assert row == sorted(expected), (ring.label, terms, u)
                     assert all(a < b for (a, _), (b, _) in zip(row, row[1:])), (ring.label, terms, u)
                     seen["rows"] += 1

@@ -22,7 +22,7 @@ from flagcohom import (
     series_from_ring,
     verify_space,
 )
-from flagcohom import algebra, catalog, verify
+from flagcohom import algebra, catalog, linalg, verify
 from flagcohom.algebra import PresentationError
 from flagcohom.catalog import VARIANTS, BasisFamily, FamilyPart, default_cutoff, top_degree_of
 from flagcohom.series import ClosedFormSeries
@@ -164,11 +164,13 @@ def test_independent_detects_dependent_monomials():
     degree_4 = [Monomial(ring.gens, e) for e in ring_monomials(ring, 4)]
     assert len(degree_4) == 5
     basis = ring.degree_basis(4)
-    assert _independent(ring, basis)
-    assert not _independent(ring, degree_4)
-    assert not _independent(ring, (basis[0], basis[0]))
+    # the basis's standard monomials at once, and the rest by its reduction
+    assert _independent(ring._basis, basis)
+    assert _independent(ring._basis, basis[::-1])
+    assert not _independent(ring._basis, degree_4)
+    assert not _independent(ring._basis, (basis[0], basis[0]))
     # a monomial of a zero degree is dependent on its own
-    assert not _independent(ring, (Monomial(ring.gens, ring_monomials(ring, 10)[0]),))
+    assert not _independent(ring._basis, (Monomial(ring.gens, ring_monomials(ring, 10)[0]),))
 
 
 def test_flags_state_no_family():
@@ -312,32 +314,101 @@ def test_a_family_degree_builds_its_members_alone():
 
 
 def count_reductions(monkeypatch):
-    """Counts of QuotientRings built and Groebner steps taken, from now on."""
-    counts = {"rings": 0, "steps": 0}
-    init, step = algebra.QuotientRing.__init__, algebra._GroebnerBasis.step
+    """Counts of Gröbner bases and QuotientRings built, basis-layer steps
+    taken and tables computed, from now on."""
+    counts = {"bases": 0, "rings": 0, "steps": 0, "tables": 0}
 
-    def counting_init(self, *args):
-        counts["rings"] += 1
-        init(self, *args)
+    def counting(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
 
-    def counting_step(self, d):
-        counts["steps"] += 1
-        return step(self, d)
+        return wrapper
 
-    monkeypatch.setattr(algebra.QuotientRing, "__init__", counting_init)
-    monkeypatch.setattr(algebra._GroebnerBasis, "step", counting_step)
+    monkeypatch.setattr(algebra._GroebnerBasis, "__init__", counting("bases", algebra._GroebnerBasis.__init__))
+    monkeypatch.setattr(algebra.QuotientRing, "__init__", counting("rings", algebra.QuotientRing.__init__))
+    monkeypatch.setattr(algebra._GroebnerBasis, "step", counting("steps", algebra._GroebnerBasis.step))
+    monkeypatch.setattr(algebra.QuotientRing, "_compute_table", counting("tables", algebra.QuotientRing._compute_table))
     return counts
 
 
 def test_a_default_run_reduces_each_distinct_ring_once(monkeypatch):
-    # the CLI's default run: one ring for each of the 98 distinct contents
-    # of the 130 catalog spaces, and 16 for the extension and equivariant
-    # checks. The zero rule skips every degree whose degrees d - deg x are
-    # all zero, so the rings take 510 Gröbner steps
+    # the CLI's default run: one Gröbner basis for each of the 98 distinct
+    # contents of the 130 catalog spaces, and 16 for the extension and
+    # equivariant checks, whose rings alone build tables. The zero rule
+    # skips every degree whose degrees d - deg x are all zero, so the bases
+    # take 510 steps, in the degrees the tables took them in when each step
+    # built its degree's table, and the 16 rings compute 57 tables
     counts = count_reductions(monkeypatch)
     checks = verify.run_suites(list(verify.SUITES), 4)
     assert len(checks) == 445 and all(c.ok for c in checks)
-    assert counts == {"rings": 114, "steps": 510}
+    assert counts == {"bases": 114, "rings": 16, "steps": 510, "tables": 57}
+
+
+def test_the_catalog_and_odd_identity_suites_build_no_table(monkeypatch):
+    # they read the standard monomials and the basis's own reduction alone
+    counts = count_reductions(monkeypatch)
+    checks = verify.run_suites(["catalog", "odd-identity"], 4)
+    assert all(c.ok for c in checks)
+    assert counts["bases"] == 98
+    assert counts["rings"] == counts["tables"] == 0
+
+
+def table_independent(ring, monomials) -> bool:
+    """Whether the residues of the monomials are linearly independent, by
+    the rank of their rows in their degree's table (scaling a rewrite row
+    by its lead keeps the rank), or False in a zero degree: the check
+    `verify` made before it read the basis's own reduction."""
+    if not monomials:
+        return True
+    if not ring._table(monomials[0].degree).basis:
+        return False
+    return linalg.rank([sorted(ring._row(m.exps)[1]) for m in monomials]) == len(monomials)
+
+
+def table_outcome(pres, family, cutoff):
+    """`verify._check`'s outcome computed from a ring's tables: dimensions
+    from `dimension`, the family by `table_independent` and the relations
+    by `is_zero`."""
+    ring = QuotientRing(pres, cutoff)
+    dims = ring.dimensions()
+    checks = [verify._series_check("dimensions match closed form", pres.closed_form, dims)]
+    if family is None:
+        checks.append(verify.CheckResult("characteristic family", True, "none stated; skipped"))
+    else:
+        bad = ""
+        for d in range(cutoff + 1):
+            monos = family.monomials_of_degree(d)
+            if len(monos) != dims[d]:
+                bad = f"degree {d}: family has {len(monos)} monomials, dimension {dims[d]}"
+                break
+            if not table_independent(ring, monos):
+                bad = f"degree {d}: family {[str(m) for m in monos]} is dependent"
+                break
+        checks.append(verify.CheckResult("characteristic family is a basis", not bad, bad))
+    bad_rels = [str(r) for r in pres.relations if not ring.is_zero(r)]
+    checks.append(verify.CheckResult("relations vanish", not bad_rels, f"nonzero residues: {bad_rels}" if bad_rels else ""))
+    return verify._Outcome(tuple(dims), tuple(checks))
+
+
+def test_verify_outcomes_match_the_tables():
+    # verify reads the basis's standard monomials and its own reduction, and
+    # builds no table: every catalog ring to n = 5 at its default cutoff
+    spaces = list(dict.fromkeys(_catalog_descriptors(5)))
+    for space in spaces:
+        pres, _, family = build_space(space)
+        cutoff = default_cutoff(pres)
+        assert verify._check(pres, family, cutoff) == table_outcome(pres, family, cutoff), space
+    # equivariant Fl(C^2) to Fl(C^4), which state no family
+    for n, cutoff in ((2, 12), (3, 14), (4, 12)):
+        pres = equivariant_space("complex", n, "flag", cutoff=cutoff).presentation
+        assert verify._check(pres, None, cutoff) == table_outcome(pres, None, cutoff), n
+    # a presentation with a relation left out fails the same checks both ways
+    pres, _, family = build_space(SpaceDescriptor("complex-grassmannian", 2, 4))
+    wrong = replace(pres, relations=pres.relations[1:])
+    outcome = verify._check(wrong, family, 8)
+    assert outcome == table_outcome(wrong, family, 8)
+    assert [c.ok for c in outcome.checks] == [False, False, True]
 
 
 def test_a_second_run_reuses_nothing_from_the_first(monkeypatch):
@@ -386,7 +457,7 @@ def test_presentations_that_differ_in_one_value_get_separate_outcomes(monkeypatc
     counts = count_reductions(monkeypatch)
     run = verify._Run()
     outcomes = [run.space(s)[1] for s in spaces]
-    assert counts["rings"] == 4 and len(run.checked) == 4
+    assert counts["bases"] == 4 and len(run.checked) == 4
     assert outcomes[4] is outcomes[0]
     assert [c.ok for o in outcomes for c in o.checks] == [True] * 9 + [False, True, True] + [True] * 3
 

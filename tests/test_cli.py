@@ -174,7 +174,7 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
 # took their shared arguments from one parent parser. It is the same on
 # CPython 3.10 to 3.13 (at 80 columns 3.13 wraps one usage line elsewhere),
 # and differs from its output at 102 columns
-PINNED_HELP_DIGEST = "990ef962251aab57c213b7d17d8dd6b47547231bceab06e4e6f8a020c15d51b9"
+PINNED_HELP_DIGEST = "1114b24c5ee5e6957aa9125df61436ef003aef5203704a08977ab5e6456bd65d"
 HELP_COMMANDS = ([], ["present"], ["series"], ["basis"], ["mul"], ["tower"], ["pushout"], ["verify"])
 
 
@@ -383,14 +383,16 @@ def test_verify_rejects_negative_max_n(capsys):
 
 
 def test_verify_refuses_a_max_n_that_cannot_complete(capsys):
-    # --max-n 6 once ran about 25 s, printed no check and exited 2 on a
-    # degree with more monomials than the limit
+    # one past the largest would print no check and exit 2 on a degree with
+    # more monomials than the limit: --max-n 6 once did so after about 25 s
+    from flagcohom import verify
+
     start = time.perf_counter()
-    assert cli.main(["verify", "--max-n", "6"]) == 2
+    assert cli.main(["verify", "--max-n", str(verify.MAX_N + 1)]) == 2
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "config error: --max-n: must be at most 5, the largest that completes\n"
+    assert captured.err == f"config error: --max-n: must be at most {verify.MAX_N}, the largest that completes\n"
 
 
 def test_verify_maps_failures_to_exit_1(monkeypatch, capsys):
