@@ -12,11 +12,12 @@ reduction per degree, only that degree's relations, pairs and odd
 products and the multiples of basis elements their monomials reach, and
 lists the degree's standard monomials, those no lead divides: its
 additive monomial basis. The table layer builds a degree's rewrite table
-(the normal-form map) from them, by one row reduction of one multiple of
-a basis element per other monomial, whose reduced echelon form is the
-ideal's degree-d slice's own. Each row is built once, as the column list
-the reduction reads: a multiple u*g of a basis element comes out in column
-order, which multiplying by a monomial keeps. A table holds a row for every
+(the normal-form map) from them, over the monomials the lower tables leave
+nonzero, by one row reduction of one multiple of a basis element per
+other such monomial, whose reduced echelon form is the ideal's degree-d
+slice's own. Each row is built once, as the column list the reduction
+reads: a multiple u*g of a basis element comes out in column order, which
+multiplying by a monomial keeps. A table holds a row for each nonzero
 monomial of its degree, keyed by the ring's packed key of the monomial, as
 (position, value) pairs over the positions of its basis monomials: a basis
 monomial's unit row or a pivot's primitive reduced row with positive lead.
@@ -45,12 +46,8 @@ to whole degrees, degree d > 0 is zero when, for each generator x with
 deg x <= d, degree d - deg x is: the basis layer takes no step there. A
 degree with no standard monomial, found so by the rule or by a step, is
 zero exactly, and its table is the shared zero table, built with no
-reduction. Applied to the monomials of a degree whose table is built, the
-rule gives the dead ones, x times a zero monomial of degree d - deg x:
-the table layer builds no row over their columns and gives them unit
-rows. The reduced echelon form of the slice holds those unit rows anyway,
-with a zero in their columns in every other row, so the tables do not
-change.
+reduction. A table holds rows for its nonzero monomials alone, and a
+monomial it has no row for is zero.
 """
 
 from __future__ import annotations
@@ -58,6 +55,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -76,15 +74,15 @@ class CutoffExceededError(ValueError):
     """A degree beyond the ring's computed range was requested."""
 
 
-# The most monomials one degree may have. Every list of a degree's keys the
-# Gröbner basis builds, of its monomials for a table or of its candidate
-# standard monomials for a step, is counted from the lists below it and
-# refused before it is built when it has more.
+# The most candidate monomials one degree may have. Every list of a degree's
+# keys the Gröbner basis builds, of its candidate nonzero monomials for a
+# table or of its candidate standard monomials for a step, is counted from
+# the lists below it and refused before it is built when it has more.
 MAX_DEGREE_MONOMIALS = 100_000
 
 
 class TooManyMonomialsError(ValueError):
-    """A degree has more than `MAX_DEGREE_MONOMIALS` monomials."""
+    """A degree has more than `MAX_DEGREE_MONOMIALS` candidate monomials."""
 
 
 @dataclass(frozen=True)
@@ -522,14 +520,15 @@ def make_presentation(
 @dataclass(frozen=True)
 class _DegreeTable:
     basis: tuple[tuple[int, ...], ...]  # exponent vectors in display order
-    # key -> (lead, ((position, value), ...)) for every monomial of the
-    # degree, by the ring's packed key (`QuotientRing._key`) of its
+    # key -> (lead, ((position, value), ...)) for every nonzero monomial of
+    # the degree, by the ring's packed key (`QuotientRing._key`) of its
     # exponents, as the Gröbner basis enumerates them, so the table keys
     # nothing: the monomial equals the sum of value/lead times
     # basis[position]. A basis monomial's row is (1, ((its position, 1),));
-    # a zero monomial's is (1, ()); a pivot's is its reduced row, primitive
-    # with positive lead, with its other entries negated. Rows are in column
-    # order, and equal pairs are shared within a table
+    # a pivot's is its reduced row, primitive with positive lead, with its
+    # other entries negated. A zero monomial has no row, and reads as the
+    # zero row (1, ()). Rows are in column order, and equal pairs are
+    # shared within a table
     rows: dict[int, tuple[int, tuple[tuple[int, int], ...]]]
 
 
@@ -569,18 +568,16 @@ class _GroebnerBasis:
     are sorted.
 
     The table layer, `table(d)`, builds degree d's table when the degree
-    has a standard monomial: one reducer u*g per other live monomial of
-    the degree, in one call to `linalg.rref`, with no relation, pair or new
-    element. The reducers lie in the ideal's degree-d slice and lead every
-    column but the standard ones, so their reduced echelon form is the
-    slice's own, and the table is that of reducing every relation multiple.
-    A degree-d monomial m is dead when m/x is zero for a generator x of m:
-    `_dead` adds x's key to the zero monomials of each degree d - deg x,
-    those its table kept in `zeros`, or all of them if that degree had no
-    standard monomial. A dead m lies in the ideal, so the slice's reduced
-    echelon form holds its unit row and has a zero in its column in every
-    other row: a dead column gets no reducer and no entry, and the table
-    writes its unit row.
+    has a standard monomial. Its candidates are x_i times the nonzero
+    monomials of degree d - deg x_i in generators i.., and a candidate m is
+    kept when m/x has a row for every generator x of m. Any other monomial
+    has a zero m/x, so its unit row is in the slice's reduced echelon form,
+    whose other rows have a zero in its column. The reducers, one u*g per
+    kept candidate that is not standard, over the kept columns, in one call
+    to `linalg.rref`, lead every kept column but the standard ones, so their
+    reduced echelon form is the slice's own, and the table is that of
+    reducing every relation multiple. The monomials with a row are the
+    degree's list of nonzero monomials.
     """
 
     def __init__(self, presentation: RingPresentation, cutoff: int):
@@ -624,12 +621,11 @@ class _GroebnerBasis:
         # where those in generators i.. begin
         self.standard_keys: list[list[int]] = []
         self.standard_starts: list[list[int]] = []
-        # the table layer's: the keys of the zero monomials of each degree whose
-        # table was built, in column order, and the keys of each degree
-        # enumerated, in display order, and where those in generators i.. begin
-        self.zeros: dict[int, list[int]] = {}
-        self.degree_keys: list[list[int]] = []
-        self.starts: list[list[int]] = []
+        # the table layer's: each degree's table, and the keys of its nonzero
+        # monomials, in display order, and where those in generators i.. begin
+        self.tables: list[_DegreeTable] = []
+        self.nonzero_keys: list[list[int]] = []
+        self.nonzero_starts: list[list[int]] = []
 
     def key(self, exps: Sequence[int]) -> int:
         return sum(map(mul, exps, self.weights))
@@ -638,18 +634,18 @@ class _GroebnerBasis:
         return tuple([(key >> offset) & mask for offset, mask in self.fields])
 
     def _monomials(self, lists: list[list[int]], starts: list[list[int]], d: int) -> tuple[list[int], list[int]]:
-        """Degree d's keys built from the lower `lists` (every monomial, or
-        the standard ones), in display order, and where those in generators
-        i.. begin: the monomials whose first generator is x_0, then those
-        whose first is x_1, and so on, the unit last; those whose first is
-        x_i are x_i times the degree-(d - deg x_i) keys in generators i..
-        (i+1.. for an odd x_i), which begin at `starts[.][i]`. The lower
-        lists count the keys first, and more than `MAX_DEGREE_MONOMIALS`
-        are refused before they are built."""
-        degrees, weights = self.gens.degrees, self.weights
+        """Degree d's candidate keys built from the lower `lists` (the
+        nonzero monomials, or the standard ones), in display order, and
+        where those in generators i.. begin: the candidates whose first
+        generator is x_0, then those whose first is x_1, and so on, the unit
+        last; those whose first is x_i are x_i times the degree-(d - deg x_i)
+        keys in generators i.. (i+1.. for an odd x_i), which begin at
+        `starts[.][i]`. The lower lists count the candidates first, and more
+        than `MAX_DEGREE_MONOMIALS` are refused before they are built."""
+        degrees, weights, limit = self.gens.degrees, self.weights, MAX_DEGREE_MONOMIALS
         count = sum(len(lists[d - g]) - starts[d - g][i + g % 2] for i, g in enumerate(degrees) if g <= d)
-        if count > MAX_DEGREE_MONOMIALS:
-            raise TooManyMonomialsError(f"degree {d} has {count} monomials, more than the limit {MAX_DEGREE_MONOMIALS}")
+        if count > limit:
+            raise TooManyMonomialsError(f"degree {d} has {count} candidate monomials, more than the limit {limit}")
         row, start = [], [0]
         for i, (g, w) in enumerate(zip(degrees, weights)):
             if g <= d:
@@ -782,64 +778,55 @@ class _GroebnerBasis:
     # -- the table layer ---------------------------------------------------
 
     def table(self, d: int) -> _DegreeTable:
-        """Degree d's table: the shared zero table when it has no standard
-        monomial, and else each column's row. The columns are the keys of
-        the degree-d monomials in descending order; the reducers of the live
-        columns that are not standard reduce to the pivots' rows. A standard
-        column's row is its unit row; a dead column's, or one whose reduced
-        row is a unit row, is empty, and it is a zero monomial."""
-        standard = self.standard(d)
-        if not standard:
+        """Degree d's table, appended to `tables`, which holds those below it,
+        with its nonzero keys appended to `nonzero_keys`: the shared zero table
+        when it has no standard monomial, and else, over the kept candidates
+        in descending key order, a standard column's unit row and each
+        pivot's row but a unit row; any other column is zero."""
+        tables, keys, starts = self.tables, self.nonzero_keys, self.nonzero_starts
+        if not (standard := self.standard(d)):
+            # a zero degree's nonzero monomials are its standard ones, none
+            tables.append(_ZERO_TABLE)
+            keys.append(standard)
+            starts.append(self.standard_starts[d])
             return _ZERO_TABLE
-        cols = sorted(self._keys(d), reverse=True)
-        dead = self._dead(d)
-        position = {m: i for i, m in enumerate(standard)}
-        # every live monomial that is not standard has a lead that divides it
-        rows = [
-            [(-t, v) for t, v in self._reducer(m) if t not in dead]
-            for m in cols
-            if m not in dead and m not in position
-        ]
+        candidates, start = self._monomials(keys, starts, d)
+        # a candidate whose first generator is x_i has a nonzero m/x_i; it is
+        # kept when each later generator x of m has m/x in its table too
+        degrees, fields, weights = self.gens.degrees, self.fields, self.weights
+        live, kept = [], [0]
+        for i in range(len(degrees)):
+            if block := candidates[start[i]:start[i + 1]]:
+                for j in range(i + 1, len(degrees)):
+                    if (g := degrees[j]) <= d:
+                        (offset, mask), w, lower = fields[j], weights[j], tables[d - g].rows
+                        block = [m for m in block if not (m >> offset) & mask or m - w in lower]
+                live += block
+            kept.append(len(live))
+        if not d:
+            live.append(0)
+        cols = sorted(live, reverse=True)
+        columns, position = set(live), {m: i for i, m in enumerate(standard)}
+        # every kept monomial that is not standard has a lead that divides it
+        rows = [[(-t, v) for t, v in self._reducer(m) if t in columns] for m in cols if m not in position]
         pivots = {-row[0][0]: row for row in linalg.rref(rows)}
         # equal (position, value) pairs are one tuple across the table's rows,
         # which keeps a table smaller than separate position and value tuples
         shared: dict[tuple[int, int], tuple[int, int]] = {}
         table: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-        self.zeros[d] = zeros = []
         for m in cols:
-            i, row = position.get(m), pivots.get(m)
-            if i is not None:
+            if (i := position.get(m)) is not None:
                 table[m] = (1, (shared.setdefault((i, 1), (i, 1)),))
-            elif row is None or len(row) == 1:
-                table[m] = (1, ())
-                zeros.append(m)
-            else:
+            elif (row := pivots.get(m)) is not None and len(row) > 1:
                 tail = [shared.setdefault(p, p) for c, v in row[1:] for p in [(position[-c], -v)]]
                 table[m] = (row[0][1], tuple(tail))
-        return _DegreeTable(tuple(map(self._exps, standard)), table)
-
-    def _keys(self, d: int) -> list[int]:
-        """The keys of the degree-d monomials in display order, each degree
-        up to d built by `_monomials` from those below it."""
-        keys, starts = self.degree_keys, self.starts
-        for j in range(len(keys), d + 1):
-            row, start = self._monomials(keys, starts, j)
-            keys.append(row)
-            starts.append(start)
-        return keys[d]
-
-    def _dead(self, d: int) -> set[int]:
-        """The keys of the degree-d monomials x*m of a generator x and a zero
-        monomial m of degree d - deg x, an odd x only where m lacks it. A
-        degree whose table is the zero table has no `zeros`: all its
-        monomials are zero, and `_keys(d)` has enumerated them."""
-        dead: set[int] = set()
-        for g, w, (start, _) in zip(self.gens.degrees, self.weights, self.fields):
-            if g <= d:
-                bit = (1 << start) * (g % 2)  # an odd x's exponent bit
-                zeros = self.zeros.get(d - g)
-                dead.update([m + w for m in (self._keys(d - g) if zeros is None else zeros) if not m & bit])
-        return dead
+        # the nonzero keys in display order, and where those in generators i..
+        # begin: the number of nonzero keys before each of the kept blocks
+        before = list(accumulate((m in table for m in live), initial=0))
+        keys.append([m for m in live if m in table])
+        starts.append([before[k] for k in kept])
+        tables.append(result := _DegreeTable(tuple(map(self._exps, standard)), table))
+        return result
 
 
 class QuotientRing:
@@ -857,9 +844,10 @@ class QuotientRing:
             raise PresentationError(f"a nonnegative integer cutoff degree is required, got {cutoff!r}")
         self.presentation = presentation
         self.cutoff = cutoff
-        self._tables: list[_DegreeTable] = []  # indexed by degree
         self._lock = threading.Lock()
         self._basis = basis = _GroebnerBasis(presentation, cutoff)
+        # indexed by degree; the basis's table layer appends each table
+        self._tables = basis.tables
         # the basis's packed key sum(e_i * w_i), whose top field, from bit `_shift`
         # up, is the degree. An overflow carries upward, so a key whose degree
         # is in range is exact
@@ -878,8 +866,8 @@ class QuotientRing:
         return f"QuotientRing({name}, cutoff={self.cutoff})"
 
     def _row(self, exps: Sequence[int]) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """A monomial's row (lead, ((position, value), ...)) in its degree's nonzero table."""
-        return self._table(self.gens.monomial_degree(exps)).rows[self._key(exps)]
+        """A monomial's row (lead, ((position, value), ...)), (1, ()) if zero."""
+        return self._table(self.gens.monomial_degree(exps)).rows.get(self._key(exps), (1, ()))
 
     def _table(self, d: int) -> _DegreeTable:
         if d < 0:
@@ -890,12 +878,12 @@ class QuotientRing:
                 raise CutoffExceededError(f"degree {d} exceeds cutoff {self.cutoff}")
             with self._lock:
                 while len(tables) <= d:
-                    tables.append(self._compute_table(len(tables)))
+                    self._compute_table(len(tables))
         return tables[d]
 
     def _compute_table(self, d: int) -> _DegreeTable:
-        """Degree d's table, from the basis's standard monomials of degree d:
-        the shared zero table when there are none (`_GroebnerBasis.table`)."""
+        """Degree d's table, appended to `_tables` by `_GroebnerBasis.table`:
+        the shared zero table when degree d has no standard monomial."""
         return self._basis.table(d)
 
     # -- public queries ----------------------------------------------------
@@ -963,7 +951,9 @@ class QuotientRing:
                             n *= _koszul_sign(ea, odd_a, odd_b)
                             if not n:
                                 continue
-                        lead, entries = rows[ka + kb]
+                        if (row := rows.get(ka + kb)) is None:
+                            continue  # a zero monomial
+                        lead, entries = row
                         if lead != common:
                             if common % lead:
                                 scale = lcm(common, lead) // common

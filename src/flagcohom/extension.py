@@ -320,10 +320,16 @@ def equivariant_space(
     with its 2^torus_rank terms, is expanded, and then the torus rank:
     the expansion multiplies 2^(torus_rank+1) - 2 pairs of terms, at most
     expressions.MAX_TERM_PRODUCTS, the bound the same product meets when
-    written as an expression.
+    written as an expression. `variant` is "even" or "odd", the parity of
+    a real or oriented bundle's rank; a complex bundle reads none, so takes
+    "even" alone.
     """
     if cutoff is None:
         raise PresentationError("equivariant rings need an explicit cutoff")
+    if variant not in ("even", "odd"):
+        raise BundleError(f"unknown variant {variant!r}: expected 'even' or 'odd'")
+    if kind == "complex" and variant == "odd":
+        raise BundleError("a complex bundle reads no variant: 'odd' is for real and oriented bundles")
     if kind == "complex":
         rank = torus_rank
     elif kind in ("real", "oriented"):

@@ -83,23 +83,36 @@ def display_key(exps):
     return tuple(-e for e in exps)
 
 
+@lru_cache(maxsize=None)
+def display_monomials(degrees, d):
+    """The degree-d exponent vectors over generators of these degrees, odd
+    ones at most 1, in display order: by the first exponent, descending,
+    then by the rest in display order."""
+    if not degrees:
+        return ((),) if d == 0 else ()
+    g, rest = degrees[0], degrees[1:]
+    top = min(d // g, 1 if g % 2 else d)
+    return tuple((e, *m) for e in range(top, -1, -1) for m in display_monomials(rest, d - e * g))
+
+
 def universe_monomials(gens, d):
     """The degree-d exponent vectors of a bare universe, in display order."""
-    return sorted(monomials(list(gens.degrees), d), key=display_key)
-
-
-def ring_monomials(ring, d):
-    """The degree-d exponent vectors of a ring's universe, as the Gröbner
-    step enumerates them: its keys, decoded, in display order."""
-    return [ring._basis._exps(k) for k in ring._basis._keys(d)]
+    return list(display_monomials(gens.degrees, d))
 
 
 def test_catalog_monomials_come_in_display_order():
+    # the table layer's list of each degree's nonzero monomials, the next
+    # degrees' candidates, is the oracle's monomials in display order that
+    # have a row in the table
     for desc in dict.fromkeys(_catalog_descriptors(4)):
         pres = build_space(desc)[0]
         ring = QuotientRing(pres, default_cutoff(pres))
         for d in range(ring.cutoff + 1):
-            assert ring_monomials(ring, d) == universe_monomials(pres.generators, d), (desc.label, d)
+            rows = ring._table(d).rows
+            ordered = sorted(monomials(list(pres.generators.degrees), d), key=display_key)
+            assert universe_monomials(pres.generators, d) == ordered, (desc.label, d)
+            nonzero = [m for m in ordered if ring._key(m) in rows]
+            assert list(map(ring._basis._exps, ring._basis.nonzero_keys[d])) == nonzero, (desc.label, d)
 
 
 def test_monomial_degree_and_str():
@@ -443,14 +456,18 @@ def test_normal_form_is_multiplicative(data):
 
 def rewrite_items(ring, d):
     """Degree d's pivot rows as (pivot, (lead, ((basis monomial, v), ...))),
-    in the table's row order, each row's key mapped back to its monomial;
-    the basis monomials' unit rows are skipped."""
+    every monomial of a nonzero degree in column order, a zero one, which
+    has no row, with the zero row (1, ()); the basis monomials' unit rows
+    are skipped, and a zero degree has none."""
     table = ring._table(d)
     basis, units = table.basis, set(table.basis)
+    if not basis:
+        return []
     return [
         (m, (lead, tuple((basis[i], v) for i, v in entries)))
-        for key, (lead, entries) in table.rows.items()
-        if (m := ring._basis._exps(key)) not in units
+        for m in sorted(monomials(list(ring.gens.degrees), d), key=elimination_key(ring.gens))
+        if m not in units
+        for lead, entries in [table.rows.get(ring._key(m), (1, ()))]
     ]
 
 
@@ -497,8 +514,9 @@ def trace_layers(monkeypatch):
     """From now on: "steps", the degree of each basis-layer step, and
     "tables", of each table-layer call, in order; "kernel", each
     `linalg.rref` call as (layer, degree, rows handed in), its layer the
-    innermost step or table call; and "work", each `_keys` or `_dead` call
-    inside a table call as (name, table degree)."""
+    innermost step or table call; and "work", each `_monomials` call inside
+    a table call, the table layer's candidates, as ("_monomials", table
+    degree)."""
     trace = {"steps": [], "tables": [], "kernel": [], "work": []}
     context = []
     basis_class, real_rref = algebra._GroebnerBasis, linalg.rref
@@ -515,10 +533,10 @@ def trace_layers(monkeypatch):
         return wrapper
 
     def work(name, real):
-        def wrapper(basis, d):
+        def wrapper(basis, *args):
             if context and context[-1][0] == "table":
                 trace["work"].append((name, context[-1][1]))
-            return real(basis, d)
+            return real(basis, *args)
 
         return wrapper
 
@@ -528,14 +546,13 @@ def trace_layers(monkeypatch):
 
     monkeypatch.setattr(basis_class, "step", layer("basis", "steps", basis_class.step))
     monkeypatch.setattr(basis_class, "table", layer("table", "tables", basis_class.table))
-    monkeypatch.setattr(basis_class, "_keys", work("_keys", basis_class._keys))
-    monkeypatch.setattr(basis_class, "_dead", work("_dead", basis_class._dead))
+    monkeypatch.setattr(basis_class, "_monomials", work("_monomials", basis_class._monomials))
     monkeypatch.setattr(linalg, "rref", rref)
     return trace
 
 
 def table_work(trace):
-    """The table degrees that enumerated, found dead monomials or row-reduced."""
+    """The table degrees that enumerated candidates or row-reduced."""
     return {d for _, d in trace["work"]} | {d for layer, d, _ in trace["kernel"] if layer == "table"}
 
 
@@ -549,10 +566,10 @@ def test_degrees_past_the_vanishing_window_build_no_matrix(monkeypatch):
     # and every degree above it are skipped as well
     assert trace["steps"] == list(range(0, 13, 2))
     # every degree is asked of the table layer, and only one with a standard
-    # monomial enumerates, finds dead monomials or row-reduces
+    # monomial enumerates candidates or row-reduces
     assert trace["tables"] == list(range(41))
     assert table_work(trace) == set(range(0, 9, 2))
-    assert [d for name, d in trace["work"] if name == "_dead"] == list(range(0, 9, 2))
+    assert [d for name, d in trace["work"] if name == "_monomials"] == list(range(0, 9, 2))
     # a degree asked for first builds the degrees below it, so the rule
     # applies however the degrees are asked
     trace["steps"].clear()
@@ -562,7 +579,7 @@ def test_degrees_past_the_vanishing_window_build_no_matrix(monkeypatch):
     assert fresh.normal_form(fresh.gens.gen("c1") ** 15).is_zero
     # G~_2(R^6) is zero above degree 8 too, but has a generator of degree 8:
     # the basis layer steps degrees 10 to 16 and finds no standard monomial
-    # there, so their tables make no `_keys`, `_dead` or `rref` call
+    # there, so their tables make no `_monomials` or `rref` call
     for key in trace:
         trace[key].clear()
     ring = build_ring(SpaceDescriptor("oriented-grassmannian", 1, 3, "even-even"), 60)
@@ -576,8 +593,9 @@ def test_the_zero_rule_skips_degrees_below_nonzero_ones(monkeypatch):
     # y^2 and y^3 to degree 18. Degrees 10 - deg x and 16 - deg x are zero
     # for x and y, so the rule skips degrees 10 and 16 (and the odd ones),
     # though nonzero degrees lie above them. The tables of degrees 12 and 18
-    # read every monomial of the degree skipped below them as zero, so each
-    # monomial but y^2 or y^3 is dead and the kernel gets no row
+    # build their candidates from the nonzero monomials below them, none in
+    # the skipped degrees, so y^2 or y^3 is the one candidate and the kernel
+    # gets no row
     trace = trace_layers(monkeypatch)
     tables = tables_matching_dense_reference([(2, 0), (6, 0)], [{(2, 0): 1}, {(1, 1): 1}], cutoff=18)
     assert [len(t.basis) for t in tables] == [int(d in (0, 2, 6, 12, 18)) for d in range(19)]
@@ -621,27 +639,27 @@ def test_zero_monomials_hand_the_kernel_no_rows(monkeypatch):
     trace["kernel"].clear()
     ring = equivariant_space("complex", 3, "flag", cutoff=18)
     dims = ring.dimensions()
-    assert sum(rows("table")) == 4131 == sum(len(ring_monomials(ring, d)) - n for d, n in enumerate(dims))
+    assert sum(rows("table")) == 4131 == sum(len(universe_monomials(ring.gens, d)) - n for d, n in enumerate(dims))
     assert sum(rows("basis")) == 7
 
 
 def test_a_high_degree_enumerates_no_monomial_past_the_window(monkeypatch):
     # `_monomials` is the one enumeration of a ring's monomials, as keys: of
-    # every monomial for the table layer's `_keys`, which a degree with no
-    # standard monomial does not call, and of the standard ones for each
-    # basis-layer step. G_2(C^4) is zero above degree 8, and the zero rule
-    # skips every degree above 12
-    enumerated = {"all": set(), "standard": set()}
+    # the candidate nonzero monomials for each table, which a degree with no
+    # standard monomial does not build, and of the candidate standard ones
+    # for each basis-layer step. G_2(C^4) is zero above degree 8, and the
+    # zero rule skips every degree above 12
+    enumerated = {"nonzero": set(), "standard": set()}
     real = algebra._GroebnerBasis._monomials
 
     def monomials_(basis, lists, starts, d):
-        enumerated["standard" if lists is basis.standard_keys else "all"].add(d)
+        enumerated["standard" if lists is basis.standard_keys else "nonzero"].add(d)
         return real(basis, lists, starts, d)
 
     monkeypatch.setattr(algebra._GroebnerBasis, "_monomials", monomials_)
     ring = build_ring(SpaceDescriptor("complex-grassmannian", 2, 4), 60)
     assert ring.dimension(60) == 0
-    assert max(enumerated["all"]) == 8
+    assert max(enumerated["nonzero"]) == 8
     assert max(enumerated["standard"]) == 12
 
 
@@ -679,30 +697,46 @@ def test_many_relations_of_one_degree_are_deduplicated_in_linear_time():
 
 
 def test_a_degree_with_too_many_monomials_is_refused_before_any_step():
+    # every monomial of degree 8 is standard, so the step's candidates in
+    # degree 10 are all of its monomials
     gens = Generators([GeneratorSymbol(f"x{i}", 2) for i in range(30)])
     ring = QuotientRing(make_presentation(gens, [gens.gen("x0") ** 5]), 20)
     assert math.comb(34, 5) == 278256 > algebra.MAX_DEGREE_MONOMIALS
     for _ in range(2):
-        with pytest.raises(algebra.TooManyMonomialsError, match="degree 10 has 278256 monomials"):
+        with pytest.raises(algebra.TooManyMonomialsError, match="degree 10 has 278256 candidate monomials"):
             ring.dimension(10)
         # degrees 0-9 are built; the relation of degree 10 is still to reduce
         assert len(ring._tables) == 10
         assert list(ring._basis.relations) == [10]
 
 
-def test_every_degree_the_step_enumerates_is_refused_past_the_limit():
+def test_the_table_layer_refuses_a_degree_with_too_many_candidates():
+    # x_i = x29 for 30 generators of degree 2: every monomial is nonzero, a
+    # power of x29, so each step lists one standard monomial, and the table
+    # layer's candidates in degree 10 are all C(34, 5) of its monomials
+    gens = Generators([GeneratorSymbol(f"x{i}", 2) for i in range(30)])
+    x29 = gens.gen("x29")
+    ring = QuotientRing(make_presentation(gens, [gens.gen(f"x{i}") - x29 for i in range(29)]), 20)
+    start = time.perf_counter()
+    with pytest.raises(algebra.TooManyMonomialsError, match="^degree 10 has 278256 candidate monomials, more than the limit 100000$"):
+        ring.dimensions()
+    assert time.perf_counter() - start < 2
+    assert len(ring._tables) == 10
+    assert [len(keys) for keys in ring._basis.standard_keys] == [1, 0] * 5 + [1]
+    assert [len(keys) for keys in ring._basis.nonzero_keys] == [math.comb(d // 2 + 29, 29) * (1 - d % 2) for d in range(10)]
+
+
+def test_zero_degrees_below_a_nonzero_one_are_not_enumerated():
     # r0..r19 of degree 1, each zero, and w of degree 19: the zero rule skips
-    # degrees 2 to 18, and the step of degree 19 reads their monomials as
-    # zero, so it enumerates every degree below 19. Degree 19 has 21
-    # monomials, but degree 8 has C(20, 8) and is refused before it is built,
-    # where enumerating every degree built all 2^20 monomials
+    # degrees 2 to 18, and each layer builds degree 19 from the lists below
+    # it, which are empty there, so its one candidate is w. Degree 8 alone
+    # has C(20, 8) monomials, more than the limit
     gens = Generators([*(GeneratorSymbol(f"r{i}", 1) for i in range(20)), GeneratorSymbol("w", 19)])
     ring = QuotientRing(make_presentation(gens, [gens.gen(f"r{i}") for i in range(20)]), 19)
     start = time.perf_counter()
-    with pytest.raises(algebra.TooManyMonomialsError, match="^degree 8 has 125970 monomials, more than the limit 100000$"):
-        ring.dimensions()
+    assert ring.dimensions() == [1] + [0] * 18 + [1]
     assert time.perf_counter() - start < 1
-    assert len(ring._basis.degree_keys) == 8
+    assert [len(keys) for keys in ring._basis.nonzero_keys] == [1] + [0] * 18 + [1]
 
 
 def test_negative_degrees_are_zero():
@@ -839,6 +873,39 @@ def test_random_graded_presentations_match_dense_reference(presentation):
     tables_matching_dense_reference(*presentation)
 
 
+def assert_rows_are_the_nonzero_monomials(pres, cutoff):
+    """A ring's table of every degree to the cutoff has a row for a monomial
+    exactly when the dense oracle's normal form of it is nonzero, and the
+    normal form of a monomial with no row is 0."""
+    gens = pres.generators
+    ring = QuotientRing(pres, cutoff)
+    degrees, relations = list(gens.degrees), [r.terms for r in pres.relations]
+    for d in range(cutoff + 1):
+        basis, rewrite = reference_table(degrees, relations, d, elimination_key(gens))
+        rows = ring._table(d).rows
+        for m in monomials(degrees, d):
+            assert (ring._key(m) in rows) == (m in basis or bool(rewrite[m])), (pres.label, m)
+            if ring._key(m) not in rows:
+                assert ring.normal_form(gens.element({m: 1})).is_zero, (pres.label, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_presentations())
+def test_a_table_has_a_row_exactly_for_each_nonzero_monomial(presentation):
+    symbols, relations = presentation
+    gens = Generators([GeneratorSymbol(f"x{i}", d, p) for i, (d, p) in enumerate(symbols)])
+    assert_rows_are_the_nonzero_monomials(make_presentation(gens, [gens.element(r) for r in relations]), 10)
+
+
+def test_catalog_tables_have_a_row_exactly_for_each_nonzero_monomial():
+    # the catalog rings to n = 3 at their default cutoff, and odd-mixing to
+    # its top degree
+    presentations = [build_space(desc)[0] for desc in dict.fromkeys(_catalog_descriptors(3))]
+    for pres in presentations:
+        assert_rows_are_the_nonzero_monomials(pres, default_cutoff(pres))
+    assert_rows_are_the_nonzero_monomials(odd_mixing_presentation(), 15)
+
+
 @settings(max_examples=100, deadline=None)
 @given(graded_presentations())
 def test_standard_monomials_match_dense_reference(presentation):
@@ -895,27 +962,38 @@ def sparse_presentations(draw):
 
 
 def test_pruned_tables_match_dense_reference(monkeypatch):
-    # the tables of steps that give dead monomials their unit rows are those
-    # of reducing every relation multiple; the test counts the dead columns
-    # and the zero pivots it sees, so it fails if the pruning never fires
-    seen = {"dead": 0, "zero pivots": 0}
-    real = algebra._GroebnerBasis._dead
+    # the tables that reduce over the candidates whose every m/x is nonzero
+    # are those of reducing every relation multiple; the test counts the
+    # candidates the filter drops, with an m/x that has no row, and the kept
+    # ones the reduction finds zero, so it fails if either never happens
+    seen = {"dropped": 0, "zero pivots": 0}
+    candidates = []
+    real = algebra._GroebnerBasis._monomials
 
-    def counting(basis, d):
-        dead = real(basis, d)
-        seen["dead"] += len(dead)
-        return dead
+    def recording(basis, lists, starts, d):
+        row, start = real(basis, lists, starts, d)
+        if lists is basis.nonzero_keys:
+            candidates.append((basis, d, row))
+        return row, start
 
-    monkeypatch.setattr(algebra._GroebnerBasis, "_dead", counting)
+    monkeypatch.setattr(algebra._GroebnerBasis, "_monomials", recording)
 
     @settings(max_examples=150, deadline=None)
     @given(sparse_presentations())
     def check(presentation):
-        for table in tables_matching_dense_reference(*presentation):
-            seen["zero pivots"] += sum(1 for _, entries in table.rows.values() if not entries)
+        candidates.clear()
+        tables_matching_dense_reference(*presentation)
+        for basis, d, row in candidates:
+            degrees, weights, tables = basis.gens.degrees, basis.weights, basis.tables
+            for m in row:
+                exps = basis._exps(m)
+                if any(e and m - w not in tables[d - g].rows for e, g, w in zip(exps, degrees, weights)):
+                    seen["dropped"] += 1
+                elif m not in tables[d].rows:
+                    seen["zero pivots"] += 1
 
     check()
-    assert seen["dead"] and seen["zero pivots"], seen
+    assert seen["dropped"] and seen["zero pivots"], seen
 
 
 def exponent_vectors(degrees, d):
@@ -931,7 +1009,8 @@ def exponent_vectors(degrees, d):
     st.data(),
 )
 def test_packed_keys_order_and_divide_as_exponent_vectors(symbols, cutoff, data):
-    # the Gröbner step enumerates a degree's keys in display order, sorts its
+    # the Gröbner basis enumerates a degree's keys in display order (with no
+    # relation, the table layer's nonzero keys are all of them), sorts its
     # columns by descending key, and takes a lead l to divide m when no field
     # of k_m - k_l borrows past its guard bit. Against the oracle's column
     # order, the display order and plain exponent arithmetic, over monomials
@@ -945,7 +1024,8 @@ def test_packed_keys_order_and_divide_as_exponent_vectors(symbols, cutoff, data)
     for d in range(cutoff + 1):
         monos = monomials(degrees, d)
         assert sorted(monos, key=ring._key, reverse=True) == sorted(monos, key=column_order)
-        assert ring._basis._keys(d) == [ring._key(m) for m in sorted(monos, key=display_key)]
+        ring._table(d)
+        assert ring._basis.nonzero_keys[d] == [ring._key(m) for m in sorted(monos, key=display_key)]
         assert all(ring._key(m) >> ring._shift == d for m in monos)
         everything += monos
     powers = [
@@ -1213,7 +1293,7 @@ def test_integer_products_past_the_cutoff_in_zero_degrees_and_at_the_key_limits(
 
 def seeded_element(rng, ring, d, size):
     """Up to `size` degree-d monomials with small fractional coefficients."""
-    exps = ring_monomials(ring, d)
+    exps = universe_monomials(ring.gens, d)
     terms = {}
     for e in rng.sample(exps, min(size, len(exps))):
         terms[e] = Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 4)), rng.choice((1, 1, 2, 3)))
@@ -1249,7 +1329,7 @@ def test_products_in_warm_tables_make_one_normal_form_and_no_reduction(make, mon
     monkeypatch.setattr(algebra, "_koszul_product", counted("koszul_product", algebra._koszul_product))
     monkeypatch.setattr(algebra.GradedElement, "__mul__", counted("mul", algebra.GradedElement.__mul__))
     rng = random.Random(12)
-    degrees = [d for d in range(1, ring.cutoff + 1) if len(ring_monomials(ring, d)) >= 2]
+    degrees = [d for d in range(1, ring.cutoff + 1) if len(universe_monomials(ring.gens, d)) >= 2]
     pairs = [(a, b) for a in degrees for b in degrees if a <= b and a + b <= ring.cutoff]
     for da, db in pairs:
         a, b = seeded_element(rng, ring, da, 6), seeded_element(rng, ring, db, 6)

@@ -154,9 +154,9 @@ def test_odd_grassmannian_family_prefixed_by_r():
 
 
 def ring_monomials(ring, d):
-    """The degree-d exponent vectors of a ring's universe, as the Gröbner
-    step enumerates them: its keys, decoded, in display order."""
-    return [ring._basis._exps(k) for k in ring._basis._keys(d)]
+    """The degree-d exponent vectors of a ring's universe, the oracle's, in
+    display order: descending lex, earlier generators dominant."""
+    return sorted(monomials(list(ring.gens.degrees), d), reverse=True)
 
 
 def test_independent_detects_dependent_monomials():
@@ -284,7 +284,7 @@ def test_verify_space_reports_offending_degree(monkeypatch):
 
 
 def test_generated_family_members_match_the_filtered_enumeration():
-    # every monomial of the degree, as the ring enumerates them, kept when
+    # every monomial of the degree, the oracle's in display order, kept when
     # the family contains it, as the family was enumerated before its
     # members were generated
     spaces = list(dict.fromkeys(_catalog_descriptors(5)))

@@ -211,6 +211,25 @@ def test_equivariant_space_bounds_the_torus_rank_before_expanding():
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize(
+    "kind, variant, message",
+    [
+        ("real", "bogus", "^unknown variant 'bogus': expected 'even' or 'odd'$"),
+        ("oriented", "", "^unknown variant '': expected 'even' or 'odd'$"),
+        ("complex", "odd", "^a complex bundle reads no variant"),
+    ],
+)
+def test_equivariant_space_refuses_a_variant_it_does_not_read(kind, variant, message, monkeypatch):
+    # a variant is "even" or "odd", and a complex bundle reads none; the
+    # refusal comes before the fibre is sized or the base is built
+    built = []
+    monkeypatch.setattr(extension, "check_size", lambda *args: built.append("fibre"))
+    monkeypatch.setattr(extension, "equivariant_base", lambda *args: built.append("base"))
+    with pytest.raises(BundleError, match=message):
+        equivariant_space(kind, 1, "flag", variant=variant, cutoff=8)
+    assert built == []
+
+
 def test_equivariant_torus_rank_16_reads_its_total_class_few_times(monkeypatch):
     # prod(1 + a_i) over 16 roots has 2^16 terms, for a ring asked only to
     # degree 2. The bundle splits the class by degree once and
