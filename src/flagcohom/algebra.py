@@ -2,42 +2,64 @@
 
 Elements are sparse rational combinations of monomials in a fixed ordered
 family of graded generators. Odd-degree generators anticommute and square
-to zero; even-degree generators are central. A finitely presented quotient
-keeps a homogeneous Gröbner basis of its ideal in the elimination order
-(the weight of priority-2 generators, then of priority-1 generators, then
-lex), built one degree at a time in increasing degree, in the manner of
-Buchberger's algorithm with the row reduction and symbolic preprocessing
-of Faugère's F4, in two layers. The basis layer reduces, in one row
-reduction per degree, only that degree's relations, pairs and odd
-products and the multiples of basis elements their monomials reach, and
-lists the degree's standard monomials, those no lead divides: its
-additive monomial basis. The table layer builds a degree's rewrite table
-(the normal-form map) from them, over the monomials the lower tables leave
-nonzero, by one row reduction of one multiple of a basis element per
-other such monomial, whose reduced echelon form is the ideal's degree-d
-slice's own. Each row is built once, as the column list the reduction
-reads: a multiple u*g of a basis element comes out in column order, which
-multiplying by a monomial keeps. A table holds a row for each nonzero
-monomial of its degree, keyed by the ring's packed key of the monomial, as
-(position, value) pairs over the positions of its basis monomials: a basis
-monomial's unit row or a pivot's primitive reduced row with positive lead.
-The packed key is one integer per monomial, linear in its exponents. Its
-bit fields, from the top down, are the degree, the priority-2 and the
+to zero; even-degree generators are central. An element holds integer
+numerators over one denominator, in lowest terms. A product of elements
+forms the Koszul product of their numerators, in integers, over the
+product of their denominators.
+
+A finitely presented quotient, `QuotientRing`, is a homogeneous Gröbner
+basis of its ideal in the elimination order (the weight of priority-2
+generators, then of priority-1 generators, then lex), truncated at a
+cutoff and built one degree at a time in increasing degree, in the manner
+of Buchberger's algorithm with the row reduction and symbolic
+preprocessing of Faugère's F4, in two layers: the basis with its standard
+monomials, and the rewrite tables built from them.
+
+A monomial is its packed key, one integer, linear in its exponents. Its bit
+fields, from the top down, are the degree, the priority-2 and the
 priority-1 weight (each only when some generator has that priority) and the
 exponents, generator 0 highest, each one guard bit wider than its largest
 value within the cutoff. So the key of a product of monomials within the
-cutoff is the sum of their keys, a degree's descending keys are its column
-order, and divisibility is one subtraction that clears no guard bit. The
-Gröbner basis enumerates, reduces and hands the tables keys alone.
-An element holds integer numerators over one denominator, in lowest terms.
-A product of elements forms the Koszul product of their numerators, in
-integers, over the product of their denominators. A product in a quotient
-forms none: `normal_form(a, b)` keys each term of the two factors once and
-adds, for each pair of terms, the Koszul-signed integer product times the
-row at the sum of their keys into one list per degree over a common lead,
-grown to the lcm of the leads met, and puts the output over that lead times
-the denominators. Neither a product nor a normal form builds a `Fraction`.
-`Fraction`s appear only where coefficients come in and go out.
+cutoff is the sum of their keys, and a degree's descending keys are its
+column order, which is the monomial order; `linalg.rref` takes and returns
+rows of (key, value) pairs in that order. A lead l divides m exactly when
+no field of k_m - k_l borrows, ((k_m | G) - k_l) & G == G for the guard-bit
+mask G, and then k_m - k_l is the key of m/l. The ring enumerates, reduces
+and stores keys alone, and reads exponents back from a key only for a new
+lead and an odd multiplier's sign: a table's basis monomial x_i*s, x_i its
+first generator, has the exponents of the standard monomial s, read from
+s's table, with one more x_i. Every list of a degree's candidate keys is
+x_i times the keys of degree d - deg x_i in generators i.. (i+1.. for an
+odd x_i), built from the lists below it, counted first and refused past
+`MAX_DEGREE_MONOMIALS` before it is built.
+
+The basis layer extends the basis in increasing degree and lists each
+degree's standard monomials, those no lead divides: its additive monomial
+basis. A step reduces, in one row reduction, the relations of degree d,
+both halves u*g of every pair of elements whose leads have their lcm in
+degree d, and x*g for every odd generator x in the lead of an element g of
+degree d - deg x (x kills the lead but not always the tail), with a reducer
+u*g for each monomial these rows, or the reducers, reach that a lead
+divides (F4's symbolic preprocessing). A reduced row whose lead no older
+lead divides is a new element. In a ring with no odd generator a pair
+whose leads share no generator is dropped (Buchberger's first criterion).
+Each u*g is built once, as the row the reduction reads: u's key added to
+each term's, with the sign rule of element products, keeps g's column
+order; only relations are sorted. The step's candidates are x_i times the
+standard monomials below.
+
+The table layer builds a degree's rewrite table (the normal-form map) from
+its standard monomials, by one row reduction. Its candidates are x_i times
+the nonzero monomials of degree d - deg x_i, and a candidate m is kept when
+m/x has a row for every generator x of m; any other monomial has a zero
+m/x, so its unit row is in the slice's reduced echelon form, whose other
+rows have a zero in its column. The reducers, one u*g per kept candidate
+that is not standard, over the kept columns, lead every kept column but the
+standard ones, so their reduced echelon form is the ideal's degree-d
+slice's own. A table holds a row for each nonzero monomial of its degree,
+by key, as (position, value) pairs over the positions of its basis
+monomials: a basis monomial's unit row or a pivot's primitive reduced row
+with positive lead. A monomial it has no row for is zero.
 
 One rule finds zeros without a reduction: a monomial m is zero in the
 quotient when m/x is, for some generator x of m, since m is plus or minus
@@ -46,8 +68,15 @@ to whole degrees, degree d > 0 is zero when, for each generator x with
 deg x <= d, degree d - deg x is: the basis layer takes no step there. A
 degree with no standard monomial, found so by the rule or by a step, is
 zero exactly, and its table is the shared zero table, built with no
-reduction. A table holds rows for its nonzero monomials alone, and a
-monomial it has no row for is zero.
+reduction.
+
+A product in a quotient forms none: `normal_form(a, b)` keys each term of
+the two factors once and adds, for each pair of terms, the Koszul-signed
+integer product times the row at the sum of their keys into one list per
+degree over a common lead, grown to the lcm of the leads met, and puts the
+output over that lead times the denominators. Neither a product nor a
+normal form builds a `Fraction`. `Fraction`s appear only where
+coefficients come in and go out.
 """
 
 from __future__ import annotations
@@ -74,10 +103,8 @@ class CutoffExceededError(ValueError):
     """A degree beyond the ring's computed range was requested."""
 
 
-# The most candidate monomials one degree may have. Every list of a degree's
-# keys the Gröbner basis builds, of its candidate nonzero monomials for a
-# table or of its candidate standard monomials for a step, is counted from
-# the lists below it and refused before it is built when it has more.
+# The most candidates one list of a degree's keys may have: a step's
+# candidate standard monomials, or a table's candidate nonzero monomials.
 MAX_DEGREE_MONOMIALS = 100_000
 
 
@@ -175,6 +202,8 @@ class Generators:
             exps = tuple(exps)
             if len(exps) != len(self.symbols):
                 raise PresentationError(f"exponent vector {exps} has wrong length")
+            if not all(isinstance(e, int) for e in exps):
+                raise PresentationError(f"exponent vector {exps} has an exponent that is not an integer")
             if any(e < 0 for e in exps):
                 raise PresentationError(f"negative exponent in {exps}")
             if any(exps[i] > 1 for i in self._odd):
@@ -521,14 +550,14 @@ def make_presentation(
 class _DegreeTable:
     basis: tuple[tuple[int, ...], ...]  # exponent vectors in display order
     # key -> (lead, ((position, value), ...)) for every nonzero monomial of
-    # the degree, by the ring's packed key (`QuotientRing._key`) of its
-    # exponents, as the Gröbner basis enumerates them, so the table keys
-    # nothing: the monomial equals the sum of value/lead times
-    # basis[position]. A basis monomial's row is (1, ((its position, 1),));
-    # a pivot's is its reduced row, primitive with positive lead, with its
-    # other entries negated. A zero monomial has no row, and reads as the
-    # zero row (1, ()). Rows are in column order, and equal pairs are
-    # shared within a table
+    # the degree, by the ring's packed key (`QuotientRing.key`) of its
+    # exponents, as the ring enumerates them, so the table keys nothing:
+    # the monomial equals the sum of value/lead times basis[position]. A
+    # basis monomial's row is (1, ((its position, 1),)); a pivot's is its
+    # reduced row, primitive with positive lead, with its other entries
+    # negated. A zero monomial has no row, and reads as the zero row
+    # (1, ()). Rows are in column order, and equal pairs are shared within
+    # a table
     rows: dict[int, tuple[int, tuple[tuple[int, int], ...]]]
 
 
@@ -537,56 +566,33 @@ class _DegreeTable:
 _ZERO_TABLE = _DegreeTable((), {})
 
 
-class _GroebnerBasis:
-    """A homogeneous Gröbner basis of a presentation's ideal, truncated at a
-    cutoff, in the elimination order, in two layers: the basis and its
-    standard monomials, and the tables built from them.
+class QuotientRing:
+    """A presented graded-commutative ring truncated at a cutoff degree: the
+    Gröbner basis of its ideal, each degree's standard monomials, and each
+    degree's rewrite table, from which normal forms and products are read.
 
-    A monomial is its packed key; `_exps` reads one back only for a new
-    lead, an odd multiplier's sign and a table's basis. A lead l divides m
-    exactly when no field of k_m - k_l borrows, ((k_m | G) - k_l) & G == G
-    for the guard-bit mask G, and then k_m - k_l is the key of m/l.
-
-    The basis layer, `standard(d)`, extends the basis in increasing degree
-    and lists each degree's standard monomials, those no lead divides,
-    which are its basis in the quotient. A degree the zero rule rules zero
-    takes no step and has none. `step(d)` reduces, in one call to
-    `linalg.rref`, the relations of degree d, both halves u*g of every pair
-    of elements whose leads have their lcm in degree d, and x*g for every
-    odd generator x in the lead of an element g of degree d - deg x (x
-    kills the lead but not always the tail), with a reducer u*g for each
-    monomial these rows, or the reducers, reach that a lead divides (F4's
-    symbolic preprocessing, `_reduce`). A reduced row whose lead no older
-    lead divides is a new element. In a ring with no odd generator a pair
-    whose leads share no generator is dropped (Buchberger's first
-    criterion). The step's candidates are x_i times the standard monomials
-    of degree d - deg x_i in generators i.., built from the lower lists as
-    `_monomials` builds every key list, counted and refused past
-    `MAX_DEGREE_MONOMIALS` before the step reduces anything. `_multiple`
-    builds each u*g as a row in descending key order, adding u's key to
-    each term's, with the sign rule of element products; only relations
-    are sorted.
-
-    The table layer, `table(d)`, builds degree d's table when the degree
-    has a standard monomial. Its candidates are x_i times the nonzero
-    monomials of degree d - deg x_i in generators i.., and a candidate m is
-    kept when m/x has a row for every generator x of m. Any other monomial
-    has a zero m/x, so its unit row is in the slice's reduced echelon form,
-    whose other rows have a zero in its column. The reducers, one u*g per
-    kept candidate that is not standard, over the kept columns, in one call
-    to `linalg.rref`, lead every kept column but the standard ones, so their
-    reduced echelon form is the slice's own, and the table is that of
-    reducing every relation multiple. The monomials with a row are the
-    degree's list of nonzero monomials.
+    `standard(d)` and `rank(d, elements)` extend the basis to degree d and
+    build no table. A query that reads degree d's table builds every missing
+    table up to d, and extends the basis as far. Each path that extends the
+    basis takes the ring's one lock, once, at its entry; a built table is
+    immutable, and reads take no lock. A degree past the cutoff raises
+    `CutoffExceededError`, and a list of candidate monomials longer than
+    `MAX_DEGREE_MONOMIALS` raises `TooManyMonomialsError`.
     """
 
     def __init__(self, presentation: RingPresentation, cutoff: int):
+        if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
+            raise PresentationError(f"a nonnegative integer cutoff degree is required, got {cutoff!r}")
+        self.presentation = presentation
         self.gens = gens = presentation.generators
         self.cutoff = cutoff
+        self._lock = threading.Lock()
         degrees, n = gens.degrees, len(gens)
         # the key's fields from the lowest up, as the module docstring lays
         # them out: the exponents, as (offset, mask) by generator, then the
-        # priority-1 and priority-2 weights where used, and the degree
+        # priority-1 and priority-2 weights where used, and the degree, from
+        # bit `shift` up. An overflow carries upward, so a key whose degree
+        # is in range is exact
         self.fields: list[tuple[int, int]] = [(0, 0)] * n
         offset = self.guard = 0
         for i in reversed(range(n)):
@@ -621,13 +627,24 @@ class _GroebnerBasis:
         # where those in generators i.. begin
         self.standard_keys: list[list[int]] = []
         self.standard_starts: list[list[int]] = []
-        # the table layer's: each degree's table, and the keys of its nonzero
+        # each degree's table, indexed by degree, and the keys of its nonzero
         # monomials, in display order, and where those in generators i.. begin
         self.tables: list[_DegreeTable] = []
         self.nonzero_keys: list[list[int]] = []
         self.nonzero_starts: list[list[int]] = []
+        # whether each degree's table has a row for every one of its candidates
+        self.all_nonzero: list[bool] = []
+
+    @property
+    def label(self) -> str:
+        return self.presentation.label
+
+    def __repr__(self) -> str:
+        name = self.label or self.presentation.describe()
+        return f"QuotientRing({name}, cutoff={self.cutoff})"
 
     def key(self, exps: Sequence[int]) -> int:
+        """The packed key of a monomial's exponent vector."""
         return sum(map(mul, exps, self.weights))
 
     def _exps(self, key: int) -> tuple[int, ...]:
@@ -659,9 +676,26 @@ class _GroebnerBasis:
 
     def standard(self, d: int) -> list[int]:
         """The keys of degree d's standard monomials in display order,
-        extending the basis to degree d first. Degree d > 0 is zero, and
-        takes no step, when each degree d - deg x of a generator x with
-        deg x <= d is zero."""
+        extending the basis to degree d first."""
+        with self._lock:
+            return self._standard(d)
+
+    def rank(self, d: int, elements: Iterable[Mapping[tuple[int, ...], int]]) -> int:
+        """The rank of the residues of degree-d elements, each given as integer
+        terms, modulo the ideal: the number of rows `_reduce` leaves led by a
+        standard monomial."""
+        rows = [sorted([(self.key(e), n) for e, n in el.items()], reverse=True) for el in elements]
+        with self._lock:
+            self._standard(d)
+            return len(self._reduce(rows))
+
+    def _standard(self, d: int) -> list[int]:
+        """`standard` under the lock held. A degree past the cutoff is
+        refused and a negative one has no standard monomial; a degree d > 0
+        that the zero rule rules zero, where each degree d - deg x of a
+        generator x with deg x <= d is zero, takes no step and has none."""
+        if d > self.cutoff:
+            raise CutoffExceededError(f"degree {d} exceeds cutoff {self.cutoff}")
         keys = self.standard_keys
         for j in range(len(keys), d + 1):
             if j and not any(keys[j - g] for g in self.gens.degrees if g <= j):
@@ -669,7 +703,7 @@ class _GroebnerBasis:
                 self.standard_starts.append([0] * (len(self.gens) + 1))
             else:
                 self.step(j)
-        return keys[d]
+        return keys[d] if d >= 0 else []
 
     def step(self, d: int) -> None:
         """Extend the basis to degree d and list its standard monomials. A
@@ -688,8 +722,7 @@ class _GroebnerBasis:
                 block = [m for m in block if ((m | guard) - lead) & guard != guard]
             standard += block
             kept.append(len(standard))
-        if not d:
-            standard.append(0)
+        standard += row[start[-1]:]  # the unit, in degree 0
         self.standard_keys.append(standard)
         self.standard_starts.append(kept)
 
@@ -698,10 +731,8 @@ class _GroebnerBasis:
         key order, and the multiples u*g given as (element, key of u), in one
         call to `linalg.rref`, with a reducer u*g for each monomial they
         reach, or the reducers reach, that a lead divides and no multiple
-        leads. Returns the reduced rows whose lead no lead divides, as
-        (key, value) pairs: the new elements of a step, or the echelon form
-        of the rows' residues. The kernel's columns are the negated keys, so
-        its column order is the monomial order."""
+        leads. Returns the reduced rows whose lead no lead divides: the new
+        elements of a step, or the echelon form of the rows' residues."""
         rows = list(rows)
         # the monomials reached that a lead divides: a multiple's own lead first
         divisible = set()
@@ -722,16 +753,7 @@ class _GroebnerBasis:
                     rows.append(row)
                     divisible.add(m)
                     todo += [t for t, _ in row]
-        reduced = linalg.rref([[(-m, v) for m, v in row] for row in rows])
-        return [[(-c, v) for c, v in row] for row in reduced if -row[0][0] not in divisible]
-
-    def rank(self, d: int, elements: Iterable[Mapping[tuple[int, ...], int]]) -> int:
-        """The rank of the residues of degree-d elements, each given as integer
-        terms, modulo the ideal: the number of rows `_reduce` leaves led by a
-        standard monomial."""
-        self.standard(d)
-        key = self.key
-        return len(self._reduce([sorted([(key(e), n) for e, n in el.items()], reverse=True) for el in elements]))
+        return [row for row in linalg.rref(rows) if row[0][0] not in divisible]
 
     def _reducer(self, m: int) -> list[tuple[int, int]] | None:
         """u*g for the first element g whose lead divides the monomial m, or
@@ -777,102 +799,10 @@ class _GroebnerBasis:
 
     # -- the table layer ---------------------------------------------------
 
-    def table(self, d: int) -> _DegreeTable:
-        """Degree d's table, appended to `tables`, which holds those below it,
-        with its nonzero keys appended to `nonzero_keys`: the shared zero table
-        when it has no standard monomial, and else, over the kept candidates
-        in descending key order, a standard column's unit row and each
-        pivot's row but a unit row; any other column is zero."""
-        tables, keys, starts = self.tables, self.nonzero_keys, self.nonzero_starts
-        if not (standard := self.standard(d)):
-            # a zero degree's nonzero monomials are its standard ones, none
-            tables.append(_ZERO_TABLE)
-            keys.append(standard)
-            starts.append(self.standard_starts[d])
-            return _ZERO_TABLE
-        candidates, start = self._monomials(keys, starts, d)
-        # a candidate whose first generator is x_i has a nonzero m/x_i; it is
-        # kept when each later generator x of m has m/x in its table too
-        degrees, fields, weights = self.gens.degrees, self.fields, self.weights
-        live, kept = [], [0]
-        for i in range(len(degrees)):
-            if block := candidates[start[i]:start[i + 1]]:
-                for j in range(i + 1, len(degrees)):
-                    if (g := degrees[j]) <= d:
-                        (offset, mask), w, lower = fields[j], weights[j], tables[d - g].rows
-                        block = [m for m in block if not (m >> offset) & mask or m - w in lower]
-                live += block
-            kept.append(len(live))
-        if not d:
-            live.append(0)
-        cols = sorted(live, reverse=True)
-        columns, position = set(live), {m: i for i, m in enumerate(standard)}
-        # every kept monomial that is not standard has a lead that divides it
-        rows = [[(-t, v) for t, v in self._reducer(m) if t in columns] for m in cols if m not in position]
-        pivots = {-row[0][0]: row for row in linalg.rref(rows)}
-        # equal (position, value) pairs are one tuple across the table's rows,
-        # which keeps a table smaller than separate position and value tuples
-        shared: dict[tuple[int, int], tuple[int, int]] = {}
-        table: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-        for m in cols:
-            if (i := position.get(m)) is not None:
-                table[m] = (1, (shared.setdefault((i, 1), (i, 1)),))
-            elif (row := pivots.get(m)) is not None and len(row) > 1:
-                tail = [shared.setdefault(p, p) for c, v in row[1:] for p in [(position[-c], -v)]]
-                table[m] = (row[0][1], tuple(tail))
-        # the nonzero keys in display order, and where those in generators i..
-        # begin: the number of nonzero keys before each of the kept blocks
-        before = list(accumulate((m in table for m in live), initial=0))
-        keys.append([m for m in live if m in table])
-        starts.append([before[k] for k in kept])
-        tables.append(result := _DegreeTable(tuple(map(self._exps, standard)), table))
-        return result
-
-
-class QuotientRing:
-    """A presented graded-commutative ring with per-degree normal forms.
-
-    Tables are built in increasing degree under one lock, each by the
-    Gröbner basis's table layer from that degree's standard monomials, with
-    no reduction where there are none; asking for degree d builds every
-    missing degree up to d, and extends the basis as far. A built table is
-    immutable, and reads take no lock.
-    """
-
-    def __init__(self, presentation: RingPresentation, cutoff: int):
-        if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
-            raise PresentationError(f"a nonnegative integer cutoff degree is required, got {cutoff!r}")
-        self.presentation = presentation
-        self.cutoff = cutoff
-        self._lock = threading.Lock()
-        self._basis = basis = _GroebnerBasis(presentation, cutoff)
-        # indexed by degree; the basis's table layer appends each table
-        self._tables = basis.tables
-        # the basis's packed key sum(e_i * w_i), whose top field, from bit `_shift`
-        # up, is the degree. An overflow carries upward, so a key whose degree
-        # is in range is exact
-        self._key, self._weights, self._shift = basis.key, basis.weights, basis.shift
-
-    @property
-    def gens(self) -> Generators:
-        return self.presentation.generators
-
-    @property
-    def label(self) -> str:
-        return self.presentation.label
-
-    def __repr__(self) -> str:
-        name = self.label or self.presentation.describe()
-        return f"QuotientRing({name}, cutoff={self.cutoff})"
-
-    def _row(self, exps: Sequence[int]) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """A monomial's row (lead, ((position, value), ...)), (1, ()) if zero."""
-        return self._table(self.gens.monomial_degree(exps)).rows.get(self._key(exps), (1, ()))
-
     def _table(self, d: int) -> _DegreeTable:
         if d < 0:
             return _ZERO_TABLE
-        tables = self._tables
+        tables = self.tables
         if d >= len(tables):
             if d > self.cutoff:
                 raise CutoffExceededError(f"degree {d} exceeds cutoff {self.cutoff}")
@@ -882,9 +812,65 @@ class QuotientRing:
         return tables[d]
 
     def _compute_table(self, d: int) -> _DegreeTable:
-        """Degree d's table, appended to `_tables` by `_GroebnerBasis.table`:
-        the shared zero table when degree d has no standard monomial."""
-        return self._basis.table(d)
+        """Degree d's table, appended to `tables`, which holds those below it,
+        with its nonzero keys appended to `nonzero_keys`: the shared zero table
+        when it has no standard monomial, and else, over the kept candidates
+        in descending key order, a standard column's unit row and each
+        pivot's row but a unit row; any other column is zero."""
+        tables, keys, starts = self.tables, self.nonzero_keys, self.nonzero_starts
+        if not (standard := self._standard(d)):
+            # a zero degree's nonzero monomials are its standard ones, none
+            tables.append(_ZERO_TABLE)
+            keys.append(standard)
+            starts.append(self.standard_starts[d])
+            self.all_nonzero.append(False)
+            return _ZERO_TABLE
+        candidates, start = self._monomials(keys, starts, d)
+        # a candidate whose first generator is x_i has a nonzero m/x_i; it is
+        # kept when each later generator x of m has m/x in its table too. That
+        # m/x is x_i times a nonzero monomial, a candidate of its degree, so
+        # the check for x is skipped when every candidate there has a row
+        degrees, fields, weights = self.gens.degrees, self.fields, self.weights
+        live, kept = [], [0]
+        for i in range(len(degrees)):
+            if block := candidates[start[i]:start[i + 1]]:
+                for j in range(i + 1, len(degrees)):
+                    if (g := degrees[j]) <= d and not self.all_nonzero[d - g]:
+                        (offset, mask), w, lower = fields[j], weights[j], tables[d - g].rows
+                        block = [m for m in block if not (m >> offset) & mask or m - w in lower]
+                live += block
+            kept.append(len(live))
+        live += candidates[start[-1]:]  # the unit, in degree 0
+        cols = sorted(live, reverse=True)
+        columns, position = set(live), {m: i for i, m in enumerate(standard)}
+        # every kept monomial that is not standard has a lead that divides it
+        rows = [[(t, v) for t, v in self._reducer(m) if t in columns] for m in cols if m not in position]
+        pivots = {row[0][0]: row for row in linalg.rref(rows)}
+        # equal (position, value) pairs are one tuple across the table's rows,
+        # which keeps a table smaller than separate position and value tuples
+        shared: dict[tuple[int, int], tuple[int, int]] = {}
+        table: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
+        for m in cols:
+            if (i := position.get(m)) is not None:
+                table[m] = (1, (shared.setdefault((i, 1), (i, 1)),))
+            elif (row := pivots.get(m)) is not None and len(row) > 1:
+                tail = [shared.setdefault(p, p) for c, v in row[1:] for p in [(position[c], -v)]]
+                table[m] = (row[0][1], tuple(tail))
+        # the nonzero keys in display order, and where those in generators i..
+        # begin: the number of nonzero keys before each of the kept blocks
+        before = list(accumulate((m in table for m in live), initial=0))
+        keys.append([m for m in live if m in table])
+        starts.append([before[k] for k in kept])
+        self.all_nonzero.append(len(table) == len(candidates))
+        # a basis monomial x_i*s, x_i its first generator, has the exponents
+        # of s, read from s's table, and one more x_i
+        basis, blocks = [] if d else [(0,) * len(degrees)], self.standard_starts[d]
+        for i, (g, w) in enumerate(zip(degrees, weights)):
+            if block := standard[blocks[i]:blocks[i + 1]]:
+                below = dict(zip(self.standard_keys[d - g], tables[d - g].basis))
+                basis += [e[:i] + (e[i] + 1,) + e[i + 1:] for e in map(below.__getitem__, [m - w for m in block])]
+        tables.append(result := _DegreeTable(tuple(basis), table))
+        return result
 
     # -- public queries ----------------------------------------------------
 
@@ -901,20 +887,9 @@ class QuotientRing:
 
     def normal_form(self, element: GradedElement, other: GradedElement | None = None) -> GradedElement:
         """The canonical representative of `element * other`, or of `element`
-        when `other` is None, supported on basis monomials.
-
-        Each factor's integer terms are keyed and split by degree once. The
-        product is reduced one degree at a time, in increasing degree,
-        without forming it: each pair of terms, one from each factor, adds
-        its Koszul-signed integer product times the row at the sum of their
-        keys into one list over a common lead, first rescaling the list to
-        the lcm of the two leads when the row's lead does not divide the
-        common one. The lists' nonzero entries, over the lcm of their leads
-        times the factors' denominators, are the output. A degree past the
-        cutoff raises unless its part of the product, formed over the
-        exponent vectors, cancels.
-        """
-        gens, cutoff, shift, weights, odd = self.gens, self.cutoff, self._shift, self._weights, self.gens._odd
+        when `other` is None, supported on basis monomials. A degree past
+        the cutoff raises unless its part of the product cancels."""
+        gens, cutoff, shift, weights, odd = self.gens, self.cutoff, self.shift, self.weights, self.gens._odd
         if other is None:
             other = GradedElement(gens, {(0,) * len(weights): 1})
         # each factor's terms (key, n, odd indices present, exps) by degree; a

@@ -1,10 +1,11 @@
 """Exact sparse linear algebra used by the per-degree reduction.
 
-Rows are lists of (column, value) pairs, sorted by column, with nonzero
-integer values. Row reduction is fraction-free (cross-multiply and strip
-the content), so no rational arithmetic happens inside the loop; the
-rational reduced row echelon form of a returned row is the row divided by
-its leading value.
+Rows are lists of (column, value) pairs in descending column order, with
+nonzero integer values: a row's leading column is its largest, as a
+monomial's packed key is largest at the lead. Row reduction is
+fraction-free (cross-multiply and strip the content), so no rational
+arithmetic happens inside the loop; the rational reduced row echelon form
+of a returned row is the row divided by its leading value.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ def _combine(row, v, pivot):
     nr, np = len(row), len(pivot)
     while i < nr and j < np:
         ci, cj = row[i][0], pivot[j][0]
-        if ci < cj:
+        if ci > cj:
             out.append((ci, lead * row[i][1]))
             i += 1
-        elif ci > cj:
+        elif ci < cj:
             out.append((cj, -v * pivot[j][1]))
             j += 1
         else:
@@ -65,12 +66,12 @@ def _combine(row, v, pivot):
 def rref(rows: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
     """Reduce sparse integer rows to (primitive) reduced row echelon form.
 
-    Returns one row per pivot, sorted by leading column. Every returned row
-    is primitive with positive leading value, and no row has a nonzero entry
-    under another row's leading column. Back-substitution scans each pivot
-    row once, rightmost first: eliminating an entry with an already reduced
-    pivot row adds entries only at later non-pivot columns, so the scan
-    resumes at the entry after it.
+    Returns one row per pivot, in descending order of leading column. Every
+    returned row is primitive with positive leading value, and no row has a
+    nonzero entry under another row's leading column. Back-substitution
+    scans each pivot row once, smallest leading column first: eliminating
+    an entry with an already reduced pivot row adds entries only at smaller
+    non-pivot columns, so the scan resumes at the entry after it.
     """
     pivots = {}
     for row in rows:
@@ -82,7 +83,7 @@ def rref(rows: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
         if row:
             pivots[row[0][0]] = _primitive(row)
 
-    for col in sorted(pivots, reverse=True):
+    for col in sorted(pivots):
         row = pivots[col]
         i = 1
         while i < len(row):
@@ -93,9 +94,4 @@ def rref(rows: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
                 i += 1
         pivots[col] = row
 
-    return [pivots[c] for c in sorted(pivots)]
-
-
-def rank(rows: list[list[tuple[int, int]]]) -> int:
-    """Rank of a collection of sparse integer rows."""
-    return len(rref(rows))
+    return [pivots[c] for c in sorted(pivots, reverse=True)]

@@ -9,9 +9,9 @@ at the full documented parameter ranges.
 One `run_suites` call reduces each distinct catalog ring once (`_Run`):
 spaces whose presentations, closed forms, families and cutoffs are equal
 share one outcome, and each still reports its own lines. A catalog ring is
-checked from its Gröbner basis alone (`_check`), which builds no rewrite
-table: the dimensions and the characteristic family from its standard
-monomials, and the relations by its own reduction.
+checked from its ring's Gröbner basis alone (`_check`), which builds no
+rewrite table: the dimensions and the characteristic family from its
+standard monomials, and the relations by the basis's own reduction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import catalog, extension
-from .algebra import _GroebnerBasis
+from .algebra import QuotientRing
 from .catalog import SpaceDescriptor, closed_form
 from .series import ClosedFormSeries, series_from_ring
 
@@ -120,11 +120,11 @@ class _Run:
 
 
 def _check(pres, family, cutoff: int) -> _Outcome:
-    """Extend the presentation's Gröbner basis to the cutoff and check it
-    from its standard monomials and its own reduction, building no table;
-    the basis is dropped on return."""
-    basis = _GroebnerBasis(pres, cutoff)
-    dims = [len(basis.standard(d)) for d in range(cutoff + 1)]
+    """Extend the ring's Gröbner basis to the cutoff and check it from its
+    standard monomials and its own reduction, building no table; the ring
+    is dropped on return."""
+    ring = QuotientRing(pres, cutoff)
+    dims = [len(ring.standard(d)) for d in range(cutoff + 1)]
     checks = [_series_check("dimensions match closed form", pres.closed_form, dims)]
 
     if family is None:
@@ -136,13 +136,13 @@ def _check(pres, family, cutoff: int) -> _Outcome:
             if len(monos) != dims[d]:
                 bad_detail = f"degree {d}: family has {len(monos)} monomials, dimension {dims[d]}"
                 break
-            if not _independent(basis, monos):
+            if not _independent(ring, monos):
                 bad_detail = f"degree {d}: family {[str(m) for m in monos]} is dependent"
                 break
         checks.append(CheckResult("characteristic family is a basis", not bad_detail, bad_detail))
 
     # a relation vanishes when the basis reduces it to zero
-    bad_rels = [str(r) for r in pres.relations if basis.rank(r.degree(), [r.nums])]
+    bad_rels = [str(r) for r in pres.relations if ring.rank(r.degree(), [r.nums])]
     checks.append(CheckResult(
         "relations vanish",
         not bad_rels,
@@ -151,7 +151,7 @@ def _check(pres, family, cutoff: int) -> _Outcome:
     return _Outcome(tuple(dims), tuple(checks))
 
 
-def _independent(basis: _GroebnerBasis, monomials) -> bool:
+def _independent(ring: QuotientRing, monomials) -> bool:
     """Whether the residues of monomials of one degree are linearly
     independent: True at once for the degree's standard monomials in
     display order, and else whether the basis's reduction leaves one row
@@ -159,9 +159,9 @@ def _independent(basis: _GroebnerBasis, monomials) -> bool:
     if not monomials:
         return True
     d = monomials[0].degree
-    if [basis.key(m.exps) for m in monomials] == basis.standard(d):
+    if [ring.key(m.exps) for m in monomials] == ring.standard(d):
         return True
-    return basis.rank(d, [{m.exps: 1} for m in monomials]) == len(monomials)
+    return ring.rank(d, [{m.exps: 1} for m in monomials]) == len(monomials)
 
 
 def _catalog_descriptors(max_n: int):

@@ -165,12 +165,12 @@ def test_independent_detects_dependent_monomials():
     assert len(degree_4) == 5
     basis = ring.degree_basis(4)
     # the basis's standard monomials at once, and the rest by its reduction
-    assert _independent(ring._basis, basis)
-    assert _independent(ring._basis, basis[::-1])
-    assert not _independent(ring._basis, degree_4)
-    assert not _independent(ring._basis, (basis[0], basis[0]))
+    assert _independent(ring, basis)
+    assert _independent(ring, basis[::-1])
+    assert not _independent(ring, degree_4)
+    assert not _independent(ring, (basis[0], basis[0]))
     # a monomial of a zero degree is dependent on its own
-    assert not _independent(ring._basis, (Monomial(ring.gens, ring_monomials(ring, 10)[0]),))
+    assert not _independent(ring, (Monomial(ring.gens, ring_monomials(ring, 10)[0]),))
 
 
 def test_flags_state_no_family():
@@ -314,9 +314,9 @@ def test_a_family_degree_builds_its_members_alone():
 
 
 def count_reductions(monkeypatch):
-    """Counts of Gröbner bases and QuotientRings built, basis-layer steps
-    taken and tables computed, from now on."""
-    counts = {"bases": 0, "rings": 0, "steps": 0, "tables": 0}
+    """Counts of QuotientRings built, basis-layer steps taken and tables
+    computed, from now on."""
+    counts = {"rings": 0, "steps": 0, "tables": 0}
 
     def counting(name, real):
         def wrapper(*args):
@@ -325,24 +325,23 @@ def count_reductions(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(algebra._GroebnerBasis, "__init__", counting("bases", algebra._GroebnerBasis.__init__))
     monkeypatch.setattr(algebra.QuotientRing, "__init__", counting("rings", algebra.QuotientRing.__init__))
-    monkeypatch.setattr(algebra._GroebnerBasis, "step", counting("steps", algebra._GroebnerBasis.step))
+    monkeypatch.setattr(algebra.QuotientRing, "step", counting("steps", algebra.QuotientRing.step))
     monkeypatch.setattr(algebra.QuotientRing, "_compute_table", counting("tables", algebra.QuotientRing._compute_table))
     return counts
 
 
 def test_a_default_run_reduces_each_distinct_ring_once(monkeypatch):
-    # the CLI's default run: one Gröbner basis for each of the 98 distinct
-    # contents of the 130 catalog spaces, and 16 for the extension and
-    # equivariant checks, whose rings alone build tables. The zero rule
-    # skips every degree whose degrees d - deg x are all zero, so the bases
-    # take 510 steps, in the degrees the tables took them in when each step
-    # built its degree's table, and the 16 rings compute 57 tables
+    # the CLI's default run: one ring for each of the 98 distinct contents
+    # of the 130 catalog spaces, which builds no table, and 16 for the
+    # extension and equivariant checks. The zero rule skips every degree
+    # whose degrees d - deg x are all zero, so the rings take 510 steps, in
+    # the degrees the tables took them in when each step built its degree's
+    # table, and the 16 compute 57 tables
     counts = count_reductions(monkeypatch)
     checks = verify.run_suites(list(verify.SUITES), 4)
     assert len(checks) == 445 and all(c.ok for c in checks)
-    assert counts == {"bases": 114, "rings": 16, "steps": 510, "tables": 57}
+    assert counts == {"rings": 114, "steps": 510, "tables": 57}
 
 
 def test_the_catalog_and_odd_identity_suites_build_no_table(monkeypatch):
@@ -350,8 +349,8 @@ def test_the_catalog_and_odd_identity_suites_build_no_table(monkeypatch):
     counts = count_reductions(monkeypatch)
     checks = verify.run_suites(["catalog", "odd-identity"], 4)
     assert all(c.ok for c in checks)
-    assert counts["bases"] == 98
-    assert counts["rings"] == counts["tables"] == 0
+    assert counts["rings"] == 98
+    assert counts["tables"] == 0
 
 
 def table_independent(ring, monomials) -> bool:
@@ -363,7 +362,8 @@ def table_independent(ring, monomials) -> bool:
         return True
     if not ring._table(monomials[0].degree).basis:
         return False
-    return linalg.rank([sorted(ring._row(m.exps)[1]) for m in monomials]) == len(monomials)
+    rows = [ring._table(m.degree).rows.get(ring.key(m.exps), (1, ()))[1] for m in monomials]
+    return len(linalg.rref([sorted(row, reverse=True) for row in rows])) == len(monomials)
 
 
 def table_outcome(pres, family, cutoff):
@@ -457,7 +457,7 @@ def test_presentations_that_differ_in_one_value_get_separate_outcomes(monkeypatc
     counts = count_reductions(monkeypatch)
     run = verify._Run()
     outcomes = [run.space(s)[1] for s in spaces]
-    assert counts["bases"] == 4 and len(run.checked) == 4
+    assert counts["rings"] == 4 and len(run.checked) == 4
     assert outcomes[4] is outcomes[0]
     assert [c.ok for o in outcomes for c in o.checks] == [True] * 9 + [False, True, True] + [True] * 3
 

@@ -10,7 +10,13 @@ from _oracles import dense_rref
 
 
 def to_sparse(matrix):
-    return [[(j, v) for j, v in enumerate(row) if v] for row in matrix]
+    """Dense rows as the kernel's rows: dense column j of n is column
+    n - 1 - j, so the dense order is the kernel's descending order."""
+    return [[(len(row) - 1 - j, v) for j, v in enumerate(row) if v] for row in matrix]
+
+
+def dense_pivots(reduced, ncols):
+    return [ncols - 1 - row[0][0] for row in reduced]
 
 
 def rational_rows(reduced, ncols):
@@ -19,7 +25,7 @@ def rational_rows(reduced, ncols):
         lead = row[0][1]
         dense = [Fraction(0)] * ncols
         for c, v in row:
-            dense[c] = Fraction(v, lead)
+            dense[ncols - 1 - c] = Fraction(v, lead)
         out.append(dense)
     return out
 
@@ -32,22 +38,22 @@ def test_small_fixed_matrix():
         [1, 2, 1, -3],
     ]
     reduced = linalg.rref(to_sparse(matrix))
-    pivots = [row[0][0] for row in reduced]
     oracle_pivots, oracle_rows = dense_rref([[Fraction(v) for v in r] for r in matrix])
-    assert pivots == oracle_pivots == [0, 2]
+    assert [row[0][0] for row in reduced] == [3, 1]
+    assert dense_pivots(reduced, 4) == oracle_pivots == [0, 2]
     assert rational_rows(reduced, 4) == oracle_rows
 
 
 def check_against_oracle(matrix, ncols):
     """rref of `matrix` has the dense oracle's pivots and rows, and each row
-    is primitive (content 1, positive leading value) with increasing columns."""
+    is primitive (content 1, positive leading value) with decreasing columns."""
     reduced = linalg.rref(to_sparse(matrix))
     oracle_pivots, oracle_rows = dense_rref([[Fraction(v) for v in r] for r in matrix])
-    assert [row[0][0] for row in reduced] == oracle_pivots
+    assert dense_pivots(reduced, ncols) == oracle_pivots
     assert rational_rows(reduced, ncols) == oracle_rows
     for row in reduced:
         assert gcd(*(v for _, v in row)) == 1 and row[0][1] > 0
-        assert all(a < b for (a, _), (b, _) in zip(row, row[1:]))
+        assert all(a > b for (a, _), (b, _) in zip(row, row[1:]))
 
 
 def test_random_matrices_match_dense_oracle():
@@ -66,7 +72,7 @@ def test_random_matrices_match_dense_oracle():
 def test_zero_and_empty_rows():
     assert linalg.rref([]) == []
     assert linalg.rref([[], []]) == []
-    assert linalg.rref([[(0, 2), (1, -4)]]) == [[(0, 1), (1, -2)]]
+    assert linalg.rref([[(1, 2), (0, -4)]]) == [[(1, 1), (0, -2)]]
 
 
 def test_selected_backend_is_exposed():
